@@ -15,10 +15,11 @@ import sys
 import numpy as np
 
 from . import nn
-from .data import export_dataset, make_dataset, write_pgm16
-from .experiments import (EvalConfig, Problem, TrainConfig, convergence_study,
-                          dc_audit, evaluate, make_rate_operator,
-                          reconstruct_all, save_json_summary, train)
+from .data import export_dataset, write_pgm16
+from .experiments import (EvalConfig, Problem, TrainConfig, _eval_samples,
+                          convergence_study, dc_audit, evaluate,
+                          make_rate_operator, reconstruct_all,
+                          save_json_summary, train)
 from .regularize import SourceCondition
 
 
@@ -54,10 +55,8 @@ def cmd_gen_data(args, cfg):
     image_size = _get(cfg, "image_size", int, 64)
     patch_size = _get(cfg, "patch_size", int, 20)
     problem = Problem.benchmark(image_size)
-    samples = make_dataset(n, kind, args.seed, problem.op,
-                           sigma=sigma * problem.sigma_scale,
-                           support=problem.support, image_size=image_size,
-                           patch_size=patch_size)
+    samples = problem.dataset(n, kind, args.seed, sigma,
+                              patch_size=patch_size)
     manifest = export_dataset(samples, args.out)
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "gen-data", "seed": args.seed, "n": n, "kind": kind,
@@ -111,10 +110,7 @@ def cmd_eval(args, cfg):
 
     # image dumps: ground truth / tikhonov / resnet / dcnet for a few samples
     n_dump = _get(cfg, "n_dump", int, 3)
-    from .data import make_dataset as _mk
-    samples = _mk(n_dump, "ID", ec.eval_seed, problem.op,
-                  sigma=ec.sigma * problem.sigma_scale,
-                  support=problem.support, image_size=ec.image_size)
+    samples = _eval_samples(problem, ec, "ID", n_dump, ec.eval_seed)
     for i, s in enumerate(samples):
         recs = reconstruct_all(problem, ec, s, params_resnet, params_dcnet)
         write_pgm16(os.path.join(args.out, f"sample{i}_truth.pgm"), s.x)

@@ -14,7 +14,7 @@ from . import nn
 from .data import Sample, make_dataset
 from .linops import LinOp, SolverConfig, SvdFactors
 from .metrics import mse, psnr, ssim
-from .nullspace import NullProjector, mask_projector, project_null
+from .nullspace import NullProjector, mask_projector, nsn_apply
 from .operators import (StripeMaskSpec, dense_op, make_stripe_operator)
 from .regularize import (FilterSpec, SourceCondition, make_source_element,
                          param_choice, spectral_reconstruct,
@@ -25,11 +25,9 @@ MODEL_KINDS = ("resnet", "dcnet")
 
 @dataclass
 class Problem:
-    """The stripe-masked integration problem with its projector machinery."""
+    """The stripe-masked integration problem with its kernel projector."""
 
     op: LinOp
-    mask: LinOp
-    kept_columns: tuple[int, ...]
     projector: NullProjector
     support: np.ndarray   # observed entries of the data grid
     sigma_scale: float = 1.0  # nominal noise sd -> sd on the data grid
@@ -52,13 +50,17 @@ class Problem:
                                               spacing=spacing)
         support = np.zeros((image_size, image_size))
         support[:, list(kept)] = 1.0
-        return cls(op=op, mask=mask, kept_columns=kept,
-                   projector=mask_projector(op, mask), support=support,
-                   sigma_scale=spacing)
+        return cls(op=op, projector=mask_projector(op, mask),
+                   support=support, sigma_scale=spacing)
 
-    def project_correction(self, img: np.ndarray) -> np.ndarray:
-        # closed form (I - M), cheap enough to sit inside the training loop
-        return img - self.mask.apply(img)
+    def dataset(self, n: int, kind: str, seed: int, sigma: float,
+                **kw) -> list[Sample]:
+        """`make_dataset` on this problem, with the nominal noise sd sigma
+        scaled to the data grid and the noise kept on observed entries."""
+        return make_dataset(n, kind, seed, self.op,
+                            sigma=sigma * self.sigma_scale,
+                            support=self.support,
+                            image_size=self.op.in_shape[0], **kw)
 
 
 @dataclass
@@ -97,12 +99,8 @@ def train(cfg: TrainConfig, problem: Problem | None = None):
     if cfg.epochs == 0:
         return params, []
     state = nn.init_adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    projector = (problem.project_correction
-                 if cfg.model_kind == "dcnet" else None)
-    samples = make_dataset(cfg.epochs, "ID", cfg.data_seed, problem.op,
-                           sigma=cfg.sigma * problem.sigma_scale,
-                           support=problem.support,
-                           image_size=cfg.image_size)
+    projector = problem.projector if cfg.model_kind == "dcnet" else None
+    samples = problem.dataset(cfg.epochs, "ID", cfg.data_seed, cfg.sigma)
     log = []
     for epoch, s in enumerate(samples):
         b = tikhonov_reconstruct(problem.op, s.y, cfg.alpha_tik, cfg.cg).x
@@ -160,12 +158,11 @@ class EvalReport:
             writer.writerows({c: r[c] for c in cols} for r in self.rows)
 
 
-def _eval_samples(problem: Problem, cfg: EvalConfig, kind: str):
-    seed = cfg.eval_seed + (_OOD_SEED_OFFSET if kind == "OOD" else 0)
-    return make_dataset(cfg.n_per_kind, kind, seed, problem.op,
-                        sigma=cfg.sigma * problem.sigma_scale,
-                        support=problem.support,
-                        image_size=cfg.image_size)
+def _eval_samples(problem: Problem, cfg: EvalConfig, kind: str, n: int,
+                  seed: int) -> list[Sample]:
+    """n evaluation samples of a kind; OOD draws from a disjoint seed range."""
+    seed += _OOD_SEED_OFFSET if kind == "OOD" else 0
+    return problem.dataset(n, kind, seed, cfg.sigma)
 
 
 def reconstruct_all(problem: Problem, cfg: EvalConfig, sample: Sample,
@@ -173,7 +170,7 @@ def reconstruct_all(problem: Problem, cfg: EvalConfig, sample: Sample,
     """Tikhonov, ResNet and DC-Net reconstructions of one sample."""
     tik = tikhonov_reconstruct(problem.op, sample.y, cfg.alpha_tik, cfg.cg).x
     res = nn.forward(params_resnet, tik)[0]
-    dc = nn.forward(params_dcnet, tik, problem.project_correction)[0]
+    dc = nn.forward(params_dcnet, tik, problem.projector)[0]
     return {"tikhonov": tik, "resnet": res, "dcnet": dc}
 
 
@@ -185,7 +182,9 @@ def evaluate(params_resnet: nn.NetParams, params_dcnet: nn.NetParams,
     problem = problem or Problem.benchmark(cfg.image_size)
     rows = []
     for kind in ("ID", "OOD"):
-        for i, s in enumerate(_eval_samples(problem, cfg, kind)):
+        samples = _eval_samples(problem, cfg, kind, cfg.n_per_kind,
+                                cfg.eval_seed)
+        for i, s in enumerate(samples):
             recs = reconstruct_all(problem, cfg, s, params_resnet,
                                    params_dcnet)
             for method, xr in recs.items():
@@ -213,18 +212,12 @@ def dc_audit(params: nn.NetParams, model_kind: str, n: int, seed: int,
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
     cfg = cfg or EvalConfig()
     problem = problem or Problem.benchmark(cfg.image_size)
-    projector = (problem.project_correction
-                 if model_kind == "dcnet" else None)
+    projector = problem.projector if model_kind == "dcnet" else None
     out = []
     for kind, count in (("ID", n // 2), ("OOD", n - n // 2)):
         if count == 0:
             continue
-        offset = _OOD_SEED_OFFSET if kind == "OOD" else 0
-        samples = make_dataset(count, kind, seed + offset, problem.op,
-                               sigma=cfg.sigma * problem.sigma_scale,
-                               support=problem.support,
-                               image_size=cfg.image_size)
-        for s in samples:
+        for s in _eval_samples(problem, cfg, kind, count, seed):
             tik = tikhonov_reconstruct(problem.op, s.y, cfg.alpha_tik,
                                        cfg.cg).x
             rec = nn.forward(params, tik, projector)[0]
@@ -303,6 +296,50 @@ def _svd_forward(svd: SvdFactors, x: np.ndarray) -> np.ndarray:
     return svd.u @ (svd.s * (svd.v.T @ x.ravel()))
 
 
+def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
+                deltas, trials: int, seed: int, c: float,
+                f=None) -> ConvergenceReport:
+    """Error and residual decay of a spectral filter, optionally followed by
+    an image map f, under the a-priori parameter choice rule.
+
+    Test elements are x = f(x0) with x0 from the source set; f must leave
+    A x0 unchanged.  With f the entries also carry the classical error of
+    the filter alone.
+    """
+    deltas = sorted(np.asarray(deltas, dtype=float), reverse=True)
+    entries = []
+    for i, delta in enumerate(deltas):
+        alpha = param_choice(delta, src, c)
+        errs, cls_errs, resids = [], [], []
+        for t in range(trials):
+            sub = seed + 1009 * i + t
+            x0 = make_source_element(svd, src, seed=sub)
+            x = x0 if f is None else f(x0)
+            y = _svd_forward(svd, x0)  # A x = A x0: f only moves the kernel
+            rng = np.random.default_rng(sub + 31337)
+            noise = rng.standard_normal(y.shape)
+            y_d = y + delta * noise / np.linalg.norm(noise)
+            x_cls = spectral_reconstruct(svd, y_d,
+                                         FilterSpec(filter_kind, alpha))
+            x_rec = x_cls if f is None else f(x_cls)
+            errs.append(float(np.linalg.norm(x_rec - x)))
+            if f is not None:
+                cls_errs.append(float(np.linalg.norm(x_cls - x0)))
+            resids.append(float(np.linalg.norm(
+                _svd_forward(svd, x_rec) - y_d)))
+        entry = {"delta": delta, "alpha": alpha,
+                 "error": float(np.median(errs))}
+        if f is not None:
+            entry["classical_error"] = float(np.median(cls_errs))
+        entry["residual"] = float(np.median(resids))
+        entries.append(entry)
+    e_slope, e_hw = fit_loglog_slope([e["delta"] for e in entries],
+                                     [e["error"] for e in entries])
+    r_slope, r_hw = fit_loglog_slope([e["delta"] for e in entries],
+                                     [e["residual"] for e in entries])
+    return ConvergenceReport(entries, e_slope, e_hw, r_slope, r_hw)
+
+
 def convergence_study(svd: SvdFactors, filter_kind: str,
                       src: SourceCondition, deltas, trials: int = 10,
                       seed: int = 0, c: float = 1.0) -> ConvergenceReport:
@@ -312,31 +349,7 @@ def convergence_study(svd: SvdFactors, filter_kind: str,
     Noise has exact norm delta (random direction), so delta is the true
     noise level.  Slopes are least-squares fits on per-delta medians.
     """
-    deltas = sorted(np.asarray(deltas, dtype=float), reverse=True)
-    entries = []
-    for i, delta in enumerate(deltas):
-        alpha = param_choice(delta, src, c)
-        errs, resids = [], []
-        for t in range(trials):
-            sub = seed + 1009 * i + t
-            x = make_source_element(svd, src, seed=sub)
-            y = _svd_forward(svd, x)
-            rng = np.random.default_rng(sub + 31337)
-            noise = rng.standard_normal(y.shape)
-            y_d = y + delta * noise / np.linalg.norm(noise)
-            x_rec = spectral_reconstruct(svd, y_d,
-                                         FilterSpec(filter_kind, alpha))
-            errs.append(float(np.linalg.norm(x_rec - x)))
-            resids.append(float(np.linalg.norm(
-                _svd_forward(svd, x_rec) - y_d)))
-        entries.append({"delta": delta, "alpha": alpha,
-                        "error": float(np.median(errs)),
-                        "residual": float(np.median(resids))})
-    e_slope, e_hw = fit_loglog_slope([e["delta"] for e in entries],
-                                     [e["error"] for e in entries])
-    r_slope, r_hw = fit_loglog_slope([e["delta"] for e in entries],
-                                     [e["residual"] for e in entries])
-    return ConvergenceReport(entries, e_slope, e_hw, r_slope, r_hw)
+    return _rate_study(svd, filter_kind, src, deltas, trials, seed, c)
 
 
 def nsn_convergence_study(params: nn.NetParams, proj: NullProjector,
@@ -349,41 +362,13 @@ def nsn_convergence_study(params: nn.NetParams, proj: NullProjector,
     report carries both the learned and the classical errors together with
     the network's layer-norm Lipschitz bound.  Returns (report, lip_bound).
     """
-    deltas = sorted(np.asarray(deltas, dtype=float), reverse=True)
-    shape = svd.in_shape
-    lip = nn.lipschitz_bound(params, shape)
+    lip = nn.lipschitz_bound(params, svd.in_shape)
 
-    def f(img):
-        return img + project_null(proj, nn.correction(params, img))
+    def u_net(img):
+        return nn.correction(params, img)
 
-    entries = []
-    for i, delta in enumerate(deltas):
-        alpha = param_choice(delta, src, c)
-        errs, cls_errs, resids = [], [], []
-        for t in range(trials):
-            sub = seed + 1009 * i + t
-            x0 = make_source_element(svd, src, seed=sub)
-            x = f(x0)
-            y = _svd_forward(svd, x0)  # A x = A x0: f only moves the kernel
-            rng = np.random.default_rng(sub + 31337)
-            noise = rng.standard_normal(y.shape)
-            y_d = y + delta * noise / np.linalg.norm(noise)
-            x_cls = spectral_reconstruct(svd, y_d,
-                                         FilterSpec(filter_kind, alpha))
-            x_rec = f(x_cls)
-            errs.append(float(np.linalg.norm(x_rec - x)))
-            cls_errs.append(float(np.linalg.norm(x_cls - x0)))
-            resids.append(float(np.linalg.norm(
-                _svd_forward(svd, x_rec) - y_d)))
-        entries.append({"delta": delta, "alpha": alpha,
-                        "error": float(np.median(errs)),
-                        "classical_error": float(np.median(cls_errs)),
-                        "residual": float(np.median(resids))})
-    e_slope, e_hw = fit_loglog_slope([e["delta"] for e in entries],
-                                     [e["error"] for e in entries])
-    r_slope, r_hw = fit_loglog_slope([e["delta"] for e in entries],
-                                     [e["residual"] for e in entries])
-    report = ConvergenceReport(entries, e_slope, e_hw, r_slope, r_hw)
+    report = _rate_study(svd, filter_kind, src, deltas, trials, seed, c,
+                         f=lambda img: nsn_apply(u_net, proj, img))
     return report, lip
 
 

@@ -98,15 +98,23 @@ def init_params(arch: Architecture, seed: int = 0) -> NetParams:
     return NetParams(kernels, biases)
 
 
-def correction(params: NetParams, x: np.ndarray) -> np.ndarray:
-    """The raw CNN output U(x) (conv stack without the residual skip)."""
-    a = np.asarray(x, dtype=float)[None, :, :]
+def _stack(params: NetParams, x: np.ndarray):
+    """Conv stack with ReLU between layers; returns (U(x), inputs, preacts)
+    with each layer's input and pre-activation for `backward`."""
+    a = x[None, :, :]
+    inputs, preacts = [], []
     last = len(params.kernels) - 1
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
-        a = conv2d_circular(a, k, b)
-        if l < last:
-            a = np.maximum(a, 0.0)
-    return a[0]
+        inputs.append(a)
+        z = conv2d_circular(a, k, b)
+        preacts.append(z)
+        a = np.maximum(z, 0.0) if l < last else z
+    return a[0], inputs, preacts
+
+
+def correction(params: NetParams, x: np.ndarray) -> np.ndarray:
+    """The raw CNN output U(x) (conv stack without the residual skip)."""
+    return _stack(params, np.asarray(x, dtype=float))[0]
 
 
 def forward(params: NetParams, x: np.ndarray,
@@ -116,15 +124,7 @@ def forward(params: NetParams, x: np.ndarray,
     Returns (out, cache); the cache feeds `backward`.
     """
     x = np.asarray(x, dtype=float)
-    a = x[None, :, :]
-    inputs, preacts = [], []
-    last = len(params.kernels) - 1
-    for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
-        inputs.append(a)
-        z = conv2d_circular(a, k, b)
-        preacts.append(z)
-        a = np.maximum(z, 0.0) if l < last else z
-    corr = a[0]
+    corr, inputs, preacts = _stack(params, x)
     if projector is not None:
         corr = projector(corr)
     out = x + corr

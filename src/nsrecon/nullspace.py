@@ -7,7 +7,7 @@ measurement residual untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,76 +18,60 @@ from .operators import SubsampledUnitarySpec
 ImageMap = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NullProjector:
-    """Orthogonal projection onto ker(A).
+    """Orthogonal projection onto ker(A) for images of the given shape.
 
-    method: 'closed_mask' uses (I - M) for a stripe-masked operator,
-    'closed_unitary' uses B.T (I - S.T S) B for a subsampled orthogonal
-    transform, 'iterative' computes z - A+(A z) via CG on the normal
-    equations for a general operator.
+    `apply` is built by one of the factories below: `mask_projector`
+    (closed form I - M for a stripe-masked operator), `unitary_projector`
+    (B.T (I - S.T S) B for a subsampled orthogonal transform) or
+    `iterative_projector` (z - A+(A z) by CG for a general operator).
     """
 
-    method: str
-    op: LinOp
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(
-        tol=1e-12, max_iters=20000))
-    mask_op: LinOp | None = None
-    unitary_spec: SubsampledUnitarySpec | None = None
-
-    def __post_init__(self):
-        if self.method not in ("closed_mask", "closed_unitary", "iterative"):
-            raise ValueError(f"unknown projector method {self.method!r}")
-        if self.method == "closed_mask" and self.mask_op is None:
-            raise ValueError("closed_mask needs the mask operator")
-        if self.method == "closed_unitary" and self.unitary_spec is None:
-            raise ValueError("closed_unitary needs the unitary spec")
+    shape: tuple[int, ...]
+    apply: ImageMap
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return project_null(self, z)
 
 
 def mask_projector(op: LinOp, mask_op: LinOp) -> NullProjector:
-    return NullProjector(method="closed_mask", op=op, mask_op=mask_op)
+    return NullProjector(op.in_shape, lambda z: z - mask_op.apply(z))
 
 
 def unitary_projector(op: LinOp, spec: SubsampledUnitarySpec) -> NullProjector:
-    return NullProjector(method="closed_unitary", op=op, unitary_spec=spec)
+    basis, idx, shape = spec.validate()
+    idx = list(idx)
+
+    def apply(z):
+        coeff = basis @ z.ravel()
+        coeff[idx] = 0.0
+        return (basis.T @ coeff).reshape(shape)
+
+    return NullProjector(op.in_shape, apply)
 
 
 def iterative_projector(op: LinOp,
                         solver: SolverConfig | None = None) -> NullProjector:
     solver = solver or SolverConfig(tol=1e-12, max_iters=20000)
-    return NullProjector(method="iterative", op=op, solver=solver)
+
+    def apply(z):
+        # z - A+(A z), the minimal-norm solve done by CG with lam = 0
+        rhs = op.adjoint(op.apply(z))
+        return z - cg_regularized_normal(op, rhs, 0.0, solver).x
+
+    return NullProjector(op.in_shape, apply)
 
 
 def project_null(proj: NullProjector, z: np.ndarray) -> np.ndarray:
     """Apply the null-space projection to an image."""
     z = np.asarray(z, dtype=float)
-    if z.shape != proj.op.in_shape:
-        raise ValueError(
-            f"expected shape {proj.op.in_shape}, got {z.shape}")
-    if proj.method == "closed_mask":
-        return z - proj.mask_op.apply(z)
-    if proj.method == "closed_unitary":
-        basis, idx, shape = proj.unitary_spec.validate()
-        coeff = basis @ z.ravel()
-        coeff[list(idx)] = 0.0
-        return (basis.T @ coeff).reshape(shape)
-    # iterative: z - A+(A z), the minimal-norm solve done by CG with lam = 0
-    rhs = proj.op.adjoint(proj.op.apply(z))
-    res = cg_regularized_normal(proj.op, rhs, 0.0, proj.solver)
-    return z - res.x
+    if z.shape != proj.shape:
+        raise ValueError(f"expected shape {proj.shape}, got {z.shape}")
+    return proj.apply(z)
 
 
 def nsn_apply(u_net: ImageMap, proj: NullProjector,
               x: np.ndarray) -> np.ndarray:
     """Null-space network f(x) = x + P_ker(A) U(x)."""
     return x + project_null(proj, u_net(x))
-
-
-def regularizing_nsn(u_net: ImageMap, proj: NullProjector,
-                     recon: ImageMap, y: np.ndarray) -> np.ndarray:
-    """Two-step reconstruction: null-space network after an initial
-    regularized reconstruction of the data."""
-    return nsn_apply(u_net, proj, recon(y))

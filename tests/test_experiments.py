@@ -33,6 +33,25 @@ def small_trained(small_problem):
     return out
 
 
+class TestProblem:
+    def test_projector_zeroes_observed_columns(self):
+        problem = Problem.benchmark()
+        observed = np.ones(64, dtype=bool)
+        observed[[0, 1, 4, 5, 8, 9, 12, 13]] = False  # the removed stripes
+        np.testing.assert_array_equal(problem.support[0] == 1.0, observed)
+        z = np.random.default_rng(0).standard_normal((64, 64))
+        p = problem.projector(z)
+        assert np.all(p[:, observed] == 0.0)
+        np.testing.assert_array_equal(p[:, ~observed], z[:, ~observed])
+
+    def test_dataset_uses_problem_grid(self, small_problem):
+        samples = small_problem.dataset(2, "OOD", 3, 0.05)
+        assert [s.seed for s in samples] == [3, 4]
+        for s in samples:
+            assert s.x.shape == s.y.shape == (32, 32)
+            assert s.kind == "OOD"
+
+
 class TestTrain:
     def test_zero_epochs_returns_init(self):
         cfg = TrainConfig(epochs=0, image_size=32, data_seed=0, init_seed=5)
@@ -106,11 +125,8 @@ class TestEvaluate:
         assert len(lines) == 1 + len(report.rows)
 
     def test_reconstruct_all_keys(self, small_problem, small_trained):
-        from nsrecon.data import make_dataset
         cfg = EvalConfig(image_size=32)
-        s = make_dataset(1, "ID", 0, small_problem.op,
-                         sigma=cfg.sigma * small_problem.sigma_scale,
-                         support=small_problem.support, image_size=32)[0]
+        s = small_problem.dataset(1, "ID", 0, cfg.sigma)[0]
         recs = reconstruct_all(small_problem, cfg, s,
                                small_trained["resnet"][0],
                                small_trained["dcnet"][0])
@@ -204,7 +220,9 @@ class TestClassicalRates:
                                    DELTAS[:3], trials=3, seed=1)
         path = tmp_path / "rates.csv"
         report.to_csv(path)
-        assert len(path.read_text().strip().splitlines()) == 4
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "delta,alpha,error,residual"
+        assert len(lines) == 4
 
 
 @pytest.fixture(scope="module")
