@@ -42,6 +42,17 @@ def _get(cfg, key, cast, default):
     return cast(cfg[key]) if key in cfg else default
 
 
+def _problem(cfg) -> Problem:
+    """The benchmark problem of the image_size and alpha_tik keys."""
+    return Problem.benchmark(_get(cfg, "image_size", int, 64),
+                             alpha=_get(cfg, "alpha_tik", float, 0.01))
+
+
+def _echo(problem: Problem) -> dict:
+    """The problem settings for summary.json."""
+    return {"image_size": problem.op.in_shape[0], "alpha_tik": problem.alpha}
+
+
 def _common(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True, help="output directory")
@@ -52,16 +63,15 @@ def cmd_gen_data(args, cfg):
     n = _get(cfg, "n", int, 20)
     kind = _get(cfg, "kind", str, "ID")
     sigma = _get(cfg, "sigma", float, 0.05)
-    image_size = _get(cfg, "image_size", int, 64)
     patch_size = _get(cfg, "patch_size", int, 20)
-    problem = Problem.benchmark(image_size)
+    problem = _problem(cfg)
     samples = problem.dataset(n, kind, args.seed, sigma,
                               patch_size=patch_size)
     manifest = export_dataset(samples, args.out)
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "gen-data", "seed": args.seed, "n": n, "kind": kind,
-        "sigma": sigma, "image_size": image_size, "patch_size": patch_size,
-        "manifest": manifest})
+        "sigma": sigma, "image_size": problem.op.in_shape[0],
+        "patch_size": patch_size, "manifest": manifest})
 
 
 def cmd_train(args, cfg):
@@ -69,15 +79,14 @@ def cmd_train(args, cfg):
         epochs=_get(cfg, "epochs", int, 100),
         lr=_get(cfg, "lr", float, 1e-3),
         weight_decay=_get(cfg, "weight_decay", float, 1e-4),
-        alpha_tik=_get(cfg, "alpha_tik", float, 0.01),
         sigma=_get(cfg, "sigma", float, 0.05),
-        image_size=_get(cfg, "image_size", int, 64),
         model_kind=_get(cfg, "model_kind", str, "resnet"),
         data_seed=args.seed,
         init_seed=args.seed + _get(cfg, "init_seed_offset", int, 1),
         arch=nn.Architecture(layers=_get(cfg, "layers", int, 5),
                              width=_get(cfg, "width", int, 6)))
-    params, log = train(tc)
+    problem = _problem(cfg)
+    params, log = train(tc, problem)
     ckpt = os.path.join(args.out, f"{tc.model_kind}.ckpt")
     nn.save_params(ckpt, tc.arch, params)
     with open(os.path.join(args.out, "loss.csv"), "w") as fh:
@@ -86,6 +95,7 @@ def cmd_train(args, cfg):
             fh.write(f"{i},{loss:.17g}\n")
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "train", "seed": args.seed, "config": tc,
+        "problem": _echo(problem),
         "checkpoint": ckpt,
         "final_loss": log[-1] if log else None})
 
@@ -99,12 +109,10 @@ def cmd_eval(args, cfg):
     ec = EvalConfig(
         n_per_kind=_get(cfg, "n_per_kind", int, 20),
         eval_seed=args.seed + 10_000,
-        sigma=_get(cfg, "sigma", float, 0.05),
-        alpha_tik=_get(cfg, "alpha_tik", float, 0.01),
-        image_size=_get(cfg, "image_size", int, 64))
+        sigma=_get(cfg, "sigma", float, 0.05))
     params_resnet = _load_ckpt(cfg["resnet_ckpt"])
     params_dcnet = _load_ckpt(cfg["dcnet_ckpt"])
-    problem = Problem.benchmark(ec.image_size)
+    problem = _problem(cfg)
     report = evaluate(params_resnet, params_dcnet, ec, problem)
     report.to_csv(os.path.join(args.out, "eval.csv"))
 
@@ -112,12 +120,13 @@ def cmd_eval(args, cfg):
     n_dump = _get(cfg, "n_dump", int, 3)
     samples = _eval_samples(problem, ec, "ID", n_dump, ec.eval_seed)
     for i, s in enumerate(samples):
-        recs = reconstruct_all(problem, ec, s, params_resnet, params_dcnet)
+        recs = reconstruct_all(problem, s, params_resnet, params_dcnet)
         write_pgm16(os.path.join(args.out, f"sample{i}_truth.pgm"), s.x)
         for name, img in recs.items():
             write_pgm16(os.path.join(args.out, f"sample{i}_{name}.pgm"), img)
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "eval", "seed": args.seed, "config": ec,
+        "problem": _echo(problem),
         "means": report.means})
 
 
@@ -125,10 +134,9 @@ def cmd_dc_audit(args, cfg):
     model_kind = _get(cfg, "model_kind", str, "dcnet")
     n = _get(cfg, "n", int, 40)
     params = _load_ckpt(cfg["ckpt"])
-    ec = EvalConfig(sigma=_get(cfg, "sigma", float, 0.05),
-                    alpha_tik=_get(cfg, "alpha_tik", float, 0.01),
-                    image_size=_get(cfg, "image_size", int, 64))
-    rows = dc_audit(params, model_kind, n, args.seed, ec)
+    ec = EvalConfig(sigma=_get(cfg, "sigma", float, 0.05))
+    problem = _problem(cfg)
+    rows = dc_audit(params, model_kind, n, args.seed, ec, problem)
     with open(os.path.join(args.out, "dc_audit.csv"), "w") as fh:
         fh.write("kind,seed,residual_tikhonov,residual_model,y_norm\n")
         for r in rows:
@@ -138,7 +146,8 @@ def cmd_dc_audit(args, cfg):
                   / r["y_norm"] for r in rows)
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "dc-audit", "seed": args.seed, "model_kind": model_kind,
-        "n": n, "max_relative_residual_gap": max_rel})
+        "n": n, "problem": _echo(problem),
+        "max_relative_residual_gap": max_rel})
 
 
 def cmd_rates(args, cfg):

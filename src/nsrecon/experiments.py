@@ -21,6 +21,7 @@ from .regularize import (FilterSpec, SourceCondition, make_source_element,
                          tikhonov_reconstruct)
 
 MODEL_KINDS = ("resnet", "dcnet")
+_TIKHONOV_CG = SolverConfig(tol=1e-10, max_iters=20000)
 
 
 @dataclass
@@ -31,10 +32,15 @@ class Problem:
     projector: NullProjector
     support: np.ndarray   # observed entries of the data grid
     sigma_scale: float = 1.0  # nominal noise sd -> sd on the data grid
+    alpha: float = 0.01   # Tikhonov parameter of `reconstruct`
+
+    def __post_init__(self):
+        if not self.alpha > 0:
+            raise ValueError("alpha must be positive")
 
     @classmethod
-    def benchmark(cls, image_size: int = 64,
-                  spacing: float = 1.0 / 8.0) -> "Problem":
+    def benchmark(cls, image_size: int = 64, spacing: float = 1.0 / 8.0,
+                  alpha: float = 0.01) -> "Problem":
         # stripes (4k+1, 4k+2), k in {0..3}, are the REMOVED columns: the
         # reported Tikhonov OOD quality is only reachable when the bulk of
         # the image stays observed (a keep-the-stripes mask caps any
@@ -51,7 +57,15 @@ class Problem:
         support = np.zeros((image_size, image_size))
         support[:, list(kept)] = 1.0
         return cls(op=op, projector=mask_projector(op, mask),
-                   support=support, sigma_scale=spacing)
+                   support=support, sigma_scale=spacing, alpha=alpha)
+
+    def reconstruct(self, y: np.ndarray) -> np.ndarray:
+        """B_alpha y: Tikhonov by CG; raises if CG does not converge."""
+        res = tikhonov_reconstruct(self.op, y, self.alpha, _TIKHONOV_CG)
+        if not res.converged:
+            raise RuntimeError(
+                f"Tikhonov CG did not converge in {res.iters} iterations")
+        return res.x
 
     def dataset(self, n: int, kind: str, seed: int, sigma: float,
                 **kw) -> list[Sample]:
@@ -68,33 +82,29 @@ class TrainConfig:
     epochs: int = 100
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    alpha_tik: float = 0.01
     sigma: float = 0.05
-    image_size: int = 64
     model_kind: str = "resnet"
     data_seed: int = 0
     init_seed: int = 0
     arch: nn.Architecture = field(default_factory=nn.Architecture)
-    cg: SolverConfig = field(default_factory=lambda: SolverConfig(
-        tol=1e-10, max_iters=20000))
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-        if min(self.lr, self.weight_decay + 1, self.alpha_tik,
-               self.sigma + 1) <= 0:
-            raise ValueError("hyperparameters must be positive")
+        if not (self.lr > 0 and self.weight_decay >= 0 and self.sigma >= 0):
+            raise ValueError("need lr > 0, weight_decay >= 0 and sigma >= 0")
 
 
 def train(cfg: TrainConfig, problem: Problem | None = None):
     """Train one model on pre-generated ID pairs, one Adam step per epoch.
 
-    Per pair: Tikhonov-reconstruct the data by CG, run the model on the
-    reconstruction, take one Adam step on the squared-error loss (the
-    Frobenius weight penalty enters through Adam's coupled weight decay).
+    Per pair: reconstruct the data classically (`Problem.reconstruct`), run
+    the model on the reconstruction, take one Adam step on the squared-error
+    loss (the Frobenius weight penalty enters through Adam's coupled weight
+    decay).
     Returns (params, per-epoch loss list).
     """
-    problem = problem or Problem.benchmark(cfg.image_size)
+    problem = problem or Problem.benchmark()
     params = nn.init_params(cfg.arch, cfg.init_seed)
     if cfg.epochs == 0:
         return params, []
@@ -103,7 +113,7 @@ def train(cfg: TrainConfig, problem: Problem | None = None):
     samples = problem.dataset(cfg.epochs, "ID", cfg.data_seed, cfg.sigma)
     log = []
     for epoch, s in enumerate(samples):
-        b = tikhonov_reconstruct(problem.op, s.y, cfg.alpha_tik, cfg.cg).x
+        b = problem.reconstruct(s.y)
         out, cache = nn.forward(params, b, projector)
         r = out - s.x
         loss = float(np.sum(r * r))
@@ -121,10 +131,10 @@ class EvalConfig:
     n_per_kind: int = 20
     eval_seed: int = 10_000
     sigma: float = 0.05
-    alpha_tik: float = 0.01
-    image_size: int = 64
-    cg: SolverConfig = field(default_factory=lambda: SolverConfig(
-        tol=1e-10, max_iters=20000))
+
+    def __post_init__(self):
+        if not (self.n_per_kind >= 1 and self.sigma >= 0):
+            raise ValueError("need n_per_kind >= 1 and sigma >= 0")
 
 
 METHODS = ("tikhonov", "resnet", "dcnet")
@@ -165,10 +175,10 @@ def _eval_samples(problem: Problem, cfg: EvalConfig, kind: str, n: int,
     return problem.dataset(n, kind, seed, cfg.sigma)
 
 
-def reconstruct_all(problem: Problem, cfg: EvalConfig, sample: Sample,
+def reconstruct_all(problem: Problem, sample: Sample,
                     params_resnet: nn.NetParams, params_dcnet: nn.NetParams):
     """Tikhonov, ResNet and DC-Net reconstructions of one sample."""
-    tik = tikhonov_reconstruct(problem.op, sample.y, cfg.alpha_tik, cfg.cg).x
+    tik = problem.reconstruct(sample.y)
     res = nn.forward(params_resnet, tik)[0]
     dc = nn.forward(params_dcnet, tik, problem.projector)[0]
     return {"tikhonov": tik, "resnet": res, "dcnet": dc}
@@ -179,14 +189,13 @@ def evaluate(params_resnet: nn.NetParams, params_dcnet: nn.NetParams,
              problem: Problem | None = None) -> EvalReport:
     """Metric table over fresh ID and OOD samples for the three methods."""
     cfg = cfg or EvalConfig()
-    problem = problem or Problem.benchmark(cfg.image_size)
+    problem = problem or Problem.benchmark()
     rows = []
     for kind in ("ID", "OOD"):
         samples = _eval_samples(problem, cfg, kind, cfg.n_per_kind,
                                 cfg.eval_seed)
         for i, s in enumerate(samples):
-            recs = reconstruct_all(problem, cfg, s, params_resnet,
-                                   params_dcnet)
+            recs = reconstruct_all(problem, s, params_resnet, params_dcnet)
             for method, xr in recs.items():
                 rows.append({
                     "kind": kind, "index": i, "method": method,
@@ -211,15 +220,14 @@ def dc_audit(params: nn.NetParams, model_kind: str, n: int, seed: int,
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
     cfg = cfg or EvalConfig()
-    problem = problem or Problem.benchmark(cfg.image_size)
+    problem = problem or Problem.benchmark()
     projector = problem.projector if model_kind == "dcnet" else None
     out = []
     for kind, count in (("ID", n // 2), ("OOD", n - n // 2)):
         if count == 0:
             continue
         for s in _eval_samples(problem, cfg, kind, count, seed):
-            tik = tikhonov_reconstruct(problem.op, s.y, cfg.alpha_tik,
-                                       cfg.cg).x
+            tik = problem.reconstruct(s.y)
             rec = nn.forward(params, tik, projector)[0]
             out.append({
                 "kind": kind, "seed": s.seed,

@@ -252,24 +252,21 @@ def grad_check(arch: Architecture, seed: int = 0, eps: float = 1e-5,
     return worst
 
 
-def layer_operator_norms(params: NetParams, shape: tuple[int, int],
-                         iters: int = 200, seed: int = 0) -> list[float]:
-    """Operator norm of each conv layer (bias excluded) by power iteration."""
-    rng = np.random.default_rng(seed)
+def layer_operator_norms(params: NetParams,
+                         shape: tuple[int, int]) -> list[float]:
+    """Exact operator norm of each conv layer (bias excluded) on a grid of
+    `shape`: the largest singular value, over all 2-D DFT frequencies, of
+    the out x in symbol of its taps wrapped onto the grid (Sedghi, Gupta &
+    Long, ICLR 2019).  The taps are real, so the symbol at -f is the
+    conjugate of the one at f and the half spectrum of rfft2 suffices."""
+    h, w = shape
+    rows, cols = np.arange(3)[:, None] % h, np.arange(3)[None, :] % w
     norms = []
     for k in params.kernels:
-        zero_b = np.zeros(k.shape[0])
-        x = rng.standard_normal((k.shape[1],) + shape)
-        x /= np.linalg.norm(x)
-        lam = 0.0
-        for _ in range(iters):
-            y = _conv_input_grad(k, conv2d_circular(x, k, zero_b))
-            lam = float(np.vdot(x, y))
-            nrm = np.linalg.norm(y)
-            if nrm == 0:
-                break
-            x = y / nrm
-        norms.append(np.sqrt(max(lam, 0.0)))
+        taps = np.zeros((h, w) + k.shape[:2])
+        np.add.at(taps, (rows, cols), k.transpose(2, 3, 0, 1))
+        symbol = np.fft.rfft2(taps, axes=(0, 1))
+        norms.append(float(np.linalg.norm(symbol, 2, axis=(-2, -1)).max()))
     return norms
 
 

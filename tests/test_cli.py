@@ -67,6 +67,9 @@ class TestTrainEval:
             assert len(loss_rows) == 4  # header + one row per epoch
             arch, _ = nn.load_params(ckpts[kind])
             assert arch == nn.Architecture()
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["problem"] == {"image_size": 32,
+                                          "alpha_tik": 0.01}
 
         out = tmp_path / "eval"
         cfg = write_config(tmp_path, "cfg-eval",

@@ -12,8 +12,9 @@ from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  evaluate, fit_loglog_slope,
                                  make_rate_operator, nsn_convergence_study,
                                  reconstruct_all, save_json_summary, train)
+from nsrecon.linops import SolverConfig
 from nsrecon.nullspace import iterative_projector
-from nsrecon.regularize import SourceCondition
+from nsrecon.regularize import SourceCondition, tikhonov_reconstruct
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
 
@@ -27,8 +28,8 @@ def small_problem():
 def small_trained(small_problem):
     out = {}
     for kind in ("resnet", "dcnet"):
-        cfg = TrainConfig(epochs=30, image_size=32, model_kind=kind,
-                          data_seed=0, init_seed=1)
+        cfg = TrainConfig(epochs=30, model_kind=kind, data_seed=0,
+                          init_seed=1)
         out[kind] = train(cfg, small_problem)
     return out
 
@@ -44,6 +45,23 @@ class TestProblem:
         assert np.all(p[:, observed] == 0.0)
         np.testing.assert_array_equal(p[:, ~observed], z[:, ~observed])
 
+    def test_reconstruct_matches_tikhonov(self, small_problem):
+        y = small_problem.dataset(1, "OOD", 0, 0.05)[0].y
+        ref = tikhonov_reconstruct(small_problem.op, y, 0.01, SolverConfig(
+            tol=1e-10, max_iters=20000)).x
+        np.testing.assert_array_equal(small_problem.reconstruct(y), ref)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.01])
+    def test_alpha_validated(self, alpha):
+        with pytest.raises(ValueError):
+            Problem.benchmark(16, alpha=alpha)
+
+    def test_unconverged_reconstruction_raises(self, small_problem):
+        y = small_problem.dataset(1, "ID", 0, 0.05)[0].y
+        y[3, 5] = np.nan
+        with pytest.raises(RuntimeError):
+            small_problem.reconstruct(y)
+
     def test_dataset_uses_problem_grid(self, small_problem):
         samples = small_problem.dataset(2, "OOD", 3, 0.05)
         assert [s.seed for s in samples] == [3, 4]
@@ -54,7 +72,7 @@ class TestProblem:
 
 class TestTrain:
     def test_zero_epochs_returns_init(self):
-        cfg = TrainConfig(epochs=0, image_size=32, data_seed=0, init_seed=5)
+        cfg = TrainConfig(epochs=0, data_seed=0, init_seed=5)
         params, log = train(cfg)
         init = nn.init_params(cfg.arch, 5)
         assert log == []
@@ -62,7 +80,7 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
 
     def test_deterministic(self, small_problem):
-        cfg = TrainConfig(epochs=5, image_size=32, data_seed=3, init_seed=4)
+        cfg = TrainConfig(epochs=5, data_seed=3, init_seed=4)
         p1, l1 = train(cfg, small_problem)
         p2, l2 = train(cfg, small_problem)
         assert l1 == l2
@@ -79,6 +97,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(model_kind="unet")
 
+    @pytest.mark.parametrize("bad", [{"weight_decay": -0.5},
+                                     {"sigma": -0.01}])
+    def test_hyperparameters_validated(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+
     def test_loss_decreases_with_benchmarks(self):
         for kind in ("resnet", "dcnet"):
             wins = 0
@@ -91,8 +115,13 @@ class TestTrain:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("bad", [{"n_per_kind": 0}, {"sigma": -0.01}])
+    def test_config_validated(self, bad):
+        with pytest.raises(ValueError):
+            EvalConfig(**bad)
+
     def test_report_shape(self, small_problem, small_trained):
-        cfg = EvalConfig(n_per_kind=3, image_size=32)
+        cfg = EvalConfig(n_per_kind=3)
         report = evaluate(small_trained["resnet"][0],
                           small_trained["dcnet"][0], cfg, small_problem)
         assert len(report.rows) == 3 * 2 * 3  # samples x kinds x methods
@@ -103,7 +132,7 @@ class TestEvaluate:
 
     def test_zero_correction_matches_tikhonov(self, small_problem):
         zero = nn.init_params(nn.Architecture(), 0).scaled(0.0)
-        cfg = EvalConfig(n_per_kind=2, image_size=32)
+        cfg = EvalConfig(n_per_kind=2)
         report = evaluate(zero, zero, cfg, small_problem)
         by_key = {}
         for r in report.rows:
@@ -115,7 +144,7 @@ class TestEvaluate:
                 assert r["mse"] == base["mse"]
 
     def test_csv_export(self, small_problem, small_trained, tmp_path):
-        cfg = EvalConfig(n_per_kind=2, image_size=32)
+        cfg = EvalConfig(n_per_kind=2)
         report = evaluate(small_trained["resnet"][0],
                           small_trained["dcnet"][0], cfg, small_problem)
         path = tmp_path / "eval.csv"
@@ -125,9 +154,9 @@ class TestEvaluate:
         assert len(lines) == 1 + len(report.rows)
 
     def test_reconstruct_all_keys(self, small_problem, small_trained):
-        cfg = EvalConfig(image_size=32)
+        cfg = EvalConfig()
         s = small_problem.dataset(1, "ID", 0, cfg.sigma)[0]
-        recs = reconstruct_all(small_problem, cfg, s,
+        recs = reconstruct_all(small_problem, s,
                                small_trained["resnet"][0],
                                small_trained["dcnet"][0])
         assert set(recs) == {"tikhonov", "resnet", "dcnet"}
@@ -135,7 +164,7 @@ class TestEvaluate:
 
 class TestDcAudit:
     def test_dcnet_preserves_residual(self, small_problem, small_trained):
-        cfg = EvalConfig(image_size=32)
+        cfg = EvalConfig()
         rows = dc_audit(small_trained["dcnet"][0], "dcnet", 8, 0, cfg,
                         small_problem)
         assert len(rows) == 8
@@ -145,7 +174,7 @@ class TestDcAudit:
 
     def test_resnet_breaks_residual_somewhere(self, small_problem,
                                               small_trained):
-        cfg = EvalConfig(image_size=32)
+        cfg = EvalConfig()
         res_rows = dc_audit(small_trained["resnet"][0], "resnet", 8, 0, cfg,
                             small_problem)
         dc_rows = dc_audit(small_trained["dcnet"][0], "dcnet", 8, 0, cfg,
@@ -157,7 +186,7 @@ class TestDcAudit:
     def test_kind_validated(self, small_problem, small_trained):
         with pytest.raises(ValueError):
             dc_audit(small_trained["dcnet"][0], "unet", 4, 0,
-                     EvalConfig(image_size=32), small_problem)
+                     EvalConfig(), small_problem)
 
 
 class TestRateMachinery:

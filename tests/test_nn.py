@@ -237,17 +237,21 @@ class TestLipschitz:
         assert nn.lipschitz_bound(params, (8, 8)) == pytest.approx(1.0)
 
     def test_single_layer_matches_dense_norm(self):
-        rng = np.random.default_rng(12)
-        k = rng.standard_normal((1, 1, 3, 3))
-        params = nn.NetParams([k], [np.zeros(1)])
-        norms = nn.layer_operator_norms(params, (8, 8))
-        # densify the circular convolution and compare spectra
-        mat = np.zeros((64, 64))
-        for j in range(64):
-            e = np.zeros((1, 8, 8))
-            e[0, j // 8, j % 8] = 1.0
-            mat[:, j] = nn.conv2d_circular(e, k, np.zeros(1)).ravel()
-        assert norms[0] == pytest.approx(np.linalg.norm(mat, 2), rel=1e-4)
+        for seed, channels, n in ((12, 1, 8), (2, 2, 16)):
+            k = np.random.default_rng(seed).standard_normal(
+                (channels, channels, 3, 3))
+            params = nn.NetParams([k], [np.zeros(channels)])
+            norms = nn.layer_operator_norms(params, (n, n))
+            # densify the circular convolution and compare spectra
+            size = channels * n * n
+            mat = np.zeros((size, size))
+            for j in range(size):
+                e = np.zeros(size)
+                e[j] = 1.0
+                mat[:, j] = nn.conv2d_circular(e.reshape(channels, n, n), k,
+                                               np.zeros(channels)).ravel()
+            assert norms[0] == pytest.approx(np.linalg.norm(mat, 2),
+                                             rel=1e-10)
 
     def test_bound_dominates_empirical_ratio(self):
         params = nn.init_params(nn.Architecture(layers=3, width=2), 13)
