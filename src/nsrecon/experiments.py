@@ -60,7 +60,10 @@ class Problem:
                    support=support, sigma_scale=spacing, alpha=alpha)
 
     def reconstruct(self, y: np.ndarray) -> np.ndarray:
-        """B_alpha y: Tikhonov by CG; raises if CG does not converge."""
+        """B_alpha y: Tikhonov by CG; raises ValueError on a non-finite y and
+        RuntimeError if CG does not converge."""
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y has non-finite entries")
         res = tikhonov_reconstruct(self.op, y, self.alpha, _TIKHONOV_CG)
         if not res.converged:
             raise RuntimeError(
@@ -219,6 +222,8 @@ def dc_audit(params: nn.NetParams, model_kind: str, n: int, seed: int,
     """
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     cfg = cfg or EvalConfig()
     problem = problem or Problem.benchmark()
     projector = problem.projector if model_kind == "dcnet" else None

@@ -48,6 +48,16 @@ class NetParams:
                          [b * factor for b in self.biases])
 
 
+def _taps(x: np.ndarray) -> np.ndarray:
+    """Tap matrix (in_ch*9, h*w) of x (in_ch, h, w) for a 3x3 circular
+    convolution: row 9c + 3di + dj holds x[c, (i+di-1)%h, (j+dj-1)%w]."""
+    c, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="wrap")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w),
+                                                       axis=(1, 2))
+    return windows.reshape(c * 9, h * w)
+
+
 def conv2d_circular(x: np.ndarray, kernel: np.ndarray,
                     bias: np.ndarray) -> np.ndarray:
     """3x3 convolution with circular padding.
@@ -58,33 +68,8 @@ def conv2d_circular(x: np.ndarray, kernel: np.ndarray,
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or kernel.ndim != 4 or kernel.shape[1] != x.shape[0]:
         raise ValueError("channel counts do not match")
-    out = np.zeros((kernel.shape[0],) + x.shape[1:])
-    for di in range(3):
-        for dj in range(3):
-            shifted = np.roll(x, (-(di - 1), -(dj - 1)), axis=(1, 2))
-            out += np.tensordot(kernel[:, :, di, dj], shifted, axes=(1, 0))
-    return out + bias[:, None, None]
-
-
-def _conv_input_grad(kernel: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Adjoint of the circular convolution with respect to its input."""
-    grad_in = np.zeros((kernel.shape[1],) + grad_out.shape[1:])
-    for di in range(3):
-        for dj in range(3):
-            rolled = np.roll(grad_out, (di - 1, dj - 1), axis=(1, 2))
-            grad_in += np.tensordot(kernel[:, :, di, dj], rolled, axes=(0, 0))
-    return grad_in
-
-
-def _conv_param_grad(x: np.ndarray, grad_out: np.ndarray):
-    grad_k = np.empty((grad_out.shape[0], x.shape[0], 3, 3))
-    for di in range(3):
-        for dj in range(3):
-            shifted = np.roll(x, (-(di - 1), -(dj - 1)), axis=(1, 2))
-            grad_k[:, :, di, dj] = np.tensordot(grad_out, shifted,
-                                                axes=([1, 2], [1, 2]))
-    grad_b = grad_out.sum(axis=(1, 2))
-    return grad_k, grad_b
+    out = kernel.reshape(kernel.shape[0], -1) @ _taps(x)
+    return out.reshape((kernel.shape[0],) + x.shape[1:]) + bias[:, None, None]
 
 
 def init_params(arch: Architecture, seed: int = 0) -> NetParams:
@@ -152,8 +137,14 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     grad_k = [None] * len(params.kernels)
     grad_b = [None] * len(params.kernels)
     for l in range(len(params.kernels) - 1, -1, -1):
-        grad_k[l], grad_b[l] = _conv_param_grad(cache["inputs"][l], g)
-        g = _conv_input_grad(params.kernels[l], g)
+        k = params.kernels[l]
+        grad_k[l] = (g.reshape(g.shape[0], -1)
+                     @ _taps(cache["inputs"][l]).T).reshape(k.shape)
+        grad_b[l] = g.sum(axis=(1, 2))
+        # the adjoint of a circular correlation is the correlation with
+        # the flipped, channel-transposed kernel
+        g = conv2d_circular(g, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                            np.zeros(k.shape[1]))
         if l > 0:
             g = g * (cache["preacts"][l - 1] > 0)
     grad_in = grad_out + g[0]
@@ -292,19 +283,29 @@ def save_params(path, arch: Architecture, params: NetParams) -> None:
 
 
 def load_params(path):
-    """Read a checkpoint written by `save_params`; returns (arch, params)."""
+    """Read a checkpoint written by `save_params`; returns (arch, params).
+    Raises ValueError on a foreign, truncated or over-long file."""
     with open(path, "rb") as fh:
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        layers, width = struct.unpack("<ii", fh.read(8))
+
+        def read(size):
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"{path}: truncated checkpoint")
+            return data
+
+        layers, width = struct.unpack("<ii", read(8))
         arch = Architecture(layers=layers, width=width)
         kernels, biases = [], []
         for _ in range(layers):
-            kshape = struct.unpack("<iiii", fh.read(16))
+            kshape = struct.unpack("<iiii", read(16))
             count = int(np.prod(kshape))
-            kernels.append(np.frombuffer(fh.read(8 * count),
+            kernels.append(np.frombuffer(read(8 * count),
                                          dtype="<f8").reshape(kshape).copy())
-            (blen,) = struct.unpack("<i", fh.read(4))
-            biases.append(np.frombuffer(fh.read(8 * blen),
+            (blen,) = struct.unpack("<i", read(4))
+            biases.append(np.frombuffer(read(8 * blen),
                                         dtype="<f8").copy())
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last layer")
     return arch, NetParams(kernels, biases)

@@ -58,7 +58,11 @@ def iterative_projector(op: LinOp,
     def apply(z):
         # z - A+(A z), the minimal-norm solve done by CG with lam = 0
         rhs = op.adjoint(op.apply(z))
-        return z - cg_regularized_normal(op, rhs, 0.0, solver).x
+        res = cg_regularized_normal(op, rhs, 0.0, solver)
+        if not res.converged:
+            raise RuntimeError(
+                f"projector CG did not converge in {res.iters} iterations")
+        return z - res.x
 
     return NullProjector(op.in_shape, apply)
 

@@ -97,6 +97,32 @@ class TestTrainEval:
         assert "error" in capsys.readouterr().err
 
 
+class TestDcAuditErrors:
+    def ckpt(self, tmp_path):
+        arch = nn.Architecture()
+        path = tmp_path / "net.ckpt"
+        nn.save_params(path, arch, nn.init_params(arch, 0))
+        return path
+
+    def test_truncated_checkpoint_fails(self, tmp_path, capsys):
+        path = self.ckpt(tmp_path)
+        data = path.read_bytes()
+        cfg = write_config(tmp_path, "cfg", ckpt=path, n=2, image_size=32)
+        for size in (30, 300):  # inside a header int, inside an array
+            path.write_bytes(data[:size])
+            assert main(["dc-audit", "--out", str(tmp_path / "o"),
+                         "--config", cfg]) == 1
+            assert "nsrecon dc-audit: error:" in capsys.readouterr().err
+
+    def test_zero_samples_fails_without_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg", ckpt=self.ckpt(tmp_path), n=0,
+                           image_size=32)
+        out = tmp_path / "o"
+        assert main(["dc-audit", "--out", str(out), "--config", cfg]) == 1
+        assert "nsrecon dc-audit: error:" in capsys.readouterr().err
+        assert not (out / "dc_audit.csv").exists()
+
+
 class TestRates:
     def test_rates_outputs(self, tmp_path):
         out = tmp_path / "rates"

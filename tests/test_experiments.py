@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from nsrecon import nn
+from nsrecon import experiments, nn
 from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  TrainConfig, convergence_study, dc_audit,
                                  evaluate, fit_loglog_slope,
@@ -56,10 +56,19 @@ class TestProblem:
         with pytest.raises(ValueError):
             Problem.benchmark(16, alpha=alpha)
 
-    def test_unconverged_reconstruction_raises(self, small_problem):
+    def test_unconverged_reconstruction_raises(self, small_problem,
+                                               monkeypatch):
+        monkeypatch.setattr(experiments, "_TIKHONOV_CG",
+                            SolverConfig(max_iters=1))
         y = small_problem.dataset(1, "ID", 0, 0.05)[0].y
-        y[3, 5] = np.nan
         with pytest.raises(RuntimeError):
+            small_problem.reconstruct(y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, small_problem, bad):
+        y = small_problem.dataset(1, "ID", 0, 0.05)[0].y
+        y[3, 5] = bad
+        with pytest.raises(ValueError):
             small_problem.reconstruct(y)
 
     def test_dataset_uses_problem_grid(self, small_problem):
@@ -186,6 +195,9 @@ class TestDcAudit:
     def test_kind_validated(self, small_problem, small_trained):
         with pytest.raises(ValueError):
             dc_audit(small_trained["dcnet"][0], "unet", 4, 0,
+                     EvalConfig(), small_problem)
+        with pytest.raises(ValueError):
+            dc_audit(small_trained["dcnet"][0], "dcnet", 0, 0,
                      EvalConfig(), small_problem)
 
 

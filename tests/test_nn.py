@@ -38,6 +38,19 @@ def conv_reference(x, kernel, bias):
     return out
 
 
+def dense_conv(kernel, h, w):
+    """Matrix of the bias-free circular convolution on an h x w grid."""
+    out_ch, in_ch = kernel.shape[:2]
+    size = in_ch * h * w
+    mat = np.zeros((out_ch * h * w, size))
+    for j in range(size):
+        e = np.zeros(size)
+        e[j] = 1.0
+        mat[:, j] = nn.conv2d_circular(e.reshape(in_ch, h, w), kernel,
+                                       np.zeros(out_ch)).ravel()
+    return mat
+
+
 class TestConv:
     def test_centered_delta_is_identity(self):
         k = np.zeros((1, 1, 3, 3))
@@ -56,12 +69,15 @@ class TestConv:
             np.testing.assert_allclose(out[o], 3.0 * k[o].sum() + b[o])
 
     def test_against_loop_reference(self):
+        # non-square grids and grids narrower than the 3x3 stencil
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((1, 5, 5))
-        k = rng.standard_normal((3, 1, 3, 3))
-        b = rng.standard_normal(3)
-        np.testing.assert_allclose(nn.conv2d_circular(x, k, b),
-                                   conv_reference(x, k, b), atol=1e-14)
+        for in_ch, out_ch, h, w in ((1, 3, 5, 5), (2, 3, 7, 4),
+                                    (3, 1, 1, 1), (1, 2, 2, 5)):
+            x = rng.standard_normal((in_ch, h, w))
+            k = rng.standard_normal((out_ch, in_ch, 3, 3))
+            b = rng.standard_normal(out_ch)
+            np.testing.assert_allclose(nn.conv2d_circular(x, k, b),
+                                       conv_reference(x, k, b), atol=1e-14)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
@@ -143,6 +159,18 @@ class TestBackward:
         _, grad_in = nn.backward(params, cache, g)
         np.testing.assert_array_equal(grad_in, g)
 
+    def test_input_gradient_is_dense_transpose(self):
+        rng = np.random.default_rng(16)
+        k = rng.standard_normal((1, 1, 3, 3))
+        params = nn.NetParams([k], [rng.standard_normal(1)])
+        x = rng.standard_normal((5, 7))
+        g = rng.standard_normal((5, 7))
+        _, cache = nn.forward(params, x)
+        _, grad_in = nn.backward(params, cache, g)
+        np.testing.assert_allclose((grad_in - g).ravel(),
+                                   dense_conv(k, 5, 7).T @ g.ravel(),
+                                   atol=1e-13)
+
     def test_shape_validation(self):
         arch = nn.Architecture(layers=2, width=2)
         params = nn.init_params(arch, 9)
@@ -153,9 +181,10 @@ class TestBackward:
 
 class TestGradCheck:
     def test_small_net(self):
-        err = nn.grad_check(nn.Architecture(layers=2, width=2), seed=0,
-                            shape=(6, 6))
-        assert err < 1e-6
+        for shape in ((6, 6), (5, 7)):
+            err = nn.grad_check(nn.Architecture(layers=2, width=2), seed=0,
+                                shape=shape)
+            assert err < 1e-6
 
     def test_default_architecture(self):
         err = nn.grad_check(nn.Architecture(layers=5, width=6), seed=0,
@@ -242,16 +271,8 @@ class TestLipschitz:
                 (channels, channels, 3, 3))
             params = nn.NetParams([k], [np.zeros(channels)])
             norms = nn.layer_operator_norms(params, (n, n))
-            # densify the circular convolution and compare spectra
-            size = channels * n * n
-            mat = np.zeros((size, size))
-            for j in range(size):
-                e = np.zeros(size)
-                e[j] = 1.0
-                mat[:, j] = nn.conv2d_circular(e.reshape(channels, n, n), k,
-                                               np.zeros(channels)).ravel()
-            assert norms[0] == pytest.approx(np.linalg.norm(mat, 2),
-                                             rel=1e-10)
+            assert norms[0] == pytest.approx(
+                np.linalg.norm(dense_conv(k, n, n), 2), rel=1e-10)
 
     def test_bound_dominates_empirical_ratio(self):
         params = nn.init_params(nn.Architecture(layers=3, width=2), 13)
@@ -285,6 +306,20 @@ class TestCheckpoint:
         nn.save_params(p1, arch, params)
         nn.save_params(p2, arch, params)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_rejects_truncated_and_overlong(self, tmp_path):
+        arch = nn.Architecture(layers=2, width=2)
+        src = tmp_path / "net.ckpt"
+        nn.save_params(src, arch, nn.init_params(arch, 16))
+        data = src.read_bytes()
+        path = tmp_path / "cut.ckpt"
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError):
+                nn.load_params(path)
+        path.write_bytes(data + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            nn.load_params(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

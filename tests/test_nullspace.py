@@ -46,6 +46,12 @@ class TestProjectNull:
             worst = max(worst, diff / np.linalg.norm(z))
         assert worst <= 1e-6
 
+    def test_iterative_unconverged_raises(self):
+        op, _, _ = stripe_problem()
+        proj = iterative_projector(op, SolverConfig(max_iters=1))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            proj(np.random.default_rng(12).standard_normal((16, 16)))
+
     def test_closed_form_invariants(self):
         op, mask, _ = stripe_problem()
         proj = mask_projector(op, mask)
