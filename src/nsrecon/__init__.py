@@ -9,8 +9,7 @@ classical initialization exactly.
 
 from .linops import (CgResult, LinOp, MatvecOp, PowerResult, SolverConfig,
                      SvdFactors, adjoint_check, cg_regularized_normal,
-                     dense_svd, landweber_nullproject, operator_norm,
-                     pseudo_inverse_apply)
+                     dense_svd, operator_norm, pseudo_inverse_apply)
 from .operators import (StripeMaskSpec, SubsampledUnitarySpec, compose,
                         dense_op, identity, make_cumsum, make_stripe_operator,
                         make_stripe_mask, make_subsampled_unitary,
@@ -19,7 +18,7 @@ from .regularize import (FILTER_QUALIFICATION, FilterSpec, SourceCondition,
                          filter_value, make_source_element, param_choice,
                          spectral_reconstruct, tikhonov_reconstruct)
 from .nullspace import (NullProjector, iterative_projector, mask_projector,
-                        nsn_apply, project_null, unitary_projector)
+                        nsn_apply, project_null, svd_projector)
 from .metrics import SsimConfig, mse, psnr, ssim
 from .data import (NoiseSpec, Sample, SampleSpec, export_dataset,
                    gen_measurement, gen_square_sample, make_dataset,

@@ -276,6 +276,8 @@ def fit_loglog_slope(xs, ys):
     """Least-squares slope of log(y) vs log(x) with a 95% half-width."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
+    if lx.size < 2:
+        raise ValueError(f"a slope fit needs >= 2 points, got {lx.size}")
     design = np.vstack([lx, np.ones_like(lx)]).T
     coef, res, *_ = np.linalg.lstsq(design, ly, rcond=None)
     slope = float(coef[0])
@@ -319,6 +321,8 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
     A x0 unchanged.  With f the entries also carry the classical error of
     the filter alone.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     deltas = sorted(np.asarray(deltas, dtype=float), reverse=True)
     entries = []
     for i, delta in enumerate(deltas):

@@ -1,6 +1,6 @@
 """Matrix-free linear operators on 2D arrays, plus the small dense solvers
-(CG on the normal equations, Landweber, power iteration, SVD / pseudo-inverse)
-used throughout the package.
+(CG on the normal equations, power iteration, SVD / pseudo-inverse) used
+throughout the package.
 
 Images are plain float64 numpy arrays of shape (h, w).  Operators act on
 images directly; flattening only happens inside dense wrappers.
@@ -15,15 +15,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iterative solver settings.
-
-    tol is a relative residual tolerance; tau is the Landweber step size and
-    must lie in (0, 2/sigma_max^2) when used.
-    """
+    """Iterative solver settings; tol is a relative residual tolerance."""
 
     tol: float = 1e-8
     max_iters: int = 10000
-    tau: float | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -183,35 +178,6 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
     return CgResult(x, False, cfg.max_iters, np.sqrt(rs) / rhs_norm)
 
 
-def landweber_nullproject(op: LinOp, z: np.ndarray,
-                          cfg: SolverConfig) -> CgResult:
-    """Project z onto ker(A) by Landweber iteration x <- x - tau A*(A x).
-
-    Starting from x_0 = z the iteration converges to the orthogonal
-    projection of z onto the null space.  Stops once the measurement of the
-    iterate has dropped below tol relative to the initial one.
-    """
-    z = np.asarray(z, dtype=float)
-    if cfg.tau is None or cfg.tau <= 0:
-        raise ValueError("Landweber requires a positive step size tau")
-    sigma = operator_norm(op).value
-    if sigma > 0 and cfg.tau >= 2.0 / sigma**2:
-        raise ValueError(
-            f"tau={cfg.tau} out of range (0, {2.0 / sigma**2:.6g})")
-    x = z.copy()
-    az_norm = np.linalg.norm(op.apply(z))
-    if az_norm == 0.0:
-        return CgResult(x, True, 0, 0.0)
-    for k in range(cfg.max_iters):
-        ax = op.apply(x)
-        res = np.linalg.norm(ax) / az_norm
-        if res <= cfg.tol:
-            return CgResult(x, True, k, res)
-        x = x - cfg.tau * op.adjoint(ax)
-    return CgResult(x, False, cfg.max_iters,
-                    np.linalg.norm(op.apply(x)) / az_norm)
-
-
 @dataclass
 class SvdFactors:
     """Dense SVD of a small operator: matrix = u @ diag(s) @ v.T.
@@ -234,6 +200,20 @@ class SvdFactors:
 
     def matrix(self) -> np.ndarray:
         return (self.u * self.s) @ self.v.T
+
+    def data_coeffs(self, y: np.ndarray,
+                    u: np.ndarray | None = None) -> np.ndarray:
+        """u.T vec(y) (u defaults to self.u), with the size of y checked."""
+        y = np.asarray(y, dtype=float)
+        if y.size != self.u.shape[0]:
+            raise ValueError(
+                f"data shape {y.shape} does not match operator output")
+        return (self.u if u is None else u).T @ y.ravel()
+
+    def image(self, c: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+        """v c (v defaults to self.v) on the input grid, 1D without one."""
+        x = (self.v if v is None else v) @ c
+        return x.reshape(self.in_shape or x.shape)
 
 
 _SVD_DIM_LIMIT = 1024
@@ -258,24 +238,8 @@ def dense_svd(matrix: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
     return SvdFactors(u=u, s=s, v=vt.T, rank_tol=float(rank_tol))
 
 
-def _as_out_vector(svd: SvdFactors, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if svd.out_shape is not None and y.shape == svd.out_shape:
-        return y.ravel()
-    if y.ndim == 1 and y.size == svd.u.shape[0]:
-        return y
-    raise ValueError(f"data shape {y.shape} does not match operator output")
-
-
-def _as_in_image(svd: SvdFactors, x: np.ndarray) -> np.ndarray:
-    if svd.in_shape is not None:
-        return x.reshape(svd.in_shape)
-    return x
-
-
 def pseudo_inverse_apply(svd: SvdFactors, y: np.ndarray) -> np.ndarray:
     """Moore-Penrose solution: invert over the numerical range, drop the rest."""
-    yv = _as_out_vector(svd, y)
     keep = svd.s > svd.rank_tol
-    coeff = (svd.u[:, keep].T @ yv) / svd.s[keep]
-    return _as_in_image(svd, svd.v[:, keep] @ coeff)
+    coeff = svd.data_coeffs(y, svd.u[:, keep]) / svd.s[keep]
+    return svd.image(coeff, svd.v[:, keep])

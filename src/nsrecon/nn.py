@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,9 +29,12 @@ class Architecture:
         if self.width < 1:
             raise ValueError("width must be >= 1")
 
-    def channels(self) -> list[tuple[int, int]]:
-        chans = [1] + [self.width] * (self.layers - 1) + [1]
-        return [(chans[i + 1], chans[i]) for i in range(self.layers)]
+    def channels(self) -> Iterator[tuple[int, int]]:
+        """(out_ch, in_ch) per layer, generated lazily so that a corrupt
+        checkpoint header cannot ask for a huge list."""
+        last = self.layers - 1
+        for i in range(self.layers):
+            yield (1 if i == last else self.width, 1 if i == 0 else self.width)
 
 
 @dataclass
@@ -298,12 +301,18 @@ def load_params(path):
         layers, width = struct.unpack("<ii", read(8))
         arch = Architecture(layers=layers, width=width)
         kernels, biases = [], []
-        for _ in range(layers):
+        for layer, chans in enumerate(arch.channels()):
             kshape = struct.unpack("<iiii", read(16))
+            if kshape != chans + (3, 3):
+                raise ValueError(f"{path}: layer {layer} kernel shape "
+                                 f"{kshape} does not match {arch}")
             count = int(np.prod(kshape))
             kernels.append(np.frombuffer(read(8 * count),
                                          dtype="<f8").reshape(kshape).copy())
             (blen,) = struct.unpack("<i", read(4))
+            if blen != chans[0]:
+                raise ValueError(f"{path}: layer {layer} has {blen} biases, "
+                                 f"expected {chans[0]}")
             biases.append(np.frombuffer(read(8 * blen),
                                         dtype="<f8").copy())
         if fh.read(1):

@@ -12,8 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linops import LinOp, SolverConfig, cg_regularized_normal
-from .operators import SubsampledUnitarySpec
+from .linops import LinOp, SolverConfig, SvdFactors, cg_regularized_normal
 
 ImageMap = Callable[[np.ndarray], np.ndarray]
 
@@ -23,8 +22,8 @@ class NullProjector:
     """Orthogonal projection onto ker(A) for images of the given shape.
 
     `apply` is built by one of the factories below: `mask_projector`
-    (closed form I - M for a stripe-masked operator), `unitary_projector`
-    (B.T (I - S.T S) B for a subsampled orthogonal transform) or
+    (closed form I - M for a stripe-masked operator), `svd_projector`
+    (z - V_r V_r.T z for an operator with a dense SVD) or
     `iterative_projector` (z - A+(A z) by CG for a general operator).
     """
 
@@ -39,16 +38,12 @@ def mask_projector(op: LinOp, mask_op: LinOp) -> NullProjector:
     return NullProjector(op.in_shape, lambda z: z - mask_op.apply(z))
 
 
-def unitary_projector(op: LinOp, spec: SubsampledUnitarySpec) -> NullProjector:
-    basis, idx, shape = spec.validate()
-    idx = list(idx)
-
-    def apply(z):
-        coeff = basis @ z.ravel()
-        coeff[idx] = 0.0
-        return (basis.T @ coeff).reshape(shape)
-
-    return NullProjector(op.in_shape, apply)
+def svd_projector(svd: SvdFactors) -> NullProjector:
+    """Exact projector z - V_r V_r.T z with r = svd.rank.  It needs only the
+    leading right singular vectors, so wide (thin-SVD) operators work too."""
+    vr = svd.v[:, :svd.rank]
+    return NullProjector(svd.in_shape or (vr.shape[0],),
+                         lambda z: z - svd.image(vr.T @ z.ravel(), vr))
 
 
 def iterative_projector(op: LinOp,

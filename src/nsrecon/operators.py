@@ -114,8 +114,9 @@ def make_stripe_operator(h: int = 64, w: int = 64,
 @dataclass(frozen=True)
 class SubsampledUnitarySpec:
     """Keep coefficients of an orthogonal transform at `kept_indices`,
-    zero-fill the rest.  Desk-scale stand-in for a subsampled FFT; the
-    closed-form kernel projector holds for any orthogonal basis."""
+    zero-fill the rest.  Desk-scale stand-in for a subsampled FFT; its
+    kernel projector B.T (I - S.T S) B is what
+    `svd_projector(operator_svd(op))` computes."""
 
     basis: np.ndarray
     kept_indices: tuple[int, ...]

@@ -68,15 +68,8 @@ def filter_value(spec: FilterSpec, lam) -> np.ndarray | float:
 def spectral_reconstruct(svd: SvdFactors, y: np.ndarray,
                          spec: FilterSpec) -> np.ndarray:
     """Filtered reconstruction sum_i g_a(s_i^2) s_i <y, u_i> v_i."""
-    y = np.asarray(y, dtype=float)
-    yv = y.ravel()
-    if yv.size != svd.u.shape[0]:
-        raise ValueError("data size does not match operator output")
-    coeff = filter_value(spec, svd.s**2) * svd.s * (svd.u.T @ yv)
-    x = svd.v @ coeff
-    if svd.in_shape is not None:
-        return x.reshape(svd.in_shape)
-    return x
+    return svd.image(filter_value(spec, svd.s**2) * svd.s
+                     * svd.data_coeffs(y))
 
 
 def tikhonov_reconstruct(op: LinOp, y: np.ndarray, alpha: float,
@@ -119,10 +112,5 @@ def make_source_element(svd: SvdFactors, src: SourceCondition,
     w = rng.standard_normal(n)
     w *= src.rho / np.linalg.norm(w)
     if src.mu == 0:
-        x = w
-    else:
-        coeff = (svd.s ** (2.0 * src.mu)) * (svd.v.T @ w)
-        x = svd.v @ coeff
-    if svd.in_shape is not None:
-        return x.reshape(svd.in_shape)
-    return x
+        return w.reshape(svd.in_shape or w.shape)
+    return svd.image((svd.s ** (2.0 * src.mu)) * (svd.v.T @ w))

@@ -14,7 +14,8 @@ from nsrecon.experiments import (EvalConfig, Problem, TrainConfig,
                                  train)
 from nsrecon.linops import dense_svd, pseudo_inverse_apply
 from nsrecon.metrics import psnr, ssim
-from nsrecon.nullspace import iterative_projector, mask_projector
+from nsrecon.nullspace import (iterative_projector, mask_projector,
+                               svd_projector)
 from nsrecon.operators import make_stripe_operator
 from nsrecon.regularize import (FILTER_KINDS, FILTER_QUALIFICATION,
                                 FilterSpec, SourceCondition, filter_value)
@@ -135,8 +136,8 @@ def test_criterion_5_classical_rates(classical_rates):
 
 
 def test_criterion_6_nsn_rate_transfer(classical_rates):
-    op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=0)
-    proj = iterative_projector(op)
+    _, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=0)
+    proj = svd_projector(svd)
     params = nn.init_params(nn.Architecture(layers=2, width=2),
                             seed=2).scaled(0.25)
     ok = True

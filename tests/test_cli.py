@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestDcAuditErrors:
                          "--config", cfg]) == 1
             assert "nsrecon dc-audit: error:" in capsys.readouterr().err
 
+    def test_header_width_mismatch_fails(self, tmp_path, capsys):
+        path = self.ckpt(tmp_path)
+        data = bytearray(path.read_bytes())
+        at = len(nn._CKPT_MAGIC) + 4  # the header's width field
+        data[at:at + 4] = struct.pack("<i", 5)
+        path.write_bytes(bytes(data))
+        cfg = write_config(tmp_path, "cfg", ckpt=path, n=2, image_size=32)
+        assert main(["dc-audit", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 1
+        assert "nsrecon dc-audit: error:" in capsys.readouterr().err
+
     def test_zero_samples_fails_without_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg", ckpt=self.ckpt(tmp_path), n=0,
                            image_size=32)
@@ -134,6 +146,14 @@ class TestRates:
         assert np.isfinite(summary["error_slope"])
         rows = (out / "rates.csv").read_text().strip().splitlines()
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("keys", [{"n_deltas": 0}, {"n_deltas": 1},
+                                      {"trials": 0}])
+    def test_degenerate_study_fails(self, tmp_path, capsys, keys):
+        cfg = write_config(tmp_path, "cfg", **keys)
+        assert main(["rates", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 1
+        assert "nsrecon rates: error:" in capsys.readouterr().err
 
     def test_bad_filter_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg", filter="ridge")

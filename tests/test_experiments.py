@@ -13,7 +13,7 @@ from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  make_rate_operator, nsn_convergence_study,
                                  reconstruct_all, save_json_summary, train)
 from nsrecon.linops import SolverConfig
-from nsrecon.nullspace import iterative_projector
+from nsrecon.nullspace import svd_projector
 from nsrecon.regularize import SourceCondition, tikhonov_reconstruct
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
@@ -208,6 +208,11 @@ class TestRateMachinery:
         assert slope == pytest.approx(0.75, abs=1e-12)
         assert hw == pytest.approx(0.0, abs=1e-9)
 
+    def test_fit_loglog_slope_needs_two_points(self):
+        for xs in ([], [0.1]):
+            with pytest.raises(ValueError, match="2 points"):
+                fit_loglog_slope(xs, xs)
+
     def test_make_rate_operator_spectrum(self):
         op, svd = make_rate_operator(shape=(8, 8), s_min=1e-3, kernel_dim=10)
         assert svd.s[0] == pytest.approx(1.0)
@@ -254,6 +259,15 @@ class TestClassicalRates:
         for large, small in zip(errs, errs[1:]):
             assert small <= large * 1.5
 
+    def test_degenerate_study_rejected(self):
+        _, svd = make_rate_operator(shape=(4, 4), seed=1)
+        src = SourceCondition(mu=0.5, rho=1.0)
+        with pytest.raises(ValueError, match="trials"):
+            convergence_study(svd, "tikhonov", src, DELTAS, trials=0)
+        for deltas in (DELTAS[:0], DELTAS[:1]):
+            with pytest.raises(ValueError, match="2 points"):
+                convergence_study(svd, "tikhonov", src, deltas, trials=2)
+
     def test_report_csv(self, tmp_path):
         _, svd = make_rate_operator(shape=(8, 8), seed=1)
         report = convergence_study(svd, "tikhonov",
@@ -269,7 +283,7 @@ class TestClassicalRates:
 @pytest.fixture(scope="module")
 def kernel_operator():
     op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=0)
-    return op, svd, iterative_projector(op)
+    return op, svd, svd_projector(svd)
 
 
 class TestNsnRates:

@@ -1,15 +1,13 @@
-"""Operator plumbing: adjoint checks, power iteration, CG, Landweber
-projection, dense SVD and the pseudo-inverse."""
+"""Operator plumbing: adjoint checks, power iteration, CG, dense SVD and the
+pseudo-inverse."""
 
 import numpy as np
 import pytest
 
 from nsrecon.linops import (SolverConfig, adjoint_check, cg_regularized_normal,
-                            dense_svd, landweber_nullproject, operator_norm,
-                            pseudo_inverse_apply)
+                            dense_svd, operator_norm, pseudo_inverse_apply)
 from nsrecon.operators import (StripeMaskSpec, dense_op, make_cumsum,
-                               make_stripe_mask, make_stripe_operator,
-                               to_dense)
+                               make_stripe_mask, to_dense)
 
 
 def cumsum_spectrum(n):
@@ -92,43 +90,6 @@ class TestCg:
         op = make_cumsum(3, 3)
         with pytest.raises(ValueError):
             cg_regularized_normal(op, np.zeros((2, 2)), 1.0, SolverConfig())
-
-
-class TestLandweberNullproject:
-    def test_kernel_element_unchanged(self):
-        op, mask, kept = make_stripe_operator(16, 16)
-        z = np.zeros((16, 16))
-        free = [c for c in range(16) if c not in kept]
-        z[:, free] = 1.0
-        cfg = SolverConfig(tol=1e-10, max_iters=1000, tau=0.01)
-        res = landweber_nullproject(op, z, cfg)
-        assert res.iters == 0
-        np.testing.assert_array_equal(res.x, z)
-
-    def test_identity_projects_to_zero(self):
-        op = dense_op(np.eye(9), (3, 3), (3, 3))
-        cfg = SolverConfig(tol=1e-8, max_iters=10000, tau=1.0)
-        res = landweber_nullproject(op, np.ones((3, 3)), cfg)
-        assert np.max(np.abs(res.x)) < 1e-7
-
-    def test_matches_closed_form_mask(self):
-        op, mask, _ = make_stripe_operator(16, 16)
-        sigma = operator_norm(op).value
-        cfg = SolverConfig(tol=1e-8, max_iters=50000, tau=1.0 / sigma**2)
-        rng = np.random.default_rng(0)
-        z = rng.standard_normal((16, 16))
-        expected = z - mask.apply(z)
-        res = landweber_nullproject(op, z, cfg)
-        assert np.linalg.norm(res.x - expected) < 1e-4
-
-    def test_tau_validated(self):
-        op = dense_op(np.eye(4), (2, 2), (2, 2))
-        with pytest.raises(ValueError):
-            landweber_nullproject(op, np.ones((2, 2)),
-                                  SolverConfig(tau=None))
-        with pytest.raises(ValueError):
-            landweber_nullproject(op, np.ones((2, 2)),
-                                  SolverConfig(tau=2.5))
 
 
 class TestDenseSvd:

@@ -1,6 +1,8 @@
 """From-scratch CNN: convolution, initialization, forward/backward, Adam,
 gradient checking, Lipschitz bound and checkpoint round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,23 @@ class TestCheckpoint:
         path.write_bytes(data + b"\0")
         with pytest.raises(ValueError, match="trailing"):
             nn.load_params(path)
+
+    def test_rejects_header_that_misdescribes_layers(self, tmp_path):
+        arch = nn.Architecture(layers=2, width=2)
+        src = tmp_path / "net.ckpt"
+        nn.save_params(src, arch, nn.init_params(arch, 17))
+        data = src.read_bytes()
+        head = len(nn._CKPT_MAGIC)
+        blen_at = head + 8 + 16 + 8 * 2 * 1 * 9  # layer 0 bias count
+        path = tmp_path / "patched.ckpt"
+        for at, value, match in ((head + 4, 5, "kernel shape"),
+                                 (head, 10**6, "kernel shape"),
+                                 (blen_at, 3, "biases")):
+            patched = bytearray(data)
+            patched[at:at + 4] = struct.pack("<i", value)
+            path.write_bytes(bytes(patched))
+            with pytest.raises(ValueError, match=match):
+                nn.load_params(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

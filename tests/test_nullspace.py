@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from nsrecon.experiments import make_rate_operator
 from nsrecon.linops import SolverConfig
 from nsrecon.nullspace import (iterative_projector, mask_projector,
-                               nsn_apply, project_null, unitary_projector)
+                               nsn_apply, project_null, svd_projector)
 from nsrecon.operators import (SubsampledUnitarySpec, make_stripe_operator,
-                               make_subsampled_unitary)
+                               make_subsampled_unitary, operator_svd)
 from nsrecon.regularize import tikhonov_reconstruct
 
 
@@ -30,7 +31,7 @@ class TestProjectNull:
         spec = SubsampledUnitarySpec(basis=basis,
                                      kept_indices=tuple(range(16)),
                                      image_shape=(4, 4))
-        proj = unitary_projector(make_subsampled_unitary(spec), spec)
+        proj = svd_projector(operator_svd(make_subsampled_unitary(spec)))
         out = proj(rng.standard_normal((4, 4)))
         assert np.max(np.abs(out)) < 1e-12
 
@@ -45,6 +46,16 @@ class TestProjectNull:
             diff = np.linalg.norm(iterative(z) - closed(z))
             worst = max(worst, diff / np.linalg.norm(z))
         assert worst <= 1e-6
+
+    def test_iterative_matches_svd_on_rate_operator(self):
+        op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=0)
+        exact = svd_projector(svd)
+        iterative = iterative_projector(op)
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            z = rng.standard_normal((16, 16))
+            gap = np.linalg.norm(iterative(z) - exact(z)) / np.linalg.norm(z)
+            assert gap <= 1e-6
 
     def test_iterative_unconverged_raises(self):
         op, _, _ = stripe_problem()
@@ -71,28 +82,31 @@ class TestProjectNull:
         spec = SubsampledUnitarySpec(basis=basis, kept_indices=(0, 3, 7),
                                      image_shape=(4, 4))
         op = make_subsampled_unitary(spec)
-        proj = unitary_projector(op, spec)
+        proj = svd_projector(operator_svd(op))
         z = rng.standard_normal((4, 4))
         p = proj(z)
         assert np.max(np.abs(proj(p) - p)) <= 1e-10
         assert np.max(np.abs(op.apply(p))) <= 1e-10
 
+    def test_svd_matches_unitary_closed_form(self):
+        # B.T (I - S.T S) B zeroes the kept coefficients of z
+        rng = np.random.default_rng(11)
+        basis, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        kept = [0, 3, 7, 8]
+        spec = SubsampledUnitarySpec(basis=basis, kept_indices=tuple(kept),
+                                     image_shape=(4, 4))
+        proj = svd_projector(operator_svd(make_subsampled_unitary(spec)))
+        for _ in range(10):
+            z = rng.standard_normal((4, 4))
+            coeff = basis @ z.ravel()
+            coeff[kept] = 0.0
+            closed = (basis.T @ coeff).reshape(4, 4)
+            assert np.max(np.abs(proj(z) - closed)) <= 1e-12
+
     def test_method_validation(self):
         op, mask, _ = stripe_problem()
         with pytest.raises(ValueError):
             project_null(mask_projector(op, mask), np.zeros((3, 3)))
-
-    def test_unitary_basis_validated_at_construction(self):
-        rng = np.random.default_rng(11)
-        basis, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-        good = SubsampledUnitarySpec(basis=basis, kept_indices=(0, 3),
-                                     image_shape=(4, 4))
-        op = make_subsampled_unitary(good)
-        skewed = SubsampledUnitarySpec(basis=2.0 * basis,
-                                       kept_indices=(0, 3),
-                                       image_shape=(4, 4))
-        with pytest.raises(ValueError, match="not orthogonal"):
-            unitary_projector(op, skewed)
 
 
 class TestNsnApply:

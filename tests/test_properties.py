@@ -1,0 +1,60 @@
+"""Property tests of the kernel projectors over random shapes and masks."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from nsrecon.linops import dense_svd, pseudo_inverse_apply
+from nsrecon.nullspace import mask_projector, svd_projector
+from nsrecon.operators import StripeMaskSpec, make_stripe_operator
+
+PROPERTY = settings(max_examples=25, deadline=None)
+TOL = 1e-10
+
+
+@st.composite
+def low_rank(draw):
+    """A matrix u diag(s) v.T of random shape (wide ones included) and rank,
+    with well-separated nonzero singular values."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = rng.uniform(0.1, 10.0, r)
+    return (u[:, :r] * s) @ v[:, :r].T, rng
+
+
+@PROPERTY
+@given(low_rank())
+def test_svd_projector_is_kernel_projection(case):
+    a, rng = case
+    svd = dense_svd(a)
+    proj = svd_projector(svd)
+    z = rng.standard_normal(a.shape[1])
+    w = rng.standard_normal(a.shape[1])
+    p = proj(z)
+    assert proj.shape == (a.shape[1],)
+    assert np.max(np.abs(proj(p) - p)) <= TOL                    # idempotent
+    assert abs(np.vdot(p, w) - np.vdot(z, proj(w))) <= TOL       # self-adjoint
+    assert np.max(np.abs(a @ p)) <= TOL                          # A P = 0
+    np.testing.assert_allclose(                                  # I - A+ A
+        p, z - pseudo_inverse_apply(svd, a @ z), rtol=0, atol=TOL)
+
+
+@PROPERTY
+@given(h=st.integers(1, 12), w=st.integers(15, 24), complement=st.booleans(),
+       one_based=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mask_projector_is_kernel_projection(h, w, complement, one_based,
+                                             seed):
+    spec = StripeMaskSpec(image_width=w, one_based=one_based,
+                          complement=complement)
+    op, mask, _ = make_stripe_operator(h, w, spec)
+    proj = mask_projector(op, mask)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((h, w))
+    v = rng.standard_normal((h, w))
+    p = proj(z)
+    assert np.max(np.abs(proj(p) - p)) <= TOL
+    assert abs(np.vdot(p, v) - np.vdot(z, proj(v))) <= TOL
+    assert np.max(np.abs(op.apply(p))) <= TOL
