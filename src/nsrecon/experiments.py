@@ -7,31 +7,35 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
 from . import nn
 from .data import Sample, make_dataset
-from .linops import LinOp, SolverConfig, SvdFactors
+from .linops import LinOp, SvdFactors
 from .metrics import mse, psnr, ssim
 from .nullspace import NullProjector, mask_projector, nsn_apply
-from .operators import (StripeMaskSpec, dense_op, make_stripe_operator)
+from .operators import (StripeMaskSpec, dense_op, make_cumsum,
+                        make_stripe_operator)
 from .regularize import (FilterSpec, SourceCondition, make_source_element,
-                         param_choice, spectral_reconstruct,
-                         tikhonov_reconstruct)
+                         param_choice, spectral_reconstruct)
 
 MODEL_KINDS = ("resnet", "dcnet")
-_TIKHONOV_CG = SolverConfig(tol=1e-10, max_iters=20000)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
-    """The stripe-masked integration problem with its kernel projector."""
+    """The stripe-masked integration problem with its kernel projector.
+
+    `op` must be `support * (L x)`, with L the per-column integration
+    `make_cumsum(h, h, spacing)`: `reconstruct` relies on that structure.
+    """
 
     op: LinOp
     projector: NullProjector
     support: np.ndarray   # observed entries of the data grid
-    sigma_scale: float = 1.0  # nominal noise sd -> sd on the data grid
+    spacing: float = 1.0  # grid step: scales the integration and the noise sd
     alpha: float = 0.01   # Tikhonov parameter of `reconstruct`
 
     def __post_init__(self):
@@ -57,25 +61,36 @@ class Problem:
         support = np.zeros((image_size, image_size))
         support[:, list(kept)] = 1.0
         return cls(op=op, projector=mask_projector(op, mask),
-                   support=support, sigma_scale=spacing, alpha=alpha)
+                   support=support, spacing=spacing, alpha=alpha)
+
+    @cached_property
+    def _tikhonov(self) -> np.ndarray:
+        # A x = support * (L x) acts column by column, so
+        # (A*A + alpha I)^-1 A* y = R (support * y) with one h x h matrix
+        # R = (L^T L + alpha I)^-1 L^T; built on first use, so that
+        # benchmark() stays free of matrix work
+        h = self.op.in_shape[0]
+        lmat = make_cumsum(h, h, self.spacing).apply(np.eye(h))
+        return np.linalg.solve(lmat.T @ lmat + self.alpha * np.eye(h),
+                               lmat.T)
 
     def reconstruct(self, y: np.ndarray) -> np.ndarray:
-        """B_alpha y: Tikhonov by CG; raises ValueError on a non-finite y and
-        RuntimeError if CG does not converge."""
+        """B_alpha y: Tikhonov by a direct per-column solve; raises
+        ValueError on a y of the wrong shape or with non-finite entries."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != self.support.shape:
+            raise ValueError(f"expected data shape {self.support.shape}, "
+                             f"got {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("y has non-finite entries")
-        res = tikhonov_reconstruct(self.op, y, self.alpha, _TIKHONOV_CG)
-        if not res.converged:
-            raise RuntimeError(
-                f"Tikhonov CG did not converge in {res.iters} iterations")
-        return res.x
+        return self._tikhonov @ (self.support * y)
 
     def dataset(self, n: int, kind: str, seed: int, sigma: float,
                 **kw) -> list[Sample]:
         """`make_dataset` on this problem, with the nominal noise sd sigma
         scaled to the data grid and the noise kept on observed entries."""
         return make_dataset(n, kind, seed, self.op,
-                            sigma=sigma * self.sigma_scale,
+                            sigma=sigma * self.spacing,
                             support=self.support,
                             image_size=self.op.in_shape[0], **kw)
 
@@ -273,7 +288,8 @@ def make_rate_operator(shape: tuple[int, int] = (16, 16),
 
 
 def fit_loglog_slope(xs, ys):
-    """Least-squares slope of log(y) vs log(x) with a 95% half-width."""
+    """Least-squares slope of log(y) vs log(x) with a 95% half-width (nan
+    for two points, which leave no residual degree of freedom)."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     if lx.size < 2:
@@ -287,7 +303,7 @@ def fit_loglog_slope(xs, ys):
         sxx = float(np.sum((lx - lx.mean())**2))
         half = 1.96 * np.sqrt(sigma2 / sxx)
     else:
-        half = 0.0
+        half = np.nan  # no residual degree of freedom: width unknown
     return slope, float(half)
 
 

@@ -1,6 +1,6 @@
-"""Matrix-free linear operators on 2D arrays, plus the small dense solvers
-(CG on the normal equations, power iteration, SVD / pseudo-inverse) used
-throughout the package.
+"""Matrix-free linear operators on 2D arrays, plus the small solvers (CG on
+the normal equations, dense SVD / pseudo-inverse) used throughout the
+package.
 
 Images are plain float64 numpy arrays of shape (h, w).  Operators act on
 images directly; flattening only happens inside dense wrappers.
@@ -96,34 +96,6 @@ def adjoint_check(op: LinOp, trials: int = 50, seed: int = 0) -> float:
         scale = np.linalg.norm(au) * np.linalg.norm(v) + 1e-300
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst
-
-
-@dataclass(frozen=True)
-class PowerResult:
-    value: float
-    converged: bool
-    iters: int
-
-
-def operator_norm(op: LinOp, cfg: SolverConfig | None = None,
-                  seed: int = 0) -> PowerResult:
-    """Largest singular value of `op` by power iteration on A*A."""
-    cfg = cfg or SolverConfig(tol=1e-6, max_iters=2000)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.in_shape)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for k in range(cfg.max_iters):
-        y = op.adjoint(op.apply(x))
-        lam_new = float(np.vdot(x, y))
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return PowerResult(0.0, True, k + 1)
-        x = y / nrm
-        if k > 0 and abs(lam_new - lam) <= cfg.tol * abs(lam_new):
-            return PowerResult(np.sqrt(lam_new), True, k + 1)
-        lam = lam_new
-    return PowerResult(np.sqrt(max(lam, 0.0)), False, cfg.max_iters)
 
 
 @dataclass

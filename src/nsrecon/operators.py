@@ -1,18 +1,13 @@
 """Concrete forward operators: stripe mask, vertical cumulative sum, their
-composition, subsampled unitary transforms, and dense wrappers for oracle
-testing."""
+composition, and dense wrappers for oracle testing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linops import LinOp, MatvecOp, SvdFactors, dense_svd
-
-
-def identity(shape: tuple[int, int]) -> LinOp:
-    return MatvecOp(shape, shape, lambda x: x.copy(), lambda y: y.copy())
 
 
 def make_cumsum(h: int, w: int, spacing: float = 1.0) -> LinOp:
@@ -109,49 +104,6 @@ def make_stripe_operator(h: int = 64, w: int = 64,
     mask = make_stripe_mask(spec, h)
     cumsum = make_cumsum(h, w, spacing)
     return compose(mask, cumsum), mask, spec.kept_columns()
-
-
-@dataclass(frozen=True)
-class SubsampledUnitarySpec:
-    """Keep coefficients of an orthogonal transform at `kept_indices`,
-    zero-fill the rest.  Desk-scale stand-in for a subsampled FFT; its
-    kernel projector B.T (I - S.T S) B is what
-    `svd_projector(operator_svd(op))` computes."""
-
-    basis: np.ndarray
-    kept_indices: tuple[int, ...]
-    image_shape: tuple[int, int] | None = field(default=None)
-
-    def validate(self):
-        b = np.asarray(self.basis, dtype=float)
-        n = b.shape[0]
-        if b.ndim != 2 or b.shape[1] != n:
-            raise ValueError("basis must be square")
-        if np.max(np.abs(b.T @ b - np.eye(n))) > 1e-10:
-            raise ValueError("basis is not orthogonal")
-        idx = tuple(self.kept_indices)
-        if not idx:
-            raise ValueError("kept_indices must be nonempty")
-        if min(idx) < 0 or max(idx) >= n:
-            raise ValueError("kept_indices out of range")
-        shape = self.image_shape or (n, 1)
-        if shape[0] * shape[1] != n:
-            raise ValueError("image_shape does not match basis dimension")
-        return b, idx, shape
-
-
-def make_subsampled_unitary(spec: SubsampledUnitarySpec) -> LinOp:
-    basis, idx, shape = spec.validate()
-    sel = np.zeros(basis.shape[0])
-    sel[list(idx)] = 1.0
-
-    def forward(x):
-        return (sel * (basis @ x.ravel())).reshape(shape)
-
-    def backward(y):
-        return (basis.T @ (sel * y.ravel())).reshape(shape)
-
-    return MatvecOp(shape, shape, forward, backward)
 
 
 _DENSE_DIM_LIMIT = 4096

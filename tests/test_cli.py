@@ -147,6 +147,16 @@ class TestRates:
         rows = (out / "rates.csv").read_text().strip().splitlines()
         assert len(rows) == 4
 
+    def test_two_deltas_give_no_halfwidth(self, tmp_path):
+        out = tmp_path / "rates"
+        cfg = write_config(tmp_path, "cfg", trials=2, n_deltas=2)
+        assert main(["rates", "--seed", "0", "--out", str(out),
+                     "--config", cfg]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert np.isfinite(summary["error_slope"])
+        assert np.isnan(summary["error_slope_halfwidth"])
+        assert np.isnan(summary["residual_slope_halfwidth"])
+
     @pytest.mark.parametrize("keys", [{"n_deltas": 0}, {"n_deltas": 1},
                                       {"trials": 0}])
     def test_degenerate_study_fails(self, tmp_path, capsys, keys):

@@ -1,20 +1,22 @@
 """Experiment harness: training loop, evaluation report, data-consistency
 audit and the convergence-rate studies."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from nsrecon import experiments, nn
+from nsrecon import nn
 from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  TrainConfig, convergence_study, dc_audit,
                                  evaluate, fit_loglog_slope,
                                  make_rate_operator, nsn_convergence_study,
                                  reconstruct_all, save_json_summary, train)
-from nsrecon.linops import SolverConfig
 from nsrecon.nullspace import svd_projector
-from nsrecon.regularize import SourceCondition, tikhonov_reconstruct
+from nsrecon.operators import operator_svd
+from nsrecon.regularize import (FilterSpec, SourceCondition,
+                                spectral_reconstruct)
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
 
@@ -22,6 +24,11 @@ DELTAS = np.geomspace(1e-1, 1e-5, 5)
 @pytest.fixture(scope="module")
 def small_problem():
     return Problem.benchmark(image_size=32)
+
+
+@pytest.fixture(scope="module")
+def small_svd(small_problem):
+    return operator_svd(small_problem.op)
 
 
 @pytest.fixture(scope="module")
@@ -45,24 +52,35 @@ class TestProblem:
         assert np.all(p[:, observed] == 0.0)
         np.testing.assert_array_equal(p[:, ~observed], z[:, ~observed])
 
-    def test_reconstruct_matches_tikhonov(self, small_problem):
+    def test_reconstruct_matches_tikhonov(self, small_problem, small_svd):
         y = small_problem.dataset(1, "OOD", 0, 0.05)[0].y
-        ref = tikhonov_reconstruct(small_problem.op, y, 0.01, SolverConfig(
-            tol=1e-10, max_iters=20000)).x
-        np.testing.assert_array_equal(small_problem.reconstruct(y), ref)
+        ref = spectral_reconstruct(small_svd, y,
+                                   FilterSpec("tikhonov", small_problem.alpha))
+        gap = np.linalg.norm(small_problem.reconstruct(y) - ref)
+        assert gap <= 1e-12 * np.linalg.norm(ref)
+
+    def test_removed_columns_are_zero(self, small_problem):
+        y = np.random.default_rng(5).standard_normal((32, 32))
+        x = small_problem.reconstruct(y)
+        removed = small_problem.support[0] == 0.0
+        assert np.all(x[:, removed] == 0.0)
+        assert np.all(x[:, ~removed] != 0.0)
+
+    def test_replace_reconstructs_with_its_own_alpha(self, small_problem,
+                                                     small_svd):
+        y = small_problem.dataset(1, "ID", 0, 0.05)[0].y
+        small_problem.reconstruct(y)  # builds the cached matrix
+        other = dataclasses.replace(small_problem, alpha=0.5)
+        ref = spectral_reconstruct(small_svd, y, FilterSpec("tikhonov", 0.5))
+        gap = np.linalg.norm(other.reconstruct(y) - ref)
+        assert gap <= 1e-12 * np.linalg.norm(ref)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_problem.alpha = 0.5
 
     @pytest.mark.parametrize("alpha", [0.0, -0.01])
     def test_alpha_validated(self, alpha):
         with pytest.raises(ValueError):
             Problem.benchmark(16, alpha=alpha)
-
-    def test_unconverged_reconstruction_raises(self, small_problem,
-                                               monkeypatch):
-        monkeypatch.setattr(experiments, "_TIKHONOV_CG",
-                            SolverConfig(max_iters=1))
-        y = small_problem.dataset(1, "ID", 0, 0.05)[0].y
-        with pytest.raises(RuntimeError):
-            small_problem.reconstruct(y)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, small_problem, bad):
@@ -70,6 +88,11 @@ class TestProblem:
         y[3, 5] = bad
         with pytest.raises(ValueError):
             small_problem.reconstruct(y)
+
+    @pytest.mark.parametrize("shape", [(32,), (32, 1), (16, 32)])
+    def test_wrong_data_shape_rejected(self, small_problem, shape):
+        with pytest.raises(ValueError, match="data shape"):
+            small_problem.reconstruct(np.ones(shape))
 
     def test_dataset_uses_problem_grid(self, small_problem):
         samples = small_problem.dataset(2, "OOD", 3, 0.05)
@@ -212,6 +235,10 @@ class TestRateMachinery:
         for xs in ([], [0.1]):
             with pytest.raises(ValueError, match="2 points"):
                 fit_loglog_slope(xs, xs)
+        # two points fit exactly but leave no residual to size the width
+        slope, hw = fit_loglog_slope([0.1, 0.01], [0.2, 0.05])
+        assert slope == pytest.approx(np.log10(4.0))
+        assert np.isnan(hw)
 
     def test_make_rate_operator_spectrum(self):
         op, svd = make_rate_operator(shape=(8, 8), s_min=1e-3, kernel_dim=10)

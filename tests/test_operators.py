@@ -1,15 +1,13 @@
-"""Forward operators: cumulative sum, stripe mask, composition, subsampled
-unitaries and the dense wrappers."""
+"""Forward operators: cumulative sum, stripe mask, composition and the dense
+wrappers."""
 
 import numpy as np
 import pytest
 
-from nsrecon.linops import adjoint_check, dense_svd
-from nsrecon.operators import (StripeMaskSpec, SubsampledUnitarySpec, compose,
-                               dense_op, identity, make_cumsum,
+from nsrecon.linops import adjoint_check
+from nsrecon.operators import (StripeMaskSpec, compose, dense_op, make_cumsum,
                                make_stripe_operator, make_stripe_mask,
-                               make_subsampled_unitary, operator_svd,
-                               to_dense)
+                               operator_svd, to_dense)
 
 
 class TestCumsum:
@@ -83,7 +81,7 @@ class TestStripeMask:
 class TestCompose:
     def test_identity_neutral(self):
         k = make_cumsum(4, 4)
-        both = compose(identity((4, 4)), k)
+        both = compose(dense_op(np.eye(16), (4, 4), (4, 4)), k)
         x = np.random.default_rng(2).standard_normal((4, 4))
         np.testing.assert_array_equal(both.apply(x), k.apply(x))
 
@@ -104,46 +102,10 @@ class TestCompose:
             compose(make_cumsum(3, 3), make_cumsum(4, 4))
 
 
-class TestSubsampledUnitary:
-    def test_identity_basis_single_index(self):
-        spec = SubsampledUnitarySpec(basis=np.eye(4), kept_indices=(0,),
-                                     image_shape=(2, 2))
-        out = make_subsampled_unitary(spec).apply(np.ones((2, 2)))
-        np.testing.assert_array_equal(out.ravel(), [1.0, 0.0, 0.0, 0.0])
-
-    def test_all_indices_is_the_transform(self):
-        rng = np.random.default_rng(4)
-        basis, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        spec = SubsampledUnitarySpec(basis=basis, kept_indices=(0, 1, 2, 3),
-                                     image_shape=(2, 2))
-        x = rng.standard_normal((2, 2))
-        out = make_subsampled_unitary(spec).apply(x)
-        np.testing.assert_allclose(out.ravel(), basis @ x.ravel())
-
-    def test_rank_equals_kept_count(self):
-        rng = np.random.default_rng(5)
-        basis, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-        spec = SubsampledUnitarySpec(basis=basis,
-                                     kept_indices=tuple(range(6)),
-                                     image_shape=(4, 4))
-        op = make_subsampled_unitary(spec)
-        assert dense_svd(to_dense(op)).rank == 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SubsampledUnitarySpec(basis=np.ones((3, 3)),
-                                  kept_indices=(0,)).validate()
-        with pytest.raises(ValueError):
-            SubsampledUnitarySpec(basis=np.eye(3),
-                                  kept_indices=()).validate()
-        with pytest.raises(ValueError):
-            SubsampledUnitarySpec(basis=np.eye(3),
-                                  kept_indices=(5,)).validate()
-
-
 class TestDense:
     def test_identity_matrix(self):
-        np.testing.assert_array_equal(to_dense(identity((2, 2))), np.eye(4))
+        np.testing.assert_array_equal(
+            to_dense(dense_op(np.eye(4), (2, 2), (2, 2))), np.eye(4))
 
     def test_cumsum_2x1(self):
         np.testing.assert_array_equal(to_dense(make_cumsum(2, 1)),

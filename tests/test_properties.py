@@ -1,8 +1,10 @@
-"""Property tests of the kernel projectors over random shapes and masks."""
+"""Property tests of the kernel projectors over random shapes and masks,
+and of the benchmark problem's Tikhonov reconstruction."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from nsrecon.experiments import Problem
 from nsrecon.linops import dense_svd, pseudo_inverse_apply
 from nsrecon.nullspace import mask_projector, svd_projector
 from nsrecon.operators import StripeMaskSpec, make_stripe_operator
@@ -58,3 +60,17 @@ def test_mask_projector_is_kernel_projection(h, w, complement, one_based,
     assert np.max(np.abs(proj(p) - p)) <= TOL
     assert abs(np.vdot(p, v) - np.vdot(z, proj(v))) <= TOL
     assert np.max(np.abs(op.apply(p))) <= TOL
+
+
+@PROPERTY
+@given(n=st.integers(14, 32), alpha=st.floats(1e-3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_problem_reconstruct_solves_tikhonov_normal_equations(n, alpha, seed):
+    # 14 is the narrowest image the four removed stripes fit in
+    problem = Problem.benchmark(image_size=n, alpha=alpha)
+    y = np.random.default_rng(seed).standard_normal((n, n))
+    x = problem.reconstruct(y)
+    op = problem.op
+    rhs = op.adjoint(y)
+    lhs = op.adjoint(op.apply(x)) + alpha * x
+    assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
