@@ -17,8 +17,8 @@ from .regularize import (FILTER_QUALIFICATION, FilterSpec, SourceCondition,
                          filter_value, make_source_element, param_choice,
                          spectral_reconstruct, tikhonov_reconstruct)
 from .nullspace import (NullProjector, iterative_projector, mask_projector,
-                        nsn_apply, project_null, svd_projector)
-from .metrics import SsimConfig, mse, psnr, ssim
+                        project_null, svd_projector)
+from .metrics import mse, psnr, ssim
 from .data import (NoiseSpec, Sample, SampleSpec, export_dataset,
                    gen_measurement, gen_square_sample, make_dataset,
                    read_pgm16, write_pgm16)

@@ -110,6 +110,9 @@ def cmd_eval(args, cfg):
         n_per_kind=_get(cfg, "n_per_kind", int, 20),
         eval_seed=args.seed + 10_000,
         sigma=_get(cfg, "sigma", float, 0.05))
+    n_dump = _get(cfg, "n_dump", int, 3)
+    if n_dump < 0:
+        raise ValueError("n_dump must be >= 0")
     params_resnet = _load_ckpt(cfg["resnet_ckpt"])
     params_dcnet = _load_ckpt(cfg["dcnet_ckpt"])
     problem = _problem(cfg)
@@ -117,8 +120,8 @@ def cmd_eval(args, cfg):
     report.to_csv(os.path.join(args.out, "eval.csv"))
 
     # image dumps: ground truth / tikhonov / resnet / dcnet for a few samples
-    n_dump = _get(cfg, "n_dump", int, 3)
-    samples = _eval_samples(problem, ec, "ID", n_dump, ec.eval_seed)
+    samples = (_eval_samples(problem, ec, "ID", n_dump, ec.eval_seed)
+               if n_dump else [])
     for i, s in enumerate(samples):
         recs = reconstruct_all(problem, s, params_resnet, params_dcnet)
         write_pgm16(os.path.join(args.out, f"sample{i}_truth.pgm"), s.x)

@@ -123,14 +123,15 @@ _NOISE_SEED_OFFSET = 7777777  # disjoint stream from the image seeds
 
 def make_dataset(n: int, kind: str, base_seed: int, op: LinOp,
                  sigma: float = 0.05, support: np.ndarray | None = None,
-                 image_size: int = 64, patch_size: int = 20) -> list[Sample]:
-    """n independent (x, y) samples; sample i uses seed base_seed + i."""
+                 patch_size: int = 20) -> list[Sample]:
+    """n independent (x, y) samples; sample i uses seed base_seed + i.
+    The images are square, of the size op.in_shape[0]."""
     if n < 1:
         raise ValueError("n must be >= 1")
     samples = []
     for i in range(n):
         seed = base_seed + i
-        spec = SampleSpec(image_size=image_size, patch_size=patch_size,
+        spec = SampleSpec(image_size=op.in_shape[0], patch_size=patch_size,
                           kind=kind, seed=seed)
         x = gen_square_sample(spec)
         y, delta = gen_measurement(

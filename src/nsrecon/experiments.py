@@ -15,7 +15,7 @@ from . import nn
 from .data import Sample, make_dataset
 from .linops import LinOp, SvdFactors
 from .metrics import mse, psnr, ssim
-from .nullspace import NullProjector, mask_projector, nsn_apply
+from .nullspace import NullProjector, mask_projector
 from .operators import (StripeMaskSpec, dense_op, make_cumsum,
                         make_stripe_operator)
 from .regularize import (FilterSpec, SourceCondition, make_source_element,
@@ -91,8 +91,7 @@ class Problem:
         scaled to the data grid and the noise kept on observed entries."""
         return make_dataset(n, kind, seed, self.op,
                             sigma=sigma * self.spacing,
-                            support=self.support,
-                            image_size=self.op.in_shape[0], **kw)
+                            support=self.support, **kw)
 
 
 @dataclass
@@ -396,12 +395,8 @@ def nsn_convergence_study(params: nn.NetParams, proj: NullProjector,
     the network's layer-norm Lipschitz bound.  Returns (report, lip_bound).
     """
     lip = nn.lipschitz_bound(params, svd.in_shape)
-
-    def u_net(img):
-        return nn.correction(params, img)
-
     report = _rate_study(svd, filter_kind, src, deltas, trials, seed, c,
-                         f=lambda img: nsn_apply(u_net, proj, img))
+                         f=lambda img: nn.forward(params, img, proj)[0])
     return report, lip
 
 

@@ -191,10 +191,9 @@ class SvdFactors:
 _SVD_DIM_LIMIT = 1024
 
 
-def dense_svd(matrix: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
-    """Full SVD of a small dense matrix (desk-scale guard at 1024x1024).
-
-    rank_tol defaults to s_max * 1e-12 * max(dims).
+def dense_svd(matrix: np.ndarray) -> SvdFactors:
+    """Full SVD of a small dense matrix (desk-scale guard at 1024x1024),
+    with rank_tol = s_max * 1e-12 * max(dims).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -204,9 +203,7 @@ def dense_svd(matrix: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix has non-finite entries")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    if rank_tol is None:
-        smax = s[0] if s.size else 0.0
-        rank_tol = smax * 1e-12 * max(matrix.shape)
+    rank_tol = (s[0] if s.size else 0.0) * 1e-12 * max(matrix.shape)
     return SvdFactors(u=u, s=s, v=vt.T, rank_tol=float(rank_tol))
 
 

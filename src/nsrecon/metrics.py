@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -25,47 +24,35 @@ def psnr(x: np.ndarray, y: np.ndarray, data_range: float = 1.0) -> float:
     return 10.0 * math.log10(data_range**2 / err)
 
 
-@dataclass(frozen=True)
-class SsimConfig:
-    """Standard reference constants: 11x11 Gaussian window, sigma 1.5,
-    k1 = 0.01, k2 = 0.03."""
-
-    window_size: int = 11
-    window_sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    data_range: float = 1.0
-
-    def __post_init__(self):
-        if self.data_range <= 0:
-            raise ValueError("data_range must be positive")
-        if self.window_size < 1 or self.window_size % 2 == 0:
-            raise ValueError("window_size must be odd and positive")
+# the standard reference constants (Wang et al., IEEE TIP 13, 2004)
+SSIM_WINDOW_SIZE = 11
+SSIM_WINDOW_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+SSIM_DATA_RANGE = 1.0
 
 
-def _gaussian_window(cfg: SsimConfig) -> np.ndarray:
-    half = cfg.window_size // 2
+def _gaussian_window() -> np.ndarray:
+    half = SSIM_WINDOW_SIZE // 2
     ax = np.arange(-half, half + 1, dtype=float)
-    g = np.exp(-(ax**2) / (2 * cfg.window_sigma**2))
+    g = np.exp(-(ax**2) / (2 * SSIM_WINDOW_SIGMA**2))
     win = np.outer(g, g)
     return win / win.sum()
 
 
-def ssim(x: np.ndarray, y: np.ndarray,
-         cfg: SsimConfig | None = None) -> float:
+def ssim(x: np.ndarray, y: np.ndarray) -> float:
     """Mean structural similarity over pixel-centered Gaussian windows.
 
     Borders use the in-image part of the window with weights renormalized
     to sum one.
     """
-    cfg = cfg or SsimConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    if min(x.shape) < cfg.window_size:
+    if min(x.shape) < SSIM_WINDOW_SIZE:
         raise ValueError("image smaller than the SSIM window")
-    win = _gaussian_window(cfg)
+    win = _gaussian_window()
 
     def wmean(img):
         return ndimage.correlate(img, win, mode="constant", cval=0.0)
@@ -77,8 +64,8 @@ def ssim(x: np.ndarray, y: np.ndarray,
     var_y = wmean(y * y) / weight - mu_y**2
     cov = wmean(x * y) / weight - mu_x * mu_y
 
-    c1 = (cfg.k1 * cfg.data_range) ** 2
-    c2 = (cfg.k2 * cfg.data_range) ** 2
+    c1 = (SSIM_K1 * SSIM_DATA_RANGE) ** 2
+    c2 = (SSIM_K2 * SSIM_DATA_RANGE) ** 2
     num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
     den = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
     return float(np.mean(num / den))

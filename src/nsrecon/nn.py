@@ -3,8 +3,8 @@ convolutions with ReLU, exact backpropagation, Adam with coupled L2 weight
 decay, and a byte-stable checkpoint format.
 
 The network computes a correction U(x) through a stack of conv layers; the
-residual model returns x + U(x) and the data-consistent model returns
-x + P(U(x)) for a null-space projection P.
+residual model returns x + U(x) and the data-consistent model, the
+null-space network, returns x + P(U(x)) for a null-space projection P.
 """
 
 from __future__ import annotations
@@ -86,9 +86,15 @@ def init_params(arch: Architecture, seed: int = 0) -> NetParams:
     return NetParams(kernels, biases)
 
 
-def _stack(params: NetParams, x: np.ndarray):
-    """Conv stack with ReLU between layers; returns (U(x), inputs, preacts)
-    with each layer's input and pre-activation for `backward`."""
+def forward(params: NetParams, x: np.ndarray,
+            projector: Callable[[np.ndarray], np.ndarray] | None = None):
+    """Residual forward pass out = x + U(x), or x + P(U(x)) with a projector,
+    where U is the conv stack with ReLU between layers.
+
+    Returns (out, cache); the cache, with each layer's input and
+    pre-activation, feeds `backward`.
+    """
+    x = np.asarray(x, dtype=float)
     a = x[None, :, :]
     inputs, preacts = [], []
     last = len(params.kernels) - 1
@@ -97,24 +103,7 @@ def _stack(params: NetParams, x: np.ndarray):
         z = conv2d_circular(a, k, b)
         preacts.append(z)
         a = np.maximum(z, 0.0) if l < last else z
-    return a[0], inputs, preacts
-
-
-def correction(params: NetParams, x: np.ndarray) -> np.ndarray:
-    """The raw CNN output U(x) (conv stack without the residual skip)."""
-    return _stack(params, np.asarray(x, dtype=float))[0]
-
-
-def forward(params: NetParams, x: np.ndarray,
-            projector: Callable[[np.ndarray], np.ndarray] | None = None):
-    """Residual forward pass out = x + U(x), or x + P(U(x)) with a projector.
-
-    Returns (out, cache); the cache feeds `backward`.
-    """
-    x = np.asarray(x, dtype=float)
-    corr, inputs, preacts = _stack(params, x)
-    if projector is not None:
-        corr = projector(corr)
+    corr = a[0] if projector is None else projector(a[0])
     out = x + corr
     cache = {"inputs": inputs, "preacts": preacts, "projector": projector,
              "x_shape": x.shape}
@@ -154,24 +143,26 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     return NetParams(grad_k, grad_b), grad_in
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: NetParams
     v: NetParams
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
 
 def init_adam(params: NetParams, lr: float = 1e-3,
-              weight_decay: float = 0.0, **kwargs) -> AdamState:
+              weight_decay: float = 0.0) -> AdamState:
     zeros = NetParams([np.zeros_like(k) for k in params.kernels],
                       [np.zeros_like(b) for b in params.biases])
     return AdamState(m=zeros, v=zeros.copy(), lr=lr,
-                     weight_decay=weight_decay, **kwargs)
+                     weight_decay=weight_decay)
 
 
 def adam_step(params: NetParams, grads: NetParams, state: AdamState):
@@ -184,11 +175,11 @@ def adam_step(params: NetParams, grads: NetParams, state: AdamState):
                state.v.kernels + state.v.biases)
     for p, g, m, v in flat:
         g = g + state.weight_decay * p
-        m = state.beta1 * m + (1 - state.beta1) * g
-        v = state.beta2 * v + (1 - state.beta2) * g * g
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        new_p.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        new_p.append(p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m)
         new_v.append(v)
     n = len(params.kernels)
@@ -273,8 +264,15 @@ def lipschitz_bound(params: NetParams, shape: tuple[int, int]) -> float:
 _CKPT_MAGIC = b"nsnet-ckpt v1\n"
 
 
+def _all_finite(params: NetParams) -> bool:
+    return all(np.all(np.isfinite(a)) for a in params.kernels + params.biases)
+
+
 def save_params(path, arch: Architecture, params: NetParams) -> None:
-    """Write a versioned, byte-stable checkpoint (header + raw float64)."""
+    """Write a versioned, byte-stable checkpoint (header + raw float64).
+    Raises ValueError, writing nothing, on non-finite parameters."""
+    if not _all_finite(params):
+        raise ValueError(f"{path}: refusing to save non-finite parameters")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<ii", arch.layers, arch.width))
@@ -287,7 +285,8 @@ def save_params(path, arch: Architecture, params: NetParams) -> None:
 
 def load_params(path):
     """Read a checkpoint written by `save_params`; returns (arch, params).
-    Raises ValueError on a foreign, truncated or over-long file."""
+    Raises ValueError on a foreign, truncated or over-long file and on
+    non-finite parameters."""
     with open(path, "rb") as fh:
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -317,4 +316,7 @@ def load_params(path):
                                         dtype="<f8").copy())
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last layer")
-    return arch, NetParams(kernels, biases)
+    params = NetParams(kernels, biases)
+    if not _all_finite(params):
+        raise ValueError(f"{path}: non-finite parameters")
+    return arch, params

@@ -1,8 +1,8 @@
-"""Null-space projectors and null-space network composition.
+"""Orthogonal projectors onto the null space ker(A) of a forward operator.
 
-A null-space network is f = id + P_ker(A) o U for a learned correction U;
-it changes reconstructions only inside ker(A) and therefore leaves the
-measurement residual untouched.
+They make the null-space network f = id + P_ker(A) o U of `nn.forward`: the
+learned correction U then changes reconstructions only inside ker(A), which
+leaves the measurement residual untouched.
 """
 
 from __future__ import annotations
@@ -68,9 +68,3 @@ def project_null(proj: NullProjector, z: np.ndarray) -> np.ndarray:
     if z.shape != proj.shape:
         raise ValueError(f"expected shape {proj.shape}, got {z.shape}")
     return proj.apply(z)
-
-
-def nsn_apply(u_net: ImageMap, proj: NullProjector,
-              x: np.ndarray) -> np.ndarray:
-    """Null-space network f(x) = x + P_ker(A) U(x)."""
-    return x + project_null(proj, u_net(x))

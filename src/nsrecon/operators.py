@@ -34,15 +34,14 @@ def make_cumsum(h: int, w: int, spacing: float = 1.0) -> LinOp:
 
 @dataclass(frozen=True)
 class StripeMaskSpec:
-    """Vertical-stripe subsampling: per k, the stripe covers columns
-    {4k+1, 4k+2} when one_based (the default reading) or {4k, 4k+1}
-    otherwise.  By default the stripes are the observed columns; with
-    complement=True they are the removed ones and everything else is kept.
+    """Vertical-stripe subsampling: per k, the stripe covers the one-based
+    columns {4k+1, 4k+2}, i.e. the array columns {4k, 4k+1}.  By default the
+    stripes are the observed columns; with complement=True they are the
+    removed ones and everything else is kept.
     """
 
     image_width: int
     k_range: tuple[int, ...] = (0, 1, 2, 3)
-    one_based: bool = True
     complement: bool = False
 
     def kept_columns(self) -> tuple[int, ...]:
@@ -50,11 +49,7 @@ class StripeMaskSpec:
         for k in self.k_range:
             if k < 0:
                 raise ValueError("k_range entries must be nonnegative")
-            if self.one_based:
-                # stripes (4k+1, 4k+2) in one-based indexing
-                cols.extend([4 * k, 4 * k + 1])
-            else:
-                cols.extend([4 * k + 1, 4 * k + 2])
+            cols.extend([4 * k, 4 * k + 1])
         cols = sorted(set(cols))
         if not cols:
             raise ValueError("k_range must be nonempty")
@@ -140,9 +135,9 @@ def dense_op(matrix: np.ndarray,
         lambda y: (matrix.T @ y.ravel()).reshape(in_shape))
 
 
-def operator_svd(op: LinOp, rank_tol: float | None = None) -> SvdFactors:
+def operator_svd(op: LinOp) -> SvdFactors:
     """Dense SVD of a small operator, with image shapes recorded."""
-    svd = dense_svd(to_dense(op), rank_tol=rank_tol)
+    svd = dense_svd(to_dense(op))
     svd.in_shape = tuple(op.in_shape)
     svd.out_shape = tuple(op.out_shape)
     return svd

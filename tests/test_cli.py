@@ -92,6 +92,35 @@ class TestTrainEval:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_relative_residual_gap"] <= 1e-10
 
+    @pytest.fixture
+    def ckpts(self, tmp_path):
+        arch = nn.Architecture()
+        paths = {}
+        for kind in ("resnet", "dcnet"):
+            paths[kind] = tmp_path / f"{kind}.ckpt"
+            nn.save_params(paths[kind], arch, nn.init_params(arch, 0))
+        return paths
+
+    def test_eval_without_dumps(self, tmp_path, ckpts):
+        out = tmp_path / "eval"
+        cfg = write_config(tmp_path, "cfg", resnet_ckpt=ckpts["resnet"],
+                           dcnet_ckpt=ckpts["dcnet"], image_size=32,
+                           n_per_kind=1, n_dump=0)
+        assert main(["eval", "--out", str(out), "--config", cfg]) == 0
+        assert (out / "eval.csv").exists()
+        assert (out / "summary.json").exists()
+        assert not list(out.glob("*.pgm"))
+
+    def test_eval_negative_dumps_fails_before_evaluating(self, tmp_path,
+                                                         ckpts, capsys):
+        out = tmp_path / "eval"
+        cfg = write_config(tmp_path, "cfg", resnet_ckpt=ckpts["resnet"],
+                           dcnet_ckpt=ckpts["dcnet"], image_size=32,
+                           n_per_kind=1, n_dump=-1)
+        assert main(["eval", "--out", str(out), "--config", cfg]) == 1
+        assert "nsrecon eval: error: n_dump" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
     def test_eval_without_checkpoints_fails(self, tmp_path, capsys):
         code = main(["eval", "--out", str(tmp_path / "o")])
         assert code == 1
@@ -125,6 +154,18 @@ class TestDcAuditErrors:
         assert main(["dc-audit", "--out", str(tmp_path / "o"),
                      "--config", cfg]) == 1
         assert "nsrecon dc-audit: error:" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_fails(self, tmp_path, capsys):
+        path = self.ckpt(tmp_path)
+        data = bytearray(path.read_bytes())
+        at = len(nn._CKPT_MAGIC) + 8 + 16  # layer 0's first kernel tap
+        data[at:at + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(data))
+        cfg = write_config(tmp_path, "cfg", ckpt=path, n=2, image_size=32)
+        out = tmp_path / "o"
+        assert main(["dc-audit", "--out", str(out), "--config", cfg]) == 1
+        assert "nsrecon dc-audit: error:" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_zero_samples_fails_without_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg", ckpt=self.ckpt(tmp_path), n=0,

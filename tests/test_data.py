@@ -118,17 +118,15 @@ class TestMakeDataset:
     def test_sizes(self):
         op, _, _ = make_stripe_operator(16, 16)
         for n in (1, 20):
-            samples = make_dataset(n, "OOD", 0, op, sigma=0.01,
-                                   image_size=16, patch_size=6)
+            samples = make_dataset(n, "OOD", 0, op, sigma=0.01, patch_size=6)
             assert len(samples) == n
+            assert samples[0].x.shape == op.in_shape
 
     def test_per_sample_seeds(self):
         op, _, _ = make_stripe_operator(16, 16)
-        samples = make_dataset(3, "ID", 100, op, sigma=0.01,
-                               image_size=16, patch_size=6)
+        samples = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
         assert [s.seed for s in samples] == [100, 101, 102]
-        again = make_dataset(3, "ID", 100, op, sigma=0.01,
-                             image_size=16, patch_size=6)
+        again = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
         for a, b in zip(samples, again):
             np.testing.assert_array_equal(a.y, b.y)
 
@@ -162,8 +160,7 @@ class TestPgm:
 
 def test_export_dataset(tmp_path):
     op, _, kept = make_stripe_operator(16, 16)
-    samples = make_dataset(2, "ID", 7, op, sigma=0.01,
-                           image_size=16, patch_size=6)
+    samples = make_dataset(2, "ID", 7, op, sigma=0.01, patch_size=6)
     manifest = export_dataset(samples, tmp_path, data_range=2.0)
     lines = open(manifest).read().strip().splitlines()
     assert lines[0].startswith("index,kind,seed,patch_row,patch_col")

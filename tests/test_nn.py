@@ -127,8 +127,8 @@ class TestForward:
         arch = nn.Architecture(layers=3, width=2)
         params = nn.init_params(arch, 4)
         x = np.random.default_rng(4).standard_normal((6, 6))
-        out, _ = nn.forward(params, x)
-        np.testing.assert_allclose(out - x, nn.correction(params, x),
+        out, _ = nn.forward(params, x, lambda z: z)  # identity projector
+        np.testing.assert_allclose(out - x, nn.forward(params, x)[0] - x,
                                    atol=1e-14)
 
     def test_dc_variant_projects_correction(self):
@@ -137,8 +137,8 @@ class TestForward:
         params = nn.init_params(nn.Architecture(layers=3, width=2), 5)
         x = np.random.default_rng(5).standard_normal((8, 8))
         out, _ = nn.forward(params, x, proj)
-        expected = x + proj(nn.correction(params, x))
-        np.testing.assert_allclose(out, expected, atol=1e-14)
+        np.testing.assert_allclose(out - x, proj(nn.forward(params, x)[0] - x),
+                                   atol=1e-14)
 
 
 class TestBackward:
@@ -229,7 +229,8 @@ class TestAdam:
         params = nn.NetParams([np.full((1, 1, 3, 3), 1.0)], [np.zeros(1)])
         grads = nn.NetParams([np.full((1, 1, 3, 3), 0.5)], [np.zeros(1)])
         state = nn.init_adam(params, lr=0.01)
-        assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+        assert (nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS) == (0.9, 0.999,
+                                                             1e-8)
         new_p, _ = nn.adam_step(params, grads, state)
         m_hat = (0.1 * 0.5) / (1 - 0.9)
         v_hat = (0.001 * 0.25) / (1 - 0.999)
@@ -339,6 +340,30 @@ class TestCheckpoint:
             path.write_bytes(bytes(patched))
             with pytest.raises(ValueError, match=match):
                 nn.load_params(path)
+
+    def test_rejects_non_finite_parameters(self, tmp_path):
+        arch = nn.Architecture(layers=2, width=2)
+        params = nn.init_params(arch, 18)
+        src = tmp_path / "net.ckpt"
+        nn.save_params(src, arch, params)
+        data = src.read_bytes()
+        kernel_at = len(nn._CKPT_MAGIC) + 8 + 16  # layer 0, first tap
+        bias_at = kernel_at + 8 * 2 * 1 * 9 + 4   # layer 0, first bias
+        path = tmp_path / "patched.ckpt"
+        for at, value in ((kernel_at, np.nan), (bias_at, np.inf),
+                          (len(data) - 8, -np.inf)):  # last bias
+            patched = bytearray(data)
+            patched[at:at + 8] = struct.pack("<d", value)
+            path.write_bytes(bytes(patched))
+            with pytest.raises(ValueError, match="patched.ckpt: non-finite"):
+                nn.load_params(path)
+
+        bad = params.copy()
+        bad.kernels[1][0, 0, 1, 1] = np.nan
+        out = tmp_path / "bad.ckpt"
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.save_params(out, arch, bad)
+        assert not out.exists()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

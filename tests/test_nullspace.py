@@ -1,12 +1,14 @@
-"""Null-space projectors and the null-space network composition."""
+"""Null-space projectors and the null-space network x + P U(x) of
+`nn.forward`."""
 
 import numpy as np
 import pytest
 
+from nsrecon import nn
 from nsrecon.experiments import make_rate_operator
 from nsrecon.linops import SolverConfig
 from nsrecon.nullspace import (iterative_projector, mask_projector,
-                               nsn_apply, project_null, svd_projector)
+                               project_null, svd_projector)
 from nsrecon.operators import dense_op, make_stripe_operator, operator_svd
 from nsrecon.regularize import tikhonov_reconstruct
 
@@ -110,39 +112,44 @@ class TestProjectNull:
             project_null(mask_projector(op, mask), np.zeros((3, 3)))
 
 
+def small_net(seed, scale=1.0):
+    """Random 3-layer CNN parameters for the network x + P U(x)."""
+    arch = nn.Architecture(layers=3, width=2)
+    return nn.init_params(arch, seed).scaled(scale)
+
+
+def nsn(params, proj, x):
+    """The null-space network f(x) = x + P U(x), as `nn.forward` runs it."""
+    return nn.forward(params, x, proj)[0]
+
+
 class TestNsnApply:
     def test_zero_correction_is_identity(self):
         op, mask, _ = stripe_problem()
         proj = mask_projector(op, mask)
         x = np.random.default_rng(5).standard_normal((16, 16))
-        np.testing.assert_array_equal(nsn_apply(np.zeros_like, proj, x), x)
+        np.testing.assert_array_equal(nsn(small_net(5, 0.0), proj, x), x)
 
     def test_measurement_invariance(self):
         op, mask, _ = stripe_problem()
         proj = mask_projector(op, mask)
         rng = np.random.default_rng(6)
-
-        def u_net(img):
-            return np.tanh(img) + 0.5
-
+        params = small_net(6)
         for _ in range(10):
             x = rng.standard_normal((16, 16))
-            out = nsn_apply(u_net, proj, x)
+            out = nsn(params, proj, x)
             assert np.max(np.abs(op.apply(out) - op.apply(x))) <= 1e-12
 
     def test_residual_preservation(self):
         op, mask, _ = stripe_problem()
         proj = mask_projector(op, mask)
         rng = np.random.default_rng(7)
-
-        def u_net(img):
-            return img**2
-
+        params = small_net(7)
         for _ in range(100):
             x = rng.standard_normal((16, 16))
             y = rng.standard_normal((16, 16))
             before = np.linalg.norm(op.apply(x) - y)
-            after = np.linalg.norm(op.apply(nsn_apply(u_net, proj, x)) - y)
+            after = np.linalg.norm(op.apply(nsn(params, proj, x)) - y)
             assert after <= before + 1e-12
 
 
@@ -157,7 +164,7 @@ class TestRegularizingNsn:
         def recon(data):
             return tikhonov_reconstruct(op, data, 0.01).x
 
-        out = nsn_apply(np.zeros_like, proj, recon(y))
+        out = nsn(small_net(8, 0.0), proj, recon(y))
         np.testing.assert_array_equal(out, recon(y))
 
     def test_residual_vanishes_with_alpha(self):
@@ -165,16 +172,14 @@ class TestRegularizingNsn:
         proj = mask_projector(op, mask)
         x_true = np.random.default_rng(9).random((16, 16))
         y = op.apply(x_true)  # exact data
-
-        def u_net(img):
-            return 0.3 * img + 0.1
+        params = small_net(9)
 
         prev = np.inf
         for alpha in (1e-2, 1e-4, 1e-6, 1e-8):
             def recon(data, a=alpha):
                 return tikhonov_reconstruct(
                     op, data, a, SolverConfig(tol=1e-13, max_iters=50000)).x
-            out = nsn_apply(u_net, proj, recon(y))
+            out = nsn(params, proj, recon(y))
             res = np.linalg.norm(op.apply(out) - y)
             assert res <= prev * 1.01
             prev = res
@@ -190,8 +195,5 @@ class TestRegularizingNsn:
             # near-exact solve stands in for the pseudo-inverse
             return tikhonov_reconstruct(op, data, 1e-12, svd_cfg).x
 
-        def u_net(img):
-            return np.sin(img)
-
-        out = nsn_apply(u_net, proj, recon(y))
+        out = nsn(small_net(10), proj, recon(y))
         assert np.linalg.norm(op.apply(out) - y) <= 1e-6 * np.linalg.norm(y)

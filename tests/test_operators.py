@@ -48,10 +48,6 @@ class TestStripeMask:
         expected[:, :2] = 1.0
         np.testing.assert_array_equal(out, expected)
 
-    def test_zero_based_variant(self):
-        spec = StripeMaskSpec(image_width=8, k_range=(0,), one_based=False)
-        assert spec.kept_columns() == (1, 2)
-
     def test_idempotent(self):
         mask = make_stripe_mask(StripeMaskSpec(image_width=16), 16)
         z = np.random.default_rng(1).standard_normal((16, 16))

@@ -1,13 +1,15 @@
-"""Property tests of the kernel projectors over random shapes and masks,
-and of the benchmark problem's Tikhonov reconstruction."""
+"""Property tests of the operators' adjoints, the pseudo-inverse and the
+kernel projectors over random shapes and masks, and of the benchmark
+problem's Tikhonov reconstruction."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from nsrecon.experiments import Problem
-from nsrecon.linops import dense_svd, pseudo_inverse_apply
+from nsrecon.linops import adjoint_check, dense_svd, pseudo_inverse_apply
 from nsrecon.nullspace import mask_projector, svd_projector
-from nsrecon.operators import StripeMaskSpec, make_stripe_operator
+from nsrecon.operators import (StripeMaskSpec, dense_op, make_cumsum,
+                               make_stripe_operator)
 
 PROPERTY = settings(max_examples=25, deadline=None)
 TOL = 1e-10
@@ -25,6 +27,47 @@ def low_rank(draw):
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = rng.uniform(0.1, 10.0, r)
     return (u[:, :r] * s) @ v[:, :r].T, rng
+
+
+spacings = st.floats(1e-3, 1e3)
+
+
+@PROPERTY
+@given(h=st.integers(1, 24), w=st.integers(1, 24), spacing=spacings,
+       seed=st.integers(0, 2**32 - 1))
+def test_cumsum_adjoint(h, w, spacing, seed):
+    assert adjoint_check(make_cumsum(h, w, spacing), seed=seed) <= 1e-12
+
+
+@PROPERTY
+@given(h=st.integers(1, 24), w=st.integers(15, 24), complement=st.booleans(),
+       spacing=spacings, seed=st.integers(0, 2**32 - 1))
+def test_stripe_operator_adjoint(h, w, complement, spacing, seed):
+    spec = StripeMaskSpec(image_width=w, complement=complement)
+    op, _, _ = make_stripe_operator(h, w, spec, spacing=spacing)
+    assert adjoint_check(op, seed=seed) <= 1e-12
+
+
+@PROPERTY
+@given(low_rank())
+def test_dense_op_adjoint(case):
+    a, rng = case
+    seed = int(rng.integers(2**32))
+    assert adjoint_check(dense_op(a), seed=seed) <= 1e-12
+
+
+@PROPERTY
+@given(low_rank().filter(lambda case: case[0].shape[0] != case[0].shape[1]))
+def test_pseudo_inverse_moore_penrose_identities(case):
+    a, _ = case
+    svd = dense_svd(a)
+    pinv = np.column_stack([pseudo_inverse_apply(svd, e)
+                            for e in np.eye(a.shape[0])])
+    assert pinv.shape == a.T.shape
+    np.testing.assert_allclose(a @ pinv @ a, a, rtol=0, atol=TOL)
+    np.testing.assert_allclose(pinv @ a @ pinv, pinv, rtol=0, atol=TOL)
+    np.testing.assert_allclose(a @ pinv, (a @ pinv).T, rtol=0, atol=TOL)
+    np.testing.assert_allclose(pinv @ a, (pinv @ a).T, rtol=0, atol=TOL)
 
 
 @PROPERTY
@@ -46,11 +89,9 @@ def test_svd_projector_is_kernel_projection(case):
 
 @PROPERTY
 @given(h=st.integers(1, 12), w=st.integers(15, 24), complement=st.booleans(),
-       one_based=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_mask_projector_is_kernel_projection(h, w, complement, one_based,
-                                             seed):
-    spec = StripeMaskSpec(image_width=w, one_based=one_based,
-                          complement=complement)
+       seed=st.integers(0, 2**32 - 1))
+def test_mask_projector_is_kernel_projection(h, w, complement, seed):
+    spec = StripeMaskSpec(image_width=w, complement=complement)
     op, mask, _ = make_stripe_operator(h, w, spec)
     proj = mask_projector(op, mask)
     rng = np.random.default_rng(seed)
