@@ -205,6 +205,8 @@ def evaluate(params_resnet: nn.NetParams, params_dcnet: nn.NetParams,
              cfg: EvalConfig | None = None,
              problem: Problem | None = None) -> EvalReport:
     """Metric table over fresh ID and OOD samples for the three methods."""
+    if not (nn._all_finite(params_resnet) and nn._all_finite(params_dcnet)):
+        raise ValueError("non-finite network parameters")
     cfg = cfg or EvalConfig()
     problem = problem or Problem.benchmark()
     rows = []
@@ -238,6 +240,8 @@ def dc_audit(params: nn.NetParams, model_kind: str, n: int, seed: int,
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not nn._all_finite(params):
+        raise ValueError("non-finite network parameters")
     cfg = cfg or EvalConfig()
     problem = problem or Problem.benchmark()
     projector = problem.projector if model_kind == "dcnet" else None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ def mse(x: np.ndarray, y: np.ndarray) -> float:
 
 def psnr(x: np.ndarray, y: np.ndarray, data_range: float = 1.0) -> float:
     """10 log10(L^2 / MSE) in dB; +inf for identical images."""
+    if not data_range > 0:
+        raise ValueError(f"data_range must be positive, got {data_range}")
     err = mse(x, y)
     if err == 0.0:
         return math.inf
@@ -30,14 +33,21 @@ SSIM_WINDOW_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 SSIM_DATA_RANGE = 1.0
+_AX = np.arange(SSIM_WINDOW_SIZE) - SSIM_WINDOW_SIZE // 2
+_TAPS = np.exp(-(_AX**2) / (2 * SSIM_WINDOW_SIGMA**2))
+_TAPS /= _TAPS.sum()  # the 2-D window is the outer product of these taps
 
 
-def _gaussian_window() -> np.ndarray:
-    half = SSIM_WINDOW_SIZE // 2
-    ax = np.arange(-half, half + 1, dtype=float)
-    g = np.exp(-(ax**2) / (2 * SSIM_WINDOW_SIGMA**2))
-    win = np.outer(g, g)
-    return win / win.sum()
+def _wmean(img: np.ndarray) -> np.ndarray:
+    rows = ndimage.correlate1d(img, _TAPS, axis=-2, mode="constant")
+    return ndimage.correlate1d(rows, _TAPS, axis=-1, mode="constant")
+
+
+@functools.lru_cache(maxsize=8)
+def _border_weight(shape: tuple[int, int]) -> np.ndarray:
+    weight = _wmean(np.ones(shape))  # in-image window mass per pixel
+    weight.flags.writeable = False  # every caller of this shape shares it
+    return weight
 
 
 def ssim(x: np.ndarray, y: np.ndarray) -> float:
@@ -50,19 +60,11 @@ def ssim(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    if min(x.shape) < SSIM_WINDOW_SIZE:
-        raise ValueError("image smaller than the SSIM window")
-    win = _gaussian_window()
-
-    def wmean(img):
-        return ndimage.correlate(img, win, mode="constant", cval=0.0)
-
-    weight = wmean(np.ones_like(x))  # border renormalization
-    mu_x = wmean(x) / weight
-    mu_y = wmean(y) / weight
-    var_x = wmean(x * x) / weight - mu_x**2
-    var_y = wmean(y * y) / weight - mu_y**2
-    cov = wmean(x * y) / weight - mu_x * mu_y
+    if x.ndim != 2 or min(x.shape) < SSIM_WINDOW_SIZE:
+        raise ValueError(f"SSIM needs a window-sized 2-D image, got {x.shape}")
+    mu_x, mu_y, xx, yy, xy = (_wmean(np.stack([x, y, x * x, y * y, x * y]))
+                              / _border_weight(x.shape))
+    var_x, var_y, cov = xx - mu_x**2, yy - mu_y**2, xy - mu_x * mu_y
 
     c1 = (SSIM_K1 * SSIM_DATA_RANGE) ** 2
     c2 = (SSIM_K2 * SSIM_DATA_RANGE) ** 2

@@ -92,9 +92,11 @@ def forward(params: NetParams, x: np.ndarray,
     where U is the conv stack with ReLU between layers.
 
     Returns (out, cache); the cache, with each layer's input and
-    pre-activation, feeds `backward`.
+    pre-activation, feeds `backward`.  Raises ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite network input")
     a = x[None, :, :]
     inputs, preacts = [], []
     last = len(params.kernels) - 1

@@ -162,7 +162,8 @@ def test_export_dataset(tmp_path):
     op, _, kept = make_stripe_operator(16, 16)
     samples = make_dataset(2, "ID", 7, op, sigma=0.01, patch_size=6)
     manifest = export_dataset(samples, tmp_path, data_range=2.0)
-    lines = open(manifest).read().strip().splitlines()
+    with open(manifest) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0].startswith("index,kind,seed,patch_row,patch_col")
     assert len(lines) == 3
     x_back = read_pgm16(tmp_path / "x_0000.pgm") * 2.0

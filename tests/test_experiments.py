@@ -185,6 +185,16 @@ class TestEvaluate:
         assert lines[0] == "kind,index,method,psnr,ssim,mse,residual"
         assert len(lines) == 1 + len(report.rows)
 
+    @pytest.mark.parametrize("which", ["resnet", "dcnet"])
+    def test_non_finite_params_rejected(self, small_problem, small_trained,
+                                        which):
+        params = {k: small_trained[k][0] for k in ("resnet", "dcnet")}
+        params[which] = params[which].copy()
+        params[which].biases[-1][0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(params["resnet"], params["dcnet"],
+                     EvalConfig(n_per_kind=1), small_problem)
+
     def test_reconstruct_all_keys(self, small_problem, small_trained):
         cfg = EvalConfig()
         s = small_problem.dataset(1, "ID", 0, cfg.sigma)[0]
@@ -214,6 +224,12 @@ class TestDcAudit:
         ood = [(a, b) for a, b in zip(res_rows, dc_rows) if a["kind"] == "OOD"]
         assert any(a["residual_model"] > b["residual_model"]
                    for a, b in ood)
+
+    def test_non_finite_params_rejected(self, small_problem, small_trained):
+        params = small_trained["dcnet"][0].copy()
+        params.kernels[0].flat[0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            dc_audit(params, "dcnet", 2, 0, EvalConfig(), small_problem)
 
     def test_kind_validated(self, small_problem, small_trained):
         with pytest.raises(ValueError):

@@ -4,8 +4,34 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from nsrecon import metrics
 from nsrecon.metrics import mse, psnr, ssim
+
+
+def ssim_reference(x, y):
+    """SSIM from six full 2-D correlations with the outer-product window."""
+    half = metrics.SSIM_WINDOW_SIZE // 2
+    ax = np.arange(-half, half + 1, dtype=float)
+    g = np.exp(-(ax**2) / (2 * metrics.SSIM_WINDOW_SIGMA**2))
+    win = np.outer(g, g)
+    win /= win.sum()
+
+    def wmean(img):
+        return ndimage.correlate(img, win, mode="constant", cval=0.0)
+
+    weight = wmean(np.ones_like(x))  # border renormalization
+    mu_x = wmean(x) / weight
+    mu_y = wmean(y) / weight
+    var_x = wmean(x * x) / weight - mu_x**2
+    var_y = wmean(y * y) / weight - mu_y**2
+    cov = wmean(x * y) / weight - mu_x * mu_y
+    c1 = (metrics.SSIM_K1 * metrics.SSIM_DATA_RANGE) ** 2
+    c2 = (metrics.SSIM_K2 * metrics.SSIM_DATA_RANGE) ** 2
+    num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
+    den = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
+    return float(np.mean(num / den))
 
 
 class TestMse:
@@ -53,6 +79,11 @@ class TestPsnr:
         x = np.ones((4, 4))
         assert psnr(x, x) == math.inf
 
+    @pytest.mark.parametrize("data_range", [0.0, -1.0, math.nan])
+    def test_data_range_validated(self, data_range):
+        with pytest.raises(ValueError, match="data_range"):
+            psnr(np.zeros((4, 4)), np.full((4, 4), 0.1), data_range)
+
 
 class TestSsim:
     def test_self_similarity_exact(self):
@@ -77,3 +108,31 @@ class TestSsim:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             ssim(np.zeros((4, 4)), np.zeros((4, 4)))  # smaller than window
+
+    @pytest.mark.parametrize("shape", [(20,), (2, 20, 20)])
+    def test_needs_2d_images(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            ssim(np.zeros(shape), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(11, 11), (17, 40), (64, 64)])
+    def test_matches_2d_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            x = rng.random(shape)
+            y = np.clip(x + 0.2 * rng.standard_normal(shape), 0.0, 1.0)
+            assert abs(ssim(x, y) - ssim_reference(x, y)) <= 1e-14
+
+    def test_border_weight_cache_is_read_only_and_per_shape(self):
+        rng = np.random.default_rng(7)
+        pairs = {shape: (rng.random(shape), rng.random(shape))
+                 for shape in ((17, 40), (40, 17))}
+        first = {shape: ssim(*xy) for shape, xy in pairs.items()}
+        for shape, xy in pairs.items():  # both shapes are cached by now
+            weight = metrics._border_weight(shape)
+            assert weight.shape == shape
+            assert not weight.flags.writeable
+            with pytest.raises(ValueError):
+                weight[0, 0] = 1.0
+            np.testing.assert_array_equal(
+                weight, metrics._wmean(np.ones(shape)))
+            assert ssim(*xy) == first[shape]

@@ -140,6 +140,14 @@ class TestForward:
         np.testing.assert_allclose(out - x, proj(nn.forward(params, x)[0] - x),
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        params = nn.init_params(nn.Architecture(layers=3, width=2), 6)
+        x = np.zeros((6, 6))
+        x[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.forward(params, x)
+
 
 class TestBackward:
     def test_zero_grad_out(self):
