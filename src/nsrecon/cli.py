@@ -2,8 +2,10 @@
 
 Subcommands: gen-data, train, eval, dc-audit, rates.  Each accepts --seed,
 --out DIR and --config FILE, where the config is flat key=value text.
-Outputs are CSV tables, 16-bit PGM image dumps, and a JSON summary echoing
-the effective configuration.
+Outputs are CSV tables, 16-bit PGM image dumps (gen-data also writes each
+measurement as float64 .npy), and a JSON summary echoing the effective
+configuration; for train, eval and dc-audit it also holds the wall time of
+the library call in seconds (wall_s).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -53,6 +56,12 @@ def _echo(problem: Problem) -> dict:
     return {"image_size": problem.op.in_shape[0], "alpha_tik": problem.alpha}
 
 
+def _timed(fn, *args):
+    """fn(*args) and its wall time in seconds."""
+    start = time.perf_counter()
+    return fn(*args), time.perf_counter() - start
+
+
 def _common(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True, help="output directory")
@@ -86,7 +95,7 @@ def cmd_train(args, cfg):
         arch=nn.Architecture(layers=_get(cfg, "layers", int, 5),
                              width=_get(cfg, "width", int, 6)))
     problem = _problem(cfg)
-    params, log = train(tc, problem)
+    (params, log), wall_s = _timed(train, tc, problem)
     ckpt = os.path.join(args.out, f"{tc.model_kind}.ckpt")
     nn.save_params(ckpt, tc.arch, params)
     with open(os.path.join(args.out, "loss.csv"), "w") as fh:
@@ -96,7 +105,7 @@ def cmd_train(args, cfg):
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "train", "seed": args.seed, "config": tc,
         "problem": _echo(problem),
-        "checkpoint": ckpt,
+        "checkpoint": ckpt, "wall_s": wall_s,
         "final_loss": log[-1] if log else None})
 
 
@@ -116,7 +125,8 @@ def cmd_eval(args, cfg):
     params_resnet = _load_ckpt(cfg["resnet_ckpt"])
     params_dcnet = _load_ckpt(cfg["dcnet_ckpt"])
     problem = _problem(cfg)
-    report = evaluate(params_resnet, params_dcnet, ec, problem)
+    report, wall_s = _timed(evaluate, params_resnet, params_dcnet, ec,
+                            problem)
     report.to_csv(os.path.join(args.out, "eval.csv"))
 
     # image dumps: ground truth / tikhonov / resnet / dcnet for a few samples
@@ -129,7 +139,7 @@ def cmd_eval(args, cfg):
             write_pgm16(os.path.join(args.out, f"sample{i}_{name}.pgm"), img)
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "eval", "seed": args.seed, "config": ec,
-        "problem": _echo(problem),
+        "problem": _echo(problem), "wall_s": wall_s,
         "means": report.means})
 
 
@@ -139,7 +149,8 @@ def cmd_dc_audit(args, cfg):
     params = _load_ckpt(cfg["ckpt"])
     ec = EvalConfig(sigma=_get(cfg, "sigma", float, 0.05))
     problem = _problem(cfg)
-    rows = dc_audit(params, model_kind, n, args.seed, ec, problem)
+    rows, wall_s = _timed(dc_audit, params, model_kind, n, args.seed, ec,
+                          problem)
     with open(os.path.join(args.out, "dc_audit.csv"), "w") as fh:
         fh.write("kind,seed,residual_tikhonov,residual_model,y_norm\n")
         for r in rows:
@@ -149,7 +160,7 @@ def cmd_dc_audit(args, cfg):
                   / r["y_norm"] for r in rows)
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "dc-audit", "seed": args.seed, "model_kind": model_kind,
-        "n": n, "problem": _echo(problem),
+        "n": n, "problem": _echo(problem), "wall_s": wall_s,
         "max_relative_residual_gap": max_rel})
 
 

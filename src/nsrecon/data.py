@@ -165,18 +165,23 @@ def read_pgm16(path) -> np.ndarray:
 
 def export_dataset(samples: list[Sample], out_dir,
                    data_range: float = 1.0) -> str:
-    """Dump images as PGM plus a CSV manifest; returns the manifest path."""
+    """Dump images as PGM plus a CSV manifest; returns the manifest path.
+    The PGMs clamp to [0, data_range], so each measurement y is also
+    written losslessly, as float64 .npy (manifest column y_npy)."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.csv")
     with open(manifest, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "kind", "seed", "patch_row", "patch_col",
-                         "delta", "x_file", "y_file"])
+                         "delta", "x_file", "y_file", "y_npy"])
         for i, s in enumerate(samples):
             x_file = f"x_{i:04d}.pgm"
             y_file = f"y_{i:04d}.pgm"
+            y_npy = f"y_{i:04d}.npy"
             write_pgm16(os.path.join(out_dir, x_file), s.x, data_range)
             write_pgm16(os.path.join(out_dir, y_file), s.y, data_range)
+            np.save(os.path.join(out_dir, y_npy),
+                    np.asarray(s.y, dtype=np.float64))
             writer.writerow([i, s.kind, s.seed, s.position[0], s.position[1],
-                             f"{s.delta:.17g}", x_file, y_file])
+                             f"{s.delta:.17g}", x_file, y_file, y_npy])
     return manifest

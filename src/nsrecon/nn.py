@@ -51,14 +51,21 @@ class NetParams:
                          [b * factor for b in self.biases])
 
 
-def _taps(x: np.ndarray) -> np.ndarray:
-    """Tap matrix (in_ch*9, h*w) of x (in_ch, h, w) for a 3x3 circular
-    convolution: row 9c + 3di + dj holds x[c, (i+di-1)%h, (j+dj-1)%w]."""
+def _row_shifts(x: np.ndarray) -> np.ndarray:
+    """Row-shift matrix (in_ch*3, h*(w+2) + 2) of x (in_ch, h, w) for a 3x3
+    circular convolution: row 3c + di holds rows di .. di+h-1 of x[c]
+    wrap-padded by one, flattened, then two zero columns of slack.  So for
+    j < w its column i*(w+2) + j + dj holds x[c, (i+di-1)%h, (j+dj-1)%w]."""
     c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="wrap")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w),
-                                                       axis=(1, 2))
-    return windows.reshape(c * 9, h * w)
+    padded = np.empty((c, h + 2, w + 2))
+    padded[:, 1:-1, 1:-1] = x
+    padded[:, 1:-1, 0], padded[:, 1:-1, -1] = x[:, :, -1], x[:, :, 0]
+    padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
+    n = h * (w + 2)
+    rows = np.zeros((c, 3, n + 2))
+    for di in range(3):
+        rows[:, di, :n] = padded[:, di:di + h].reshape(c, n)
+    return rows.reshape(c * 3, n + 2)
 
 
 def conv2d_circular(x: np.ndarray, kernel: np.ndarray,
@@ -67,12 +74,20 @@ def conv2d_circular(x: np.ndarray, kernel: np.ndarray,
 
     x: (in_ch, h, w); kernel: (out_ch, in_ch, 3, 3); bias: (out_ch,).
     out[o,i,j] = bias[o] + sum_{c,di,dj} k[o,c,di,dj] x[c,(i+di-1)%h,(j+dj-1)%w]
+    One GEMM per column offset dj on `_row_shifts(x)`, slack columns dropped.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or kernel.ndim != 4 or kernel.shape[1] != x.shape[0]:
         raise ValueError("channel counts do not match")
-    out = kernel.reshape(kernel.shape[0], -1) @ _taps(x)
-    return out.reshape((kernel.shape[0],) + x.shape[1:]) + bias[:, None, None]
+    (out_ch, _, _, _), (_, h, w) = kernel.shape, x.shape
+    rows, n = _row_shifts(x), h * (w + 2)
+    # taps[dj]: (out_ch, in_ch*3), contiguous so that BLAS runs the product
+    taps = np.ascontiguousarray(kernel.transpose(3, 0, 1, 2))
+    taps = taps.reshape(3, out_ch, -1)
+    out = taps[0] @ rows[:, :n]
+    for dj in (1, 2):
+        out += taps[dj] @ rows[:, dj:dj + n]
+    return out.reshape(out_ch, h, w + 2)[:, :, :w] + bias[:, None, None]
 
 
 def init_params(arch: Architecture, seed: int = 0) -> NetParams:
@@ -132,8 +147,13 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     grad_b = [None] * len(params.kernels)
     for l in range(len(params.kernels) - 1, -1, -1):
         k = params.kernels[l]
-        grad_k[l] = (g.reshape(g.shape[0], -1)
-                     @ _taps(cache["inputs"][l]).T).reshape(k.shape)
+        # g zero-extended to the row-shift layout: slack columns add 0
+        g_ext = np.zeros(g.shape[:2] + (g.shape[2] + 2,))
+        g_ext[:, :, :-2] = g
+        g_ext = g_ext.reshape(len(g), -1)
+        rows = _row_shifts(cache["inputs"][l])
+        grad_k[l] = np.stack([g_ext @ rows[:, dj:dj + g_ext.shape[1]].T
+                              for dj in range(3)], axis=-1).reshape(k.shape)
         grad_b[l] = g.sum(axis=(1, 2))
         # the adjoint of a circular correlation is the correlation with
         # the flipped, channel-transposed kernel

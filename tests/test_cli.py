@@ -42,6 +42,7 @@ class TestGenData:
         assert len(rows) == 3
         assert (out / "x_0000.pgm").exists()
         assert (out / "y_0001.pgm").exists()
+        assert (out / "y_0001.npy").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["command"] == "gen-data" and summary["n"] == 2
 
@@ -71,6 +72,7 @@ class TestTrainEval:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["problem"] == {"image_size": 32,
                                           "alpha_tik": 0.01}
+            assert summary["wall_s"] > 0
 
         out = tmp_path / "eval"
         cfg = write_config(tmp_path, "cfg-eval",
@@ -81,8 +83,10 @@ class TestTrainEval:
         assert (out / "eval.csv").exists()
         assert (out / "sample0_truth.pgm").exists()
         assert (out / "sample0_dcnet.pgm").exists()
-        means = json.loads((out / "summary.json").read_text())["means"]
-        assert "tikhonov" in means and "ID" in means["tikhonov"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert "tikhonov" in summary["means"]
+        assert "ID" in summary["means"]["tikhonov"]
+        assert summary["wall_s"] > 0
 
         out = tmp_path / "audit"
         cfg = write_config(tmp_path, "cfg-audit", ckpt=ckpts["dcnet"],
@@ -91,6 +95,7 @@ class TestTrainEval:
                      "--config", cfg]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_relative_residual_gap"] <= 1e-10
+        assert summary["wall_s"] > 0
 
     @pytest.fixture
     def ckpts(self, tmp_path):

@@ -1,5 +1,7 @@
-"""Synthetic samples, measurement simulation, dataset assembly and the PGM
-import/export round trip."""
+"""Synthetic samples, measurement simulation, dataset assembly, the PGM
+import/export round trip and the lossless export of the measurements."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -168,3 +170,19 @@ def test_export_dataset(tmp_path):
     assert len(lines) == 3
     x_back = read_pgm16(tmp_path / "x_0000.pgm") * 2.0
     np.testing.assert_allclose(x_back, samples[0].x, atol=2.0 / 65535)
+
+
+def test_export_dataset_measurements_are_lossless(tmp_path):
+    # at unit spacing y leaves the PGM range [0, 1] on both sides
+    op, _, _ = make_stripe_operator(16, 16)
+    samples = make_dataset(3, "ID", 7, op, sigma=0.05, patch_size=6)
+    assert max(s.y.max() for s in samples) > 1.0
+    assert min(s.y.min() for s in samples) < 0.0
+    manifest = export_dataset(samples, tmp_path)
+    with open(manifest, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(samples)
+    for s, row in zip(samples, rows):
+        y = np.load(tmp_path / row["y_npy"])
+        assert y.dtype == np.float64 and y.shape == s.y.shape
+        assert y.tobytes() == s.y.tobytes()

@@ -9,6 +9,7 @@ import pytest
 from nsrecon import nn
 from nsrecon.nullspace import mask_projector
 from nsrecon.operators import StripeMaskSpec, make_stripe_operator
+from oracles import conv_reference
 
 
 def small_stripe_operator():
@@ -19,25 +20,6 @@ def small_stripe_operator():
 def zero_grads(params):
     return nn.NetParams([np.zeros_like(k) for k in params.kernels],
                         [np.zeros_like(b) for b in params.biases])
-
-
-def conv_reference(x, kernel, bias):
-    """Direct six-loop circular convolution for oracle comparison."""
-    out_ch, in_ch = kernel.shape[:2]
-    h, w = x.shape[1:]
-    out = np.zeros((out_ch, h, w))
-    for o in range(out_ch):
-        for c in range(in_ch):
-            for i in range(h):
-                for j in range(w):
-                    acc = 0.0
-                    for di in range(3):
-                        for dj in range(3):
-                            acc += kernel[o, c, di, dj] * \
-                                x[c, (i + di - 1) % h, (j + dj - 1) % w]
-                    out[o, i, j] += acc
-        out[o] += bias[o]
-    return out
 
 
 def dense_conv(kernel, h, w):

@@ -1,15 +1,18 @@
 """Property tests of the operators' adjoints, the pseudo-inverse and the
-kernel projectors over random shapes and masks, and of the benchmark
-problem's Tikhonov reconstruction."""
+kernel projectors over random shapes and masks, of the benchmark
+problem's Tikhonov reconstruction, and of the CNN's circular convolution
+and kernel gradient."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from nsrecon import nn
 from nsrecon.experiments import Problem
 from nsrecon.linops import adjoint_check, dense_svd, pseudo_inverse_apply
 from nsrecon.nullspace import mask_projector, svd_projector
 from nsrecon.operators import (StripeMaskSpec, dense_op, make_cumsum,
                                make_stripe_operator)
+from oracles import conv_reference, kernel_grad_reference
 
 PROPERTY = settings(max_examples=25, deadline=None)
 TOL = 1e-10
@@ -115,3 +118,40 @@ def test_problem_reconstruct_solves_tikhonov_normal_equations(n, alpha, seed):
     rhs = op.adjoint(y)
     lhs = op.adjoint(op.apply(x)) + alpha * x
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def assert_close_1e13(got, want):
+    """Within 1e-13 of want's largest entry, or absolutely when that is
+    below 1 (all zero when ReLU kills every unit)."""
+    scale = max(np.max(np.abs(want)), 1.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(in_ch=st.integers(1, 4), out_ch=st.integers(1, 4),
+       h=st.integers(1, 12), w=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv_and_kernel_gradient_match_loops(in_ch, out_ch, h, w, seed):
+    # grids down to 1x1, narrower than the 3x3 stencil, so the wrap-around
+    # reads the same pixel more than once
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((in_ch, h, w))
+    k0 = rng.standard_normal((out_ch, in_ch, 3, 3))
+    k1 = rng.standard_normal((1, out_ch, 3, 3))
+    b0, b1 = rng.standard_normal(out_ch), rng.standard_normal(1)
+    z0 = conv_reference(x, k0, b0)
+    assert_close_1e13(nn.conv2d_circular(x, k0, b0), z0)
+
+    # kernel gradients of the net in_ch -> out_ch -> 1 through nn.backward;
+    # the cache is built by hand because nn.forward feeds one channel
+    a1 = np.maximum(z0, 0.0)
+    cache = {"inputs": [x, a1], "preacts": [z0, conv_reference(a1, k1, b1)],
+             "projector": None, "x_shape": (h, w)}
+    g1 = rng.standard_normal((1, h, w))
+    grads, _ = nn.backward(nn.NetParams([k0, k1], [b0, b1]), cache, g1[0])
+    # the loss gradient at the first layer's output, by the adjoint's loop
+    g0 = sum(k1[0, :, di, dj, None, None]
+             * np.roll(g1, (di - 1, dj - 1), axis=(1, 2))
+             for di in range(3) for dj in range(3)) * (z0 > 0)
+    assert_close_1e13(grads.kernels[1], kernel_grad_reference(g1, a1))
+    assert_close_1e13(grads.kernels[0], kernel_grad_reference(g0, x))
