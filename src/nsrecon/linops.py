@@ -110,8 +110,10 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
                           cfg: SolverConfig) -> CgResult:
     """Conjugate gradients for (A*A + lam*I) x = rhs.
 
-    `rhs` lives in the input space of `op` (typically A* y).  Returns a
-    partial result with converged=False when max_iters is hit.
+    `rhs` lives in the input space of `op` (typically A* y).  Each residual
+    is reorthogonalised against all earlier ones (Meurant & Strakos, Acta
+    Numerica 2006), so CG stops within n = rhs.size steps.  `iters` counts
+    the steps taken; converged=False means it stopped short of tol.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -119,6 +121,8 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
     if rhs.shape != op.in_shape:
         raise ValueError(f"rhs shape {rhs.shape} != operator input "
                          f"shape {op.in_shape}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs has non-finite entries")
 
     def normal(v):
         out = op.adjoint(op.apply(v))
@@ -133,7 +137,14 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
     r = rhs.copy()
     p = r.copy()
     rs = float(np.vdot(r, r))
-    for k in range(cfg.max_iters):
+    n = r.size
+    # rows = the normalised residuals so far; grown by doubling, never past n
+    basis = np.empty((min(n, 16), n))
+    k = 0
+    while k < min(n, cfg.max_iters) and np.sqrt(rs) > cfg.tol * rhs_norm:
+        if k == len(basis):
+            basis = np.resize(basis, (min(2 * k, n), n))
+        basis[k] = r.ravel() / np.sqrt(rs)
         ap = normal(p)
         denom = float(np.vdot(p, ap))
         if denom <= 0.0:
@@ -142,12 +153,14 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
         a = rs / denom
         x = x + a * p
         r = r - a * ap
+        k += 1
+        q = basis[:k]
+        r -= ((q @ r.ravel()) @ q).reshape(r.shape)
         rs_new = float(np.vdot(r, r))
-        if np.sqrt(rs_new) <= cfg.tol * rhs_norm:
-            return CgResult(x, True, k + 1, np.sqrt(rs_new) / rhs_norm)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return CgResult(x, False, cfg.max_iters, np.sqrt(rs) / rhs_norm)
+    return CgResult(x, bool(np.sqrt(rs) <= cfg.tol * rhs_norm), k,
+                    np.sqrt(rs) / rhs_norm)
 
 
 @dataclass

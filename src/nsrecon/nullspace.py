@@ -48,7 +48,7 @@ def svd_projector(svd: SvdFactors) -> NullProjector:
 
 def iterative_projector(op: LinOp,
                         solver: SolverConfig | None = None) -> NullProjector:
-    solver = solver or SolverConfig(tol=1e-12, max_iters=20000)
+    solver = solver or SolverConfig(tol=1e-14, max_iters=20000)
 
     def apply(z):
         # z - A+(A z), the minimal-norm solve done by CG with lam = 0

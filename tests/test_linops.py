@@ -87,6 +87,35 @@ class TestCg:
         with pytest.raises(ValueError):
             cg_regularized_normal(op, np.zeros((2, 2)), 1.0, SolverConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rhs(self, bad):
+        op = make_cumsum(3, 3)
+        rhs = np.ones((3, 3))
+        rhs[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cg_regularized_normal(op, rhs, 0.0, SolverConfig())
+
+    def test_reports_iterations_run_on_singular_stop(self):
+        # p = rhs spans the kernel of A, so the first step has p.A*Ap = 0
+        op = dense_op(np.diag([1.0, 0.0]))
+        res = cg_regularized_normal(op, np.array([[0.0], [1.0]]), 0.0,
+                                    SolverConfig())
+        assert not res.converged
+        assert res.iters == 0
+
+    def test_stops_on_full_basis(self):
+        # no residual reaches tol = 1e-300; the loop ends after n = 8 steps,
+        # when the reorthogonalisation basis spans the whole space
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((8, 8))
+        op = dense_op(a, (2, 4), (2, 4))
+        rhs = rng.standard_normal((2, 4))
+        res = cg_regularized_normal(op, rhs, 0.0,
+                                    SolverConfig(tol=1e-300, max_iters=100))
+        assert res.iters == 8
+        np.testing.assert_allclose(
+            res.x.ravel(), np.linalg.solve(a.T @ a, rhs.ravel()), rtol=1e-8)
+
 
 class TestDenseSvd:
     def test_identity(self):

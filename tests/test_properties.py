@@ -1,6 +1,7 @@
 """Property tests of the operators' adjoints, the pseudo-inverse and the
-kernel projectors over random shapes and masks, of the benchmark
-problem's Tikhonov reconstruction, and of the CNN's circular convolution
+kernel projectors over random shapes and masks, of CG on the normal
+equations of a low-rank operator, of the benchmark problem's Tikhonov
+reconstruction, and of the CNN's circular convolution
 and kernel gradient."""
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from nsrecon import nn
 from nsrecon.experiments import Problem
-from nsrecon.linops import adjoint_check, dense_svd, pseudo_inverse_apply
+from nsrecon.linops import (SolverConfig, adjoint_check, cg_regularized_normal,
+                            dense_svd, pseudo_inverse_apply)
 from nsrecon.nullspace import mask_projector, svd_projector
 from nsrecon.operators import (StripeMaskSpec, dense_op, make_cumsum,
                                make_stripe_operator)
@@ -19,16 +21,16 @@ TOL = 1e-10
 
 
 @st.composite
-def low_rank(draw):
+def low_rank(draw, s_max=10.0):
     """A matrix u diag(s) v.T of random shape (wide ones included) and rank,
-    with well-separated nonzero singular values."""
+    with well-separated nonzero singular values in [0.1, s_max]."""
     m = draw(st.integers(1, 12))
     n = draw(st.integers(1, 12))
     r = draw(st.integers(0, min(m, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u, _ = np.linalg.qr(rng.standard_normal((m, m)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    s = rng.uniform(0.1, 10.0, r)
+    s = rng.uniform(0.1, s_max, r)
     return (u[:, :r] * s) @ v[:, :r].T, rng
 
 
@@ -88,6 +90,21 @@ def test_svd_projector_is_kernel_projection(case):
     assert np.max(np.abs(a @ p)) <= TOL                          # A P = 0
     np.testing.assert_allclose(                                  # I - A+ A
         p, z - pseudo_inverse_apply(svd, a @ z), rtol=0, atol=TOL)
+
+
+@PROPERTY
+@given(low_rank(s_max=1.0))
+def test_cg_returns_row_space_component_within_n_steps(case):
+    # A*A x = A*A z at lam = 0 has the minimal-norm solution A+ A z
+    a, rng = case
+    n = a.shape[1]
+    z = rng.standard_normal((n, 1))
+    res = cg_regularized_normal(dense_op(a), a.T @ (a @ z), 0.0,
+                                SolverConfig(tol=1e-12))
+    assert res.converged
+    assert res.iters <= n
+    want = np.linalg.pinv(a) @ (a @ z)
+    assert np.linalg.norm(res.x - want) <= 1e-8 * np.linalg.norm(z)
 
 
 @PROPERTY
