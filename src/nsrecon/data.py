@@ -79,13 +79,17 @@ def polar_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.uniform(-1.0, 1.0, size=2 * (n - have))
         v = rng.uniform(-1.0, 1.0, size=2 * (n - have))
         s = u * u + v * v
-        ok = (s > 0) & (s < 1)
-        u, v, s = u[ok], v[ok], s[ok]
+        accepted = np.flatnonzero((s > 0) & (s < 1))
+        # draws are u * factor, then v * factor, over accepted pairs: only
+        # the prefix kept is transformed; it reaches v if few are accepted
+        take = accepted[:n - have]
+        s = s[take]
         factor = np.sqrt(-2.0 * np.log(s) / s)
-        draws = np.concatenate([u * factor, v * factor])
-        take = min(n - have, draws.size)
-        out[have:have + take] = draws[:take]
-        have += take
+        out[have:have + take.size] = u[take] * factor
+        have += take.size
+        rest = take[:n - have]
+        out[have:have + rest.size] = v[rest] * factor[:rest.size]
+        have += rest.size
     return out
 
 

@@ -57,15 +57,31 @@ def _row_shifts(x: np.ndarray) -> np.ndarray:
     wrap-padded by one, flattened, then two zero columns of slack.  So for
     j < w its column i*(w+2) + j + dj holds x[c, (i+di-1)%h, (j+dj-1)%w]."""
     c, h, w = x.shape
-    padded = np.empty((c, h + 2, w + 2))
-    padded[:, 1:-1, 1:-1] = x
-    padded[:, 1:-1, 0], padded[:, 1:-1, -1] = x[:, :, -1], x[:, :, 0]
-    padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
     n = h * (w + 2)
-    rows = np.zeros((c, 3, n + 2))
-    for di in range(3):
-        rows[:, di, :n] = padded[:, di:di + h].reshape(c, n)
-    return rows.reshape(c * 3, n + 2)
+    rows = np.empty((c * 3, n + 2))
+    rows[:, n:] = 0.0
+    # r[c, di, i] is padded row i + di of x[c]: x row (i + di - 1) % h
+    r = rows.reshape(c, 3, n + 2)[:, :, :n].reshape(c, 3, h, w + 2)
+    r[:, 1, :, 1:-1] = x
+    r[:, 0, 1:, 1:-1], r[:, 0, 0, 1:-1] = x[:, :-1], x[:, -1]
+    r[:, 2, :-1, 1:-1], r[:, 2, -1, 1:-1] = x[:, 1:], x[:, 0]
+    r[..., 0], r[..., -1] = r[..., -2], r[..., 1]
+    return rows
+
+
+def _conv_rows(rows: np.ndarray, kernel: np.ndarray, h: int,
+               w: int) -> np.ndarray:
+    """Bias-free 3x3 circular convolution of the (in_ch, h, w) input whose
+    row-shift matrix is `rows`: one GEMM per column offset dj.  Returns
+    (out_ch, h, w + 2); the last two columns of each row are slack."""
+    out_ch, n = kernel.shape[0], h * (w + 2)
+    # taps[dj]: (out_ch, in_ch*3), contiguous so that BLAS runs the product
+    taps = np.ascontiguousarray(kernel.transpose(3, 0, 1, 2))
+    taps = taps.reshape(3, out_ch, -1)
+    out = taps[0] @ rows[:, :n]
+    for dj in (1, 2):
+        out += taps[dj] @ rows[:, dj:dj + n]
+    return out.reshape(out_ch, h, w + 2)
 
 
 def conv2d_circular(x: np.ndarray, kernel: np.ndarray,
@@ -74,20 +90,14 @@ def conv2d_circular(x: np.ndarray, kernel: np.ndarray,
 
     x: (in_ch, h, w); kernel: (out_ch, in_ch, 3, 3); bias: (out_ch,).
     out[o,i,j] = bias[o] + sum_{c,di,dj} k[o,c,di,dj] x[c,(i+di-1)%h,(j+dj-1)%w]
-    One GEMM per column offset dj on `_row_shifts(x)`, slack columns dropped.
+    `_conv_rows` on `_row_shifts(x)`, slack columns dropped.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or kernel.ndim != 4 or kernel.shape[1] != x.shape[0]:
         raise ValueError("channel counts do not match")
-    (out_ch, _, _, _), (_, h, w) = kernel.shape, x.shape
-    rows, n = _row_shifts(x), h * (w + 2)
-    # taps[dj]: (out_ch, in_ch*3), contiguous so that BLAS runs the product
-    taps = np.ascontiguousarray(kernel.transpose(3, 0, 1, 2))
-    taps = taps.reshape(3, out_ch, -1)
-    out = taps[0] @ rows[:, :n]
-    for dj in (1, 2):
-        out += taps[dj] @ rows[:, dj:dj + n]
-    return out.reshape(out_ch, h, w + 2)[:, :, :w] + bias[:, None, None]
+    _, h, w = x.shape
+    out = _conv_rows(_row_shifts(x), kernel, h, w)
+    return out[:, :, :w] + bias[:, None, None]
 
 
 def init_params(arch: Architecture, seed: int = 0) -> NetParams:
@@ -106,23 +116,30 @@ def forward(params: NetParams, x: np.ndarray,
     """Residual forward pass out = x + U(x), or x + P(U(x)) with a projector,
     where U is the conv stack with ReLU between layers.
 
-    Returns (out, cache); the cache, with each layer's input and
-    pre-activation, feeds `backward`.  Raises ValueError on a non-finite x.
+    Returns (out, cache).  The cache feeds `backward`: "rows" holds the
+    `_row_shifts` matrix of each layer's input, "masks" the boolean ReLU
+    mask (pre-activation > 0) of each layer but the last, in the
+    (ch, h, w + 2) layout of `_conv_rows` with False on the slack columns.
+    Raises ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite network input")
+    h, w = x.shape
     a = x[None, :, :]
-    inputs, preacts = [], []
+    rows, masks = [], []
     last = len(params.kernels) - 1
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
-        inputs.append(a)
-        z = conv2d_circular(a, k, b)
-        preacts.append(z)
-        a = np.maximum(z, 0.0) if l < last else z
-    corr = a[0] if projector is None else projector(a[0])
-    out = x + corr
-    cache = {"inputs": inputs, "preacts": preacts, "projector": projector,
+        rows.append(_row_shifts(a[:, :, :w]))
+        a = _conv_rows(rows[-1], k, h, w)
+        a += b[:, None, None]
+        if l < last:
+            a[:, :, w:] = 0.0
+            masks.append(a > 0)
+            np.maximum(a, 0.0, out=a)
+    corr = a[0, :, :w]
+    out = x + (corr if projector is None else projector(corr))
+    cache = {"rows": rows, "masks": masks, "projector": projector,
              "x_shape": x.shape}
     return out, cache
 
@@ -133,35 +150,35 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     grad_out is the loss gradient with respect to the output; returns
     (grad_params, grad_in).  The projector, if any, must be linear and
     self-adjoint (orthogonal projections are).  ReLU subgradient at 0 is 0.
+    Kernel gradients are taken against the cached row matrices.  The
+    gradient stays in the (ch, h, w + 2) layout of `_conv_rows`; its slack
+    columns hold 0 (the masks are False there), so they add nothing to
+    those products.
     """
     grad_out = np.asarray(grad_out, dtype=float)
     if grad_out.shape != cache["x_shape"]:
         raise ValueError("grad_out shape does not match cached forward")
-    if len(cache["inputs"]) != len(params.kernels):
+    if len(cache["rows"]) != len(params.kernels):
         raise ValueError("cache does not match parameter count")
-    g = grad_out
-    if cache["projector"] is not None:
-        g = cache["projector"](g)
-    g = g[None, :, :]
+    h, w = grad_out.shape
+    g = np.zeros((1, h, w + 2))
+    g[0, :, :w] = (grad_out if cache["projector"] is None
+                   else cache["projector"](grad_out))
     grad_k = [None] * len(params.kernels)
     grad_b = [None] * len(params.kernels)
     for l in range(len(params.kernels) - 1, -1, -1):
-        k = params.kernels[l]
-        # g zero-extended to the row-shift layout: slack columns add 0
-        g_ext = np.zeros(g.shape[:2] + (g.shape[2] + 2,))
-        g_ext[:, :, :-2] = g
-        g_ext = g_ext.reshape(len(g), -1)
-        rows = _row_shifts(cache["inputs"][l])
-        grad_k[l] = np.stack([g_ext @ rows[:, dj:dj + g_ext.shape[1]].T
+        k, rows = params.kernels[l], cache["rows"][l]
+        flat = g.reshape(len(g), -1)
+        grad_k[l] = np.stack([flat @ rows[:, dj:dj + flat.shape[1]].T
                               for dj in range(3)], axis=-1).reshape(k.shape)
-        grad_b[l] = g.sum(axis=(1, 2))
+        grad_b[l] = g[:, :, :w].sum(axis=(1, 2))
         # the adjoint of a circular correlation is the correlation with
         # the flipped, channel-transposed kernel
-        g = conv2d_circular(g, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                            np.zeros(k.shape[1]))
+        g = _conv_rows(_row_shifts(g[:, :, :w]),
+                       k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, w)
         if l > 0:
-            g = g * (cache["preacts"][l - 1] > 0)
-    grad_in = grad_out + g[0]
+            g *= cache["masks"][l - 1]
+    grad_in = grad_out + g[0, :, :w]
     return NetParams(grad_k, grad_b), grad_in
 
 
@@ -265,15 +282,19 @@ def layer_operator_norms(params: NetParams,
     `shape`: the largest singular value, over all 2-D DFT frequencies, of
     the out x in symbol of its taps wrapped onto the grid (Sedghi, Gupta &
     Long, ICLR 2019).  The taps are real, so the symbol at -f is the
-    conjugate of the one at f and the half spectrum of rfft2 suffices."""
+    conjugate of the one at f and the half spectrum of rfft2 suffices.
+    Each singular value is the root of the top eigenvalue of the smaller
+    Gram matrix of the symbol S, S^H S or S S^H."""
     h, w = shape
     rows, cols = np.arange(3)[:, None] % h, np.arange(3)[None, :] % w
     norms = []
     for k in params.kernels:
         taps = np.zeros((h, w) + k.shape[:2])
         np.add.at(taps, (rows, cols), k.transpose(2, 3, 0, 1))
-        symbol = np.fft.rfft2(taps, axes=(0, 1))
-        norms.append(float(np.linalg.norm(symbol, 2, axis=(-2, -1)).max()))
+        s = np.fft.rfft2(taps, axes=(0, 1))
+        sh = s.conj().swapaxes(-1, -2)
+        gram = sh @ s if k.shape[0] >= k.shape[1] else s @ sh
+        norms.append(float(np.sqrt(np.linalg.eigvalsh(gram)[..., -1].max())))
     return norms
 
 

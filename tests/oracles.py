@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from nsrecon import nn
+
 
 def conv_reference(x, kernel, bias):
     """Direct six-loop circular convolution for oracle comparison."""
@@ -34,3 +36,66 @@ def kernel_grad_reference(g, x):
             cols = (np.arange(w)[None, :] + dj - 1) % w
             out[:, :, di, dj] = np.einsum("oij,cij->oc", g, x[:, rows, cols])
     return out
+
+
+def polar_gaussian_reference(rng, n):
+    """Marsaglia polar method that transforms every accepted pair and keeps
+    the first n draws of u * factor followed by v * factor."""
+    out = np.empty(n)
+    have = 0
+    while have < n:
+        u = rng.uniform(-1.0, 1.0, size=2 * (n - have))
+        v = rng.uniform(-1.0, 1.0, size=2 * (n - have))
+        s = u * u + v * v
+        ok = (s > 0) & (s < 1)
+        u, v, s = u[ok], v[ok], s[ok]
+        factor = np.sqrt(-2.0 * np.log(s) / s)
+        draws = np.concatenate([u * factor, v * factor])
+        take = min(n - have, draws.size)
+        out[have:have + take] = draws[:take]
+        have += take
+    return out
+
+
+def backward_reference(params, x, grad_out, projector=None):
+    """Gradients of nn.forward by a loop that keeps each layer's input and
+    float pre-activation, rebuilds the layer input's row-shift matrix and
+    zero-pads the gradient into the row-shift layout at every layer.
+    Returns (kernel grads, bias grads, input grad)."""
+    a, inputs, preacts = x[None, :, :], [], []
+    last = len(params.kernels) - 1
+    for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
+        inputs.append(a)
+        z = nn.conv2d_circular(a, k, b)
+        preacts.append(z)
+        a = np.maximum(z, 0.0) if l < last else z
+    g = grad_out if projector is None else projector(grad_out)
+    g = g[None, :, :]
+    grad_k, grad_b = [None] * len(inputs), [None] * len(inputs)
+    for l in range(last, -1, -1):
+        k = params.kernels[l]
+        g_ext = np.zeros(g.shape[:2] + (g.shape[2] + 2,))
+        g_ext[:, :, :-2] = g
+        g_ext = g_ext.reshape(len(g), -1)
+        rows = nn._row_shifts(inputs[l])
+        grad_k[l] = np.stack([g_ext @ rows[:, dj:dj + g_ext.shape[1]].T
+                              for dj in range(3)], axis=-1).reshape(k.shape)
+        grad_b[l] = g.sum(axis=(1, 2))
+        g = nn.conv2d_circular(g, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                               np.zeros(k.shape[1]))
+        if l > 0:
+            g = g * (preacts[l - 1] > 0)
+    return grad_k, grad_b, grad_out + g[0]
+
+
+def layer_norm_reference(kernel, shape):
+    """Operator norm of the bias-free 3x3 circular convolution on an h x w
+    grid: the largest spectral norm of its out x in symbol over the full
+    DFT spectrum, the symbol summed tap by tap."""
+    h, w = shape
+    f1 = np.arange(h)[:, None, None, None]
+    f2 = np.arange(w)[None, :, None, None]
+    symbol = sum(kernel[:, :, di, dj]
+                 * np.exp(-2j * np.pi * (f1 * di / h + f2 * dj / w))
+                 for di in range(3) for dj in range(3))
+    return float(np.linalg.norm(symbol, 2, axis=(-2, -1)).max())

@@ -10,6 +10,7 @@ from nsrecon.data import (NoiseSpec, SampleSpec, export_dataset,
                           gen_measurement, gen_square_sample, make_dataset,
                           polar_gaussian, read_pgm16, write_pgm16)
 from nsrecon.operators import StripeMaskSpec, make_stripe_operator
+from oracles import polar_gaussian_reference
 
 
 class TestSamples:
@@ -69,6 +70,26 @@ class TestPolarGaussian:
         b = polar_gaussian(np.random.default_rng(1), 999)
         assert a.shape == (999,)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 13, 25])
+    def test_matches_reference_stream(self, n, seed):
+        got = polar_gaussian(np.random.default_rng(seed), n)
+        want = polar_gaussian_reference(np.random.default_rng(seed), n)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed,n", [(13, 2), (25, 3), (246, 7)])
+    def test_matches_reference_when_few_pairs_accepted(self, seed, n):
+        # the first 2n pairs of these seeds hold fewer than n accepted
+        # ones, so the draws reach into the v half
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.0, 1.0, 2 * n)
+        v = rng.uniform(-1.0, 1.0, 2 * n)
+        s = u * u + v * v
+        assert 0 < np.count_nonzero((s > 0) & (s < 1)) < n
+        got = polar_gaussian(np.random.default_rng(seed), n)
+        want = polar_gaussian_reference(np.random.default_rng(seed), n)
+        assert np.array_equal(got, want)
 
 
 class TestMeasurement:

@@ -9,7 +9,7 @@ import pytest
 from nsrecon import nn
 from nsrecon.nullspace import mask_projector
 from nsrecon.operators import StripeMaskSpec, make_stripe_operator
-from oracles import conv_reference
+from oracles import backward_reference, conv_reference, layer_norm_reference
 
 
 def small_stripe_operator():
@@ -170,6 +170,41 @@ class TestBackward:
         with pytest.raises(ValueError):
             nn.backward(params, cache, np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("layers", [2, 3, 5])
+    def test_two_row_shift_builds_per_layer(self, monkeypatch, layers):
+        # forward builds each layer input's row matrix, backward reuses it
+        # and builds one per layer for the input gradient
+        calls = []
+        row_shifts = nn._row_shifts
+
+        def counted(x):
+            calls.append(x.shape)
+            return row_shifts(x)
+
+        monkeypatch.setattr(nn, "_row_shifts", counted)
+        params = nn.init_params(nn.Architecture(layers=layers, width=3), 4)
+        x = np.random.default_rng(4).standard_normal((6, 5))
+        out, cache = nn.forward(params, x)
+        nn.backward(params, cache, out - x)
+        assert len(calls) == 2 * layers
+
+    @pytest.mark.parametrize("shape", [(1, 3), (5, 2), (4, 7), (9, 9)])
+    @pytest.mark.parametrize("layers", [3, 4])
+    @pytest.mark.parametrize("project", [False, True])
+    def test_matches_reference_loop_exactly(self, shape, layers, project):
+        rng = np.random.default_rng(layers * 100 + shape[0] * 10 + shape[1])
+        params = nn.init_params(nn.Architecture(layers=layers, width=3),
+                                int(rng.integers(1000)))
+        keep = rng.random(shape) < 0.6
+        projector = (lambda v: v * keep) if project else None
+        x, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        _, cache = nn.forward(params, x, projector)
+        grads, grad_in = nn.backward(params, cache, g)
+        ref_k, ref_b, ref_in = backward_reference(params, x, g, projector)
+        for got, want in zip(grads.kernels + grads.biases, ref_k + ref_b):
+            assert np.array_equal(got, want)
+        assert np.array_equal(grad_in, ref_in)
+
 
 class TestGradCheck:
     def test_small_net(self):
@@ -266,6 +301,16 @@ class TestLipschitz:
             norms = nn.layer_operator_norms(params, (n, n))
             assert norms[0] == pytest.approx(
                 np.linalg.norm(dense_conv(k, n, n), 2), rel=1e-10)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 11), (64, 64)])
+    @pytest.mark.parametrize("out_ch,in_ch", [(6, 1), (6, 6), (1, 6)])
+    def test_norms_match_symbol_spectral_norm(self, shape, out_ch, in_ch):
+        k = np.random.default_rng(out_ch * 7 + in_ch).standard_normal(
+            (out_ch, in_ch, 3, 3))
+        params = nn.NetParams([k], [np.zeros(out_ch)])
+        norm = nn.layer_operator_norms(params, shape)[0]
+        assert norm == pytest.approx(layer_norm_reference(k, shape),
+                                     rel=1e-13)
 
     def test_bound_dominates_empirical_ratio(self):
         params = nn.init_params(nn.Architecture(layers=3, width=2), 13)

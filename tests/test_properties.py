@@ -162,7 +162,8 @@ def test_conv_and_kernel_gradient_match_loops(in_ch, out_ch, h, w, seed):
     # kernel gradients of the net in_ch -> out_ch -> 1 through nn.backward;
     # the cache is built by hand because nn.forward feeds one channel
     a1 = np.maximum(z0, 0.0)
-    cache = {"inputs": [x, a1], "preacts": [z0, conv_reference(a1, k1, b1)],
+    cache = {"rows": [nn._row_shifts(x), nn._row_shifts(a1)],
+             "masks": [np.pad(z0 > 0, ((0, 0), (0, 0), (0, 2)))],
              "projector": None, "x_shape": (h, w)}
     g1 = rng.standard_normal((1, h, w))
     grads, _ = nn.backward(nn.NetParams([k0, k1], [b0, b1]), cache, g1[0])
