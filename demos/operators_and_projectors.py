@@ -8,15 +8,17 @@ by conjugate gradients.
 
 import numpy as np
 
-from nsrecon import (adjoint_check, iterative_projector, make_stripe_operator,
-                     mask_projector, operator_svd, svd_projector)
+from nsrecon import (StripeMaskSpec, adjoint_check, iterative_projector,
+                     make_stripe_operator, mask_projector, operator_svd,
+                     svd_projector)
 
 
 def main():
     n = 16
-    op, mask, kept = make_stripe_operator(n, n)
+    spec = StripeMaskSpec(image_width=n)
+    op, support = make_stripe_operator(n, n, spec)
     print(f"operator A = M K on {n}x{n} images")
-    print(f"observed columns: {kept}")
+    print(f"observed columns: {spec.kept_columns()}")
     print(f"adjoint defect:   {adjoint_check(op):.3e}")
 
     svd = operator_svd(op)
@@ -26,7 +28,7 @@ def main():
 
     # the kernel of a column mask composed with a per-column operator is
     # exactly the set of images supported on the unobserved columns
-    closed = mask_projector(op, mask)
+    closed = mask_projector(support)
     iterative = iterative_projector(op)
     rng = np.random.default_rng(0)
     z = rng.standard_normal((n, n))

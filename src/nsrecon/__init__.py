@@ -10,9 +10,8 @@ classical initialization exactly.
 from .linops import (CgResult, LinOp, MatvecOp, SolverConfig, SvdFactors,
                      adjoint_check, cg_regularized_normal, dense_svd,
                      pseudo_inverse_apply)
-from .operators import (StripeMaskSpec, compose, dense_op, make_cumsum,
-                        make_stripe_operator, make_stripe_mask, operator_svd,
-                        to_dense)
+from .operators import (StripeMaskSpec, dense_op, make_cumsum,
+                        make_stripe_operator, operator_svd, to_dense)
 from .regularize import (FILTER_QUALIFICATION, FilterSpec, SourceCondition,
                          filter_value, make_source_element, param_choice,
                          spectral_reconstruct, tikhonov_reconstruct)

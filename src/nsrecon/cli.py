@@ -53,7 +53,7 @@ def _problem(cfg) -> Problem:
 
 def _echo(problem: Problem) -> dict:
     """The problem settings for summary.json."""
-    return {"image_size": problem.op.in_shape[0], "alpha_tik": problem.alpha}
+    return {"image_size": problem.image_size, "alpha_tik": problem.alpha}
 
 
 def _timed(fn, *args):
@@ -79,7 +79,7 @@ def cmd_gen_data(args, cfg):
     manifest = export_dataset(samples, args.out)
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "gen-data", "seed": args.seed, "n": n, "kind": kind,
-        "sigma": sigma, "image_size": problem.op.in_shape[0],
+        "sigma": sigma, "image_size": problem.image_size,
         "patch_size": patch_size, "manifest": manifest})
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nn
 from .data import Sample, make_dataset
-from .linops import LinOp, SvdFactors
+from .linops import SvdFactors
 from .metrics import mse, psnr, ssim
 from .nullspace import NullProjector, mask_projector
 from .operators import (StripeMaskSpec, dense_op, make_cumsum,
@@ -26,25 +26,27 @@ MODEL_KINDS = ("resnet", "dcnet")
 
 @dataclass(frozen=True)
 class Problem:
-    """The stripe-masked integration problem with its kernel projector.
+    """The stripe-masked integration problem on an image_size square grid:
+    the operator, its read-only 0/1 support, its kernel projector and the
+    Tikhonov matrix of `reconstruct` derive from the fields on first use."""
 
-    `op` must be `support * (L x)`, with L the per-column integration
-    `make_cumsum(h, h, spacing)`: `reconstruct` relies on that structure.
-    """
-
-    op: LinOp
-    projector: NullProjector
-    support: np.ndarray   # observed entries of the data grid
-    spacing: float = 1.0  # grid step: scales the integration and the noise sd
-    alpha: float = 0.01   # Tikhonov parameter of `reconstruct`
+    image_size: int
+    spacing: float  # grid step: scales the integration and the noise sd
+    alpha: float    # Tikhonov parameter of `reconstruct`
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (self.alpha > 0 and self.spacing > 0):
+            raise ValueError("alpha and spacing must be positive")
+        if self.image_size < 14:
+            raise ValueError("image_size must be >= 14 to hold the stripes")
 
     @classmethod
     def benchmark(cls, image_size: int = 64, spacing: float = 1.0 / 8.0,
                   alpha: float = 0.01) -> "Problem":
+        return cls(image_size, spacing, alpha)
+
+    @cached_property
+    def _stripes(self):
         # stripes (4k+1, 4k+2), k in {0..3}, are the REMOVED columns: the
         # reported Tikhonov OOD quality is only reachable when the bulk of
         # the image stays observed (a keep-the-stripes mask caps any
@@ -55,21 +57,23 @@ class Problem:
         # survives in its input.  The nominal noise sd refers to the raw
         # unit-step prefix sums, so it is scaled by the same grid step as
         # the data.
-        spec = StripeMaskSpec(image_width=image_size, complement=True)
-        op, mask, kept = make_stripe_operator(image_size, image_size, spec,
-                                              spacing=spacing)
-        support = np.zeros((image_size, image_size))
-        support[:, list(kept)] = 1.0
-        return cls(op=op, projector=mask_projector(op, mask),
-                   support=support, spacing=spacing, alpha=alpha)
+        n = self.image_size
+        spec = StripeMaskSpec(image_width=n, complement=True)
+        return make_stripe_operator(n, n, spec, spacing=self.spacing)
+
+    op = cached_property(lambda self: self._stripes[0])
+    support = cached_property(lambda self: self._stripes[1])
+
+    @cached_property
+    def projector(self) -> NullProjector:
+        return mask_projector(self.support)
 
     @cached_property
     def _tikhonov(self) -> np.ndarray:
         # A x = support * (L x) acts column by column, so
         # (A*A + alpha I)^-1 A* y = R (support * y) with one h x h matrix
-        # R = (L^T L + alpha I)^-1 L^T; built on first use, so that
-        # benchmark() stays free of matrix work
-        h = self.op.in_shape[0]
+        # R = (L^T L + alpha I)^-1 L^T
+        h = self.image_size
         lmat = make_cumsum(h, h, self.spacing).apply(np.eye(h))
         return np.linalg.solve(lmat.T @ lmat + self.alpha * np.eye(h),
                                lmat.T)

@@ -230,52 +230,6 @@ def adam_step(params: NetParams, grads: NetParams, state: AdamState):
     return params2, state2
 
 
-def grad_check(arch: Architecture, seed: int = 0, eps: float = 1e-5,
-               shape: tuple[int, int] = (8, 8),
-               projector=None) -> float:
-    """Backprop vs central finite differences on the loss |f(x) - t|^2.
-
-    Every parameter entry is perturbed.  The error is measured per
-    parameter array as |analytic - numeric|_inf / |gradient|_inf (entrywise
-    ratios on near-zero gradients only probe finite-difference roundoff);
-    returns the max over arrays.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if max(shape) > 16:
-        raise ValueError("grad_check is meant for small inputs (<= 16x16)")
-    rng = np.random.default_rng(seed)
-    params = init_params(arch, seed)
-    x = rng.standard_normal(shape)
-    t = rng.standard_normal(shape)
-
-    def loss(p):
-        out, _ = forward(p, x, projector)
-        return float(np.sum((out - t) ** 2))
-
-    out, cache = forward(params, x, projector)
-    grads, _ = backward(params, cache, 2.0 * (out - t))
-
-    worst = 0.0
-    arrays = list(zip(params.kernels + params.biases,
-                      grads.kernels + grads.biases))
-    for arr, g_arr in arrays:
-        numeric = np.zeros_like(g_arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            lp = loss(params)
-            arr[idx] = orig - eps
-            lm = loss(params)
-            arr[idx] = orig
-            numeric[idx] = (lp - lm) / (2 * eps)
-        scale = max(np.max(np.abs(g_arr)), np.max(np.abs(numeric)), 1e-12)
-        worst = max(worst, float(np.max(np.abs(numeric - g_arr))) / scale)
-    return worst
-
-
 def layer_operator_norms(params: NetParams,
                          shape: tuple[int, int]) -> list[float]:
     """Exact operator norm of each conv layer (bias excluded) on a grid of

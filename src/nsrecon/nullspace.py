@@ -34,8 +34,13 @@ class NullProjector:
         return project_null(self, z)
 
 
-def mask_projector(op: LinOp, mask_op: LinOp) -> NullProjector:
-    return NullProjector(op.in_shape, lambda z: z - mask_op.apply(z))
+def mask_projector(support: np.ndarray) -> NullProjector:
+    """z - z * support: the kernel projector of a 0/1 mask, and of the mask
+    after any per-column invertible map when the support is whole columns."""
+    support = np.array(support, dtype=float)
+    if not np.all((support == 0.0) | (support == 1.0)):
+        raise ValueError("support must hold only 0 and 1")
+    return NullProjector(support.shape, lambda z: z - z * support)
 
 
 def svd_projector(svd: SvdFactors) -> NullProjector:

@@ -1,5 +1,5 @@
-"""Concrete forward operators: stripe mask, vertical cumulative sum, their
-composition, and dense wrappers for oracle testing."""
+"""Concrete forward operators: vertical cumulative sum, the stripe-masked
+integration operator, and dense wrappers for oracle testing."""
 
 from __future__ import annotations
 
@@ -63,42 +63,25 @@ class StripeMaskSpec:
         return tuple(cols)
 
 
-def make_stripe_mask(spec: StripeMaskSpec, h: int) -> LinOp:
-    """0/1 column mask as an operator on images (self-adjoint, idempotent)."""
-    cols = spec.kept_columns()
-    shape = (h, spec.image_width)
-    sel = np.zeros(spec.image_width)
-    sel[list(cols)] = 1.0
-
-    def forward(x):
-        return x * sel
-
-    return MatvecOp(shape, shape, forward, forward)
-
-
-def compose(outer: LinOp, inner: LinOp) -> LinOp:
-    """outer o inner with adjoint inner* o outer*."""
-    if inner.out_shape != outer.in_shape:
-        raise ValueError(
-            f"cannot compose: inner output {inner.out_shape} != outer "
-            f"input {outer.in_shape}")
-    return MatvecOp(
-        inner.in_shape, outer.out_shape,
-        lambda x: outer.apply(inner.apply(x)),
-        lambda y: inner.adjoint(outer.adjoint(y)))
-
-
 def make_stripe_operator(h: int = 64, w: int = 64,
                          spec: StripeMaskSpec | None = None,
                          spacing: float = 1.0):
-    """The stripe-masked integration operator A = M K with its mask.
+    """The stripe-masked integration operator A x = support * (L x), L the
+    per-column integration `make_cumsum(h, w, spacing)`.
 
-    Returns (A, M, kept_columns).
+    Returns (A, support): support is the read-only 0/1 (h, w) array of the
+    spec's kept columns, the observed entries of the data grid.
     """
-    spec = spec or StripeMaskSpec(image_width=w)
-    mask = make_stripe_mask(spec, h)
     cumsum = make_cumsum(h, w, spacing)
-    return compose(mask, cumsum), mask, spec.kept_columns()
+    spec = spec or StripeMaskSpec(image_width=w)
+    if spec.image_width != w:
+        raise ValueError(f"spec width {spec.image_width} != image width {w}")
+    support = np.zeros((h, w))
+    support[:, list(spec.kept_columns())] = 1.0
+    support.flags.writeable = False
+    op = MatvecOp((h, w), (h, w), lambda x: cumsum.apply(x) * support,
+                  lambda y: cumsum.adjoint(y * support))
+    return op, support
 
 
 _DENSE_DIM_LIMIT = 4096

@@ -99,3 +99,49 @@ def layer_norm_reference(kernel, shape):
                  * np.exp(-2j * np.pi * (f1 * di / h + f2 * dj / w))
                  for di in range(3) for dj in range(3))
     return float(np.linalg.norm(symbol, 2, axis=(-2, -1)).max())
+
+
+def grad_check(arch: nn.Architecture, seed: int = 0, eps: float = 1e-5,
+               shape: tuple[int, int] = (8, 8),
+               projector=None) -> float:
+    """Backprop vs central finite differences on the loss |f(x) - t|^2.
+
+    Every parameter entry is perturbed.  The error is measured per
+    parameter array as |analytic - numeric|_inf / |gradient|_inf (entrywise
+    ratios on near-zero gradients only probe finite-difference roundoff);
+    returns the max over arrays.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if max(shape) > 16:
+        raise ValueError("grad_check is meant for small inputs (<= 16x16)")
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(arch, seed)
+    x = rng.standard_normal(shape)
+    t = rng.standard_normal(shape)
+
+    def loss(p):
+        out, _ = nn.forward(p, x, projector)
+        return float(np.sum((out - t) ** 2))
+
+    out, cache = nn.forward(params, x, projector)
+    grads, _ = nn.backward(params, cache, 2.0 * (out - t))
+
+    worst = 0.0
+    arrays = list(zip(params.kernels + params.biases,
+                      grads.kernels + grads.biases))
+    for arr, g_arr in arrays:
+        numeric = np.zeros_like(g_arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            lp = loss(params)
+            arr[idx] = orig - eps
+            lm = loss(params)
+            arr[idx] = orig
+            numeric[idx] = (lp - lm) / (2 * eps)
+        scale = max(np.max(np.abs(g_arr)), np.max(np.abs(numeric)), 1e-12)
+        worst = max(worst, float(np.max(np.abs(numeric - g_arr))) / scale)
+    return worst

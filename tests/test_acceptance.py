@@ -19,6 +19,7 @@ from nsrecon.nullspace import (iterative_projector, mask_projector,
 from nsrecon.operators import make_stripe_operator
 from nsrecon.regularize import (FILTER_KINDS, FILTER_QUALIFICATION,
                                 FilterSpec, SourceCondition, filter_value)
+from oracles import grad_check
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
 
@@ -53,8 +54,8 @@ def test_criterion_1_dc_invariance(trained_models):
 
 
 def test_criterion_2_projector_suite():
-    op, mask, _ = make_stripe_operator(64, 64)
-    closed = mask_projector(op, mask)
+    op, support = make_stripe_operator(64, 64)
+    closed = mask_projector(support)
     iterative = iterative_projector(op)
     rng = np.random.default_rng(0)
     worst_gap = worst_idem = worst_sa = worst_ann = 0.0
@@ -153,8 +154,8 @@ def test_criterion_6_nsn_rate_transfer(classical_rates):
 
 
 def test_criterion_7_gradient_correctness():
-    err = nn.grad_check(nn.Architecture(layers=5, width=6), seed=0,
-                        shape=(8, 8))
+    err = grad_check(nn.Architecture(layers=5, width=6), seed=0,
+                     shape=(8, 8))
     report(7, "gradient correctness", err <= 1e-5)
 
 

@@ -94,7 +94,7 @@ class TestPolarGaussian:
 
 class TestMeasurement:
     def test_noiseless(self):
-        op, _, _ = make_stripe_operator(16, 16)
+        op, _ = make_stripe_operator(16, 16)
         x = gen_square_sample(SampleSpec(image_size=16, patch_size=6))
         y, delta = gen_measurement(op, x, NoiseSpec(sigma=0.0))
         np.testing.assert_array_equal(y, op.apply(x))
@@ -103,9 +103,7 @@ class TestMeasurement:
     def test_noise_energy_on_eight_columns(self):
         # E|z|^2 = sigma^2 * (observed pixel count) = 0.0025 * 512 = 1.28
         spec = StripeMaskSpec(image_width=64)
-        op, mask, kept = make_stripe_operator(64, 64, spec)
-        support = np.zeros((64, 64))
-        support[:, list(kept)] = 1.0
+        op, support = make_stripe_operator(64, 64, spec)
         x = np.zeros((64, 64))
         sq = []
         for seed in range(200):
@@ -115,17 +113,16 @@ class TestMeasurement:
         assert np.mean(sq) == pytest.approx(1.28, rel=0.1)
 
     def test_noise_confined_to_support(self):
-        op, mask, kept = make_stripe_operator(16, 16)
-        support = np.zeros((16, 16))
-        support[:, list(kept)] = 1.0
+        spec = StripeMaskSpec(image_width=16)
+        op, support = make_stripe_operator(16, 16, spec)
         x = np.zeros((16, 16))
         y, _ = gen_measurement(op, x, NoiseSpec(sigma=0.1, seed=1),
                                support=support)
-        free = [c for c in range(16) if c not in kept]
+        free = [c for c in range(16) if c not in spec.kept_columns()]
         assert np.max(np.abs(y[:, free])) == 0.0
 
     def test_reproducible(self):
-        op, _, _ = make_stripe_operator(16, 16)
+        op, _ = make_stripe_operator(16, 16)
         x = np.random.default_rng(2).random((16, 16))
         y1, d1 = gen_measurement(op, x, NoiseSpec(sigma=0.05, seed=9))
         y2, d2 = gen_measurement(op, x, NoiseSpec(sigma=0.05, seed=9))
@@ -139,14 +136,14 @@ class TestMeasurement:
 
 class TestMakeDataset:
     def test_sizes(self):
-        op, _, _ = make_stripe_operator(16, 16)
+        op, _ = make_stripe_operator(16, 16)
         for n in (1, 20):
             samples = make_dataset(n, "OOD", 0, op, sigma=0.01, patch_size=6)
             assert len(samples) == n
             assert samples[0].x.shape == op.in_shape
 
     def test_per_sample_seeds(self):
-        op, _, _ = make_stripe_operator(16, 16)
+        op, _ = make_stripe_operator(16, 16)
         samples = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
         assert [s.seed for s in samples] == [100, 101, 102]
         again = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
@@ -154,7 +151,7 @@ class TestMakeDataset:
             np.testing.assert_array_equal(a.y, b.y)
 
     def test_n_validated(self):
-        op, _, _ = make_stripe_operator(16, 16)
+        op, _ = make_stripe_operator(16, 16)
         with pytest.raises(ValueError):
             make_dataset(0, "ID", 0, op)
 
@@ -182,7 +179,7 @@ class TestPgm:
 
 
 def test_export_dataset(tmp_path):
-    op, _, kept = make_stripe_operator(16, 16)
+    op, _ = make_stripe_operator(16, 16)
     samples = make_dataset(2, "ID", 7, op, sigma=0.01, patch_size=6)
     manifest = export_dataset(samples, tmp_path, data_range=2.0)
     with open(manifest) as fh:
@@ -195,7 +192,7 @@ def test_export_dataset(tmp_path):
 
 def test_export_dataset_measurements_are_lossless(tmp_path):
     # at unit spacing y leaves the PGM range [0, 1] on both sides
-    op, _, _ = make_stripe_operator(16, 16)
+    op, _ = make_stripe_operator(16, 16)
     samples = make_dataset(3, "ID", 7, op, sigma=0.05, patch_size=6)
     assert max(s.y.max() for s in samples) > 1.0
     assert min(s.y.min() for s in samples) < 0.0

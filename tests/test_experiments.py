@@ -77,10 +77,28 @@ class TestProblem:
         with pytest.raises(dataclasses.FrozenInstanceError):
             small_problem.alpha = 0.5
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.01])
-    def test_alpha_validated(self, alpha):
+    def test_replace_spacing_rederives_the_operator(self):
+        # op, support and the solve all follow the replaced grid step
+        q = dataclasses.replace(Problem.benchmark(32), spacing=0.5)
+        y = q.dataset(1, "ID", 0, 0.05)[0].y
+        ref = spectral_reconstruct(operator_svd(q.op), y,
+                                   FilterSpec("tikhonov", q.alpha))
+        gap = np.linalg.norm(q.reconstruct(y) - ref)
+        assert gap <= 1e-12 * np.linalg.norm(ref)
+
+    def test_support_is_read_only(self):
+        problem = Problem.benchmark(16)
         with pytest.raises(ValueError):
-            Problem.benchmark(16, alpha=alpha)
+            problem.support[0, 2] = 0.0
+
+    @pytest.mark.parametrize(
+        "bad", [{"alpha": 0.0}, {"alpha": -0.01}, {"spacing": 0.0},
+                {"spacing": -1.0}, {"image_size": 8}],
+        ids=["0.0", "-0.01", "spacing0.0", "spacing-1.0", "image_size8"])
+    def test_alpha_validated(self, bad):
+        # rejected at construction, before any derived part is built
+        with pytest.raises(ValueError):
+            Problem.benchmark(**{"image_size": 16, **bad})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, small_problem, bad):

@@ -6,7 +6,7 @@ import pytest
 from nsrecon.linops import (SolverConfig, adjoint_check, cg_regularized_normal,
                             dense_svd, pseudo_inverse_apply)
 from nsrecon.operators import (StripeMaskSpec, dense_op, make_cumsum,
-                               make_stripe_mask, operator_svd, to_dense)
+                               make_stripe_operator, operator_svd, to_dense)
 
 
 def cumsum_spectrum(n):
@@ -49,7 +49,9 @@ class TestOperatorNorm:
             1.0 / (2 * np.sin(np.pi / 14)), rel=1e-12)
 
     def test_mask_is_projection(self):
-        mask = make_stripe_mask(StripeMaskSpec(image_width=8, k_range=(0,)), 8)
+        _, support = make_stripe_operator(
+            8, 8, StripeMaskSpec(image_width=8, k_range=(0,)))
+        mask = dense_op(np.diag(support.ravel()), (8, 8), (8, 8))
         assert operator_svd(mask).s[0] == pytest.approx(1.0, abs=1e-12)
 
 

@@ -9,7 +9,8 @@ from nsrecon.experiments import make_rate_operator
 from nsrecon.linops import SolverConfig, cg_regularized_normal
 from nsrecon.nullspace import (iterative_projector, mask_projector,
                                project_null, svd_projector)
-from nsrecon.operators import dense_op, make_stripe_operator, operator_svd
+from nsrecon.operators import (StripeMaskSpec, dense_op, make_stripe_operator,
+                               operator_svd)
 from nsrecon.regularize import tikhonov_reconstruct
 
 
@@ -22,17 +23,22 @@ def subsampled_unitary(basis, kept):
 
 
 def stripe_problem(n=16):
-    op, mask, kept = make_stripe_operator(n, n)
-    return op, mask, kept
+    return make_stripe_operator(n, n)
 
 
 class TestProjectNull:
     def test_kernel_supported_input_unchanged(self):
-        op, mask, kept = stripe_problem()
-        proj = mask_projector(op, mask)
+        op, support = stripe_problem()
+        proj = mask_projector(support)
         z = np.random.default_rng(0).standard_normal((16, 16))
-        z[:, list(kept)] = 0.0
+        z[:, list(StripeMaskSpec(image_width=16).kept_columns())] = 0.0
         np.testing.assert_array_equal(proj(z), z)
+
+    def test_mask_projector_rejects_fractional_support(self):
+        support = np.ones((4, 4))
+        support[1, 2] = 0.5
+        with pytest.raises(ValueError):
+            mask_projector(support)
 
     def test_unitary_full_index_set_is_zero(self):
         rng = np.random.default_rng(1)
@@ -43,8 +49,8 @@ class TestProjectNull:
         assert np.max(np.abs(out)) < 1e-12
 
     def test_iterative_matches_closed_mask(self):
-        op, mask, _ = stripe_problem()
-        closed = mask_projector(op, mask)
+        op, support = stripe_problem()
+        closed = mask_projector(support)
         iterative = iterative_projector(op)
         rng = np.random.default_rng(2)
         worst = 0.0
@@ -104,14 +110,14 @@ class TestProjectNull:
             iterative_projector(op)(z)
 
     def test_iterative_unconverged_raises(self):
-        op, _, _ = stripe_problem()
+        op, _ = stripe_problem()
         proj = iterative_projector(op, SolverConfig(max_iters=1))
         with pytest.raises(RuntimeError, match="did not converge"):
             proj(np.random.default_rng(12).standard_normal((16, 16)))
 
     def test_closed_form_invariants(self):
-        op, mask, _ = stripe_problem()
-        proj = mask_projector(op, mask)
+        op, support = stripe_problem()
+        proj = mask_projector(support)
         rng = np.random.default_rng(3)
         for _ in range(10):
             z = rng.standard_normal((16, 16))
@@ -146,9 +152,9 @@ class TestProjectNull:
             assert np.max(np.abs(proj(z) - closed)) <= 1e-12
 
     def test_method_validation(self):
-        op, mask, _ = stripe_problem()
+        op, support = stripe_problem()
         with pytest.raises(ValueError):
-            project_null(mask_projector(op, mask), np.zeros((3, 3)))
+            project_null(mask_projector(support), np.zeros((3, 3)))
 
 
 def small_net(seed, scale=1.0):
@@ -164,14 +170,14 @@ def nsn(params, proj, x):
 
 class TestNsnApply:
     def test_zero_correction_is_identity(self):
-        op, mask, _ = stripe_problem()
-        proj = mask_projector(op, mask)
+        op, support = stripe_problem()
+        proj = mask_projector(support)
         x = np.random.default_rng(5).standard_normal((16, 16))
         np.testing.assert_array_equal(nsn(small_net(5, 0.0), proj, x), x)
 
     def test_measurement_invariance(self):
-        op, mask, _ = stripe_problem()
-        proj = mask_projector(op, mask)
+        op, support = stripe_problem()
+        proj = mask_projector(support)
         rng = np.random.default_rng(6)
         params = small_net(6)
         for _ in range(10):
@@ -180,8 +186,8 @@ class TestNsnApply:
             assert np.max(np.abs(op.apply(out) - op.apply(x))) <= 1e-12
 
     def test_residual_preservation(self):
-        op, mask, _ = stripe_problem()
-        proj = mask_projector(op, mask)
+        op, support = stripe_problem()
+        proj = mask_projector(support)
         rng = np.random.default_rng(7)
         params = small_net(7)
         for _ in range(100):
@@ -196,8 +202,8 @@ class TestRegularizingNsn:
     """The null-space network after a regularized reconstruction."""
 
     def test_zero_correction_reduces_to_tikhonov(self):
-        op, mask, _ = stripe_problem()
-        proj = mask_projector(op, mask)
+        op, support = stripe_problem()
+        proj = mask_projector(support)
         y = op.apply(np.random.default_rng(8).random((16, 16)))
 
         def recon(data):
@@ -207,8 +213,8 @@ class TestRegularizingNsn:
         np.testing.assert_array_equal(out, recon(y))
 
     def test_residual_vanishes_with_alpha(self):
-        op, mask, _ = stripe_problem()
-        proj = mask_projector(op, mask)
+        op, support = stripe_problem()
+        proj = mask_projector(support)
         x_true = np.random.default_rng(9).random((16, 16))
         y = op.apply(x_true)  # exact data
         params = small_net(9)
@@ -225,8 +231,8 @@ class TestRegularizingNsn:
         assert prev <= 1e-6
 
     def test_right_inverse_on_range(self):
-        op, mask, kept = stripe_problem()
-        proj = mask_projector(op, mask)
+        op, support = stripe_problem()
+        proj = mask_projector(support)
         svd_cfg = SolverConfig(tol=1e-13, max_iters=50000)
         y = op.apply(np.random.default_rng(10).random((16, 16)))
 

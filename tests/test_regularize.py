@@ -112,13 +112,13 @@ class TestTikhonovReconstruct:
         np.testing.assert_allclose(res.x, y / 2.0, atol=1e-10)
 
     def test_stripe_operator_runs(self):
-        op, _, _ = make_stripe_operator(16, 16)
+        op, _ = make_stripe_operator(16, 16)
         y = op.apply(np.random.default_rng(0).random((16, 16)))
         res = tikhonov_reconstruct(op, y, 0.01)
         assert res.converged
 
     def test_svd_agreement_16x16(self):
-        op, _, _ = make_stripe_operator(16, 16)
+        op, _ = make_stripe_operator(16, 16)
         y = op.apply(np.random.default_rng(1).random((16, 16)))
         via_cg = tikhonov_reconstruct(op, y, 0.01,
                                       SolverConfig(tol=1e-13)).x
@@ -133,7 +133,7 @@ class TestTikhonovReconstruct:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, bad):
-        op, _, _ = make_stripe_operator(16, 16)
+        op, _ = make_stripe_operator(16, 16)
         y = np.ones((16, 16))
         y[4, 7] = bad
         # the operator turns inf into nan (inf - inf, inf * 0); numpy's
