@@ -288,30 +288,36 @@ def make_rate_operator(shape: tuple[int, int] = (16, 16),
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = np.zeros(n)
     s[:n - kernel_dim] = np.geomspace(1.0, s_min, n - kernel_dim)
-    matrix = (u * s) @ v.T
     svd = SvdFactors(u=u, s=s, v=v, rank_tol=1e-12 * n,
                      in_shape=shape, out_shape=shape)
-    return dense_op(matrix, shape, shape), svd
+    return dense_op(svd.matrix(), shape, shape), svd
+
+
+def _positive(values, name: str, distinct: int = 0) -> np.ndarray:
+    """values as floats; ValueError unless all are finite and positive and
+    at least `distinct` of them differ."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError(f"{name} must be finite and positive, got {values}")
+    if np.unique(values).size < distinct:
+        raise ValueError(f"a slope fit needs >= {distinct} points of "
+                         f"distinct {name}, got {values}")
+    return values
 
 
 def fit_loglog_slope(xs, ys):
     """Least-squares slope of log(y) vs log(x) with a 95% half-width (nan
-    for two points, which leave no residual degree of freedom)."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    if lx.size < 2:
-        raise ValueError(f"a slope fit needs >= 2 points, got {lx.size}")
-    design = np.vstack([lx, np.ones_like(lx)]).T
-    coef, res, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    slope = float(coef[0])
-    dof = len(lx) - 2
-    if dof > 0 and res.size:
-        sigma2 = float(res[0]) / dof
-        sxx = float(np.sum((lx - lx.mean())**2))
-        half = 1.96 * np.sqrt(sigma2 / sxx)
-    else:
-        half = np.nan  # no residual degree of freedom: width unknown
-    return slope, float(half)
+    for two points, which leave no residual degree of freedom).  Raises
+    ValueError unless all values are finite and positive and at least two
+    x differ."""
+    lx = np.log(_positive(xs, "x", distinct=2))
+    ly = np.log(_positive(ys, "y"))
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx
+    dof = len(lx) - 2  # two points leave no residual: width unknown
+    sigma2 = float(np.sum((dy - slope * dx)**2)) / dof if dof > 0 else np.nan
+    return slope, float(1.96 * np.sqrt(sigma2 / sxx))
 
 
 @dataclass
@@ -330,10 +336,6 @@ class ConvergenceReport:
             writer.writerows(self.entries)
 
 
-def _svd_forward(svd: SvdFactors, x: np.ndarray) -> np.ndarray:
-    return svd.u @ (svd.s * (svd.v.T @ x.ravel()))
-
-
 def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
                 deltas, trials: int, seed: int, c: float,
                 f=None) -> ConvergenceReport:
@@ -342,42 +344,41 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
 
     Test elements are x = f(x0) with x0 from the source set; f must leave
     A x0 unchanged.  With f the entries also carry the classical error of
-    the filter alone.
+    the filter alone.  Trial t at the i-th largest delta draws x0 from seed
+    `seed + 1009 i + t`, its noise from that seed + 31337.  All trials are
+    the columns of one block of O(n * len(deltas) * trials) floats, so only
+    f runs column by column; the rest are matrix-matrix products.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    deltas = sorted(np.asarray(deltas, dtype=float), reverse=True)
-    entries = []
-    for i, delta in enumerate(deltas):
-        alpha = param_choice(delta, src, c)
-        errs, cls_errs, resids = [], [], []
-        for t in range(trials):
-            sub = seed + 1009 * i + t
-            x0 = make_source_element(svd, src, seed=sub)
-            x = x0 if f is None else f(x0)
-            y = _svd_forward(svd, x0)  # A x = A x0: f only moves the kernel
-            rng = np.random.default_rng(sub + 31337)
-            noise = rng.standard_normal(y.shape)
-            y_d = y + delta * noise / np.linalg.norm(noise)
-            x_cls = spectral_reconstruct(svd, y_d,
-                                         FilterSpec(filter_kind, alpha))
-            x_rec = x_cls if f is None else f(x_cls)
-            errs.append(float(np.linalg.norm(x_rec - x)))
-            if f is not None:
-                cls_errs.append(float(np.linalg.norm(x_cls - x0)))
-            resids.append(float(np.linalg.norm(
-                _svd_forward(svd, x_rec) - y_d)))
-        entry = {"delta": delta, "alpha": alpha,
-                 "error": float(np.median(errs))}
-        if f is not None:
-            entry["classical_error"] = float(np.median(cls_errs))
-        entry["residual"] = float(np.median(resids))
-        entries.append(entry)
-    e_slope, e_hw = fit_loglog_slope([e["delta"] for e in entries],
-                                     [e["error"] for e in entries])
-    r_slope, r_hw = fit_loglog_slope([e["delta"] for e in entries],
-                                     [e["residual"] for e in entries])
-    return ConvergenceReport(entries, e_slope, e_hw, r_slope, r_hw)
+    deltas = np.sort(_positive(deltas, "delta", distinct=2))[::-1]
+    seeds = [seed + 1009 * i + t
+             for i in range(len(deltas)) for t in range(trials)]
+    x0 = make_source_element(svd, src, seed=seeds)
+    y = svd.apply(x0)  # A x = A x0: f only moves the kernel
+    noise = np.column_stack([np.random.default_rng(s + 31337)
+                             .standard_normal(len(y)) for s in seeds])
+    y_d = y + np.repeat(deltas, trials) * noise / np.linalg.norm(noise, axis=0)
+    alphas = [param_choice(delta, src, c) for delta in deltas]
+    x_cls = np.hstack([spectral_reconstruct(
+        svd, y_i, FilterSpec(filter_kind, alpha)).reshape(len(x0), -1)
+        for y_i, alpha in zip(np.hsplit(y_d, len(deltas)), alphas)])
+
+    def f_cols(block):
+        return block if f is None else np.column_stack(
+            [f(col.reshape(svd.in_shape)).ravel() for col in block.T])
+
+    x_rec = f_cols(x_cls)
+    norms = [np.linalg.norm(b, axis=0) for b in (
+        x_rec - f_cols(x0), x_cls - x0, svd.apply(x_rec) - y_d)]
+    errs, cls_errs, resids = np.median(
+        np.reshape(norms, (3, len(deltas), trials)), axis=2)
+    entries = [{"delta": delta, "alpha": alpha, "error": float(err),
+                **({} if f is None else {"classical_error": float(cls)}),
+                "residual": float(res)} for delta, alpha, err, cls, res
+               in zip(deltas, alphas, errs, cls_errs, resids)]
+    return ConvergenceReport(entries, *fit_loglog_slope(deltas, errs),
+                             *fit_loglog_slope(deltas, resids))
 
 
 def convergence_study(svd: SvdFactors, filter_kind: str,

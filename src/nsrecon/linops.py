@@ -8,7 +8,7 @@ images directly; flattening only happens inside dense wrappers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,15 +169,17 @@ class SvdFactors:
 
     Columns of u and v are orthonormal; s is nonincreasing and nonnegative.
     in_shape/out_shape record the image grids of the operator the matrix was
-    densified from (None for a bare matrix: vectors stay 1D).
+    densified from ((n,) and (m,) for a bare m x n matrix).  The maps take an
+    image, or a block: a 2D array of another shape, one image per column.
+    A block's coefficients are rows, so spectral weights broadcast on them.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
     rank_tol: float
-    in_shape: tuple[int, int] | None = field(default=None)
-    out_shape: tuple[int, int] | None = field(default=None)
+    in_shape: tuple[int, ...]
+    out_shape: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -186,19 +188,28 @@ class SvdFactors:
     def matrix(self) -> np.ndarray:
         return (self.u * self.s) @ self.v.T
 
-    def data_coeffs(self, y: np.ndarray,
-                    u: np.ndarray | None = None) -> np.ndarray:
-        """u.T vec(y) (u defaults to self.u), with the size of y checked."""
-        y = np.asarray(y, dtype=float)
-        if y.size != self.u.shape[0]:
-            raise ValueError(
-                f"data shape {y.shape} does not match operator output")
-        return (self.u if u is None else u).T @ y.ravel()
+    def coeffs(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
+        """vec(x).T v over the first k (default all) columns of v."""
+        return _vec(x, self.in_shape).T @ self.v[:, :k]
 
-    def image(self, c: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        """v c (v defaults to self.v) on the input grid, 1D without one."""
-        x = (self.v if v is None else v) @ c
-        return x.reshape(self.in_shape or x.shape)
+    def data_coeffs(self, y: np.ndarray, k: int | None = None) -> np.ndarray:
+        """vec(y).T u over the first k (default all) columns of u."""
+        return _vec(y, self.out_shape).T @ self.u[:, :k]
+
+    def image(self, c: np.ndarray, w=1.0) -> np.ndarray:
+        """v diag(w) c over as many columns of v as c has coefficients."""
+        x = self.v[:, :np.shape(c)[-1]] @ (w * c).T
+        return x if x.ndim == 2 else x.reshape(self.in_shape)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times x."""
+        y = self.u @ (self.s * self.coeffs(x)).T
+        return y if y.ndim == 2 else y.reshape(self.out_shape)
+
+
+def _vec(x, grid) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim == 2 and x.shape != grid else x.ravel()
 
 
 _SVD_DIM_LIMIT = 1024
@@ -217,11 +228,11 @@ def dense_svd(matrix: np.ndarray) -> SvdFactors:
         raise ValueError("matrix has non-finite entries")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     rank_tol = (s[0] if s.size else 0.0) * 1e-12 * max(matrix.shape)
-    return SvdFactors(u=u, s=s, v=vt.T, rank_tol=float(rank_tol))
+    return SvdFactors(u=u, s=s, v=vt.T, rank_tol=float(rank_tol),
+                      in_shape=matrix.shape[1:], out_shape=matrix.shape[:1])
 
 
 def pseudo_inverse_apply(svd: SvdFactors, y: np.ndarray) -> np.ndarray:
     """Moore-Penrose solution: invert over the numerical range, drop the rest."""
-    keep = svd.s > svd.rank_tol
-    coeff = svd.data_coeffs(y, svd.u[:, keep]) / svd.s[keep]
-    return svd.image(coeff, svd.v[:, keep])
+    r = svd.rank
+    return svd.image(svd.data_coeffs(y, r), 1.0 / svd.s[:r])

@@ -46,9 +46,9 @@ def mask_projector(support: np.ndarray) -> NullProjector:
 def svd_projector(svd: SvdFactors) -> NullProjector:
     """Exact projector z - V_r V_r.T z with r = svd.rank.  It needs only the
     leading right singular vectors, so wide (thin-SVD) operators work too."""
-    vr = svd.v[:, :svd.rank]
-    return NullProjector(svd.in_shape or (vr.shape[0],),
-                         lambda z: z - svd.image(vr.T @ z.ravel(), vr))
+    r = svd.rank
+    return NullProjector(svd.in_shape,
+                         lambda z: z - svd.image(svd.coeffs(z, r)))
 
 
 def iterative_projector(op: LinOp,

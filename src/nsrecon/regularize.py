@@ -43,8 +43,8 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
 
 
 def filter_value(spec: FilterSpec, lam) -> np.ndarray | float:
@@ -68,8 +68,8 @@ def filter_value(spec: FilterSpec, lam) -> np.ndarray | float:
 def spectral_reconstruct(svd: SvdFactors, y: np.ndarray,
                          spec: FilterSpec) -> np.ndarray:
     """Filtered reconstruction sum_i g_a(s_i^2) s_i <y, u_i> v_i."""
-    return svd.image(filter_value(spec, svd.s**2) * svd.s
-                     * svd.data_coeffs(y))
+    return svd.image(svd.data_coeffs(y),
+                     filter_value(spec, svd.s**2) * svd.s)
 
 
 def tikhonov_reconstruct(op: LinOp, y: np.ndarray, alpha: float,
@@ -90,27 +90,28 @@ class SourceCondition:
     rho: float
 
     def __post_init__(self):
-        if self.mu < 0 or self.rho <= 0:
-            raise ValueError("need mu >= 0 and rho > 0")
+        if not (0.0 <= self.mu < np.inf and 0.0 < self.rho < np.inf):
+            raise ValueError("need finite mu >= 0 and rho > 0")
 
 
 def param_choice(delta: float, src: SourceCondition, c: float = 1.0) -> float:
     """A-priori rule alpha = c * (delta/rho)^(2/(2 mu + 1))."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     return c * (delta / src.rho) ** (2.0 / (2.0 * src.mu + 1.0))
 
 
 def make_source_element(svd: SvdFactors, src: SourceCondition,
-                        seed: int = 0) -> np.ndarray:
+                        seed: int | list[int] = 0) -> np.ndarray:
     """Element of (A*A)^mu applied to the rho-sphere: x = (A*A)^mu w with a
-    random direction w of norm rho."""
+    random direction w of norm rho drawn from the seed.  A sequence of k
+    seeds gives an (n, k) block whose column j is drawn from seed j."""
     if not np.any(svd.s > 0):
         raise ValueError("operator has no positive singular value")
-    rng = np.random.default_rng(seed)
-    n = svd.v.shape[0]
-    w = rng.standard_normal(n)
-    w *= src.rho / np.linalg.norm(w)
-    if src.mu == 0:
-        return w.reshape(svd.in_shape or w.shape)
-    return svd.image((svd.s ** (2.0 * src.mu)) * (svd.v.T @ w))
+    seeds = [seed] if np.ndim(seed) == 0 else seed
+    w = np.column_stack([np.random.default_rng(s).standard_normal(
+        svd.in_shape).ravel() for s in seeds])
+    w *= src.rho / np.linalg.norm(w, axis=0)
+    if src.mu > 0:
+        w = svd.image(svd.coeffs(w), svd.s ** (2.0 * src.mu))
+    return w.reshape(svd.in_shape) if np.ndim(seed) == 0 else w

@@ -3,6 +3,9 @@
 import numpy as np
 
 from nsrecon import nn
+from nsrecon.experiments import ConvergenceReport, fit_loglog_slope
+from nsrecon.regularize import (FilterSpec, make_source_element,
+                                param_choice, spectral_reconstruct)
 
 
 def conv_reference(x, kernel, bias):
@@ -145,3 +148,47 @@ def grad_check(arch: nn.Architecture, seed: int = 0, eps: float = 1e-5,
         scale = max(np.max(np.abs(g_arr)), np.max(np.abs(numeric)), 1e-12)
         worst = max(worst, float(np.max(np.abs(numeric - g_arr))) / scale)
     return worst
+
+
+def _svd_forward(svd, x):
+    return svd.u @ (svd.s * (svd.v.T @ x.ravel()))
+
+
+def rate_study_reference(svd, filter_kind, src, deltas, trials, seed, c,
+                         f=None):
+    """The rate study trial by trial: one source element, one noise draw,
+    one filtered reconstruction and two forward products per trial."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    deltas = sorted(np.asarray(deltas, dtype=float), reverse=True)
+    entries = []
+    for i, delta in enumerate(deltas):
+        alpha = param_choice(delta, src, c)
+        errs, cls_errs, resids = [], [], []
+        for t in range(trials):
+            sub = seed + 1009 * i + t
+            x0 = make_source_element(svd, src, seed=sub)
+            x = x0 if f is None else f(x0)
+            y = _svd_forward(svd, x0)  # A x = A x0: f only moves the kernel
+            rng = np.random.default_rng(sub + 31337)
+            noise = rng.standard_normal(y.shape)
+            y_d = y + delta * noise / np.linalg.norm(noise)
+            x_cls = spectral_reconstruct(svd, y_d,
+                                         FilterSpec(filter_kind, alpha))
+            x_rec = x_cls if f is None else f(x_cls)
+            errs.append(float(np.linalg.norm(x_rec - x)))
+            if f is not None:
+                cls_errs.append(float(np.linalg.norm(x_cls - x0)))
+            resids.append(float(np.linalg.norm(
+                _svd_forward(svd, x_rec) - y_d)))
+        entry = {"delta": delta, "alpha": alpha,
+                 "error": float(np.median(errs))}
+        if f is not None:
+            entry["classical_error"] = float(np.median(cls_errs))
+        entry["residual"] = float(np.median(resids))
+        entries.append(entry)
+    e_slope, e_hw = fit_loglog_slope([e["delta"] for e in entries],
+                                     [e["error"] for e in entries])
+    r_slope, r_hw = fit_loglog_slope([e["delta"] for e in entries],
+                                     [e["residual"] for e in entries])
+    return ConvergenceReport(entries, e_slope, e_hw, r_slope, r_hw)

@@ -204,12 +204,20 @@ class TestRates:
         assert np.isnan(summary["residual_slope_halfwidth"])
 
     @pytest.mark.parametrize("keys", [{"n_deltas": 0}, {"n_deltas": 1},
-                                      {"trials": 0}])
+                                      {"trials": 0}, {"delta_min": 0.1}])
     def test_degenerate_study_fails(self, tmp_path, capsys, keys):
         cfg = write_config(tmp_path, "cfg", **keys)
         assert main(["rates", "--out", str(tmp_path / "o"),
                      "--config", cfg]) == 1
         assert "nsrecon rates: error:" in capsys.readouterr().err
+
+    def test_nan_delta_fails_naming_delta(self, tmp_path, capfd):
+        cfg = write_config(tmp_path, "cfg", delta_min="nan")
+        assert main(["rates", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("nsrecon rates: error: delta must be")
+        assert "DLASCL" not in err
 
     def test_bad_filter_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg", filter="ridge")

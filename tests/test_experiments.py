@@ -7,16 +7,18 @@ import json
 import numpy as np
 import pytest
 
-from nsrecon import nn
+from nsrecon import experiments, nn
 from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  TrainConfig, convergence_study, dc_audit,
                                  evaluate, fit_loglog_slope,
                                  make_rate_operator, nsn_convergence_study,
                                  reconstruct_all, save_json_summary, train)
-from nsrecon.nullspace import svd_projector
+from nsrecon.linops import dense_svd
+from nsrecon.nullspace import iterative_projector, svd_projector
 from nsrecon.operators import operator_svd
-from nsrecon.regularize import (FilterSpec, SourceCondition,
+from nsrecon.regularize import (FILTER_KINDS, FilterSpec, SourceCondition,
                                 spectral_reconstruct)
+from oracles import rate_study_reference
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
 
@@ -274,6 +276,18 @@ class TestRateMachinery:
         assert slope == pytest.approx(np.log10(4.0))
         assert np.isnan(hw)
 
+    @pytest.mark.parametrize("xs, ys", [
+        ([1.0, 1.0, 1.0], [0.1, 0.2, 0.3]),
+        ([0.1, np.nan, 0.01], [0.1, 0.2, 0.3]),
+        ([0.1, 0.0, 0.01], [0.1, 0.2, 0.3]),
+        ([0.1, -0.1, 0.01], [0.1, 0.2, 0.3]),
+        ([0.1, np.inf, 0.01], [0.1, 0.2, 0.3]),
+        ([0.1, 0.05, 0.01], [0.1, 0.0, 0.3]),
+        ([0.1, 0.05, 0.01], [0.1, np.nan, 0.3])])
+    def test_fit_loglog_slope_rejects_bad_points(self, xs, ys):
+        with pytest.raises(ValueError):
+            fit_loglog_slope(xs, ys)
+
     def test_make_rate_operator_spectrum(self):
         op, svd = make_rate_operator(shape=(8, 8), s_min=1e-3, kernel_dim=10)
         assert svd.s[0] == pytest.approx(1.0)
@@ -329,6 +343,21 @@ class TestClassicalRates:
             with pytest.raises(ValueError, match="2 points"):
                 convergence_study(svd, "tikhonov", src, deltas, trials=2)
 
+    @pytest.mark.parametrize("deltas", [
+        [1e-1, np.nan, 1e-3], [1e-1, np.inf, 1e-3], [1e-1, -1e-2, 1e-3],
+        [1e-1, 0.0, 1e-3], [1e-1, 1e-1, 1e-1]])
+    def test_bad_deltas_rejected_before_any_draw(self, deltas, capfd,
+                                                 monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew source elements")
+
+        monkeypatch.setattr(experiments, "make_source_element", no_draw)
+        _, svd = make_rate_operator(shape=(4, 4), seed=1)
+        src = SourceCondition(mu=0.5, rho=1.0)
+        with pytest.raises(ValueError, match="delta"):
+            convergence_study(svd, "tikhonov", src, deltas, trials=2)
+        assert capfd.readouterr().err == ""
+
     def test_report_csv(self, tmp_path):
         _, svd = make_rate_operator(shape=(8, 8), seed=1)
         report = convergence_study(svd, "tikhonov",
@@ -372,6 +401,71 @@ class TestNsnRates:
         assert 0.4 <= report.error_slope <= 0.6
         for e in report.entries:
             assert e["error"] <= lip * e["classical_error"] * 1.05
+
+
+def _unit_norm(matrix):
+    return matrix / np.linalg.norm(matrix, 2)
+
+
+@pytest.fixture(scope="module")
+def oracle_operators():
+    """Thin SVDs of a wide and a tall matrix, a square one, and the rate
+    operators; spectra in (0, 1] so that Landweber steps are stable."""
+    rng = np.random.default_rng(7)
+    return {
+        "wide": dense_svd(_unit_norm(rng.standard_normal((6, 10)))),
+        "tall": dense_svd(_unit_norm(rng.standard_normal((10, 6)))),
+        "square": dense_svd(_unit_norm(rng.standard_normal((12, 12)))),
+        "rate": make_rate_operator(seed=0)[1],
+        "rate_kernel": make_rate_operator(s_min=1e-3, kernel_dim=32,
+                                          seed=0)[1],
+    }
+
+
+def assert_same_study(block, loop):
+    """Entries within 1e-12 absolute (residuals of an exact fit sit at
+    rounding level, about 1e-15, so a relative check there compares noise)
+    and error slopes within 1e-10."""
+    assert len(block.entries) == len(loop.entries)
+    for got, want in zip(block.entries, loop.entries):
+        assert list(got) == list(want)
+        for key in got:
+            assert abs(got[key] - want[key]) <= 1e-12, key
+    assert abs(block.error_slope - loop.error_slope) <= 1e-10
+
+
+class TestBlockRateStudy:
+    """The column-block study against the per-trial loop of the oracles."""
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("name", ["wide", "tall", "square", "rate",
+                                      "rate_kernel"])
+    def test_classical_matches_loop(self, oracle_operators, name, kind):
+        svd = oracle_operators[name]
+        for mu in (0.0, 0.5, 1.0, 2.0):
+            src = SourceCondition(mu=mu, rho=1.5)
+            for trials in (1, 10):
+                assert_same_study(
+                    convergence_study(svd, kind, src, DELTAS, trials,
+                                      seed=3, c=0.5),
+                    rate_study_reference(svd, kind, src, DELTAS, trials,
+                                         3, 0.5))
+
+    @pytest.mark.parametrize("projector, trials", [("svd", 10),
+                                                   ("iterative", 1)])
+    def test_nsn_matches_loop(self, kernel_operator, projector, trials):
+        op, svd, proj = kernel_operator
+        if projector == "iterative":
+            proj = iterative_projector(op)
+        params = nn.init_params(nn.Architecture(layers=2, width=2),
+                                seed=2).scaled(0.25)
+        src = SourceCondition(mu=0.5, rho=1.0)
+        block, _ = nsn_convergence_study(params, proj, svd, "tikhonov", src,
+                                         DELTAS, trials, seed=1)
+        loop = rate_study_reference(
+            svd, "tikhonov", src, DELTAS, trials, 1, 1.0,
+            f=lambda img: nn.forward(params, img, proj)[0])
+        assert_same_study(block, loop)
 
 
 def test_save_json_summary(tmp_path):

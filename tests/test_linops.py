@@ -147,6 +147,37 @@ class TestDenseSvd:
         mat = rng.standard_normal((5, 8))
         np.testing.assert_allclose(dense_svd(mat).matrix(), mat, atol=1e-12)
 
+    def test_block_maps_match_columns(self):
+        # a 10 x 12 matrix between (3, 4) images and (2, 5) data; a block
+        # holds one image per column and its coefficients one per row
+        rng = np.random.default_rng(2)
+        mat = rng.standard_normal((10, 12))
+        svd = operator_svd(dense_op(mat, (3, 4), (2, 5)))
+        xs = rng.standard_normal((12, 3))
+        ys = rng.standard_normal((10, 3))
+        coeffs = svd.coeffs(xs)
+        assert coeffs.shape == (3, 10)
+        np.testing.assert_allclose(svd.apply(xs), mat @ xs, atol=1e-12)
+        # a wide matrix: the image of the coefficients is the row-space part
+        np.testing.assert_allclose(mat @ svd.image(coeffs), mat @ xs,
+                                   atol=1e-12)
+        for j in range(3):
+            x = xs[:, j].reshape(3, 4)
+            assert svd.apply(x).shape == (2, 5)
+            np.testing.assert_allclose(svd.apply(x).ravel(), mat @ xs[:, j],
+                                       atol=1e-12)
+            np.testing.assert_allclose(svd.coeffs(x), coeffs[j], atol=1e-14)
+            np.testing.assert_allclose(svd.coeffs(x, 4), coeffs[j, :4],
+                                       atol=1e-14)
+            np.testing.assert_allclose(svd.data_coeffs(ys[:, j]),
+                                       svd.data_coeffs(ys)[j], atol=1e-14)
+            assert svd.image(coeffs[j]).shape == (3, 4)
+            np.testing.assert_allclose(svd.image(coeffs[j], svd.s).ravel(),
+                                       svd.image(coeffs, svd.s)[:, j],
+                                       atol=1e-14)
+        with pytest.raises(ValueError):
+            svd.coeffs(np.ones((2, 5)))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             dense_svd(np.ones(3))

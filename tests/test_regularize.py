@@ -4,6 +4,7 @@ parameter rule and source-condition elements."""
 import numpy as np
 import pytest
 
+from nsrecon.experiments import make_rate_operator
 from nsrecon.linops import SolverConfig, dense_svd
 from nsrecon.operators import dense_op, make_stripe_operator, operator_svd
 from nsrecon.regularize import (FILTER_KINDS, FILTER_QUALIFICATION,
@@ -42,8 +43,9 @@ class TestFilterValue:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FilterSpec("ridge", 0.1)
-        with pytest.raises(ValueError):
-            FilterSpec("tikhonov", 0.0)
+        for alpha in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                FilterSpec("tikhonov", alpha)
 
 
 class TestQualification:
@@ -155,14 +157,15 @@ class TestParamChoice:
         assert a2 / a1 == pytest.approx(2.0 ** (-2.0 / (2 * mu + 1)))
 
     def test_delta_validated(self):
-        with pytest.raises(ValueError):
-            param_choice(0.0, SourceCondition(mu=0.5, rho=1.0))
+        for delta in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                param_choice(delta, SourceCondition(mu=0.5, rho=1.0))
 
     def test_source_condition_validated(self):
-        with pytest.raises(ValueError):
-            SourceCondition(mu=-1.0, rho=1.0)
-        with pytest.raises(ValueError):
-            SourceCondition(mu=0.5, rho=0.0)
+        for mu, rho in ((-1.0, 1.0), (0.5, 0.0), (np.nan, 1.0),
+                        (np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)):
+            with pytest.raises(ValueError):
+                SourceCondition(mu=mu, rho=rho)
 
 
 class TestSourceElement:
@@ -185,6 +188,18 @@ class TestSourceElement:
         # (A*A)^1 scales the first coordinate by 4 and the second by 1
         w = make_source_element(svd, SourceCondition(mu=0.0, rho=1.0), seed=3)
         np.testing.assert_allclose(x, np.array([4.0, 1.0]) * w, atol=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.5])
+    def test_seed_sequence_gives_columns(self, mu):
+        _, svd = make_rate_operator(shape=(4, 3), seed=1)
+        src = SourceCondition(mu=mu, rho=2.0)
+        block = make_source_element(svd, src, seed=[5, 9, 2])
+        assert block.shape == (12, 3)
+        for j, seed in enumerate([5, 9, 2]):
+            single = make_source_element(svd, src, seed=seed)
+            assert single.shape == (4, 3)
+            np.testing.assert_allclose(block[:, j], single.ravel(),
+                                       rtol=0, atol=1e-14)
 
     def test_rejects_zero_operator(self):
         svd = dense_svd(np.zeros((3, 3)))
