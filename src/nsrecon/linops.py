@@ -31,8 +31,9 @@ class LinOp:
     """Linear operator between image spaces.
 
     Subclasses (or `MatvecOp` instances) provide `apply` and `adjoint`
-    together with `in_shape` / `out_shape`.  Operators are immutable after
-    construction and safe to share across threads.
+    together with `in_shape` / `out_shape`; both maps take one image or a
+    stack (k, *shape) of them.  Operators are immutable after construction
+    and safe to share across threads.
     """
 
     in_shape: tuple[int, int]
@@ -47,23 +48,20 @@ class LinOp:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
 
-    def _check_in(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.in_shape:
-            raise ValueError(
-                f"expected input shape {self.in_shape}, got {x.shape}")
-        return x
 
-    def _check_out(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != self.out_shape:
-            raise ValueError(
-                f"expected output shape {self.out_shape}, got {y.shape}")
-        return y
+def _check_stack(x, shape) -> np.ndarray:
+    """x as floats; ValueError unless it is one image of `shape` or a stack
+    of them along one leading axis."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape and x.shape[1:] != shape:
+        raise ValueError(f"expected shape {shape} or (k, *{shape}), "
+                         f"got {x.shape}")
+    return x
 
 
 class MatvecOp(LinOp):
-    """LinOp built from a pair of callables."""
+    """LinOp built from a pair of callables, each mapping an image or a
+    stack of images."""
 
     def __init__(self, in_shape, out_shape, forward, backward):
         self.in_shape = tuple(in_shape)
@@ -72,12 +70,10 @@ class MatvecOp(LinOp):
         self._backward = backward
 
     def apply(self, x):
-        x = self._check_in(x)
-        return self._forward(x)
+        return self._forward(_check_stack(x, self.in_shape))
 
     def adjoint(self, y):
-        y = self._check_out(y)
-        return self._backward(y)
+        return self._backward(_check_stack(y, self.out_shape))
 
 
 def adjoint_check(op: LinOp, trials: int = 50, seed: int = 0) -> float:
@@ -100,67 +96,129 @@ def adjoint_check(op: LinOp, trials: int = 50, seed: int = 0) -> float:
 
 @dataclass
 class CgResult:
+    """x has the shape of the right-hand side; converged is True when every
+    column met the tolerance, rel_residual is the worst column's and iters
+    counts block steps."""
+
     x: np.ndarray
     converged: bool
     iters: int
     rel_residual: float
+    unconverged: int = 0  # columns above the tolerance
 
 
 def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
                           cfg: SolverConfig) -> CgResult:
-    """Conjugate gradients for (A*A + lam*I) x = rhs.
+    """Block conjugate gradients for (A*A + lam*I) x = rhs.
 
-    `rhs` lives in the input space of `op` (typically A* y).  Each residual
-    is reorthogonalised against all earlier ones (Meurant & Strakos, Acta
-    Numerica 2006), so CG stops within n = rhs.size steps.  `iters` counts
-    the steps taken; converged=False means it stopped short of tol.
+    `rhs` is one image of the input space of `op` (typically A* y) or a
+    stack (k, *op.in_shape); a single image is a block of one.  All k
+    columns are solved in one block Krylov space (O'Leary, Linear Algebra
+    Appl. 29, 1980): block Lanczos, whose new block is orthogonalised by
+    the three-term recurrence and then once more against the whole basis,
+    and a Galerkin solve on the block tridiagonal T = Q*(A*A + lam I)Q by
+    a Cholesky factor that grows one block per step.  Each new block is
+    rank-deflated, and so is each Schur block of that factor: a direction
+    of numerically zero energy (the kernel of A at lam = 0) never enters
+    the basis, which so stops at the rank.  Both thresholds follow numpy's
+    matrix_rank rule, n * eps * |A*A + lam I|.  Column j has converged
+    when |r_j| <= tol * |rhs_j|, read from the Lanczos identity
+    r = -V_next C Y_last without forming r; a zero column returns 0 and
+    counts as converged.  `iters` counts block steps.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != op.in_shape:
-        raise ValueError(f"rhs shape {rhs.shape} != operator input "
-                         f"shape {op.in_shape}")
+    rhs = _check_stack(rhs, op.in_shape)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs has non-finite entries")
+    n = int(np.prod(op.in_shape))
+    rows = rhs.reshape(-1, n)          # one row per column of the block
+    norms = np.linalg.norm(rows, axis=1)
+    live = norms > 0.0
+    b = rows[live] / norms[live, None]
+    k = len(b)
+    stack = (-1,) + op.in_shape
 
     def normal(v):
-        out = op.adjoint(op.apply(v))
-        if lam != 0.0:
-            out = out + lam * v
-        return out
+        out = op.adjoint(op.apply(v.reshape(stack))).reshape(v.shape)
+        return out + lam * v if lam != 0.0 else out
 
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return CgResult(np.zeros(op.in_shape), True, 0, 0.0)
-    x = np.zeros(op.in_shape)
-    r = rhs.copy()
-    p = r.copy()
-    rs = float(np.vdot(r, r))
-    n = r.size
-    # rows = the normalised residuals so far; grown by doubling, never past n
-    basis = np.empty((min(n, 16), n))
-    k = 0
-    while k < min(n, cfg.max_iters) and np.sqrt(rs) > cfg.tol * rhs_norm:
-        if k == len(basis):
-            basis = np.resize(basis, (min(2 * k, n), n))
-        basis[k] = r.ravel() / np.sqrt(rs)
-        ap = normal(p)
-        denom = float(np.vdot(p, ap))
-        if denom <= 0.0:
-            # singular direction (lam = 0 on a rank-deficient operator)
+    def orth(w, floor):
+        """(C, V): orthonormal rows V with w = C.T V, up to singular values
+        at or below floor."""
+        if len(w) == 1:                # one row: its norm
+            sv = np.sqrt(w @ w.T)
+            return (sv, w / sv) if sv > floor else (sv[:0], w[:0])
+        u, sv, vt = np.linalg.svd(w.T, full_matrices=False)
+        m = np.count_nonzero(sv > floor)
+        return sv[:m, None] * vt[:m], u[:, :m].T
+
+    def eigh(s):
+        """Ascending eigenvalues and eigenvectors of a symmetric block; a
+        1x1 block is its own eigenbasis (None)."""
+        return (s[0], None) if len(s) == 1 else np.linalg.eigh(s)
+
+    rank_eps = n * np.finfo(float).eps
+    scale = 0.0                        # running estimate of |A*A + lam I|
+    basis = np.empty((min(n, 32 * max(k, 8)), n))   # rows, grown by doubling
+    d = d_prev = 0
+    blocks = []                        # (L_jj, L_{j,j-1}, L_jj^-T Z_j) per step
+    v = orth(b, rank_eps)[1] if k else b
+    sub = None
+    res2 = np.ones(k)                  # squared relative residuals
+    while len(v) and len(blocks) < cfg.max_iters:
+        w = normal(v)
+        if d + len(v) > len(basis):
+            basis = np.resize(basis, (min(2 * (d + len(v)), n), n))
+        basis[d:d + len(v)] = v
+        # the three-term block recurrence: project out this block and the
+        # last; the coefficients on this block are T_jj
+        near = basis[d_prev:d + len(v)]
+        h = w @ near.T
+        w -= h @ near
+        t = h[:, d - d_prev:]          # eigh reads its lower triangle
+        if sub is not None:
+            t = t - sub @ sub.T        # Schur block of the Cholesky factor
+        energy, e = eigh(t)
+        scale = max(scale, energy[-1])
+        j = energy.searchsorted(rank_eps * scale, "right")
+        if j == len(energy):
             break
-        a = rs / denom
-        x = x + a * p
-        r = r - a * ap
-        k += 1
-        q = basis[:k]
-        r -= ((q @ r.ravel()) @ q).reshape(r.shape)
-        rs_new = float(np.vdot(r, r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return CgResult(x, bool(np.sqrt(rs) <= cfg.tol * rhs_norm), k,
-                    np.sqrt(rs) / rhs_norm)
+        energy = energy[j:, None]
+        if e is not None:              # rotate onto the kept eigenvectors,
+            e = e[:, j:].T             # so that L_jj = diag(sqrt(energy))
+            v, w = e @ v, e @ w
+            basis[d:d + len(v)] = v
+            if sub is not None:
+                sub, g = e @ sub, e @ g
+        if sub is None:
+            r0 = v @ b.T
+            lost = ((b - r0.T @ v) ** 2).sum(axis=1)   # rhs outside V_1
+            y = r0 / energy
+        else:
+            y = g / -energy
+        ld = np.sqrt(energy)
+        blocks.append((ld, sub, y))
+        d_prev, d = d, d + len(v)
+        q = basis[:d]
+        w -= (w @ q.T) @ q             # full reorthogonalisation
+        c, v = orth(w, rank_eps * scale)
+        g = c @ y                      # C Y_last: the Galerkin residual
+        res2 = (g * g).sum(axis=0) + lost
+        if res2.max() <= cfg.tol ** 2:
+            break
+        sub = c / ld.T
+    ys, carry = [], 0.0
+    for ld, sub, y in reversed(blocks):
+        ys.append(y - carry / ld)
+        carry = 0.0 if sub is None else sub.T @ ys[-1]
+    x = np.zeros_like(rows)
+    if ys:
+        x[live] = (np.vstack(ys[::-1]).T @ basis[:d]) * norms[live, None]
+    res = np.sqrt(res2)
+    failed = int(np.sum(res > cfg.tol))
+    return CgResult(x.reshape(rhs.shape), failed == 0, len(blocks),
+                    float(res.max(initial=0.0)), failed)
 
 
 @dataclass

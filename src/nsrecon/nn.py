@@ -52,19 +52,21 @@ class NetParams:
 
 
 def _row_shifts(x: np.ndarray) -> np.ndarray:
-    """Row-shift matrix (in_ch*3, h*(w+2) + 2) of x (in_ch, h, w) for a 3x3
-    circular convolution: row 3c + di holds rows di .. di+h-1 of x[c]
-    wrap-padded by one, flattened, then two zero columns of slack.  So for
-    j < w its column i*(w+2) + j + dj holds x[c, (i+di-1)%h, (j+dj-1)%w]."""
-    c, h, w = x.shape
+    """Row-shift matrix (..., in_ch*3, h*(w+2) + 2) of x (..., in_ch, h, w)
+    for a 3x3 circular convolution: row 3c + di holds rows di .. di+h-1 of
+    x[c] wrap-padded by one, flattened, then two zero columns of slack.  So
+    for j < w its column i*(w+2) + j + dj holds
+    x[c, (i+di-1)%h, (j+dj-1)%w].  Leading axes are a stack of inputs."""
+    *lead, c, h, w = x.shape
     n = h * (w + 2)
-    rows = np.empty((c * 3, n + 2))
-    rows[:, n:] = 0.0
+    rows = np.empty((*lead, c * 3, n + 2))
+    rows[..., n:] = 0.0
     # r[c, di, i] is padded row i + di of x[c]: x row (i + di - 1) % h
-    r = rows.reshape(c, 3, n + 2)[:, :, :n].reshape(c, 3, h, w + 2)
-    r[:, 1, :, 1:-1] = x
-    r[:, 0, 1:, 1:-1], r[:, 0, 0, 1:-1] = x[:, :-1], x[:, -1]
-    r[:, 2, :-1, 1:-1], r[:, 2, -1, 1:-1] = x[:, 1:], x[:, 0]
+    r = rows.reshape(*lead, c, 3, n + 2)[..., :n].reshape(*lead, c, 3, h,
+                                                            w + 2)
+    r[..., 1, :, 1:-1] = x
+    r[..., 0, 1:, 1:-1], r[..., 0, 0, 1:-1] = x[..., :-1, :], x[..., -1, :]
+    r[..., 2, :-1, 1:-1], r[..., 2, -1, 1:-1] = x[..., 1:, :], x[..., 0, :]
     r[..., 0], r[..., -1] = r[..., -2], r[..., 1]
     return rows
 
@@ -72,16 +74,17 @@ def _row_shifts(x: np.ndarray) -> np.ndarray:
 def _conv_rows(rows: np.ndarray, kernel: np.ndarray, h: int,
                w: int) -> np.ndarray:
     """Bias-free 3x3 circular convolution of the (in_ch, h, w) input whose
-    row-shift matrix is `rows`: one GEMM per column offset dj.  Returns
-    (out_ch, h, w + 2); the last two columns of each row are slack."""
+    row-shift matrix is `rows`: one GEMM per column offset dj and stacked
+    input.  Returns (..., out_ch, h, w + 2); the last two columns of each
+    row are slack."""
     out_ch, n = kernel.shape[0], h * (w + 2)
     # taps[dj]: (out_ch, in_ch*3), contiguous so that BLAS runs the product
     taps = np.ascontiguousarray(kernel.transpose(3, 0, 1, 2))
     taps = taps.reshape(3, out_ch, -1)
-    out = taps[0] @ rows[:, :n]
+    out = taps[0] @ rows[..., :n]
     for dj in (1, 2):
-        out += taps[dj] @ rows[:, dj:dj + n]
-    return out.reshape(out_ch, h, w + 2)
+        out += taps[dj] @ rows[..., dj:dj + n]
+    return out.reshape(*out.shape[:-1], h, w + 2)
 
 
 def conv2d_circular(x: np.ndarray, kernel: np.ndarray,
@@ -116,28 +119,34 @@ def forward(params: NetParams, x: np.ndarray,
     """Residual forward pass out = x + U(x), or x + P(U(x)) with a projector,
     where U is the conv stack with ReLU between layers.
 
+    x is one (h, w) image or a stack (k, h, w); a stack runs every layer
+    as one batched product and calls the projector once on the stack of
+    corrections, and each of its images comes out bit for bit as alone.
     Returns (out, cache).  The cache feeds `backward`: "rows" holds the
     `_row_shifts` matrix of each layer's input, "masks" the boolean ReLU
     mask (pre-activation > 0) of each layer but the last, in the
-    (ch, h, w + 2) layout of `_conv_rows` with False on the slack columns.
-    Raises ValueError on a non-finite x.
+    (..., ch, h, w + 2) layout of `_conv_rows` with False on the slack
+    columns.  Raises ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (2, 3):
+        raise ValueError(f"expected an (h, w) image or a (k, h, w) stack, "
+                         f"got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite network input")
-    h, w = x.shape
-    a = x[None, :, :]
+    h, w = x.shape[-2:]
+    a = x[..., None, :, :]
     rows, masks = [], []
     last = len(params.kernels) - 1
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
-        rows.append(_row_shifts(a[:, :, :w]))
+        rows.append(_row_shifts(a[..., :w]))
         a = _conv_rows(rows[-1], k, h, w)
         a += b[:, None, None]
         if l < last:
-            a[:, :, w:] = 0.0
+            a[..., w:] = 0.0
             masks.append(a > 0)
             np.maximum(a, 0.0, out=a)
-    corr = a[0, :, :w]
+    corr = a[..., 0, :, :w]
     out = x + (corr if projector is None else projector(corr))
     cache = {"rows": rows, "masks": masks, "projector": projector,
              "x_shape": x.shape}
@@ -145,7 +154,7 @@ def forward(params: NetParams, x: np.ndarray,
 
 
 def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
-    """Exact gradients of the forward pass.
+    """Exact gradients of the forward pass of one image.
 
     grad_out is the loss gradient with respect to the output; returns
     (grad_params, grad_in).  The projector, if any, must be linear and
@@ -156,6 +165,9 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     those products.
     """
     grad_out = np.asarray(grad_out, dtype=float)
+    if len(cache["x_shape"]) != 2:
+        raise ValueError("backward takes the cache of one image, not of a "
+                         "stack")
     if grad_out.shape != cache["x_shape"]:
         raise ValueError("grad_out shape does not match cached forward")
     if len(cache["rows"]) != len(params.kernels):

@@ -12,7 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linops import LinOp, SolverConfig, SvdFactors, cg_regularized_normal
+from .linops import (LinOp, SolverConfig, SvdFactors, _check_stack,
+                     cg_regularized_normal)
 
 ImageMap = Callable[[np.ndarray], np.ndarray]
 
@@ -24,7 +25,10 @@ class NullProjector:
     `apply` is built by one of the factories below: `mask_projector`
     (closed form I - M for a stripe-masked operator), `svd_projector`
     (z - V_r V_r.T z for an operator with a dense SVD) or
-    `iterative_projector` (z - A+(A z) by CG for a general operator).
+    `iterative_projector` (z - A+(A z) by CG for a general operator).  It
+    maps one image or a stack (k, *shape): the mask broadcasts, the SVD
+    projector makes one matrix-matrix product and the iterative one
+    solves all k columns in one block Krylov space.
     """
 
     shape: tuple[int, ...]
@@ -47,29 +51,35 @@ def svd_projector(svd: SvdFactors) -> NullProjector:
     """Exact projector z - V_r V_r.T z with r = svd.rank.  It needs only the
     leading right singular vectors, so wide (thin-SVD) operators work too."""
     r = svd.rank
-    return NullProjector(svd.in_shape,
-                         lambda z: z - svd.image(svd.coeffs(z, r)))
+    n = int(np.prod(svd.in_shape))
+
+    def apply(z):
+        cols = z.reshape(-1, n).T
+        return (cols - svd.image(svd.coeffs(cols, r))).T.reshape(z.shape)
+
+    return NullProjector(svd.in_shape, apply)
 
 
 def iterative_projector(op: LinOp,
                         solver: SolverConfig | None = None) -> NullProjector:
+    """z - A+(A z) by block CG on the normal equations at lam = 0: one
+    solve for a whole stack.  Raises RuntimeError when a column misses the
+    solver's tolerance."""
     solver = solver or SolverConfig(tol=1e-14, max_iters=20000)
+    n = int(np.prod(op.in_shape))
 
     def apply(z):
-        # z - A+(A z), the minimal-norm solve done by CG with lam = 0
-        rhs = op.adjoint(op.apply(z))
-        res = cg_regularized_normal(op, rhs, 0.0, solver)
+        res = cg_regularized_normal(op, op.adjoint(op.apply(z)), 0.0, solver)
         if not res.converged:
             raise RuntimeError(
-                f"projector CG did not converge in {res.iters} iterations")
+                f"projector CG did not converge: {res.unconverged} of "
+                f"{z.size // n} columns after {res.iters} block steps, worst "
+                f"relative residual {res.rel_residual:.3g}")
         return z - res.x
 
     return NullProjector(op.in_shape, apply)
 
 
 def project_null(proj: NullProjector, z: np.ndarray) -> np.ndarray:
-    """Apply the null-space projection to an image."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != proj.shape:
-        raise ValueError(f"expected shape {proj.shape}, got {z.shape}")
-    return proj.apply(z)
+    """Apply the null-space projection to an image or a stack (k, *shape)."""
+    return proj.apply(_check_stack(z, proj.shape))

@@ -11,7 +11,8 @@ from .linops import LinOp, MatvecOp, SvdFactors, dense_svd
 
 
 def make_cumsum(h: int, w: int, spacing: float = 1.0) -> LinOp:
-    """Per-column prefix sum (discrete vertical integration).
+    """Per-column prefix sum (discrete vertical integration) of an image or
+    a stack of images.
 
     The adjoint is the per-column suffix sum (transpose of the
     lower-triangular all-ones matrix).  `spacing` scales the sums by the
@@ -24,10 +25,10 @@ def make_cumsum(h: int, w: int, spacing: float = 1.0) -> LinOp:
     shape = (h, w)
 
     def forward(x):
-        return spacing * np.cumsum(x, axis=0)
+        return spacing * np.cumsum(x, axis=-2)
 
     def backward(y):
-        return spacing * np.cumsum(y[::-1, :], axis=0)[::-1, :]
+        return spacing * np.cumsum(y[..., ::-1, :], axis=-2)[..., ::-1, :]
 
     return MatvecOp(shape, shape, forward, backward)
 
@@ -105,7 +106,8 @@ def to_dense(op: LinOp) -> np.ndarray:
 def dense_op(matrix: np.ndarray,
              in_shape: tuple[int, int] | None = None,
              out_shape: tuple[int, int] | None = None) -> LinOp:
-    """Wrap a dense matrix as a LinOp on (optionally 2D) images."""
+    """Wrap a dense matrix as a LinOp on (optionally 2D) images; a stack of
+    images is one matrix-matrix product."""
     matrix = np.asarray(matrix, dtype=float)
     m, n = matrix.shape
     in_shape = in_shape or (n, 1)
@@ -114,8 +116,10 @@ def dense_op(matrix: np.ndarray,
         raise ValueError("shapes inconsistent with matrix dimensions")
     return MatvecOp(
         in_shape, out_shape,
-        lambda x: (matrix @ x.ravel()).reshape(out_shape),
-        lambda y: (matrix.T @ y.ravel()).reshape(in_shape))
+        lambda x: (x.reshape(-1, n) @ matrix.T).reshape(x.shape[:-2]
+                                                        + out_shape),
+        lambda y: (y.reshape(-1, m) @ matrix).reshape(y.shape[:-2]
+                                                      + in_shape))
 
 
 def operator_svd(op: LinOp) -> SvdFactors:

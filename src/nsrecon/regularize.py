@@ -67,7 +67,10 @@ def filter_value(spec: FilterSpec, lam) -> np.ndarray | float:
 
 def spectral_reconstruct(svd: SvdFactors, y: np.ndarray,
                          spec: FilterSpec) -> np.ndarray:
-    """Filtered reconstruction sum_i g_a(s_i^2) s_i <y, u_i> v_i."""
+    """Filtered reconstruction sum_i g_a(s_i^2) s_i <y, u_i> v_i of an
+    image or a block of data; raises ValueError on non-finite data."""
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y has non-finite entries")
     return svd.image(svd.data_coeffs(y),
                      filter_value(spec, svd.s**2) * svd.s)
 

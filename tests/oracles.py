@@ -4,8 +4,62 @@ import numpy as np
 
 from nsrecon import nn
 from nsrecon.experiments import ConvergenceReport, fit_loglog_slope
+from nsrecon.linops import CgResult
 from nsrecon.regularize import (FilterSpec, make_source_element,
                                 param_choice, spectral_reconstruct)
+
+
+def cg_reference(op, rhs, lam, cfg):
+    """Single-vector conjugate gradients for (A*A + lam*I) x = rhs, each
+    residual reorthogonalised against all earlier ones, so that CG stops
+    within n = rhs.size steps; the column-by-column solver that the block
+    solver of `linops.cg_regularized_normal` replaced."""
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != op.in_shape:
+        raise ValueError(f"rhs shape {rhs.shape} != operator input "
+                         f"shape {op.in_shape}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs has non-finite entries")
+
+    def normal(v):
+        out = op.adjoint(op.apply(v))
+        if lam != 0.0:
+            out = out + lam * v
+        return out
+
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
+        return CgResult(np.zeros(op.in_shape), True, 0, 0.0)
+    x = np.zeros(op.in_shape)
+    r = rhs.copy()
+    p = r.copy()
+    rs = float(np.vdot(r, r))
+    n = r.size
+    # rows = the normalised residuals so far; grown by doubling, never past n
+    basis = np.empty((min(n, 16), n))
+    k = 0
+    while k < min(n, cfg.max_iters) and np.sqrt(rs) > cfg.tol * rhs_norm:
+        if k == len(basis):
+            basis = np.resize(basis, (min(2 * k, n), n))
+        basis[k] = r.ravel() / np.sqrt(rs)
+        ap = normal(p)
+        denom = float(np.vdot(p, ap))
+        if denom <= 0.0:
+            # singular direction (lam = 0 on a rank-deficient operator)
+            break
+        a = rs / denom
+        x = x + a * p
+        r = r - a * ap
+        k += 1
+        q = basis[:k]
+        r -= ((q @ r.ravel()) @ q).reshape(r.shape)
+        rs_new = float(np.vdot(r, r))
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return CgResult(x, bool(np.sqrt(rs) <= cfg.tol * rhs_norm), k,
+                    np.sqrt(rs) / rhs_norm)
 
 
 def conv_reference(x, kernel, bias):

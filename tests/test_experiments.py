@@ -454,18 +454,31 @@ class TestBlockRateStudy:
     @pytest.mark.parametrize("projector, trials", [("svd", 10),
                                                    ("iterative", 1)])
     def test_nsn_matches_loop(self, kernel_operator, projector, trials):
+        # The loop oracle always runs the exact SVD projector.  The block
+        # study matches it to rounding with that projector, and with the
+        # iterative one to the Krylov solve's documented 1e-8 relative.
+        # The iterative case takes a network whose first-layer ReLUs fire
+        # on these inputs: with seed 2 none does, and U(x) is one constant
+        # image for every x.
         op, svd, proj = kernel_operator
-        if projector == "iterative":
-            proj = iterative_projector(op)
         params = nn.init_params(nn.Architecture(layers=2, width=2),
-                                seed=2).scaled(0.25)
+                                seed=2 if projector == "svd" else 3
+                                ).scaled(0.25)
         src = SourceCondition(mu=0.5, rho=1.0)
-        block, _ = nsn_convergence_study(params, proj, svd, "tikhonov", src,
-                                         DELTAS, trials, seed=1)
         loop = rate_study_reference(
             svd, "tikhonov", src, DELTAS, trials, 1, 1.0,
             f=lambda img: nn.forward(params, img, proj)[0])
-        assert_same_study(block, loop)
+        if projector == "iterative":
+            proj = iterative_projector(op)
+        block, _ = nsn_convergence_study(params, proj, svd, "tikhonov", src,
+                                         DELTAS, trials, seed=1)
+        if projector == "svd":
+            assert_same_study(block, loop)
+            return
+        for got, want in zip(block.entries, loop.entries):
+            assert list(got) == list(want)
+            for key in got:
+                assert abs(got[key] - want[key]) <= 1e-8 * abs(want[key]), key
 
 
 def test_save_json_summary(tmp_path):

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from nsrecon.experiments import make_rate_operator
 from nsrecon.linops import (SolverConfig, adjoint_check, cg_regularized_normal,
                             dense_svd, pseudo_inverse_apply)
+from nsrecon.nullspace import svd_projector
 from nsrecon.operators import (StripeMaskSpec, dense_op, make_cumsum,
                                make_stripe_operator, operator_svd, to_dense)
+from oracles import cg_reference
 
 
 def cumsum_spectrum(n):
@@ -117,6 +120,135 @@ class TestCg:
         assert res.iters == 8
         np.testing.assert_allclose(
             res.x.ravel(), np.linalg.solve(a.T @ a, rhs.ravel()), rtol=1e-8)
+
+
+def column_gaps(got, want, scale):
+    """Per-column |got - want| / |scale| of two stacks of images."""
+    k = len(scale)
+    return (np.linalg.norm((got - want).reshape(k, -1), axis=1)
+            / np.linalg.norm(scale.reshape(k, -1), axis=1))
+
+
+class TestBlockCg:
+    """The block solver against the single-column CG it replaced
+    (`oracles.cg_reference`) and against the exact SVD solution."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 3, 5, 10])
+    def test_row_space_solve_matches_oracles(self, seed, k):
+        # A*A x = A*A z at lam = 0 (the iterative projector's solve) has
+        # the minimal-norm solution z - P z, P the kernel projector
+        op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=seed)
+        z = np.random.default_rng(seed).standard_normal((k, 16, 16))
+        rhs = op.adjoint(op.apply(z))
+        cfg = SolverConfig(tol=1e-14, max_iters=20000)
+        res = cg_regularized_normal(op, rhs, 0.0, cfg)
+        assert res.converged and res.unconverged == 0
+        assert res.x.shape == z.shape
+        assert res.iters <= 224
+        loop = np.stack([cg_reference(op, col, 0.0, cfg).x for col in rhs])
+        exact = z - svd_projector(svd)(z)
+        assert np.all(column_gaps(res.x, loop, z) <= 1e-8)
+        assert np.all(column_gaps(res.x, exact, z) <= 1e-8)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 10])
+    def test_basis_stops_at_rank(self, k):
+        # rank 256 - 32 = 224: no kernel direction enters the basis, so
+        # the solution has no kernel part and A meets at most the rank,
+        # plus the last block, whose kernel directions the energy test drops
+        op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=k)
+        z = np.random.default_rng(k).standard_normal((k, 16, 16))
+        rhs = op.adjoint(op.apply(z))
+        columns = []
+        forward = op._forward
+        op._forward = lambda x: (columns.append(len(x)), forward(x))[1]
+        res = cg_regularized_normal(op, rhs, 0.0, SolverConfig(tol=1e-14))
+        assert sum(columns) <= 224 + k
+        kernel = svd_projector(svd)(res.x)
+        assert np.all(column_gaps(kernel, 0.0 * z, z) <= 1e-8)
+
+    def test_regularized_block_on_stripe_operator(self):
+        op, _ = make_stripe_operator(16, 16)
+        rng = np.random.default_rng(21)
+        rhs = rng.standard_normal((4, 16, 16))
+        cfg = SolverConfig(tol=1e-12)
+        res = cg_regularized_normal(op, rhs, 0.3, cfg)
+        assert res.converged
+        loop = np.stack([cg_reference(op, col, 0.3, cfg).x for col in rhs])
+        mat = to_dense(op)
+        direct = np.linalg.solve(mat.T @ mat + 0.3 * np.eye(256),
+                                 rhs.reshape(4, -1).T).T.reshape(rhs.shape)
+        assert np.all(column_gaps(res.x, loop, direct) <= 1e-8)
+        assert np.all(column_gaps(res.x, direct, direct) <= 1e-8)
+
+    def test_zero_columns_return_zero(self):
+        op, _ = make_rate_operator(seed=1)
+        rhs = np.random.default_rng(22).standard_normal((4, 16, 16))
+        rhs[[0, 2]] = 0.0
+        cfg = SolverConfig(tol=1e-12)
+        res = cg_regularized_normal(op, rhs, 0.1, cfg)
+        assert res.converged and res.rel_residual <= 1e-12
+        np.testing.assert_array_equal(res.x[[0, 2]], 0.0)
+        pair = cg_regularized_normal(op, rhs[[1, 3]], 0.1, cfg)
+        assert res.iters == pair.iters
+        np.testing.assert_allclose(res.x[[1, 3]], pair.x, rtol=0,
+                                   atol=1e-13)
+        none = cg_regularized_normal(op, np.zeros((3, 16, 16)), 0.1, cfg)
+        assert none.converged and none.iters == 0
+        np.testing.assert_array_equal(none.x, 0.0)
+
+    def test_unconverged_block_counts_columns(self):
+        op, _ = make_stripe_operator(16, 16)
+        rhs = np.random.default_rng(23).standard_normal((3, 16, 16))
+        res = cg_regularized_normal(op, rhs, 0.0,
+                                    SolverConfig(max_iters=1))
+        assert not res.converged
+        assert res.iters == 1 and res.unconverged == 3
+        assert res.rel_residual > 1e-8
+
+    def test_stack_shapes_validated(self):
+        op = make_cumsum(3, 3)
+        for shape in [(3, 3, 2), (2, 3), (1, 1, 3, 3)]:
+            with pytest.raises(ValueError):
+                cg_regularized_normal(op, np.zeros(shape), 1.0,
+                                      SolverConfig())
+
+
+class TestStackedOperators:
+    """Every operator maps a stack (k, h, w) as k images."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_cumsum(5, 4, 0.5),
+        lambda: make_stripe_operator(6, 16)[0],
+        lambda: dense_op(np.random.default_rng(0).standard_normal((12, 20)),
+                         (5, 4), (3, 4)),
+    ])
+    def test_stack_is_images(self, make):
+        op = make()
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((3,) + op.in_shape)
+        y = rng.standard_normal((3,) + op.out_shape)
+        for stack, one, maps in ((x, op.in_shape, op.apply),
+                                 (y, op.out_shape, op.adjoint)):
+            out = maps(stack)
+            assert out.shape[0] == 3
+            for i in range(3):
+                np.testing.assert_allclose(out[i], maps(stack[i]),
+                                           rtol=0, atol=1e-13)
+
+    def test_cumsum_stack_is_bit_exact(self):
+        op = make_cumsum(7, 5, 0.25)
+        x = np.random.default_rng(25).standard_normal((4, 7, 5))
+        for maps in (op.apply, op.adjoint):
+            out = maps(x)
+            for i in range(4):
+                np.testing.assert_array_equal(out[i], maps(x[i]))
+
+    def test_stack_shape_validated(self):
+        op = make_cumsum(3, 3)
+        for shape in [(3, 4), (2, 3, 4), (1, 2, 3, 3)]:
+            with pytest.raises(ValueError):
+                op.apply(np.zeros(shape))
 
 
 class TestDenseSvd:

@@ -132,6 +132,47 @@ class TestForward:
             nn.forward(params, x)
 
 
+class TestStackedForward:
+    """A stack (k, h, w) goes through every layer as one batched product
+    and gives each image bit for bit as a forward pass of its own."""
+
+    @pytest.mark.parametrize("model", ["resnet", "dcnet"])
+    def test_stack_equals_single_forwards(self, model):
+        _, support = small_stripe_operator()
+        proj = mask_projector(support) if model == "dcnet" else None
+        params = nn.init_params(nn.Architecture(layers=4, width=3), 7)
+        x = np.random.default_rng(7).standard_normal((5, 8, 8))
+        out, _ = nn.forward(params, x, proj)
+        assert out.shape == x.shape
+        for i in range(5):
+            np.testing.assert_array_equal(out[i],
+                                          nn.forward(params, x[i], proj)[0])
+
+    def test_projector_called_once_on_the_stack(self):
+        calls = []
+
+        def proj(z):
+            calls.append(z.shape)
+            return 0.5 * z
+
+        params = nn.init_params(nn.Architecture(layers=3, width=2), 8)
+        nn.forward(params, np.ones((4, 6, 6)), proj)
+        assert calls == [(4, 6, 6)]
+
+    def test_backward_rejects_stacked_cache(self):
+        params = nn.init_params(nn.Architecture(layers=3, width=2), 9)
+        x = np.random.default_rng(9).standard_normal((2, 6, 6))
+        _, cache = nn.forward(params, x)
+        with pytest.raises(ValueError, match="stack"):
+            nn.backward(params, cache, np.ones((2, 6, 6)))
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 2, 6, 6)])
+    def test_rank_validated(self, shape):
+        params = nn.init_params(nn.Architecture(layers=3, width=2), 10)
+        with pytest.raises(ValueError):
+            nn.forward(params, np.zeros(shape))
+
+
 class TestBackward:
     def test_zero_grad_out(self):
         arch = nn.Architecture(layers=3, width=2)

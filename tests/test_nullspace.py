@@ -115,6 +115,57 @@ class TestProjectNull:
         with pytest.raises(RuntimeError, match="did not converge"):
             proj(np.random.default_rng(12).standard_normal((16, 16)))
 
+    def test_iterative_unconverged_block_names_columns(self):
+        op, _ = stripe_problem()
+        proj = iterative_projector(op, SolverConfig(max_iters=1))
+        z = np.random.default_rng(12).standard_normal((3, 16, 16))
+        with pytest.raises(RuntimeError, match=r"did not converge: 3 of 3 "
+                           r"columns .* worst relative residual"):
+            proj(z)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_iterative_stack_is_one_solve(self, k, monkeypatch):
+        op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=1)
+        exact = svd_projector(svd)
+        results = []
+
+        def spy(*args):
+            results.append(cg_regularized_normal(*args))
+            return results[-1]
+
+        monkeypatch.setattr(nullspace, "cg_regularized_normal", spy)
+        z = np.random.default_rng(14).standard_normal((k, 16, 16))
+        p = iterative_projector(op)(z)
+        assert len(results) == 1 and results[0].converged
+        assert p.shape == z.shape
+        for got, col in zip(p, z):
+            gap = np.linalg.norm(got - exact(col)) / np.linalg.norm(col)
+            assert gap <= 1e-8
+
+    def test_mask_stack_is_bit_exact(self):
+        _, support = stripe_problem()
+        proj = mask_projector(support)
+        z = np.random.default_rng(15).standard_normal((5, 16, 16))
+        p = proj(z)
+        for i in range(5):
+            np.testing.assert_array_equal(p[i], proj(z[i]))
+
+    def test_svd_stack_matches_images(self):
+        _, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=2)
+        proj = svd_projector(svd)
+        z = np.random.default_rng(16).standard_normal((5, 16, 16))
+        p = proj(z)
+        for i in range(5):
+            np.testing.assert_allclose(p[i], proj(z[i]), rtol=0,
+                                       atol=1e-14)
+
+    def test_stack_shape_validated(self):
+        _, support = stripe_problem()
+        proj = mask_projector(support)
+        for shape in [(16, 15), (2, 16, 15), (1, 2, 16, 16)]:
+            with pytest.raises(ValueError):
+                proj(np.zeros(shape))
+
     def test_closed_form_invariants(self):
         op, support = stripe_problem()
         proj = mask_projector(support)

@@ -93,18 +93,21 @@ def test_svd_projector_is_kernel_projection(case):
 
 
 @PROPERTY
-@given(low_rank(s_max=1.0))
-def test_cg_returns_row_space_component_within_n_steps(case):
-    # A*A x = A*A z at lam = 0 has the minimal-norm solution A+ A z
+@given(low_rank(s_max=1.0), st.integers(0, 4))
+def test_cg_returns_row_space_component_within_n_steps(case, k):
+    # A*A x = A*A z at lam = 0 has the minimal-norm solution A+ A z; k = 0
+    # is one image z, k >= 1 a stack of k images solved as one block
     a, rng = case
     n = a.shape[1]
-    z = rng.standard_normal((n, 1))
+    z = rng.standard_normal((k, n, 1) if k else (n, 1))
     res = cg_regularized_normal(dense_op(a), a.T @ (a @ z), 0.0,
                                 SolverConfig(tol=1e-12))
     assert res.converged
     assert res.iters <= n
     want = np.linalg.pinv(a) @ (a @ z)
-    assert np.linalg.norm(res.x - want) <= 1e-8 * np.linalg.norm(z)
+    for got, col, z_col in zip(*(np.reshape(v, (-1, n, 1))
+                                 for v in (res.x, want, z))):
+        assert np.linalg.norm(got - col) <= 1e-8 * np.linalg.norm(z_col)
 
 
 @PROPERTY

@@ -104,6 +104,16 @@ class TestSpectralReconstruct:
         with pytest.raises(ValueError):
             spectral_reconstruct(svd, np.ones(3), FilterSpec("tikhonov", 0.1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        # one bad entry used to spread over every pixel of the result
+        _, svd = make_rate_operator(seed=0)
+        y = np.ones((16, 16))
+        y[3, 5] = bad
+        for data in (y, y.reshape(-1, 1)):   # an image and a block
+            with pytest.raises(ValueError, match="non-finite"):
+                spectral_reconstruct(svd, data, FilterSpec("tikhonov", 0.1))
+
 
 class TestTikhonovReconstruct:
     def test_identity_half(self):
