@@ -94,17 +94,35 @@ def adjoint_check(op: LinOp, trials: int = 50, seed: int = 0) -> float:
     return worst
 
 
+@dataclass(frozen=True)
+class KrylovSpace:
+    """A block Krylov space of A*A + lam I as `cg_regularized_normal` left
+    it, kept as its conjugate directions: the rows P = L^-1 Q (d x n), Q
+    the orthonormal basis and L the block Cholesky factor of
+    T = Q (A*A + lam I) Q.T, so that P (A*A + lam I) P.T = I."""
+
+    directions: np.ndarray
+
+    def galerkin(self, rhs: np.ndarray) -> np.ndarray:
+        """Rows x in the span whose residual (A*A + lam I) x - rhs is
+        orthogonal to it, one per row of rhs (k x n):
+        x = Q.T T^-1 Q rhs = P.T P rhs."""
+        p = self.directions
+        return (np.asarray(rhs, dtype=float) @ p.T) @ p
+
+
 @dataclass
 class CgResult:
     """x has the shape of the right-hand side; converged is True when every
     column met the tolerance, rel_residual is the worst column's and iters
-    counts block steps."""
+    counts block steps.  space is the Krylov space x was taken from."""
 
     x: np.ndarray
     converged: bool
     iters: int
     rel_residual: float
     unconverged: int = 0  # columns above the tolerance
+    space: KrylovSpace | None = None
 
 
 def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
@@ -124,7 +142,13 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
     matrix_rank rule, n * eps * |A*A + lam I|.  Column j has converged
     when |r_j| <= tol * |rhs_j|, read from the Lanczos identity
     r = -V_next C Y_last without forming r; a zero column returns 0 and
-    counts as converged.  `iters` counts block steps.
+    counts as converged.  `iters` counts block steps.  x and `space` are
+    those of the step with the smallest worst-column estimate, which is
+    the last step unless the tolerance is out of reach: past the
+    attainable accuracy the basis runs on to the rank and the last
+    iterates drift far from the solution.  Each step forward-substitutes
+    its new block through the Cholesky factor, so the space holds the
+    conjugate directions and x is `space.galerkin(rhs)`.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -161,15 +185,18 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
     rank_eps = n * np.finfo(float).eps
     scale = 0.0                        # running estimate of |A*A + lam I|
     basis = np.empty((min(n, 32 * max(k, 8)), n))   # rows, grown by doubling
-    d = d_prev = 0
-    blocks = []                        # (L_jj, L_{j,j-1}, L_jj^-T Z_j) per step
+    dirs = np.empty_like(basis)        # rows of L^-1 basis
+    d = d_prev = steps = 0
     v = orth(b, rank_eps)[1] if k else b
     sub = None
-    res2 = np.ones(k)                  # squared relative residuals
-    while len(v) and len(blocks) < cfg.max_iters:
+    # worst and all squared relative residuals, and basis rows, of the
+    # best step
+    best = (1.0, np.ones(k), 0)
+    while len(v) and steps < cfg.max_iters:
         w = normal(v)
         if d + len(v) > len(basis):
-            basis = np.resize(basis, (min(2 * (d + len(v)), n), n))
+            grown = (min(2 * (d + len(v)), n), n)
+            basis, dirs = np.resize(basis, grown), np.resize(dirs, grown)
         basis[d:d + len(v)] = v
         # the three-term block recurrence: project out this block and the
         # last; the coefficients on this block are T_jj
@@ -198,27 +225,28 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
         else:
             y = g / -energy
         ld = np.sqrt(energy)
-        blocks.append((ld, sub, y))
+        # forward substitution with L_jj = diag(ld), L_{j,j-1} = sub
+        p = v if sub is None else v - sub @ dirs[d_prev:d]
+        dirs[d:d + len(v)] = p / ld
+        steps += 1
         d_prev, d = d, d + len(v)
         q = basis[:d]
         w -= (w @ q.T) @ q             # full reorthogonalisation
         c, v = orth(w, rank_eps * scale)
         g = c @ y                      # C Y_last: the Galerkin residual
         res2 = (g * g).sum(axis=0) + lost
-        if res2.max() <= cfg.tol ** 2:
+        worst = res2.max()
+        if worst <= best[0]:
+            best = (worst, res2, d)
+        if worst <= cfg.tol ** 2:
             break
         sub = c / ld.T
-    ys, carry = [], 0.0
-    for ld, sub, y in reversed(blocks):
-        ys.append(y - carry / ld)
-        carry = 0.0 if sub is None else sub.T @ ys[-1]
-    x = np.zeros_like(rows)
-    if ys:
-        x[live] = (np.vstack(ys[::-1]).T @ basis[:d]) * norms[live, None]
+    _, res2, d = best
+    space = KrylovSpace(dirs[:d].copy())
     res = np.sqrt(res2)
     failed = int(np.sum(res > cfg.tol))
-    return CgResult(x.reshape(rhs.shape), failed == 0, len(blocks),
-                    float(res.max(initial=0.0)), failed)
+    return CgResult(space.galerkin(rows).reshape(rhs.shape), failed == 0,
+                    steps, float(res.max(initial=0.0)), failed, space)
 
 
 @dataclass

@@ -28,7 +28,8 @@ class NullProjector:
     `iterative_projector` (z - A+(A z) by CG for a general operator).  It
     maps one image or a stack (k, *shape): the mask broadcasts, the SVD
     projector makes one matrix-matrix product and the iterative one
-    solves all k columns in one block Krylov space.
+    solves all k columns in one block Krylov space, or in the one it
+    built on an earlier call.
     """
 
     shape: tuple[int, ...]
@@ -64,18 +65,49 @@ def iterative_projector(op: LinOp,
                         solver: SolverConfig | None = None) -> NullProjector:
     """z - A+(A z) by block CG on the normal equations at lam = 0: one
     solve for a whole stack.  Raises RuntimeError when a column misses the
-    solver's tolerance."""
+    solver's tolerance.
+
+    The projector holds the Krylov space of its last solve (d x n floats,
+    d <= rank A, for its lifetime; A never changes) and first tries the
+    Galerkin solution in that space.  It keeps that solution when every
+    column passes the solver's own test |b_j - A*A x_j| <= tol |b_j|, b =
+    A*A z, with the residual formed explicitly (one more application of
+    A*A to the stack): once the space spans range(A*), as a solve of
+    several generic columns does, no further call solves.  Otherwise it
+    solves afresh and holds the new space; a solve that raises keeps the
+    old one.  Threads sharing a projector at worst repeat a solve.
+    """
     solver = solver or SolverConfig(tol=1e-14, max_iters=20000)
     n = int(np.prod(op.in_shape))
+    held = [None]                      # KrylovSpace of the last solve
+
+    def normal(x):
+        return op.adjoint(op.apply(x))
+
+    def reuse(b):
+        """The Galerkin solution in the held space if it passes, else None."""
+        space = held[0]
+        if space is None or not np.all(np.isfinite(b)):
+            return None
+        rows = b.reshape(-1, n)
+        x = space.galerkin(rows).reshape(b.shape)
+        r = (b - normal(x)).reshape(-1, n)
+        passed = (np.linalg.norm(r, axis=1)
+                  <= solver.tol * np.linalg.norm(rows, axis=1))
+        return x if passed.all() else None
 
     def apply(z):
-        res = cg_regularized_normal(op, op.adjoint(op.apply(z)), 0.0, solver)
-        if not res.converged:
-            raise RuntimeError(
-                f"projector CG did not converge: {res.unconverged} of "
-                f"{z.size // n} columns after {res.iters} block steps, worst "
-                f"relative residual {res.rel_residual:.3g}")
-        return z - res.x
+        b = normal(z)
+        x = reuse(b)
+        if x is None:
+            res = cg_regularized_normal(op, b, 0.0, solver)
+            if not res.converged:
+                raise RuntimeError(
+                    f"projector CG did not converge: {res.unconverged} of "
+                    f"{z.size // n} columns after {res.iters} block steps, "
+                    f"worst relative residual {res.rel_residual:.3g}")
+            held[0], x = res.space, res.x
+        return z - x
 
     return NullProjector(op.in_shape, apply)
 

@@ -17,7 +17,7 @@ from nsrecon.linops import dense_svd
 from nsrecon.nullspace import iterative_projector, svd_projector
 from nsrecon.operators import operator_svd
 from nsrecon.regularize import (FILTER_KINDS, FilterSpec, SourceCondition,
-                                spectral_reconstruct)
+                                make_source_element, spectral_reconstruct)
 from oracles import rate_study_reference
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
@@ -391,11 +391,20 @@ class TestNsnRates:
         for a, b in zip(classical.entries, learned.entries):
             assert a["error"] == pytest.approx(b["error"], rel=1e-8)
 
-    def test_small_net_keeps_rate_and_bound(self, kernel_operator):
+    @pytest.mark.parametrize("net_seed, fires", [(2, False), (3, True)],
+                             ids=["net2", "net3"])
+    def test_small_net_keeps_rate_and_bound(self, kernel_operator, net_seed,
+                                            fires):
+        # the seed-2 network (criterion 6's) fires no ReLU on source
+        # elements, so its correction U(x) is one constant image; the
+        # seed-3 network's varies across pixels
         op, svd, proj = kernel_operator
         src = SourceCondition(mu=0.5, rho=1.0)
         params = nn.init_params(nn.Architecture(layers=2, width=2),
-                                seed=2).scaled(0.25)
+                                seed=net_seed).scaled(0.25)
+        x = make_source_element(svd, src, seed=0).reshape(svd.in_shape)
+        correction = nn.forward(params, x)[0] - x
+        assert (np.ptp(correction) > 1e-6) == fires
         report, lip = nsn_convergence_study(params, proj, svd, "tikhonov",
                                             src, DELTAS, trials=10, seed=0)
         assert 0.4 <= report.error_slope <= 0.6

@@ -206,6 +206,38 @@ class TestBlockCg:
         assert res.iters == 1 and res.unconverged == 3
         assert res.rel_residual > 1e-8
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unreachable_tolerance_returns_best_step(self, seed):
+        # no residual reaches tol = 1e-300: the estimate bottoms out near
+        # 4e-16 and the basis runs on to the rank, where the last
+        # iterates carry kernel components of 4e2 to 1e4; the step of
+        # smallest estimate is returned, with its space
+        op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=seed)
+        z = np.random.default_rng(seed).standard_normal((16, 16))
+        rhs = op.adjoint(op.apply(z))
+        res = cg_regularized_normal(op, rhs, 0.0,
+                                    SolverConfig(tol=1e-300, max_iters=20000))
+        assert not res.converged and res.rel_residual <= 1e-15
+        exact = z - svd_projector(svd)(z)
+        again = res.space.galerkin(rhs.reshape(1, -1)).reshape(z.shape)
+        for x in (res.x, again):
+            assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(z)
+
+    def test_space_solves_other_right_hand_sides(self):
+        # a space that spans the whole input space (full rank, lam > 0)
+        # gives the exact solution for any right-hand side
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((16, 16))
+        op = dense_op(a, (4, 4), (4, 4))
+        res = cg_regularized_normal(op, rng.standard_normal((4, 4, 4)), 0.3,
+                                    SolverConfig(tol=1e-12))
+        assert res.converged and res.space.directions.shape == (16, 16)
+        rhs = rng.standard_normal((3, 16))
+        direct = np.linalg.solve(a.T @ a + 0.3 * np.eye(16), rhs.T).T
+        np.testing.assert_allclose(res.space.galerkin(rhs), direct,
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(res.space.galerkin(0.0 * rhs), 0.0)
+
     def test_stack_shapes_validated(self):
         op = make_cumsum(3, 3)
         for shape in [(3, 3, 2), (2, 3), (1, 1, 3, 3)]:

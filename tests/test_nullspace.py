@@ -208,6 +208,98 @@ class TestProjectNull:
             project_null(mask_projector(support), np.zeros((3, 3)))
 
 
+def solve_spy(monkeypatch):
+    """Results of every block solve the projectors make from now on."""
+    results = []
+
+    def spy(*args):
+        results.append(cg_regularized_normal(*args))
+        return results[-1]
+
+    monkeypatch.setattr(nullspace, "cg_regularized_normal", spy)
+    return results
+
+
+def relative_gaps(got, want, z):
+    """Per-image |got - want| / |z| of two stacks of images."""
+    k = len(z)
+    return (np.linalg.norm((got - want).reshape(k, -1), axis=1)
+            / np.linalg.norm(z.reshape(k, -1), axis=1))
+
+
+class TestKrylovReuse:
+    """`iterative_projector` holds the Krylov space of its last solve and
+    keeps the Galerkin solution in it when it passes the solver's test."""
+
+    def full_rank(self, monkeypatch):
+        # seed 3: ten images fill range(A*) (23 block steps of 10, rank 224)
+        op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=3)
+        proj = iterative_projector(op)
+        results = solve_spy(monkeypatch)
+        z = np.random.default_rng(30).standard_normal((10, 16, 16))
+        gaps = relative_gaps(proj(z), svd_projector(svd)(z), z)
+        assert len(results) == 1 and np.all(gaps <= 1e-8)
+        return proj, svd_projector(svd), results
+
+    def test_full_rank_space_serves_the_next_call(self, monkeypatch):
+        proj, exact, results = self.full_rank(monkeypatch)
+        rng = np.random.default_rng(31)
+        for z in (rng.standard_normal((1, 16, 16)),
+                  rng.standard_normal((4, 16, 16))):
+            assert np.all(relative_gaps(proj(z), exact(z), z) <= 1e-8)
+        assert len(results) == 1
+
+    def test_partial_space_solves_again(self, monkeypatch):
+        # one image's 22 steps on the stripe operator span only its own
+        # Krylov space: the next image fails the test and is solved
+        op, support = stripe_problem()
+        proj = iterative_projector(op)
+        results = solve_spy(monkeypatch)
+        rng = np.random.default_rng(32)
+        for _ in range(2):
+            z = rng.standard_normal((16, 16))
+            np.testing.assert_allclose(proj(z), mask_projector(support)(z),
+                                       rtol=0, atol=1e-10)
+        assert len(results) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_held_space_still_rejects_non_finite(self, bad, monkeypatch):
+        proj, _, _ = self.full_rank(monkeypatch)
+        z = np.zeros((16, 16))
+        z[3, 5] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            proj(z)
+
+    def test_zero_column_returns_zero(self, monkeypatch):
+        proj, exact, results = self.full_rank(monkeypatch)
+        z = np.random.default_rng(33).standard_normal((3, 16, 16))
+        z[1] = 0.0
+        p = proj(z)
+        np.testing.assert_array_equal(p[1], 0.0)
+        assert np.all(relative_gaps(p[::2], exact(z[::2]), z[::2]) <= 1e-8)
+        assert len(results) == 1
+        fresh = iterative_projector(make_rate_operator(seed=3)[0])
+        np.testing.assert_array_equal(fresh(np.zeros((16, 16))), 0.0)
+
+    def test_failed_solve_keeps_the_held_space(self, monkeypatch):
+        proj, exact, results = self.full_rank(monkeypatch)
+        spy = nullspace.cg_regularized_normal
+
+        def fail(*args):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(nullspace, "cg_regularized_normal", fail)
+        z = np.zeros((16, 16))
+        z[0, 0] = np.nan       # skips the held space, so it must solve
+        with pytest.raises(RuntimeError, match="solver failed"):
+            proj(z)
+        monkeypatch.setattr(nullspace, "cg_regularized_normal", spy)
+        z = np.random.default_rng(34).standard_normal((2, 16, 16))
+        assert np.all(relative_gaps(proj(z), exact(z), z) <= 1e-8)
+        assert len(results) == 1
+
+
 def small_net(seed, scale=1.0):
     """Random 3-layer CNN parameters for the network x + P U(x)."""
     arch = nn.Architecture(layers=3, width=2)
