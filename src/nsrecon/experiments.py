@@ -18,8 +18,8 @@ from .metrics import mse, psnr, ssim
 from .nullspace import NullProjector, mask_projector
 from .operators import (StripeMaskSpec, dense_op, make_cumsum,
                         make_stripe_operator)
-from .regularize import (FilterSpec, SourceCondition, make_source_element,
-                         param_choice, spectral_reconstruct)
+from .regularize import (FilterSpec, SourceCondition, filter_weights,
+                         param_choice)
 
 MODEL_KINDS = ("resnet", "dcnet")
 
@@ -336,6 +336,10 @@ class ConvergenceReport:
             writer.writerows(self.entries)
 
 
+def _norms(block: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(block, axis=-1)
+
+
 def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
                 deltas, trials: int, seed: int, c: float,
                 f=None) -> ConvergenceReport:
@@ -344,41 +348,51 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
 
     Test elements are x = f(x0) with x0 from the source set; f must leave
     A x0 unchanged and map a stack (k, *svd.in_shape) of images.  With f
-    the entries also carry the classical error of the filter alone.  Trial
-    t at the i-th largest delta draws x0 from seed `seed + 1009 i + t`, its
-    noise from that seed + 31337.  All trials are the columns of one block
-    of O(n * len(deltas) * trials) floats: the filter and the forward
-    products are matrix-matrix products, and f runs once, on the stack of
-    every reconstruction and every x0.
+    the entries also carry the classical error of the filter alone.  The
+    two children of SeedSequence(seed) draw a (k, n) block of source
+    directions and a (k, m) block of noise, k = len(deltas) * trials:
+    trial t at the i-th largest delta is row i * trials + t of each.  The
+    classical path is two products into SVD coefficients, then elementwise
+    weights; f runs once, on the stack of every reconstruction and x0.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     deltas = np.sort(_positive(deltas, "delta", distinct=2))[::-1]
-    seeds = [seed + 1009 * i + t
-             for i in range(len(deltas)) for t in range(trials)]
-    x0 = make_source_element(svd, src, seed=seeds)
-    y = svd.apply(x0)  # A x = A x0: f only moves the kernel
-    noise = np.column_stack([np.random.default_rng(s + 31337)
-                             .standard_normal(len(y)) for s in seeds])
-    y_d = y + np.repeat(deltas, trials) * noise / np.linalg.norm(noise, axis=0)
-    alphas = [param_choice(delta, src, c) for delta in deltas]
-    x_cls = np.hstack([spectral_reconstruct(
-        svd, y_i, FilterSpec(filter_kind, alpha)).reshape(len(x0), -1)
-        for y_i, alpha in zip(np.hsplit(y_d, len(deltas)), alphas)])
-
-    x_rec, x = x_cls, x0
+    _positive(c, "c")
+    specs = [FilterSpec(filter_kind, param_choice(delta, src, c))
+             for delta in deltas]
+    if not np.any(svd.s > 0):
+        raise ValueError("operator has no positive singular value")
+    k, (n, p), m = len(deltas) * trials, svd.v.shape, svd.u.shape[0]
+    w, e = (np.random.default_rng(child).standard_normal((k, dim)) for
+            child, dim in zip(np.random.SeedSequence(seed).spawn(2), (n, m)))
+    w *= src.rho / _norms(w)[:, None]
+    e *= np.repeat(deltas, trials)[:, None] / _norms(e)[:, None]
+    c_w, c_e = svd.coeffs(w.T), svd.data_coeffs(e.T)
+    c0 = svd.s ** (2.0 * src.mu) * c_w
+    d = svd.s * c0 + c_e  # coefficients of y_d = A x0 + e
+    c_cls = np.repeat([filter_weights(spec, svd.s) for spec in specs],
+                      trials, axis=0) * d
+    # parts outside the span of a thin factor, formed explicitly: a
+    # difference of squared norms loses small errors to cancellation
+    w_out = _norms(w - svd.image(c_w).T) if src.mu == 0 and p < n else 0.0
+    e_out = _norms(e - c_e @ svd.u.T) if p < m else 0.0
+    errs = cls_errs = np.hypot(_norms(c_cls - c0), w_out)
+    c_rec = c_cls
     if f is not None:
-        cols = np.hstack([x_cls, x0])
-        out = f(cols.T.reshape(-1, *svd.in_shape)).reshape(cols.shape[1], -1)
-        x_rec, x = np.hsplit(out.T, 2)
-    norms = [np.linalg.norm(b, axis=0) for b in (
-        x_rec - x, x_cls - x0, svd.apply(x_rec) - y_d)]
+        stack = svd.image(np.vstack([c_cls, c0])).T
+        if src.mu == 0:
+            stack[k:] = w
+        out = f(stack.reshape(-1, *svd.in_shape)).reshape(2 * k, -1)
+        errs, c_rec = _norms(out[:k] - out[k:]), svd.coeffs(out[:k].T)
+    resids = np.hypot(_norms(svd.s * c_rec - d), e_out)
     errs, cls_errs, resids = np.median(
-        np.reshape(norms, (3, len(deltas), trials)), axis=2)
-    entries = [{"delta": delta, "alpha": alpha, "error": float(err),
+        np.reshape([errs, cls_errs, resids], (3, len(deltas), trials)),
+        axis=2)
+    entries = [{"delta": delta, "alpha": spec.alpha, "error": float(err),
                 **({} if f is None else {"classical_error": float(cls)}),
-                "residual": float(res)} for delta, alpha, err, cls, res
-               in zip(deltas, alphas, errs, cls_errs, resids)]
+                "residual": float(res)} for delta, spec, err, cls, res
+               in zip(deltas, specs, errs, cls_errs, resids)]
     return ConvergenceReport(entries, *fit_loglog_slope(deltas, errs),
                              *fit_loglog_slope(deltas, resids))
 

@@ -65,14 +65,18 @@ def filter_value(spec: FilterSpec, lam) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def filter_weights(spec: FilterSpec, s: np.ndarray) -> np.ndarray:
+    """g_alpha(s^2) s: data coefficients to reconstruction coefficients."""
+    return filter_value(spec, s**2) * s
+
+
 def spectral_reconstruct(svd: SvdFactors, y: np.ndarray,
                          spec: FilterSpec) -> np.ndarray:
     """Filtered reconstruction sum_i g_a(s_i^2) s_i <y, u_i> v_i of an
     image or a block of data; raises ValueError on non-finite data."""
     if not np.all(np.isfinite(y)):
         raise ValueError("y has non-finite entries")
-    return svd.image(svd.data_coeffs(y),
-                     filter_value(spec, svd.s**2) * svd.s)
+    return svd.image(svd.data_coeffs(y), filter_weights(spec, svd.s))
 
 
 def tikhonov_reconstruct(op: LinOp, y: np.ndarray, alpha: float,
@@ -105,16 +109,13 @@ def param_choice(delta: float, src: SourceCondition, c: float = 1.0) -> float:
 
 
 def make_source_element(svd: SvdFactors, src: SourceCondition,
-                        seed: int | list[int] = 0) -> np.ndarray:
+                        seed: int = 0) -> np.ndarray:
     """Element of (A*A)^mu applied to the rho-sphere: x = (A*A)^mu w with a
-    random direction w of norm rho drawn from the seed.  A sequence of k
-    seeds gives an (n, k) block whose column j is drawn from seed j."""
+    random direction w of norm rho drawn from the seed."""
     if not np.any(svd.s > 0):
         raise ValueError("operator has no positive singular value")
-    seeds = [seed] if np.ndim(seed) == 0 else seed
-    w = np.column_stack([np.random.default_rng(s).standard_normal(
-        svd.in_shape).ravel() for s in seeds])
-    w *= src.rho / np.linalg.norm(w, axis=0)
+    w = np.random.default_rng(seed).standard_normal(svd.in_shape)
+    w *= src.rho / np.linalg.norm(w)
     if src.mu > 0:
         w = svd.image(svd.coeffs(w), svd.s ** (2.0 * src.mu))
-    return w.reshape(svd.in_shape) if np.ndim(seed) == 0 else w
+    return w

@@ -5,8 +5,7 @@ import numpy as np
 from nsrecon import nn
 from nsrecon.experiments import ConvergenceReport, fit_loglog_slope
 from nsrecon.linops import CgResult
-from nsrecon.regularize import (FilterSpec, make_source_element,
-                                param_choice, spectral_reconstruct)
+from nsrecon.regularize import FilterSpec, param_choice, spectral_reconstruct
 
 
 def cg_reference(op, rhs, lam, cfg):
@@ -210,24 +209,35 @@ def _svd_forward(svd, x):
 
 def rate_study_reference(svd, filter_kind, src, deltas, trials, seed, c,
                          f=None):
-    """The rate study trial by trial: one source element, one noise draw,
-    one filtered reconstruction and two forward products per trial."""
+    """The rate study trial by trial through image space: one source
+    element, one noise draw, one filtered reconstruction and two forward
+    products per trial.  Trial t at the i-th largest delta takes row
+    i * trials + t of the source and noise blocks that the two children of
+    SeedSequence(seed) draw."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     deltas = sorted(np.asarray(deltas, dtype=float), reverse=True)
+    k = len(deltas) * trials
+    w_seq, e_seq = np.random.SeedSequence(seed).spawn(2)
+    w_block = np.random.default_rng(w_seq).standard_normal(
+        (k, svd.v.shape[0]))
+    e_block = np.random.default_rng(e_seq).standard_normal(
+        (k, svd.u.shape[0]))
     entries = []
     for i, delta in enumerate(deltas):
         alpha = param_choice(delta, src, c)
         errs, cls_errs, resids = [], [], []
         for t in range(trials):
-            sub = seed + 1009 * i + t
-            x0 = make_source_element(svd, src, seed=sub)
+            w = w_block[i * trials + t] * src.rho / np.linalg.norm(
+                w_block[i * trials + t])
+            x0 = w if src.mu == 0 else svd.v @ (
+                svd.s ** (2.0 * src.mu) * (svd.v.T @ w))
+            x0 = x0.reshape(svd.in_shape)
             x = x0 if f is None else f(x0)
             y = _svd_forward(svd, x0)  # A x = A x0: f only moves the kernel
-            rng = np.random.default_rng(sub + 31337)
-            noise = rng.standard_normal(y.shape)
+            noise = e_block[i * trials + t]
             y_d = y + delta * noise / np.linalg.norm(noise)
-            x_cls = spectral_reconstruct(svd, y_d,
+            x_cls = spectral_reconstruct(svd, y_d.reshape(svd.out_shape),
                                          FilterSpec(filter_kind, alpha))
             x_rec = x_cls if f is None else f(x_cls)
             errs.append(float(np.linalg.norm(x_rec - x)))

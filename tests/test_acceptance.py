@@ -18,7 +18,8 @@ from nsrecon.nullspace import (iterative_projector, mask_projector,
                                svd_projector)
 from nsrecon.operators import make_stripe_operator
 from nsrecon.regularize import (FILTER_KINDS, FILTER_QUALIFICATION,
-                                FilterSpec, SourceCondition, filter_value)
+                                FilterSpec, SourceCondition, filter_value,
+                                make_source_element)
 from oracles import grad_check
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
@@ -139,9 +140,12 @@ def test_criterion_5_classical_rates(classical_rates):
 def test_criterion_6_nsn_rate_transfer(classical_rates):
     _, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=0)
     proj = svd_projector(svd)
+    # a network whose first-layer ReLUs fire on source elements, so that
+    # its correction varies with the input (the seed-2 one fires none)
     params = nn.init_params(nn.Architecture(layers=2, width=2),
-                            seed=2).scaled(0.25)
-    ok = True
+                            seed=3).scaled(0.25)
+    x = make_source_element(svd, SourceCondition(mu=0.5, rho=1.0), seed=0)
+    ok = bool(np.ptp(nn.forward(params, x)[0] - x) > 1e-6)
     for mu, kind in ((0.5, "tikhonov"), (1.0, "tikhonov")):
         learned, lip = nsn_convergence_study(
             params, proj, svd, kind, SourceCondition(mu=mu, rho=1.0),

@@ -219,6 +219,13 @@ class TestRates:
         assert err.startswith("nsrecon rates: error: delta must be")
         assert "DLASCL" not in err
 
+    def test_nan_c_fails_naming_c(self, tmp_path, capfd):
+        cfg = write_config(tmp_path, "cfg", c="nan")
+        assert main(["rates", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 1
+        assert capfd.readouterr().err.startswith(
+            "nsrecon rates: error: c must be finite and positive")
+
     def test_bad_filter_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg", filter="ridge")
         assert main(["rates", "--out", str(tmp_path / "o"),

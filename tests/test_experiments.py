@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from nsrecon import experiments, nn
+from nsrecon import nn
 from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  TrainConfig, convergence_study, dc_audit,
                                  evaluate, fit_loglog_slope,
@@ -301,6 +301,14 @@ class TestRateMachinery:
             make_rate_operator(shape=(4, 4), kernel_dim=16)
 
 
+def forbid_draws(monkeypatch):
+    """Make any random generator the rate study builds fail the test."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("built a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+
+
 class TestClassicalRates:
     def test_mu_half_tikhonov(self):
         _, svd = make_rate_operator(seed=0)
@@ -348,15 +356,27 @@ class TestClassicalRates:
         [1e-1, 0.0, 1e-3], [1e-1, 1e-1, 1e-1]])
     def test_bad_deltas_rejected_before_any_draw(self, deltas, capfd,
                                                  monkeypatch):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew source elements")
-
-        monkeypatch.setattr(experiments, "make_source_element", no_draw)
         _, svd = make_rate_operator(shape=(4, 4), seed=1)
+        forbid_draws(monkeypatch)
         src = SourceCondition(mu=0.5, rho=1.0)
         with pytest.raises(ValueError, match="delta"):
             convergence_study(svd, "tikhonov", src, deltas, trials=2)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("c, kind, match", [
+        (np.nan, "tikhonov", "c must"), (0.0, "tikhonov", "c must"),
+        (-1.0, "tikhonov", "c must"), (np.inf, "tikhonov", "c must"),
+        (1.0, "bogus", "bogus"), (1.0, "tikhonov", "singular value")])
+    def test_bad_study_rejected_before_any_draw(self, c, kind, match,
+                                                monkeypatch):
+        if match == "singular value":
+            svd = dense_svd(np.zeros((3, 3)))
+        else:
+            _, svd = make_rate_operator(shape=(4, 4), seed=1)
+        forbid_draws(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            convergence_study(svd, kind, SourceCondition(mu=0.5, rho=1.0),
+                              DELTAS, trials=2, c=c)
 
     def test_report_csv(self, tmp_path):
         _, svd = make_rate_operator(shape=(8, 8), seed=1)
@@ -395,9 +415,9 @@ class TestNsnRates:
                              ids=["net2", "net3"])
     def test_small_net_keeps_rate_and_bound(self, kernel_operator, net_seed,
                                             fires):
-        # the seed-2 network (criterion 6's) fires no ReLU on source
-        # elements, so its correction U(x) is one constant image; the
-        # seed-3 network's varies across pixels
+        # the seed-2 network fires no ReLU on source elements, so its
+        # correction U(x) is one constant image; the seed-3 network's
+        # (criterion 6's) varies across pixels
         op, svd, proj = kernel_operator
         src = SourceCondition(mu=0.5, rho=1.0)
         params = nn.init_params(nn.Architecture(layers=2, width=2),
@@ -466,13 +486,11 @@ class TestBlockRateStudy:
         # The loop oracle always runs the exact SVD projector.  The block
         # study matches it to rounding with that projector, and with the
         # iterative one to the Krylov solve's documented 1e-8 relative.
-        # The iterative case takes a network whose first-layer ReLUs fire
-        # on these inputs: with seed 2 none does, and U(x) is one constant
-        # image for every x.
+        # The network's first-layer ReLUs fire on these inputs: with seed
+        # 2 none does, and U(x) is one constant image for every x.
         op, svd, proj = kernel_operator
         params = nn.init_params(nn.Architecture(layers=2, width=2),
-                                seed=2 if projector == "svd" else 3
-                                ).scaled(0.25)
+                                seed=3).scaled(0.25)
         src = SourceCondition(mu=0.5, rho=1.0)
         loop = rate_study_reference(
             svd, "tikhonov", src, DELTAS, trials, 1, 1.0,

@@ -199,18 +199,6 @@ class TestSourceElement:
         w = make_source_element(svd, SourceCondition(mu=0.0, rho=1.0), seed=3)
         np.testing.assert_allclose(x, np.array([4.0, 1.0]) * w, atol=1e-12)
 
-    @pytest.mark.parametrize("mu", [0.0, 1.5])
-    def test_seed_sequence_gives_columns(self, mu):
-        _, svd = make_rate_operator(shape=(4, 3), seed=1)
-        src = SourceCondition(mu=mu, rho=2.0)
-        block = make_source_element(svd, src, seed=[5, 9, 2])
-        assert block.shape == (12, 3)
-        for j, seed in enumerate([5, 9, 2]):
-            single = make_source_element(svd, src, seed=seed)
-            assert single.shape == (4, 3)
-            np.testing.assert_allclose(block[:, j], single.ravel(),
-                                       rtol=0, atol=1e-14)
-
     def test_rejects_zero_operator(self):
         svd = dense_svd(np.zeros((3, 3)))
         with pytest.raises(ValueError):
