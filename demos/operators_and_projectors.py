@@ -1,6 +1,7 @@
 """Tour of the forward operator and its null-space projector.
 
-Builds the stripe-masked integration operator A = M K, inspects its
+Takes the stripe-masked integration operator A = M K of a 16x16
+`Problem` (the benchmark's operator on a smaller grid), inspects its
 spectrum, and shows that the closed-form kernel projector (I - M) agrees
 with the exact SVD projector and with the general iterative one computed
 by conjugate gradients.
@@ -8,17 +9,16 @@ by conjugate gradients.
 
 import numpy as np
 
-from nsrecon import (StripeMaskSpec, adjoint_check, iterative_projector,
-                     make_stripe_operator, mask_projector, operator_svd,
-                     svd_projector)
+from nsrecon import (Problem, adjoint_check, iterative_projector,
+                     mask_projector, operator_svd, svd_projector)
 
 
 def main():
     n = 16
-    spec = StripeMaskSpec(image_width=n)
-    op, support = make_stripe_operator(n, n, spec)
-    print(f"operator A = M K on {n}x{n} images")
-    print(f"observed columns: {spec.kept_columns()}")
+    problem = Problem.benchmark(image_size=n)
+    op, support = problem.op, problem.support
+    print(f"operator A = M K on {n}x{n} images, grid step {problem.spacing}")
+    print(f"removed columns:  {np.flatnonzero(support[0] == 0).tolist()}")
     print(f"adjoint defect:   {adjoint_check(op):.3e}")
 
     svd = operator_svd(op)

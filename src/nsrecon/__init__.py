@@ -10,11 +10,9 @@ classical initialization exactly.
 from .linops import (CgResult, KrylovSpace, LinOp, MatvecOp, SolverConfig,
                      SvdFactors, adjoint_check, cg_regularized_normal,
                      dense_svd, pseudo_inverse_apply)
-from .operators import (StripeMaskSpec, dense_op, make_cumsum,
-                        make_stripe_operator, operator_svd, to_dense)
+from .operators import dense_op, make_cumsum, operator_svd, to_dense
 from .regularize import (FILTER_QUALIFICATION, FilterSpec, SourceCondition,
-                         filter_value, make_source_element, param_choice,
-                         spectral_reconstruct, tikhonov_reconstruct)
+                         filter_value, param_choice, spectral_reconstruct)
 from .nullspace import (NullProjector, iterative_projector, mask_projector,
                         project_null, svd_projector)
 from .metrics import mse, psnr, ssim

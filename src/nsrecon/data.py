@@ -38,8 +38,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and nonnegative")
 
 
 def _patch_position(spec: SampleSpec) -> tuple[int, int]:
@@ -147,8 +147,12 @@ def make_dataset(n: int, kind: str, base_seed: int, op: LinOp,
 
 
 def write_pgm16(path, image: np.ndarray, data_range: float = 1.0) -> None:
-    """16-bit binary PGM, values clamped to [0, data_range]."""
-    scaled = np.clip(np.asarray(image, dtype=float) / data_range, 0.0, 1.0)
+    """16-bit binary PGM, values clamped to [0, data_range]; raises
+    ValueError on non-finite entries, which have no pixel value."""
+    image = np.asarray(image, dtype=float)
+    if not np.all(np.isfinite(image)):
+        raise ValueError("image has non-finite entries")
+    scaled = np.clip(image / data_range, 0.0, 1.0)
     pix = np.round(scaled * 65535).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n65535\n".encode())

@@ -13,11 +13,10 @@ import numpy as np
 
 from . import nn
 from .data import Sample, make_dataset
-from .linops import SvdFactors
+from .linops import LinOp, MatvecOp, SvdFactors
 from .metrics import mse, psnr, ssim
 from .nullspace import NullProjector, mask_projector
-from .operators import (StripeMaskSpec, dense_op, make_cumsum,
-                        make_stripe_operator)
+from .operators import dense_op, make_cumsum
 from .regularize import (FilterSpec, SourceCondition, filter_weights,
                          param_choice)
 
@@ -46,23 +45,30 @@ class Problem:
         return cls(image_size, spacing, alpha)
 
     @cached_property
-    def _stripes(self):
-        # stripes (4k+1, 4k+2), k in {0..3}, are the REMOVED columns: the
-        # reported Tikhonov OOD quality is only reachable when the bulk of
-        # the image stays observed (a keep-the-stripes mask caps any
-        # column-local reconstruction far below it).  Integration carries a
+    def support(self) -> np.ndarray:
+        # the stripes, array columns {4k, 4k+1} for k = 0..3, are the
+        # REMOVED columns: the reported Tikhonov OOD quality is only
+        # reachable when the bulk of the image stays observed (a
+        # keep-the-stripes mask caps any column-local reconstruction far
+        # below it).
+        support = np.ones((self.image_size, self.image_size))
+        support[:, [0, 1, 4, 5, 8, 9, 12, 13]] = 0.0
+        support.flags.writeable = False
+        return support
+
+    @cached_property
+    def op(self) -> LinOp:
+        # A x = support * (L x), L the per-column integration.  L carries a
         # grid step so that alpha = 0.01 sits inside the spectrum and
         # attenuates, without erasing, the stripe oscillation: a
         # shift-equivariant network can only repaint stripes whose phase
         # survives in its input.  The nominal noise sd refers to the raw
         # unit-step prefix sums, so it is scaled by the same grid step as
         # the data.
-        n = self.image_size
-        spec = StripeMaskSpec(image_width=n, complement=True)
-        return make_stripe_operator(n, n, spec, spacing=self.spacing)
-
-    op = cached_property(lambda self: self._stripes[0])
-    support = cached_property(lambda self: self._stripes[1])
+        n, support = self.image_size, self.support
+        cumsum = make_cumsum(n, n, self.spacing)
+        return MatvecOp((n, n), (n, n), lambda x: cumsum.apply(x) * support,
+                        lambda y: cumsum.adjoint(y * support))
 
     @cached_property
     def projector(self) -> NullProjector:
@@ -112,8 +118,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-        if not (self.lr > 0 and self.weight_decay >= 0 and self.sigma >= 0):
-            raise ValueError("need lr > 0, weight_decay >= 0 and sigma >= 0")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (self.lr > 0 and self.weight_decay >= 0
+                and 0.0 <= self.sigma < np.inf):
+            raise ValueError("need lr > 0, weight_decay >= 0 and a finite "
+                             "sigma >= 0")
 
 
 def train(cfg: TrainConfig, problem: Problem | None = None):
@@ -154,8 +164,8 @@ class EvalConfig:
     sigma: float = 0.05
 
     def __post_init__(self):
-        if not (self.n_per_kind >= 1 and self.sigma >= 0):
-            raise ValueError("need n_per_kind >= 1 and sigma >= 0")
+        if not (self.n_per_kind >= 1 and 0.0 <= self.sigma < np.inf):
+            raise ValueError("need n_per_kind >= 1 and a finite sigma >= 0")
 
 
 METHODS = ("tikhonov", "resnet", "dcnet")

@@ -96,16 +96,16 @@ def adjoint_check(op: LinOp, trials: int = 50, seed: int = 0) -> float:
 
 @dataclass(frozen=True)
 class KrylovSpace:
-    """A block Krylov space of A*A + lam I as `cg_regularized_normal` left
-    it, kept as its conjugate directions: the rows P = L^-1 Q (d x n), Q
-    the orthonormal basis and L the block Cholesky factor of
-    T = Q (A*A + lam I) Q.T, so that P (A*A + lam I) P.T = I."""
+    """A block Krylov space of A*A as `cg_regularized_normal` left it, kept
+    as its conjugate directions: the rows P = L^-1 Q (d x n), Q the
+    orthonormal basis and L the block Cholesky factor of T = Q A*A Q.T, so
+    that P A*A P.T = I."""
 
     directions: np.ndarray
 
     def galerkin(self, rhs: np.ndarray) -> np.ndarray:
-        """Rows x in the span whose residual (A*A + lam I) x - rhs is
-        orthogonal to it, one per row of rhs (k x n):
+        """Rows x in the span whose residual A*A x - rhs is orthogonal to
+        it, one per row of rhs (k x n):
         x = Q.T T^-1 Q rhs = P.T P rhs."""
         p = self.directions
         return (np.asarray(rhs, dtype=float) @ p.T) @ p
@@ -125,22 +125,22 @@ class CgResult:
     space: KrylovSpace | None = None
 
 
-def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
+def cg_regularized_normal(op: LinOp, rhs: np.ndarray,
                           cfg: SolverConfig) -> CgResult:
-    """Block conjugate gradients for (A*A + lam*I) x = rhs.
+    """Block conjugate gradients for the normal equations A*A x = rhs.
 
     `rhs` is one image of the input space of `op` (typically A* y) or a
     stack (k, *op.in_shape); a single image is a block of one.  All k
     columns are solved in one block Krylov space (O'Leary, Linear Algebra
     Appl. 29, 1980): block Lanczos, whose new block is orthogonalised by
     the three-term recurrence and then once more against the whole basis,
-    and a Galerkin solve on the block tridiagonal T = Q*(A*A + lam I)Q by
-    a Cholesky factor that grows one block per step.  Each new block is
+    and a Galerkin solve on the block tridiagonal T = Q A*A Q.T by a
+    Cholesky factor that grows one block per step.  Each new block is
     rank-deflated, and so is each Schur block of that factor: a direction
-    of numerically zero energy (the kernel of A at lam = 0) never enters
-    the basis, which so stops at the rank.  Both thresholds follow numpy's
-    matrix_rank rule, n * eps * |A*A + lam I|.  Column j has converged
-    when |r_j| <= tol * |rhs_j|, read from the Lanczos identity
+    of numerically zero energy (the kernel of A) never enters the basis,
+    which so stops at the rank.  Both thresholds follow numpy's
+    matrix_rank rule, n * eps * |A*A|.  Column j has converged when
+    |r_j| <= tol * |rhs_j|, read from the Lanczos identity
     r = -V_next C Y_last without forming r; a zero column returns 0 and
     counts as converged.  `iters` counts block steps.  x and `space` are
     those of the step with the smallest worst-column estimate, which is
@@ -148,10 +148,9 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
     attainable accuracy the basis runs on to the rank and the last
     iterates drift far from the solution.  Each step forward-substitutes
     its new block through the Cholesky factor, so the space holds the
-    conjugate directions and x is `space.galerkin(rhs)`.
+    conjugate directions and x is `space.galerkin(rhs)`.  perfbench's
+    tracer finds the projector's solve under this name.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     rhs = _check_stack(rhs, op.in_shape)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs has non-finite entries")
@@ -164,8 +163,7 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
     stack = (-1,) + op.in_shape
 
     def normal(v):
-        out = op.adjoint(op.apply(v.reshape(stack))).reshape(v.shape)
-        return out + lam * v if lam != 0.0 else out
+        return op.adjoint(op.apply(v.reshape(stack))).reshape(v.shape)
 
     def orth(w, floor):
         """(C, V): orthonormal rows V with w = C.T V, up to singular values
@@ -183,7 +181,7 @@ def cg_regularized_normal(op: LinOp, rhs: np.ndarray, lam: float,
         return (s[0], None) if len(s) == 1 else np.linalg.eigh(s)
 
     rank_eps = n * np.finfo(float).eps
-    scale = 0.0                        # running estimate of |A*A + lam I|
+    scale = 0.0                        # running estimate of |A*A|
     basis = np.empty((min(n, 32 * max(k, 8)), n))   # rows, grown by doubling
     dirs = np.empty_like(basis)        # rows of L^-1 basis
     d = d_prev = steps = 0

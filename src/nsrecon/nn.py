@@ -75,8 +75,9 @@ def _conv_rows(rows: np.ndarray, kernel: np.ndarray, h: int,
                w: int) -> np.ndarray:
     """Bias-free 3x3 circular convolution of the (in_ch, h, w) input whose
     row-shift matrix is `rows`: one GEMM per column offset dj and stacked
-    input.  Returns (..., out_ch, h, w + 2); the last two columns of each
-    row are slack."""
+    input.  Returns (..., out_ch, h, w + 2) holding, for j < w,
+    out[o,i,j] = sum_{c,di,dj} k[o,c,di,dj] x[c,(i+di-1)%h,(j+dj-1)%w];
+    the last two columns of each row are slack."""
     out_ch, n = kernel.shape[0], h * (w + 2)
     # taps[dj]: (out_ch, in_ch*3), contiguous so that BLAS runs the product
     taps = np.ascontiguousarray(kernel.transpose(3, 0, 1, 2))
@@ -85,22 +86,6 @@ def _conv_rows(rows: np.ndarray, kernel: np.ndarray, h: int,
     for dj in (1, 2):
         out += taps[dj] @ rows[..., dj:dj + n]
     return out.reshape(*out.shape[:-1], h, w + 2)
-
-
-def conv2d_circular(x: np.ndarray, kernel: np.ndarray,
-                    bias: np.ndarray) -> np.ndarray:
-    """3x3 convolution with circular padding.
-
-    x: (in_ch, h, w); kernel: (out_ch, in_ch, 3, 3); bias: (out_ch,).
-    out[o,i,j] = bias[o] + sum_{c,di,dj} k[o,c,di,dj] x[c,(i+di-1)%h,(j+dj-1)%w]
-    `_conv_rows` on `_row_shifts(x)`, slack columns dropped.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 3 or kernel.ndim != 4 or kernel.shape[1] != x.shape[0]:
-        raise ValueError("channel counts do not match")
-    _, h, w = x.shape
-    out = _conv_rows(_row_shifts(x), kernel, h, w)
-    return out[:, :, :w] + bias[:, None, None]
 
 
 def init_params(arch: Architecture, seed: int = 0) -> NetParams:

@@ -63,7 +63,7 @@ def svd_projector(svd: SvdFactors) -> NullProjector:
 
 def iterative_projector(op: LinOp,
                         solver: SolverConfig | None = None) -> NullProjector:
-    """z - A+(A z) by block CG on the normal equations at lam = 0: one
+    """z - A+(A z) by block CG on the normal equations A*A x = A*A z: one
     solve for a whole stack.  Raises RuntimeError when a column misses the
     solver's tolerance.
 
@@ -100,7 +100,7 @@ def iterative_projector(op: LinOp,
         b = normal(z)
         x = reuse(b)
         if x is None:
-            res = cg_regularized_normal(op, b, 0.0, solver)
+            res = cg_regularized_normal(op, b, solver)
             if not res.converged:
                 raise RuntimeError(
                     f"projector CG did not converge: {res.unconverged} of "

@@ -1,9 +1,8 @@
-"""Concrete forward operators: vertical cumulative sum, the stripe-masked
-integration operator, and dense wrappers for oracle testing."""
+"""Concrete forward operators: vertical cumulative sum and dense wrappers
+for oracle testing.  The stripe-masked integration operator built on the
+cumulative sum is `experiments.Problem.op`."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,58 +30,6 @@ def make_cumsum(h: int, w: int, spacing: float = 1.0) -> LinOp:
         return spacing * np.cumsum(y[..., ::-1, :], axis=-2)[..., ::-1, :]
 
     return MatvecOp(shape, shape, forward, backward)
-
-
-@dataclass(frozen=True)
-class StripeMaskSpec:
-    """Vertical-stripe subsampling: per k, the stripe covers the one-based
-    columns {4k+1, 4k+2}, i.e. the array columns {4k, 4k+1}.  By default the
-    stripes are the observed columns; with complement=True they are the
-    removed ones and everything else is kept.
-    """
-
-    image_width: int
-    k_range: tuple[int, ...] = (0, 1, 2, 3)
-    complement: bool = False
-
-    def kept_columns(self) -> tuple[int, ...]:
-        cols = []
-        for k in self.k_range:
-            if k < 0:
-                raise ValueError("k_range entries must be nonnegative")
-            cols.extend([4 * k, 4 * k + 1])
-        cols = sorted(set(cols))
-        if not cols:
-            raise ValueError("k_range must be nonempty")
-        if cols[-1] >= self.image_width:
-            raise ValueError(
-                f"column {cols[-1]} out of range for width {self.image_width}")
-        if self.complement:
-            cols = [c for c in range(self.image_width) if c not in set(cols)]
-            if not cols:
-                raise ValueError("stripes cover the whole image")
-        return tuple(cols)
-
-
-def make_stripe_operator(h: int = 64, w: int = 64,
-                         spec: StripeMaskSpec | None = None,
-                         spacing: float = 1.0):
-    """The stripe-masked integration operator A x = support * (L x), L the
-    per-column integration `make_cumsum(h, w, spacing)`.
-
-    Returns (A, support): support is the read-only 0/1 (h, w) array of the
-    spec's kept columns, the observed entries of the data grid.
-    """
-    cumsum = make_cumsum(h, w, spacing)
-    spec = spec or StripeMaskSpec(image_width=w)
-    if spec.image_width != w:
-        raise ValueError(f"spec width {spec.image_width} != image width {w}")
-    support = np.zeros((h, w))
-    support[:, list(spec.kept_columns())] = 1.0
-    support.flags.writeable = False
-    op = MatvecOp((h, w), (h, w), lambda x: cumsum.apply(x) * support,
-                  lambda y: cumsum.adjoint(y * support))
-    return op, support
 
 
 _DENSE_DIM_LIMIT = 4096

@@ -1,6 +1,6 @@
 """Spectral-filter regularization: Tikhonov, truncated SVD and Landweber
-filters, matrix-free Tikhonov via CG on the normal equations, the a-priori
-parameter choice rule, and source-condition elements for rate experiments.
+filters applied through a dense SVD, and the source condition with its
+a-priori parameter choice rule for rate experiments.
 """
 
 from __future__ import annotations
@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import (CgResult, LinOp, SolverConfig, SvdFactors,
-                     cg_regularized_normal)
+from .linops import SvdFactors
 
 FILTER_KINDS = ("tikhonov", "tsvd", "landweber")
 
@@ -79,16 +78,6 @@ def spectral_reconstruct(svd: SvdFactors, y: np.ndarray,
     return svd.image(svd.data_coeffs(y), filter_weights(spec, svd.s))
 
 
-def tikhonov_reconstruct(op: LinOp, y: np.ndarray, alpha: float,
-                         cfg: SolverConfig | None = None) -> CgResult:
-    """Solve (A*A + alpha I) x = A* y by CG; the .x field is the image."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    cfg = cfg or SolverConfig()
-    rhs = op.adjoint(np.asarray(y, dtype=float))
-    return cg_regularized_normal(op, rhs, alpha, cfg)
-
-
 @dataclass(frozen=True)
 class SourceCondition:
     """Smoothness class (A*A)^mu applied to the closed rho-ball."""
@@ -107,15 +96,3 @@ def param_choice(delta: float, src: SourceCondition, c: float = 1.0) -> float:
         raise ValueError("delta must be positive and finite")
     return c * (delta / src.rho) ** (2.0 / (2.0 * src.mu + 1.0))
 
-
-def make_source_element(svd: SvdFactors, src: SourceCondition,
-                        seed: int = 0) -> np.ndarray:
-    """Element of (A*A)^mu applied to the rho-sphere: x = (A*A)^mu w with a
-    random direction w of norm rho drawn from the seed."""
-    if not np.any(svd.s > 0):
-        raise ValueError("operator has no positive singular value")
-    w = np.random.default_rng(seed).standard_normal(svd.in_shape)
-    w *= src.rho / np.linalg.norm(w)
-    if src.mu > 0:
-        w = svd.image(svd.coeffs(w), svd.s ** (2.0 * src.mu))
-    return w

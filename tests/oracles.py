@@ -4,17 +4,15 @@ import numpy as np
 
 from nsrecon import nn
 from nsrecon.experiments import ConvergenceReport, fit_loglog_slope
-from nsrecon.linops import CgResult
+from nsrecon.linops import CgResult, MatvecOp
 from nsrecon.regularize import FilterSpec, param_choice, spectral_reconstruct
 
 
-def cg_reference(op, rhs, lam, cfg):
-    """Single-vector conjugate gradients for (A*A + lam*I) x = rhs, each
-    residual reorthogonalised against all earlier ones, so that CG stops
-    within n = rhs.size steps; the column-by-column solver that the block
-    solver of `linops.cg_regularized_normal` replaced."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+def cg_reference(op, rhs, cfg):
+    """Single-vector conjugate gradients for A*A x = rhs, each residual
+    reorthogonalised against all earlier ones, so that CG stops within
+    n = rhs.size steps; the column-by-column solver that the block solver
+    of `linops.cg_regularized_normal` replaced."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != op.in_shape:
         raise ValueError(f"rhs shape {rhs.shape} != operator input "
@@ -23,10 +21,7 @@ def cg_reference(op, rhs, lam, cfg):
         raise ValueError("rhs has non-finite entries")
 
     def normal(v):
-        out = op.adjoint(op.apply(v))
-        if lam != 0.0:
-            out = out + lam * v
-        return out
+        return op.adjoint(op.apply(v))
 
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
@@ -46,7 +41,7 @@ def cg_reference(op, rhs, lam, cfg):
         ap = normal(p)
         denom = float(np.vdot(p, ap))
         if denom <= 0.0:
-            # singular direction (lam = 0 on a rank-deficient operator)
+            # singular direction (a rank-deficient operator)
             break
         a = rs / denom
         x = x + a * p
@@ -59,6 +54,39 @@ def cg_reference(op, rhs, lam, cfg):
         rs = rs_new
     return CgResult(x, bool(np.sqrt(rs) <= cfg.tol * rhs_norm), k,
                     np.sqrt(rs) / rhs_norm)
+
+
+def tikhonov_stack(op, lam):
+    """The operator [A; sqrt(lam) I], the identity block stacked below A's
+    output rows: its normal operator is A*A + lam I, so CG on its normal
+    equations solves Tikhonov's."""
+    h, w = op.out_shape
+    if w != op.in_shape[1]:
+        raise ValueError("A must keep the image width")
+    r = np.sqrt(lam)
+    return MatvecOp(op.in_shape, (h + op.in_shape[0], w),
+                    lambda x: np.concatenate([op.apply(x), r * x], axis=-2),
+                    lambda y: op.adjoint(y[..., :h, :]) + r * y[..., h:, :])
+
+
+def source_element(svd, src, seed=0):
+    """Element of (A*A)^mu applied to the rho-sphere: x = (A*A)^mu w with a
+    random direction w of norm rho drawn from the seed."""
+    if not np.any(svd.s > 0):
+        raise ValueError("operator has no positive singular value")
+    w = np.random.default_rng(seed).standard_normal(svd.in_shape)
+    w *= src.rho / np.linalg.norm(w)
+    if src.mu > 0:
+        w = svd.image(svd.coeffs(w), svd.s ** (2.0 * src.mu))
+    return w
+
+
+def conv(x, kernel, bias):
+    """3x3 circular convolution of x (in_ch, h, w) plus bias by the
+    network's row-shift GEMMs, slack columns dropped."""
+    h, w = x.shape[-2:]
+    out = nn._conv_rows(nn._row_shifts(x), kernel, h, w)
+    return out[..., :w] + bias[:, None, None]
 
 
 def conv_reference(x, kernel, bias):
@@ -122,7 +150,7 @@ def backward_reference(params, x, grad_out, projector=None):
     last = len(params.kernels) - 1
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
         inputs.append(a)
-        z = nn.conv2d_circular(a, k, b)
+        z = conv(a, k, b)
         preacts.append(z)
         a = np.maximum(z, 0.0) if l < last else z
     g = grad_out if projector is None else projector(grad_out)
@@ -137,8 +165,8 @@ def backward_reference(params, x, grad_out, projector=None):
         grad_k[l] = np.stack([g_ext @ rows[:, dj:dj + g_ext.shape[1]].T
                               for dj in range(3)], axis=-1).reshape(k.shape)
         grad_b[l] = g.sum(axis=(1, 2))
-        g = nn.conv2d_circular(g, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                               np.zeros(k.shape[1]))
+        g = conv(g, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                 np.zeros(k.shape[1]))
         if l > 0:
             g = g * (preacts[l - 1] > 0)
     return grad_k, grad_b, grad_out + g[0]

@@ -16,11 +16,9 @@ from nsrecon.linops import dense_svd, pseudo_inverse_apply
 from nsrecon.metrics import psnr, ssim
 from nsrecon.nullspace import (iterative_projector, mask_projector,
                                svd_projector)
-from nsrecon.operators import make_stripe_operator
 from nsrecon.regularize import (FILTER_KINDS, FILTER_QUALIFICATION,
-                                FilterSpec, SourceCondition, filter_value,
-                                make_source_element)
-from oracles import grad_check
+                                FilterSpec, SourceCondition, filter_value)
+from oracles import grad_check, source_element
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
 
@@ -55,8 +53,10 @@ def test_criterion_1_dc_invariance(trained_models):
 
 
 def test_criterion_2_projector_suite():
-    op, support = make_stripe_operator(64, 64)
-    closed = mask_projector(support)
+    # the operator and mask every model and benchmark workload runs on
+    problem = Problem.benchmark()
+    op = problem.op
+    closed = mask_projector(problem.support)
     iterative = iterative_projector(op)
     rng = np.random.default_rng(0)
     worst_gap = worst_idem = worst_sa = worst_ann = 0.0
@@ -144,7 +144,7 @@ def test_criterion_6_nsn_rate_transfer(classical_rates):
     # its correction varies with the input (the seed-2 one fires none)
     params = nn.init_params(nn.Architecture(layers=2, width=2),
                             seed=3).scaled(0.25)
-    x = make_source_element(svd, SourceCondition(mu=0.5, rho=1.0), seed=0)
+    x = source_element(svd, SourceCondition(mu=0.5, rho=1.0), seed=0)
     ok = bool(np.ptp(nn.forward(params, x)[0] - x) > 1e-6)
     for mu, kind in ((0.5, "tikhonov"), (1.0, "tikhonov")):
         learned, lip = nsn_convergence_study(

@@ -53,6 +53,17 @@ class TestGenData:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_fails_naming_sigma(self, tmp_path, capfd,
+                                                 sigma):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "cfg", sigma=sigma, n=1,
+                           image_size=16, patch_size=6)
+        assert main(["gen-data", "--out", str(out), "--config", cfg]) == 1
+        assert capfd.readouterr().err.startswith(
+            "nsrecon gen-data: error: sigma must be finite")
+        assert not list(out.iterdir())
+
 
 class TestTrainEval:
     def test_train_eval_audit_pipeline(self, tmp_path):
@@ -238,3 +249,11 @@ def test_out_directory_created(tmp_path):
     cfg = write_config(tmp_path, "cfg", n=1, image_size=32, patch_size=10)
     assert main(["gen-data", "--out", str(nested), "--config", cfg]) == 0
     assert os.path.isdir(nested)
+
+
+def test_negative_epochs_fails_naming_epochs(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg", epochs=-1)
+    assert main(["train", "--out", str(tmp_path / "o"),
+                 "--config", cfg]) == 1
+    assert ("nsrecon train: error: epochs must be >= 0"
+            in capsys.readouterr().err)

@@ -9,7 +9,8 @@ import pytest
 from nsrecon.data import (NoiseSpec, SampleSpec, export_dataset,
                           gen_measurement, gen_square_sample, make_dataset,
                           polar_gaussian, read_pgm16, write_pgm16)
-from nsrecon.operators import StripeMaskSpec, make_stripe_operator
+from nsrecon.experiments import Problem
+from nsrecon.operators import make_cumsum
 from oracles import polar_gaussian_reference
 
 
@@ -94,7 +95,7 @@ class TestPolarGaussian:
 
 class TestMeasurement:
     def test_noiseless(self):
-        op, _ = make_stripe_operator(16, 16)
+        op = Problem(16, 1.0, 0.01).op
         x = gen_square_sample(SampleSpec(image_size=16, patch_size=6))
         y, delta = gen_measurement(op, x, NoiseSpec(sigma=0.0))
         np.testing.assert_array_equal(y, op.apply(x))
@@ -102,8 +103,9 @@ class TestMeasurement:
 
     def test_noise_energy_on_eight_columns(self):
         # E|z|^2 = sigma^2 * (observed pixel count) = 0.0025 * 512 = 1.28
-        spec = StripeMaskSpec(image_width=64)
-        op, support = make_stripe_operator(64, 64, spec)
+        op = make_cumsum(64, 64)
+        support = np.zeros((64, 64))
+        support[:, [0, 1, 4, 5, 8, 9, 12, 13]] = 1.0
         x = np.zeros((64, 64))
         sq = []
         for seed in range(200):
@@ -113,16 +115,16 @@ class TestMeasurement:
         assert np.mean(sq) == pytest.approx(1.28, rel=0.1)
 
     def test_noise_confined_to_support(self):
-        spec = StripeMaskSpec(image_width=16)
-        op, support = make_stripe_operator(16, 16, spec)
+        problem = Problem(16, 1.0, 0.01)
         x = np.zeros((16, 16))
-        y, _ = gen_measurement(op, x, NoiseSpec(sigma=0.1, seed=1),
-                               support=support)
-        free = [c for c in range(16) if c not in spec.kept_columns()]
-        assert np.max(np.abs(y[:, free])) == 0.0
+        y, _ = gen_measurement(problem.op, x, NoiseSpec(sigma=0.1, seed=1),
+                               support=problem.support)
+        free = problem.support == 0.0
+        assert free.any() and np.max(np.abs(y[free])) == 0.0
+        assert np.all(y[~free] != 0.0)
 
     def test_reproducible(self):
-        op, _ = make_stripe_operator(16, 16)
+        op = Problem(16, 1.0, 0.01).op
         x = np.random.default_rng(2).random((16, 16))
         y1, d1 = gen_measurement(op, x, NoiseSpec(sigma=0.05, seed=9))
         y2, d2 = gen_measurement(op, x, NoiseSpec(sigma=0.05, seed=9))
@@ -133,17 +135,22 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            NoiseSpec(sigma=bad)
+
 
 class TestMakeDataset:
     def test_sizes(self):
-        op, _ = make_stripe_operator(16, 16)
+        op = Problem(16, 1.0, 0.01).op
         for n in (1, 20):
             samples = make_dataset(n, "OOD", 0, op, sigma=0.01, patch_size=6)
             assert len(samples) == n
             assert samples[0].x.shape == op.in_shape
 
     def test_per_sample_seeds(self):
-        op, _ = make_stripe_operator(16, 16)
+        op = Problem(16, 1.0, 0.01).op
         samples = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
         assert [s.seed for s in samples] == [100, 101, 102]
         again = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
@@ -151,7 +158,7 @@ class TestMakeDataset:
             np.testing.assert_array_equal(a.y, b.y)
 
     def test_n_validated(self):
-        op, _ = make_stripe_operator(16, 16)
+        op = Problem(16, 1.0, 0.01).op
         with pytest.raises(ValueError):
             make_dataset(0, "ID", 0, op)
 
@@ -171,6 +178,15 @@ class TestPgm:
         write_pgm16(path, img)
         np.testing.assert_array_equal(read_pgm16(path), [[0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, tmp_path, bad):
+        img = np.zeros((2, 3))
+        img[1, 2] = bad
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_pgm16(path, img)
+        assert not path.exists()
+
     def test_rejects_non_pgm(self, tmp_path):
         path = tmp_path / "nope.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
@@ -179,7 +195,7 @@ class TestPgm:
 
 
 def test_export_dataset(tmp_path):
-    op, _ = make_stripe_operator(16, 16)
+    op = Problem(16, 1.0, 0.01).op
     samples = make_dataset(2, "ID", 7, op, sigma=0.01, patch_size=6)
     manifest = export_dataset(samples, tmp_path, data_range=2.0)
     with open(manifest) as fh:
@@ -192,7 +208,7 @@ def test_export_dataset(tmp_path):
 
 def test_export_dataset_measurements_are_lossless(tmp_path):
     # at unit spacing y leaves the PGM range [0, 1] on both sides
-    op, _ = make_stripe_operator(16, 16)
+    op = Problem(16, 1.0, 0.01).op
     samples = make_dataset(3, "ID", 7, op, sigma=0.05, patch_size=6)
     assert max(s.y.max() for s in samples) > 1.0
     assert min(s.y.min() for s in samples) < 0.0

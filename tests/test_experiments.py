@@ -17,8 +17,8 @@ from nsrecon.linops import dense_svd
 from nsrecon.nullspace import iterative_projector, svd_projector
 from nsrecon.operators import operator_svd
 from nsrecon.regularize import (FILTER_KINDS, FilterSpec, SourceCondition,
-                                make_source_element, spectral_reconstruct)
-from oracles import rate_study_reference
+                                spectral_reconstruct)
+from oracles import rate_study_reference, source_element
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
 
@@ -150,10 +150,15 @@ class TestTrain:
             TrainConfig(model_kind="unet")
 
     @pytest.mark.parametrize("bad", [{"weight_decay": -0.5},
-                                     {"sigma": -0.01}])
+                                     {"sigma": -0.01}, {"sigma": np.nan},
+                                     {"sigma": np.inf}])
     def test_hyperparameters_validated(self, bad):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+
+    def test_negative_epochs_named(self):
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            TrainConfig(epochs=-1)
 
     def test_loss_decreases_with_benchmarks(self):
         for kind in ("resnet", "dcnet"):
@@ -167,7 +172,8 @@ class TestTrain:
 
 
 class TestEvaluate:
-    @pytest.mark.parametrize("bad", [{"n_per_kind": 0}, {"sigma": -0.01}])
+    @pytest.mark.parametrize("bad", [{"n_per_kind": 0}, {"sigma": -0.01},
+                                     {"sigma": np.nan}, {"sigma": np.inf}])
     def test_config_validated(self, bad):
         with pytest.raises(ValueError):
             EvalConfig(**bad)
@@ -422,7 +428,7 @@ class TestNsnRates:
         src = SourceCondition(mu=0.5, rho=1.0)
         params = nn.init_params(nn.Architecture(layers=2, width=2),
                                 seed=net_seed).scaled(0.25)
-        x = make_source_element(svd, src, seed=0).reshape(svd.in_shape)
+        x = source_element(svd, src, seed=0).reshape(svd.in_shape)
         correction = nn.forward(params, x)[0] - x
         assert (np.ptp(correction) > 1e-6) == fires
         report, lip = nsn_convergence_study(params, proj, svd, "tikhonov",

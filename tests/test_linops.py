@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from nsrecon.experiments import make_rate_operator
+from nsrecon.experiments import Problem, make_rate_operator
 from nsrecon.linops import (SolverConfig, adjoint_check, cg_regularized_normal,
                             dense_svd, pseudo_inverse_apply)
 from nsrecon.nullspace import svd_projector
-from nsrecon.operators import (StripeMaskSpec, dense_op, make_cumsum,
-                               make_stripe_operator, operator_svd, to_dense)
-from oracles import cg_reference
+from nsrecon.operators import dense_op, make_cumsum, operator_svd, to_dense
+from oracles import cg_reference, tikhonov_stack
 
 
 def cumsum_spectrum(n):
@@ -52,8 +51,8 @@ class TestOperatorNorm:
             1.0 / (2 * np.sin(np.pi / 14)), rel=1e-12)
 
     def test_mask_is_projection(self):
-        _, support = make_stripe_operator(
-            8, 8, StripeMaskSpec(image_width=8, k_range=(0,)))
+        support = np.zeros((8, 8))
+        support[:, :2] = 1.0
         mask = dense_op(np.diag(support.ravel()), (8, 8), (8, 8))
         assert operator_svd(mask).s[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -62,14 +61,15 @@ class TestCg:
     def test_identity_regularized(self):
         op = dense_op(np.eye(4), (2, 2), (2, 2))
         rhs = np.arange(4.0).reshape(2, 2)
-        res = cg_regularized_normal(op, rhs, 1.0, SolverConfig())
+        res = cg_regularized_normal(tikhonov_stack(op, 1.0), rhs,
+                                    SolverConfig())
         assert res.converged
         np.testing.assert_allclose(res.x, rhs / 2.0, atol=1e-10)
 
     def test_scaling_unregularized(self):
         op = dense_op(2.0 * np.eye(4), (2, 2), (2, 2))
         e = np.ones((2, 2))
-        res = cg_regularized_normal(op, 4.0 * e, 0.0, SolverConfig())
+        res = cg_regularized_normal(op, 4.0 * e, SolverConfig())
         np.testing.assert_allclose(res.x, e, atol=1e-10)
 
     def test_matches_dense_solve(self):
@@ -78,19 +78,15 @@ class TestCg:
         op = dense_op(a, (4, 4), (4, 4))
         rhs = rng.standard_normal((4, 4))
         lam = 0.3
-        res = cg_regularized_normal(op, rhs, lam, SolverConfig(tol=1e-12))
+        res = cg_regularized_normal(tikhonov_stack(op, lam), rhs,
+                                    SolverConfig(tol=1e-12))
         direct = np.linalg.solve(a.T @ a + lam * np.eye(16), rhs.ravel())
         np.testing.assert_allclose(res.x.ravel(), direct, atol=1e-8)
-
-    def test_rejects_negative_lam(self):
-        op = make_cumsum(3, 3)
-        with pytest.raises(ValueError):
-            cg_regularized_normal(op, np.zeros((3, 3)), -1.0, SolverConfig())
 
     def test_rejects_bad_rhs_shape(self):
         op = make_cumsum(3, 3)
         with pytest.raises(ValueError):
-            cg_regularized_normal(op, np.zeros((2, 2)), 1.0, SolverConfig())
+            cg_regularized_normal(op, np.zeros((2, 2)), SolverConfig())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_rhs(self, bad):
@@ -98,12 +94,12 @@ class TestCg:
         rhs = np.ones((3, 3))
         rhs[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            cg_regularized_normal(op, rhs, 0.0, SolverConfig())
+            cg_regularized_normal(op, rhs, SolverConfig())
 
     def test_reports_iterations_run_on_singular_stop(self):
         # p = rhs spans the kernel of A, so the first step has p.A*Ap = 0
         op = dense_op(np.diag([1.0, 0.0]))
-        res = cg_regularized_normal(op, np.array([[0.0], [1.0]]), 0.0,
+        res = cg_regularized_normal(op, np.array([[0.0], [1.0]]),
                                     SolverConfig())
         assert not res.converged
         assert res.iters == 0
@@ -115,7 +111,7 @@ class TestCg:
         a = rng.standard_normal((8, 8))
         op = dense_op(a, (2, 4), (2, 4))
         rhs = rng.standard_normal((2, 4))
-        res = cg_regularized_normal(op, rhs, 0.0,
+        res = cg_regularized_normal(op, rhs,
                                     SolverConfig(tol=1e-300, max_iters=100))
         assert res.iters == 8
         np.testing.assert_allclose(
@@ -136,17 +132,17 @@ class TestBlockCg:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [1, 3, 5, 10])
     def test_row_space_solve_matches_oracles(self, seed, k):
-        # A*A x = A*A z at lam = 0 (the iterative projector's solve) has
+        # A*A x = A*A z (the iterative projector's solve) has
         # the minimal-norm solution z - P z, P the kernel projector
         op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=seed)
         z = np.random.default_rng(seed).standard_normal((k, 16, 16))
         rhs = op.adjoint(op.apply(z))
         cfg = SolverConfig(tol=1e-14, max_iters=20000)
-        res = cg_regularized_normal(op, rhs, 0.0, cfg)
+        res = cg_regularized_normal(op, rhs, cfg)
         assert res.converged and res.unconverged == 0
         assert res.x.shape == z.shape
         assert res.iters <= 224
-        loop = np.stack([cg_reference(op, col, 0.0, cfg).x for col in rhs])
+        loop = np.stack([cg_reference(op, col, cfg).x for col in rhs])
         exact = z - svd_projector(svd)(z)
         assert np.all(column_gaps(res.x, loop, z) <= 1e-8)
         assert np.all(column_gaps(res.x, exact, z) <= 1e-8)
@@ -162,19 +158,21 @@ class TestBlockCg:
         columns = []
         forward = op._forward
         op._forward = lambda x: (columns.append(len(x)), forward(x))[1]
-        res = cg_regularized_normal(op, rhs, 0.0, SolverConfig(tol=1e-14))
+        res = cg_regularized_normal(op, rhs, SolverConfig(tol=1e-14))
         assert sum(columns) <= 224 + k
         kernel = svd_projector(svd)(res.x)
         assert np.all(column_gaps(kernel, 0.0 * z, z) <= 1e-8)
 
     def test_regularized_block_on_stripe_operator(self):
-        op, _ = make_stripe_operator(16, 16)
+        # A*A + 0.3 I as the normal operator of the stacked [A; sqrt(0.3) I]
+        op = Problem(16, 1.0, 0.01).op
+        stacked = tikhonov_stack(op, 0.3)
         rng = np.random.default_rng(21)
         rhs = rng.standard_normal((4, 16, 16))
         cfg = SolverConfig(tol=1e-12)
-        res = cg_regularized_normal(op, rhs, 0.3, cfg)
+        res = cg_regularized_normal(stacked, rhs, cfg)
         assert res.converged
-        loop = np.stack([cg_reference(op, col, 0.3, cfg).x for col in rhs])
+        loop = np.stack([cg_reference(stacked, col, cfg).x for col in rhs])
         mat = to_dense(op)
         direct = np.linalg.solve(mat.T @ mat + 0.3 * np.eye(256),
                                  rhs.reshape(4, -1).T).T.reshape(rhs.shape)
@@ -182,26 +180,25 @@ class TestBlockCg:
         assert np.all(column_gaps(res.x, direct, direct) <= 1e-8)
 
     def test_zero_columns_return_zero(self):
-        op, _ = make_rate_operator(seed=1)
+        op = tikhonov_stack(make_rate_operator(seed=1)[0], 0.1)
         rhs = np.random.default_rng(22).standard_normal((4, 16, 16))
         rhs[[0, 2]] = 0.0
         cfg = SolverConfig(tol=1e-12)
-        res = cg_regularized_normal(op, rhs, 0.1, cfg)
+        res = cg_regularized_normal(op, rhs, cfg)
         assert res.converged and res.rel_residual <= 1e-12
         np.testing.assert_array_equal(res.x[[0, 2]], 0.0)
-        pair = cg_regularized_normal(op, rhs[[1, 3]], 0.1, cfg)
+        pair = cg_regularized_normal(op, rhs[[1, 3]], cfg)
         assert res.iters == pair.iters
         np.testing.assert_allclose(res.x[[1, 3]], pair.x, rtol=0,
                                    atol=1e-13)
-        none = cg_regularized_normal(op, np.zeros((3, 16, 16)), 0.1, cfg)
+        none = cg_regularized_normal(op, np.zeros((3, 16, 16)), cfg)
         assert none.converged and none.iters == 0
         np.testing.assert_array_equal(none.x, 0.0)
 
     def test_unconverged_block_counts_columns(self):
-        op, _ = make_stripe_operator(16, 16)
+        op = Problem(16, 1.0, 0.01).op
         rhs = np.random.default_rng(23).standard_normal((3, 16, 16))
-        res = cg_regularized_normal(op, rhs, 0.0,
-                                    SolverConfig(max_iters=1))
+        res = cg_regularized_normal(op, rhs, SolverConfig(max_iters=1))
         assert not res.converged
         assert res.iters == 1 and res.unconverged == 3
         assert res.rel_residual > 1e-8
@@ -215,7 +212,7 @@ class TestBlockCg:
         op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=seed)
         z = np.random.default_rng(seed).standard_normal((16, 16))
         rhs = op.adjoint(op.apply(z))
-        res = cg_regularized_normal(op, rhs, 0.0,
+        res = cg_regularized_normal(op, rhs,
                                     SolverConfig(tol=1e-300, max_iters=20000))
         assert not res.converged and res.rel_residual <= 1e-15
         exact = z - svd_projector(svd)(z)
@@ -228,8 +225,8 @@ class TestBlockCg:
         # gives the exact solution for any right-hand side
         rng = np.random.default_rng(25)
         a = rng.standard_normal((16, 16))
-        op = dense_op(a, (4, 4), (4, 4))
-        res = cg_regularized_normal(op, rng.standard_normal((4, 4, 4)), 0.3,
+        op = tikhonov_stack(dense_op(a, (4, 4), (4, 4)), 0.3)
+        res = cg_regularized_normal(op, rng.standard_normal((4, 4, 4)),
                                     SolverConfig(tol=1e-12))
         assert res.converged and res.space.directions.shape == (16, 16)
         rhs = rng.standard_normal((3, 16))
@@ -242,8 +239,7 @@ class TestBlockCg:
         op = make_cumsum(3, 3)
         for shape in [(3, 3, 2), (2, 3), (1, 1, 3, 3)]:
             with pytest.raises(ValueError):
-                cg_regularized_normal(op, np.zeros(shape), 1.0,
-                                      SolverConfig())
+                cg_regularized_normal(op, np.zeros(shape), SolverConfig())
 
 
 class TestStackedOperators:
@@ -251,7 +247,7 @@ class TestStackedOperators:
 
     @pytest.mark.parametrize("make", [
         lambda: make_cumsum(5, 4, 0.5),
-        lambda: make_stripe_operator(6, 16)[0],
+        lambda: Problem(16, 0.5, 0.01).op,
         lambda: dense_op(np.random.default_rng(0).standard_normal((12, 20)),
                          (5, 4), (3, 4)),
     ])

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from nsrecon import nn, nullspace
-from nsrecon.experiments import make_rate_operator
+from nsrecon.experiments import Problem, make_rate_operator
 from nsrecon.linops import SolverConfig, cg_regularized_normal
 from nsrecon.nullspace import (iterative_projector, mask_projector,
                                project_null, svd_projector)
-from nsrecon.operators import (StripeMaskSpec, dense_op, make_stripe_operator,
-                               operator_svd)
-from nsrecon.regularize import tikhonov_reconstruct
+from nsrecon.operators import dense_op, operator_svd
 
 
 def subsampled_unitary(basis, kept):
@@ -23,7 +21,9 @@ def subsampled_unitary(basis, kept):
 
 
 def stripe_problem(n=16):
-    return make_stripe_operator(n, n)
+    """The stripe operator of `Problem` at unit grid step, and its support."""
+    problem = Problem(n, 1.0, 0.01)
+    return problem.op, problem.support
 
 
 class TestProjectNull:
@@ -31,7 +31,7 @@ class TestProjectNull:
         op, support = stripe_problem()
         proj = mask_projector(support)
         z = np.random.default_rng(0).standard_normal((16, 16))
-        z[:, list(StripeMaskSpec(image_width=16).kept_columns())] = 0.0
+        z[support == 1.0] = 0.0
         np.testing.assert_array_equal(proj(z), z)
 
     def test_mask_projector_rejects_fractional_support(self):
@@ -348,10 +348,7 @@ class TestRegularizingNsn:
         op, support = stripe_problem()
         proj = mask_projector(support)
         y = op.apply(np.random.default_rng(8).random((16, 16)))
-
-        def recon(data):
-            return tikhonov_reconstruct(op, data, 0.01).x
-
+        recon = Problem(16, 1.0, 0.01).reconstruct
         out = nsn(small_net(8, 0.0), proj, recon(y))
         np.testing.assert_array_equal(out, recon(y))
 
@@ -364,9 +361,7 @@ class TestRegularizingNsn:
 
         prev = np.inf
         for alpha in (1e-2, 1e-4, 1e-6, 1e-8):
-            def recon(data, a=alpha):
-                return tikhonov_reconstruct(
-                    op, data, a, SolverConfig(tol=1e-13, max_iters=50000)).x
+            recon = Problem(16, 1.0, alpha).reconstruct
             out = nsn(params, proj, recon(y))
             res = np.linalg.norm(op.apply(out) - y)
             assert res <= prev * 1.01
@@ -376,12 +371,8 @@ class TestRegularizingNsn:
     def test_right_inverse_on_range(self):
         op, support = stripe_problem()
         proj = mask_projector(support)
-        svd_cfg = SolverConfig(tol=1e-13, max_iters=50000)
         y = op.apply(np.random.default_rng(10).random((16, 16)))
-
-        def recon(data):
-            # near-exact solve stands in for the pseudo-inverse
-            return tikhonov_reconstruct(op, data, 1e-12, svd_cfg).x
-
+        # a near-exact solve stands in for the pseudo-inverse
+        recon = Problem(16, 1.0, 1e-12).reconstruct
         out = nsn(small_net(10), proj, recon(y))
         assert np.linalg.norm(op.apply(out) - y) <= 1e-6 * np.linalg.norm(y)

@@ -1,12 +1,12 @@
-"""Forward operators: cumulative sum, stripe mask, the stripe operator and
-the dense wrappers."""
+"""Forward operators: cumulative sum, the stripe mask and operator of
+`Problem`, and the dense wrappers."""
 
 import numpy as np
 import pytest
 
+from nsrecon.experiments import Problem
 from nsrecon.linops import adjoint_check
-from nsrecon.operators import (StripeMaskSpec, dense_op, make_cumsum,
-                               make_stripe_operator, operator_svd, to_dense)
+from nsrecon.operators import dense_op, make_cumsum, operator_svd, to_dense
 
 
 class TestCumsum:
@@ -38,35 +38,39 @@ class TestCumsum:
             make_cumsum(3, 3, spacing=0.0)
 
 
+STRIPES = [0, 1, 4, 5, 8, 9, 12, 13]  # array columns {4k, 4k+1}, k < 4
+
+
 class TestStripeMask:
+    """The support of `Problem`: ones, with the four stripes removed."""
+
     def test_single_stripe_columns(self):
-        spec = StripeMaskSpec(image_width=8, k_range=(0,))
-        assert spec.kept_columns() == (0, 1)  # one-based stripe {1, 2}
-        _, support = make_stripe_operator(3, 8, spec)
-        expected = np.zeros((3, 8))
-        expected[:, :2] = 1.0
-        np.testing.assert_array_equal(support, expected)
+        # stripe k is the one-based column pair {4k+1, 4k+2}
+        support = Problem(16, 1.0, 0.01).support
+        for k in range(4):
+            assert np.all(support[:, 4 * k:4 * k + 2] == 0.0)
+            assert np.all(support[:, 4 * k + 2:4 * k + 4] == 1.0)
 
     def test_benchmark_eight_columns(self):
-        spec = StripeMaskSpec(image_width=64)
-        assert len(spec.kept_columns()) == 8
-        assert spec.kept_columns() == (0, 1, 4, 5, 8, 9, 12, 13)
+        support = Problem.benchmark().support
+        assert support.shape == (64, 64)
+        assert np.all((support == 0.0) | (support == 1.0))
+        removed = np.flatnonzero(support[0] == 0.0)
+        assert removed.tolist() == STRIPES
+        assert np.all(support == support[0])
 
     def test_complement(self):
-        spec = StripeMaskSpec(image_width=64, complement=True)
-        kept = spec.kept_columns()
+        kept = np.flatnonzero(Problem.benchmark().support[0])
         assert len(kept) == 56
-        assert not set(kept) & {0, 1, 4, 5, 8, 9, 12, 13}
+        assert not set(kept) & set(STRIPES)
 
     def test_validation(self):
+        # 14 columns are the narrowest that hold the four stripes
+        with pytest.raises(ValueError, match="stripes"):
+            Problem(13, 1.0, 0.01)
+        assert Problem(14, 1.0, 0.01).support[:, 13].sum() == 0.0
         with pytest.raises(ValueError):
-            StripeMaskSpec(image_width=4).kept_columns()
-        with pytest.raises(ValueError):
-            StripeMaskSpec(image_width=8, k_range=()).kept_columns()
-        with pytest.raises(ValueError):
-            StripeMaskSpec(image_width=8, k_range=(-1,)).kept_columns()
-        with pytest.raises(ValueError):
-            make_stripe_operator(16, 16, StripeMaskSpec(image_width=24))
+            Problem(14, 1.0, 0.01).support[0, 0] = 1.0
 
 
 class TestCompose:
@@ -75,14 +79,12 @@ class TestCompose:
     def test_mask_commutes_with_cumsum(self):
         k = make_cumsum(16, 16, spacing=0.25)
         x = np.random.default_rng(3).standard_normal((16, 16))
-        for complement in (False, True):
-            spec = StripeMaskSpec(image_width=16, complement=complement)
-            op, support = make_stripe_operator(16, 16, spec, spacing=0.25)
-            np.testing.assert_array_equal(op.apply(x), support * k.apply(x))
+        problem = Problem(16, 0.25, 0.01)
+        np.testing.assert_array_equal(problem.op.apply(x),
+                                      problem.support * k.apply(x))
 
     def test_adjoint_defect(self):
-        op, _ = make_stripe_operator(16, 16)
-        assert adjoint_check(op) < 1e-12
+        assert adjoint_check(Problem(16, 1.0, 0.01).op) < 1e-12
 
 
 class TestDense:
@@ -95,14 +97,14 @@ class TestDense:
                                       np.array([[1.0, 0.0], [1.0, 1.0]]))
 
     def test_transpose_matches_adjoint(self):
-        op, _ = make_stripe_operator(
-            8, 8, StripeMaskSpec(image_width=8, k_range=(0, 1)))
+        op = Problem(14, 1.0, 0.01).op
         mat = to_dense(op)
-        for j in range(64):
-            e = np.zeros(64)
+        for j in range(14 * 14):
+            e = np.zeros(14 * 14)
             e[j] = 1.0
             np.testing.assert_allclose(
-                op.adjoint(e.reshape(8, 8)).ravel(), mat.T[:, j], atol=1e-14)
+                op.adjoint(e.reshape(14, 14)).ravel(), mat.T[:, j],
+                atol=1e-14)
 
     def test_dense_op_roundtrip(self):
         rng = np.random.default_rng(6)
@@ -111,10 +113,9 @@ class TestDense:
                                    mat, atol=1e-14)
 
     def test_operator_svd_keeps_shapes(self):
-        op, _ = make_stripe_operator(
-            8, 8, StripeMaskSpec(image_width=8, k_range=(0, 1)))
+        op = Problem(14, 1.0, 0.01).op
         svd = operator_svd(op)
-        assert svd.in_shape == (8, 8) and svd.out_shape == (8, 8)
+        assert svd.in_shape == (14, 14) and svd.out_shape == (14, 14)
         np.testing.assert_allclose(svd.matrix(), to_dense(op), atol=1e-12)
 
     def test_dense_op_shape_validation(self):

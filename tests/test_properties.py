@@ -1,5 +1,5 @@
 """Property tests of the operators' adjoints, the pseudo-inverse and the
-kernel projectors over random shapes and masks, of CG on the normal
+kernel projectors over random shapes and stripe problems, of CG on the normal
 equations of a low-rank operator, of the benchmark problem's Tikhonov
 reconstruction, and of the CNN's circular convolution
 and kernel gradient."""
@@ -12,9 +12,8 @@ from nsrecon.experiments import Problem
 from nsrecon.linops import (SolverConfig, adjoint_check, cg_regularized_normal,
                             dense_svd, pseudo_inverse_apply)
 from nsrecon.nullspace import mask_projector, svd_projector
-from nsrecon.operators import (StripeMaskSpec, dense_op, make_cumsum,
-                               make_stripe_operator)
-from oracles import conv_reference, kernel_grad_reference
+from nsrecon.operators import dense_op, make_cumsum
+from oracles import conv, conv_reference, kernel_grad_reference
 
 PROPERTY = settings(max_examples=25, deadline=None)
 TOL = 1e-10
@@ -44,12 +43,14 @@ def test_cumsum_adjoint(h, w, spacing, seed):
     assert adjoint_check(make_cumsum(h, w, spacing), seed=seed) <= 1e-12
 
 
+# 14 is the narrowest image the four removed stripes fit in
+image_sizes = st.integers(14, 24)
+
+
 @PROPERTY
-@given(h=st.integers(1, 24), w=st.integers(15, 24), complement=st.booleans(),
-       spacing=spacings, seed=st.integers(0, 2**32 - 1))
-def test_stripe_operator_adjoint(h, w, complement, spacing, seed):
-    spec = StripeMaskSpec(image_width=w, complement=complement)
-    op, _ = make_stripe_operator(h, w, spec, spacing=spacing)
+@given(n=image_sizes, spacing=spacings, seed=st.integers(0, 2**32 - 1))
+def test_stripe_operator_adjoint(n, spacing, seed):
+    op = Problem(n, spacing, 0.01).op
     assert adjoint_check(op, seed=seed) <= 1e-12
 
 
@@ -95,12 +96,12 @@ def test_svd_projector_is_kernel_projection(case):
 @PROPERTY
 @given(low_rank(s_max=1.0), st.integers(0, 4))
 def test_cg_returns_row_space_component_within_n_steps(case, k):
-    # A*A x = A*A z at lam = 0 has the minimal-norm solution A+ A z; k = 0
+    # A*A x = A*A z has the minimal-norm solution A+ A z; k = 0
     # is one image z, k >= 1 a stack of k images solved as one block
     a, rng = case
     n = a.shape[1]
     z = rng.standard_normal((k, n, 1) if k else (n, 1))
-    res = cg_regularized_normal(dense_op(a), a.T @ (a @ z), 0.0,
+    res = cg_regularized_normal(dense_op(a), a.T @ (a @ z),
                                 SolverConfig(tol=1e-12))
     assert res.converged
     assert res.iters <= n
@@ -111,15 +112,13 @@ def test_cg_returns_row_space_component_within_n_steps(case, k):
 
 
 @PROPERTY
-@given(h=st.integers(1, 12), w=st.integers(15, 24), complement=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_mask_projector_is_kernel_projection(h, w, complement, seed):
-    spec = StripeMaskSpec(image_width=w, complement=complement)
-    op, support = make_stripe_operator(h, w, spec)
-    proj = mask_projector(support)
+@given(n=image_sizes, spacing=spacings, seed=st.integers(0, 2**32 - 1))
+def test_mask_projector_is_kernel_projection(n, spacing, seed):
+    problem = Problem(n, spacing, 0.01)
+    op, proj = problem.op, mask_projector(problem.support)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((h, w))
-    v = rng.standard_normal((h, w))
+    z = rng.standard_normal((n, n))
+    v = rng.standard_normal((n, n))
     p = proj(z)
     assert np.max(np.abs(proj(p) - p)) <= TOL
     assert abs(np.vdot(p, v) - np.vdot(z, proj(v))) <= TOL
@@ -130,7 +129,6 @@ def test_mask_projector_is_kernel_projection(h, w, complement, seed):
 @given(n=st.integers(14, 32), alpha=st.floats(1e-3, 1.0),
        seed=st.integers(0, 2**32 - 1))
 def test_problem_reconstruct_solves_tikhonov_normal_equations(n, alpha, seed):
-    # 14 is the narrowest image the four removed stripes fit in
     problem = Problem.benchmark(image_size=n, alpha=alpha)
     y = np.random.default_rng(seed).standard_normal((n, n))
     x = problem.reconstruct(y)
@@ -160,7 +158,7 @@ def test_conv_and_kernel_gradient_match_loops(in_ch, out_ch, h, w, seed):
     k1 = rng.standard_normal((1, out_ch, 3, 3))
     b0, b1 = rng.standard_normal(out_ch), rng.standard_normal(1)
     z0 = conv_reference(x, k0, b0)
-    assert_close_1e13(nn.conv2d_circular(x, k0, b0), z0)
+    assert_close_1e13(conv(x, k0, b0), z0)
 
     # kernel gradients of the net in_ch -> out_ch -> 1 through nn.backward;
     # the cache is built by hand because nn.forward feeds one channel

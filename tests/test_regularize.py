@@ -1,16 +1,16 @@
-"""Spectral filters, qualification constants, Tikhonov via CG, the a-priori
-parameter rule and source-condition elements."""
+"""Spectral filters, qualification constants, Tikhonov on the stripe
+problem, the a-priori parameter rule and source-condition elements."""
 
 import numpy as np
 import pytest
 
-from nsrecon.experiments import make_rate_operator
-from nsrecon.linops import SolverConfig, dense_svd
-from nsrecon.operators import dense_op, make_stripe_operator, operator_svd
+from nsrecon.experiments import Problem, make_rate_operator
+from nsrecon.linops import SolverConfig, cg_regularized_normal, dense_svd
+from nsrecon.operators import dense_op, operator_svd
 from nsrecon.regularize import (FILTER_KINDS, FILTER_QUALIFICATION,
                                 FilterSpec, SourceCondition, filter_value,
-                                make_source_element, param_choice,
-                                spectral_reconstruct, tikhonov_reconstruct)
+                                param_choice, spectral_reconstruct)
+from oracles import source_element, tikhonov_stack
 
 
 class TestFilterValue:
@@ -95,8 +95,10 @@ class TestSpectralReconstruct:
         alpha = 0.05
         via_svd = spectral_reconstruct(operator_svd(op), y,
                                        FilterSpec("tikhonov", alpha))
-        via_cg = tikhonov_reconstruct(op, y, alpha,
-                                      SolverConfig(tol=1e-13)).x
+        # CG on the normal equations of [A; sqrt(alpha) I]
+        via_cg = cg_regularized_normal(tikhonov_stack(op, alpha),
+                                       op.adjoint(y),
+                                       SolverConfig(tol=1e-13)).x
         np.testing.assert_allclose(via_svd, via_cg, atol=1e-8)
 
     def test_shape_validation(self):
@@ -116,43 +118,43 @@ class TestSpectralReconstruct:
 
 
 class TestTikhonovReconstruct:
+    """`Problem.reconstruct`, the direct per-column Tikhonov solve, at unit
+    grid step, and the Tikhonov filter on a general operator."""
+
     def test_identity_half(self):
-        op = dense_op(np.eye(4), (2, 2), (2, 2))
         y = np.arange(4.0).reshape(2, 2)
-        res = tikhonov_reconstruct(op, y, 1.0)
-        assert res.converged
-        np.testing.assert_allclose(res.x, y / 2.0, atol=1e-10)
+        x = spectral_reconstruct(operator_svd(dense_op(np.eye(4), (2, 2),
+                                                       (2, 2))),
+                                 y, FilterSpec("tikhonov", 1.0))
+        np.testing.assert_allclose(x, y / 2.0, atol=1e-14)
 
     def test_stripe_operator_runs(self):
-        op, _ = make_stripe_operator(16, 16)
-        y = op.apply(np.random.default_rng(0).random((16, 16)))
-        res = tikhonov_reconstruct(op, y, 0.01)
-        assert res.converged
+        problem = Problem(16, 1.0, 0.01)
+        x_true = np.random.default_rng(0).random((16, 16))
+        y = problem.op.apply(x_true)
+        x = problem.reconstruct(y)
+        assert np.all(np.isfinite(x))
+        assert np.linalg.norm(problem.op.apply(x) - y) < np.linalg.norm(y)
 
     def test_svd_agreement_16x16(self):
-        op, _ = make_stripe_operator(16, 16)
-        y = op.apply(np.random.default_rng(1).random((16, 16)))
-        via_cg = tikhonov_reconstruct(op, y, 0.01,
-                                      SolverConfig(tol=1e-13)).x
-        via_svd = spectral_reconstruct(operator_svd(op), y,
+        problem = Problem(16, 1.0, 0.01)
+        y = problem.op.apply(np.random.default_rng(1).random((16, 16)))
+        via_svd = spectral_reconstruct(operator_svd(problem.op), y,
                                        FilterSpec("tikhonov", 0.01))
-        np.testing.assert_allclose(via_cg, via_svd, atol=1e-8)
+        np.testing.assert_allclose(problem.reconstruct(y), via_svd,
+                                   atol=1e-8)
 
     def test_alpha_validated(self):
-        op = dense_op(np.eye(4), (2, 2), (2, 2))
-        with pytest.raises(ValueError):
-            tikhonov_reconstruct(op, np.ones((2, 2)), 0.0)
+        for alpha in (0.0, -0.01):
+            with pytest.raises(ValueError):
+                Problem(16, 1.0, alpha)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, bad):
-        op, _ = make_stripe_operator(16, 16)
         y = np.ones((16, 16))
         y[4, 7] = bad
-        # the operator turns inf into nan (inf - inf, inf * 0); numpy's
-        # warning for that is silenced so that the solver's check shows
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="non-finite"):
-            tikhonov_reconstruct(op, y, 0.01)
+        with pytest.raises(ValueError, match="non-finite"):
+            Problem(16, 1.0, 0.01).reconstruct(y)
 
 
 class TestParamChoice:
@@ -179,27 +181,30 @@ class TestParamChoice:
 
 
 class TestSourceElement:
+    """The single source element that criterion 6 and the rate-study tests
+    feed a network (`oracles.source_element`)."""
+
     def test_mu_zero_is_direction(self):
         svd = dense_svd(np.diag([2.0, 1.0]))
         src = SourceCondition(mu=0.0, rho=3.0)
-        x = make_source_element(svd, src, seed=1)
+        x = source_element(svd, src, seed=1)
         assert np.linalg.norm(x) == pytest.approx(3.0)
 
     def test_identity_operator_any_mu(self):
         svd = dense_svd(np.eye(5))
-        w = make_source_element(svd, SourceCondition(mu=0.0, rho=1.0), seed=2)
-        x = make_source_element(svd, SourceCondition(mu=2.0, rho=1.0), seed=2)
+        w = source_element(svd, SourceCondition(mu=0.0, rho=1.0), seed=2)
+        x = source_element(svd, SourceCondition(mu=2.0, rho=1.0), seed=2)
         np.testing.assert_allclose(x, w, atol=1e-12)
 
     def test_diag_scaling(self):
         svd = dense_svd(np.diag([2.0, 1.0]))
         src = SourceCondition(mu=1.0, rho=1.0)
-        x = make_source_element(svd, src, seed=3)
+        x = source_element(svd, src, seed=3)
         # (A*A)^1 scales the first coordinate by 4 and the second by 1
-        w = make_source_element(svd, SourceCondition(mu=0.0, rho=1.0), seed=3)
+        w = source_element(svd, SourceCondition(mu=0.0, rho=1.0), seed=3)
         np.testing.assert_allclose(x, np.array([4.0, 1.0]) * w, atol=1e-12)
 
     def test_rejects_zero_operator(self):
         svd = dense_svd(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            make_source_element(svd, SourceCondition(mu=0.5, rho=1.0))
+            source_element(svd, SourceCondition(mu=0.5, rho=1.0))
