@@ -7,7 +7,7 @@ so the learned reconstruction keeps the measurement residual of its
 classical initialization exactly.
 """
 
-from .linops import (CgResult, KrylovSpace, LinOp, MatvecOp, SolverConfig,
+from .linops import (CgResult, KrylovSpace, MatvecOp, SolverConfig,
                      SvdFactors, adjoint_check, cg_regularized_normal,
                      dense_svd, pseudo_inverse_apply)
 from .operators import dense_op, make_cumsum, operator_svd, to_dense

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import nn
 from .data import export_dataset, write_pgm16
-from .experiments import (EvalConfig, Problem, TrainConfig, _eval_samples,
+from .experiments import (EvalConfig, Problem, TrainConfig, _reconstructions,
                           convergence_study, dc_audit, evaluate,
-                          make_rate_operator, reconstruct_all,
-                          save_json_summary, train)
+                          make_rate_operator, save_json_summary, train)
 from .regularize import SourceCondition
 
 
@@ -42,7 +41,15 @@ def parse_config_file(path) -> dict:
 
 
 def _get(cfg, key, cast, default):
-    return cast(cfg[key]) if key in cfg else default
+    """cfg[key] cast, or default; a value that does not cast raises a
+    ValueError naming the key."""
+    if key not in cfg:
+        return default
+    try:
+        return cast(cfg[key])
+    except ValueError:
+        raise ValueError(f"{key} must be {cast.__name__}, "
+                         f"got {cfg[key]!r}") from None
 
 
 def _problem(cfg) -> Problem:
@@ -122,18 +129,17 @@ def cmd_eval(args, cfg):
     n_dump = _get(cfg, "n_dump", int, 3)
     if n_dump < 0:
         raise ValueError("n_dump must be >= 0")
-    params_resnet = _load_ckpt(cfg["resnet_ckpt"])
-    params_dcnet = _load_ckpt(cfg["dcnet_ckpt"])
+    models = {kind: _load_ckpt(cfg[f"{kind}_ckpt"])
+              for kind in ("resnet", "dcnet")}
     problem = _problem(cfg)
-    report, wall_s = _timed(evaluate, params_resnet, params_dcnet, ec,
+    report, wall_s = _timed(evaluate, models["resnet"], models["dcnet"], ec,
                             problem)
     report.to_csv(os.path.join(args.out, "eval.csv"))
 
-    # image dumps: ground truth / tikhonov / resnet / dcnet for a few samples
-    samples = (_eval_samples(problem, ec, "ID", n_dump, ec.eval_seed)
-               if n_dump else [])
-    for i, s in enumerate(samples):
-        recs = reconstruct_all(problem, s, params_resnet, params_dcnet)
+    # image dumps: ground truth / tikhonov / resnet / dcnet for the first
+    # n_dump ID samples
+    for _, i, s, recs in _reconstructions(problem, ec.sigma, (n_dump, 0),
+                                          ec.eval_seed, models):
         write_pgm16(os.path.join(args.out, f"sample{i}_truth.pgm"), s.x)
         for name, img in recs.items():
             write_pgm16(os.path.join(args.out, f"sample{i}_{name}.pgm"), img)
@@ -206,11 +212,15 @@ def main(argv=None) -> int:
         _common(subs.add_parser(name))
     args = parser.parse_args(argv)
     cfg = parse_config_file(args.config) if args.config else {}
+    created = not os.path.exists(args.out)
     try:
         os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.command](args, cfg)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"nsrecon {args.command}: error: {exc}", file=sys.stderr)
+        # a failed run leaves no empty output directory of its own making
+        if created and os.path.isdir(args.out) and not os.listdir(args.out):
+            os.rmdir(args.out)
         return 1
     return 0
 

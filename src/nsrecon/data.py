@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import LinOp
+from .linops import MatvecOp
 
 KINDS = ("ID", "OOD")
 
@@ -93,7 +93,7 @@ def polar_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-def gen_measurement(op: LinOp, x: np.ndarray, noise: NoiseSpec,
+def gen_measurement(op: MatvecOp, x: np.ndarray, noise: NoiseSpec,
                     support: np.ndarray | None = None):
     """Noisy measurement y = A x + z with Gaussian noise of sd sigma.
 
@@ -125,7 +125,7 @@ class Sample:
 _NOISE_SEED_OFFSET = 7777777  # disjoint stream from the image seeds
 
 
-def make_dataset(n: int, kind: str, base_seed: int, op: LinOp,
+def make_dataset(n: int, kind: str, base_seed: int, op: MatvecOp,
                  sigma: float = 0.05, support: np.ndarray | None = None,
                  patch_size: int = 20) -> list[Sample]:
     """n independent (x, y) samples; sample i uses seed base_seed + i.

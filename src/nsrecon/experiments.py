@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nn
 from .data import Sample, make_dataset
-from .linops import LinOp, MatvecOp, SvdFactors
+from .linops import MatvecOp, SvdFactors
 from .metrics import mse, psnr, ssim
 from .nullspace import NullProjector, mask_projector
 from .operators import dense_op, make_cumsum
@@ -57,7 +57,7 @@ class Problem:
         return support
 
     @cached_property
-    def op(self) -> LinOp:
+    def op(self) -> MatvecOp:
         # A x = support * (L x), L the per-column integration.  L carries a
         # grid step so that alpha = 0.01 sits inside the spectrum and
         # attenuates, without erasing, the stripe oscillation: a
@@ -73,6 +73,14 @@ class Problem:
     @cached_property
     def projector(self) -> NullProjector:
         return mask_projector(self.support)
+
+    def model_projector(self, model_kind: str) -> NullProjector | None:
+        """The projector a network of model_kind runs with: the kernel
+        projector for the dcnet, none for the resnet."""
+        if model_kind not in MODEL_KINDS:
+            raise ValueError(f"model_kind must be one of {MODEL_KINDS}, "
+                             f"got {model_kind!r}")
+        return self.projector if model_kind == "dcnet" else None
 
     @cached_property
     def _tikhonov(self) -> np.ndarray:
@@ -140,7 +148,7 @@ def train(cfg: TrainConfig, problem: Problem | None = None):
     if cfg.epochs == 0:
         return params, []
     state = nn.init_adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    projector = problem.projector if cfg.model_kind == "dcnet" else None
+    projector = problem.model_projector(cfg.model_kind)
     samples = problem.dataset(cfg.epochs, "ID", cfg.data_seed, cfg.sigma)
     log = []
     for epoch, s in enumerate(samples):
@@ -168,7 +176,7 @@ class EvalConfig:
             raise ValueError("need n_per_kind >= 1 and a finite sigma >= 0")
 
 
-METHODS = ("tikhonov", "resnet", "dcnet")
+_METRICS = ("psnr", "ssim", "mse", "residual")
 _OOD_SEED_OFFSET = 500_000
 
 
@@ -177,69 +185,61 @@ class EvalReport:
     rows: list            # per-sample dicts
     means: dict           # means[method][kind][metric]
 
-    def recompute_means(self) -> dict:
-        out = {}
-        for method in METHODS:
-            out[method] = {}
-            for kind in ("ID", "OOD"):
-                sel = [r for r in self.rows
-                       if r["method"] == method and r["kind"] == kind]
-                if not sel:
-                    continue
-                out[method][kind] = {
-                    m: float(np.mean([r[m] for r in sel]))
-                    for m in ("psnr", "ssim", "mse", "residual")}
-        return out
-
     def to_csv(self, path) -> None:
-        cols = ["kind", "index", "method", "psnr", "ssim", "mse", "residual"]
+        cols = ["kind", "index", "method", *_METRICS]
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=cols)
             writer.writeheader()
             writer.writerows({c: r[c] for c in cols} for r in self.rows)
 
 
-def _eval_samples(problem: Problem, cfg: EvalConfig, kind: str, n: int,
-                  seed: int) -> list[Sample]:
-    """n evaluation samples of a kind; OOD draws from a disjoint seed range."""
-    seed += _OOD_SEED_OFFSET if kind == "OOD" else 0
-    return problem.dataset(n, kind, seed, cfg.sigma)
+def _reconstructions(problem: Problem, sigma: float, counts: tuple[int, int],
+                     seed: int, models: dict):
+    """Yield (kind, index, sample, reconstructions) for counts = (ID, OOD)
+    fresh samples, OOD from a disjoint seed range.  reconstructions maps
+    "tikhonov" to B_alpha y and each kind of models (kind -> params) to
+    that network on B_alpha y, run with `Problem.model_projector(kind)`."""
+    projectors = {kind: problem.model_projector(kind) for kind in models}
+    if not all(nn._all_finite(params) for params in models.values()):
+        raise ValueError("non-finite network parameters")
+    for kind, count, offset in zip(("ID", "OOD"), counts,
+                                   (0, _OOD_SEED_OFFSET)):
+        if count == 0:
+            continue
+        for i, s in enumerate(problem.dataset(count, kind, seed + offset,
+                                              sigma)):
+            tik = problem.reconstruct(s.y)
+            yield kind, i, s, {"tikhonov": tik, **{
+                k: nn.forward(params, tik, projectors[k])[0]
+                for k, params in models.items()}}
 
 
-def reconstruct_all(problem: Problem, sample: Sample,
-                    params_resnet: nn.NetParams, params_dcnet: nn.NetParams):
-    """Tikhonov, ResNet and DC-Net reconstructions of one sample."""
-    tik = problem.reconstruct(sample.y)
-    res = nn.forward(params_resnet, tik)[0]
-    dc = nn.forward(params_dcnet, tik, problem.projector)[0]
-    return {"tikhonov": tik, "resnet": res, "dcnet": dc}
+def _residual(problem: Problem, x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.linalg.norm(problem.op.apply(x) - y))
 
 
 def evaluate(params_resnet: nn.NetParams, params_dcnet: nn.NetParams,
              cfg: EvalConfig | None = None,
              problem: Problem | None = None) -> EvalReport:
     """Metric table over fresh ID and OOD samples for the three methods."""
-    if not (nn._all_finite(params_resnet) and nn._all_finite(params_dcnet)):
-        raise ValueError("non-finite network parameters")
     cfg = cfg or EvalConfig()
     problem = problem or Problem.benchmark()
-    rows = []
-    for kind in ("ID", "OOD"):
-        samples = _eval_samples(problem, cfg, kind, cfg.n_per_kind,
-                                cfg.eval_seed)
-        for i, s in enumerate(samples):
-            recs = reconstruct_all(problem, s, params_resnet, params_dcnet)
-            for method, xr in recs.items():
-                rows.append({
-                    "kind": kind, "index": i, "method": method,
-                    "psnr": psnr(s.x, xr), "ssim": ssim(s.x, xr),
-                    "mse": mse(s.x, xr),
-                    "residual": float(np.linalg.norm(
-                        problem.op.apply(xr) - s.y)),
-                })
-    report = EvalReport(rows=rows, means={})
-    report.means = report.recompute_means()
-    return report
+    rows, groups = [], {}
+    for kind, i, s, recs in _reconstructions(
+            problem, cfg.sigma, (cfg.n_per_kind,) * 2, cfg.eval_seed,
+            {"resnet": params_resnet, "dcnet": params_dcnet}):
+        for method, xr in recs.items():
+            row = {"kind": kind, "index": i, "method": method,
+                   "psnr": psnr(s.x, xr), "ssim": ssim(s.x, xr),
+                   "mse": mse(s.x, xr),
+                   "residual": _residual(problem, xr, s.y)}
+            rows.append(row)
+            groups.setdefault(method, {}).setdefault(kind, []).append(row)
+    means = {method: {kind: {m: float(np.mean([r[m] for r in sel]))
+                             for m in _METRICS}
+                      for kind, sel in by_kind.items()}
+             for method, by_kind in groups.items()}
+    return EvalReport(rows=rows, means=means)
 
 
 def dc_audit(params: nn.NetParams, model_kind: str, n: int, seed: int,
@@ -247,34 +247,21 @@ def dc_audit(params: nn.NetParams, model_kind: str, n: int, seed: int,
              problem: Problem | None = None) -> list[dict]:
     """Measurement residual of the model vs its Tikhonov input, per sample.
 
-    Half the samples are ID, half OOD.  For the dcnet the two residuals
-    agree to rounding; for the resnet they generally differ.
+    n // 2 samples are ID, the rest OOD, drawn as `evaluate` draws them;
+    of cfg only the noise level sigma is read.  For the dcnet the two
+    residuals agree to rounding; for the resnet they generally differ.
     """
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not nn._all_finite(params):
-        raise ValueError("non-finite network parameters")
     cfg = cfg or EvalConfig()
     problem = problem or Problem.benchmark()
-    projector = problem.projector if model_kind == "dcnet" else None
-    out = []
-    for kind, count in (("ID", n // 2), ("OOD", n - n // 2)):
-        if count == 0:
-            continue
-        for s in _eval_samples(problem, cfg, kind, count, seed):
-            tik = problem.reconstruct(s.y)
-            rec = nn.forward(params, tik, projector)[0]
-            out.append({
-                "kind": kind, "seed": s.seed,
-                "residual_tikhonov": float(np.linalg.norm(
-                    problem.op.apply(tik) - s.y)),
-                "residual_model": float(np.linalg.norm(
-                    problem.op.apply(rec) - s.y)),
-                "y_norm": float(np.linalg.norm(s.y)),
-            })
-    return out
+    return [{"kind": kind, "seed": s.seed,
+             "residual_tikhonov": _residual(problem, recs["tikhonov"], s.y),
+             "residual_model": _residual(problem, recs[model_kind], s.y),
+             "y_norm": float(np.linalg.norm(s.y))}
+            for kind, _, s, recs in _reconstructions(
+                problem, cfg.sigma, (n // 2, n - n // 2), seed,
+                {model_kind: params})]
 
 
 # ---------------------------------------------------------------------------

@@ -27,28 +27,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-class LinOp:
-    """Linear operator between image spaces.
-
-    Subclasses (or `MatvecOp` instances) provide `apply` and `adjoint`
-    together with `in_shape` / `out_shape`; both maps take one image or a
-    stack (k, *shape) of them.  Operators are immutable after construction
-    and safe to share across threads.
-    """
-
-    in_shape: tuple[int, int]
-    out_shape: tuple[int, int]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
-
 def _check_stack(x, shape) -> np.ndarray:
     """x as floats; ValueError unless it is one image of `shape` or a stack
     of them along one leading axis."""
@@ -59,9 +37,11 @@ def _check_stack(x, shape) -> np.ndarray:
     return x
 
 
-class MatvecOp(LinOp):
-    """LinOp built from a pair of callables, each mapping an image or a
-    stack of images."""
+class MatvecOp:
+    """Linear operator between image spaces, built from a pair of callables:
+    `apply` and `adjoint` each take one image of `in_shape` / `out_shape`
+    or a stack (k, *shape) of them.  Operators are immutable after
+    construction and safe to share across threads."""
 
     def __init__(self, in_shape, out_shape, forward, backward):
         self.in_shape = tuple(in_shape)
@@ -76,7 +56,7 @@ class MatvecOp(LinOp):
         return self._backward(_check_stack(y, self.out_shape))
 
 
-def adjoint_check(op: LinOp, trials: int = 50, seed: int = 0) -> float:
+def adjoint_check(op: MatvecOp, trials: int = 50, seed: int = 0) -> float:
     """Max relative defect of <A u, v> = <u, A* v> over random test pairs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -125,7 +105,7 @@ class CgResult:
     space: KrylovSpace | None = None
 
 
-def cg_regularized_normal(op: LinOp, rhs: np.ndarray,
+def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray,
                           cfg: SolverConfig) -> CgResult:
     """Block conjugate gradients for the normal equations A*A x = rhs.
 

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linops import (LinOp, SolverConfig, SvdFactors, _check_stack,
+from .linops import (MatvecOp, SolverConfig, SvdFactors, _check_stack,
                      cg_regularized_normal)
 
 ImageMap = Callable[[np.ndarray], np.ndarray]
@@ -61,7 +61,7 @@ def svd_projector(svd: SvdFactors) -> NullProjector:
     return NullProjector(svd.in_shape, apply)
 
 
-def iterative_projector(op: LinOp,
+def iterative_projector(op: MatvecOp,
                         solver: SolverConfig | None = None) -> NullProjector:
     """z - A+(A z) by block CG on the normal equations A*A x = A*A z: one
     solve for a whole stack.  Raises RuntimeError when a column misses the

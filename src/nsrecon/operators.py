@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linops import LinOp, MatvecOp, SvdFactors, dense_svd
+from .linops import MatvecOp, SvdFactors, dense_svd
 
 
-def make_cumsum(h: int, w: int, spacing: float = 1.0) -> LinOp:
+def make_cumsum(h: int, w: int, spacing: float = 1.0) -> MatvecOp:
     """Per-column prefix sum (discrete vertical integration) of an image or
     a stack of images.
 
@@ -35,7 +35,7 @@ def make_cumsum(h: int, w: int, spacing: float = 1.0) -> LinOp:
 _DENSE_DIM_LIMIT = 4096
 
 
-def to_dense(op: LinOp) -> np.ndarray:
+def to_dense(op: MatvecOp) -> np.ndarray:
     """Densify a small operator column by column (row-major flattening)."""
     n = op.in_shape[0] * op.in_shape[1]
     m = op.out_shape[0] * op.out_shape[1]
@@ -52,8 +52,8 @@ def to_dense(op: LinOp) -> np.ndarray:
 
 def dense_op(matrix: np.ndarray,
              in_shape: tuple[int, int] | None = None,
-             out_shape: tuple[int, int] | None = None) -> LinOp:
-    """Wrap a dense matrix as a LinOp on (optionally 2D) images; a stack of
+             out_shape: tuple[int, int] | None = None) -> MatvecOp:
+    """Wrap a dense matrix as a MatvecOp on (optionally 2D) images; a stack of
     images is one matrix-matrix product."""
     matrix = np.asarray(matrix, dtype=float)
     m, n = matrix.shape
@@ -69,7 +69,7 @@ def dense_op(matrix: np.ndarray,
                                                       + in_shape))
 
 
-def operator_svd(op: LinOp) -> SvdFactors:
+def operator_svd(op: MatvecOp) -> SvdFactors:
     """Dense SVD of a small operator, with image shapes recorded."""
     svd = dense_svd(to_dense(op))
     svd.in_shape = tuple(op.in_shape)

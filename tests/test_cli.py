@@ -62,7 +62,14 @@ class TestGenData:
         assert main(["gen-data", "--out", str(out), "--config", cfg]) == 1
         assert capfd.readouterr().err.startswith(
             "nsrecon gen-data: error: sigma must be finite")
-        assert not list(out.iterdir())
+        assert not out.exists()
+
+    def test_failure_keeps_an_existing_directory(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = write_config(tmp_path, "cfg", sigma="nan")
+        assert main(["gen-data", "--out", str(out), "--config", cfg]) == 1
+        assert out.is_dir()
 
 
 class TestTrainEval:
@@ -257,3 +264,14 @@ def test_negative_epochs_fails_naming_epochs(tmp_path, capsys):
                  "--config", cfg]) == 1
     assert ("nsrecon train: error: epochs must be >= 0"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key, value", [("epochs", "1.5"),
+                                        ("image_size", "big")])
+def test_unparsed_value_fails_naming_key(tmp_path, capsys, key, value):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg", **{key: value})
+    assert main(["train", "--out", str(out), "--config", cfg]) == 1
+    assert (f"nsrecon train: error: {key} must be int, got '{value}'"
+            in capsys.readouterr().err)
+    assert not out.exists()

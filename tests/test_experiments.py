@@ -12,7 +12,7 @@ from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  TrainConfig, convergence_study, dc_audit,
                                  evaluate, fit_loglog_slope,
                                  make_rate_operator, nsn_convergence_study,
-                                 reconstruct_all, save_json_summary, train)
+                                 save_json_summary, train)
 from nsrecon.linops import dense_svd
 from nsrecon.nullspace import iterative_projector, svd_projector
 from nsrecon.operators import operator_svd
@@ -113,6 +113,13 @@ class TestProblem:
     def test_wrong_data_shape_rejected(self, small_problem, shape):
         with pytest.raises(ValueError, match="data shape"):
             small_problem.reconstruct(np.ones(shape))
+
+    def test_model_projector(self, small_problem):
+        assert small_problem.model_projector("dcnet") is \
+            small_problem.projector
+        assert small_problem.model_projector("resnet") is None
+        with pytest.raises(ValueError, match="model_kind"):
+            small_problem.model_projector("unet")
 
     def test_dataset_uses_problem_grid(self, small_problem):
         samples = small_problem.dataset(2, "OOD", 3, 0.05)
@@ -221,14 +228,6 @@ class TestEvaluate:
             evaluate(params["resnet"], params["dcnet"],
                      EvalConfig(n_per_kind=1), small_problem)
 
-    def test_reconstruct_all_keys(self, small_problem, small_trained):
-        cfg = EvalConfig()
-        s = small_problem.dataset(1, "ID", 0, cfg.sigma)[0]
-        recs = reconstruct_all(small_problem, s,
-                               small_trained["resnet"][0],
-                               small_trained["dcnet"][0])
-        assert set(recs) == {"tikhonov", "resnet", "dcnet"}
-
 
 class TestDcAudit:
     def test_dcnet_preserves_residual(self, small_problem, small_trained):
@@ -264,6 +263,24 @@ class TestDcAudit:
         with pytest.raises(ValueError):
             dc_audit(small_trained["dcnet"][0], "dcnet", 0, 0,
                      EvalConfig(), small_problem)
+
+    @pytest.mark.parametrize("model_kind", ["resnet", "dcnet"])
+    def test_matches_evaluate_rows(self, small_problem, small_trained,
+                                   model_kind):
+        # 2m audited samples are evaluate's m ID and m OOD ones, bit for bit
+        m, seed = 3, 123
+        cfg = EvalConfig(n_per_kind=m, eval_seed=seed)
+        report = evaluate(small_trained["resnet"][0],
+                          small_trained["dcnet"][0], cfg, small_problem)
+        rows = dc_audit(small_trained[model_kind][0], model_kind, 2 * m,
+                        seed, cfg, small_problem)
+        for method, key in ((model_kind, "residual_model"),
+                            ("tikhonov", "residual_tikhonov")):
+            evaluated = [r for r in report.rows if r["method"] == method]
+            assert [r["kind"] for r in rows] == \
+                [r["kind"] for r in evaluated]
+            assert [r[key] for r in rows] == \
+                [r["residual"] for r in evaluated]
 
 
 class TestRateMachinery:
