@@ -211,9 +211,9 @@ def main(argv=None) -> int:
     for name in COMMANDS:
         _common(subs.add_parser(name))
     args = parser.parse_args(argv)
-    cfg = parse_config_file(args.config) if args.config else {}
     created = not os.path.exists(args.out)
     try:
+        cfg = parse_config_file(args.config) if args.config else {}
         os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.command](args, cfg)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

@@ -333,8 +333,8 @@ class ConvergenceReport:
             writer.writerows(self.entries)
 
 
-def _norms(block: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(block, axis=-1)
+def _norms(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
 
 
 def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
@@ -346,11 +346,11 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
     Test elements are x = f(x0) with x0 from the source set; f must leave
     A x0 unchanged and map a stack (k, *svd.in_shape) of images.  With f
     the entries also carry the classical error of the filter alone.  The
-    two children of SeedSequence(seed) draw a (k, n) block of source
-    directions and a (k, m) block of noise, k = len(deltas) * trials:
-    trial t at the i-th largest delta is row i * trials + t of each.  The
-    classical path is two products into SVD coefficients, then elementwise
-    weights; f runs once, on the stack of every reconstruction and x0.
+    two children of SeedSequence(seed) draw stacks of k source directions
+    and k noise images, k = len(deltas) * trials: trial t at the i-th
+    largest delta is image i * trials + t of each.  The classical path is
+    two products into SVD coefficients, then elementwise weights; f runs
+    once, on the stack of every reconstruction and x0.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -360,28 +360,29 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
              for delta in deltas]
     if not np.any(svd.s > 0):
         raise ValueError("operator has no positive singular value")
-    k, (n, p), m = len(deltas) * trials, svd.v.shape, svd.u.shape[0]
-    w, e = (np.random.default_rng(child).standard_normal((k, dim)) for
-            child, dim in zip(np.random.SeedSequence(seed).spawn(2), (n, m)))
-    w *= src.rho / _norms(w)[:, None]
-    e *= np.repeat(deltas, trials)[:, None] / _norms(e)[:, None]
-    c_w, c_e = svd.coeffs(w.T), svd.data_coeffs(e.T)
+    k, p = len(deltas) * trials, len(svd.s)
+    w, e = (np.random.default_rng(child).standard_normal((k,) + grid) for
+            child, grid in zip(np.random.SeedSequence(seed).spawn(2),
+                               (svd.in_shape, svd.out_shape)))
+    for stack, size in ((w, src.rho), (e, np.repeat(deltas, trials))):
+        rows = stack.reshape(k, -1)    # a view: scales the stack in place
+        rows *= (size / _norms(rows))[:, None]
+    c_w, c_e = svd.coeffs(w), svd.data_coeffs(e)
     c0 = svd.s ** (2.0 * src.mu) * c_w
     d = svd.s * c0 + c_e  # coefficients of y_d = A x0 + e
     c_cls = np.repeat([filter_weights(spec, svd.s) for spec in specs],
                       trials, axis=0) * d
     # parts outside the span of a thin factor, formed explicitly: a
     # difference of squared norms loses small errors to cancellation
-    w_out = _norms(w - svd.image(c_w).T) if src.mu == 0 and p < n else 0.0
-    e_out = _norms(e - c_e @ svd.u.T) if p < m else 0.0
+    n, m = w[0].size, e[0].size
+    w_out = _norms(w - svd.image(c_w)) if src.mu == 0 and p < n else 0.0
+    e_out = _norms(e - svd.data_image(c_e)) if p < m else 0.0
     errs = cls_errs = np.hypot(_norms(c_cls - c0), w_out)
     c_rec = c_cls
     if f is not None:
-        stack = svd.image(np.vstack([c_cls, c0])).T
-        if src.mu == 0:
-            stack[k:] = w
-        out = f(stack.reshape(-1, *svd.in_shape)).reshape(2 * k, -1)
-        errs, c_rec = _norms(out[:k] - out[k:]), svd.coeffs(out[:k].T)
+        x0 = w if src.mu == 0 else svd.image(c0)
+        out = f(np.concatenate([svd.image(c_cls), x0]))
+        errs, c_rec = _norms(out[:k] - out[k:]), svd.coeffs(out[:k])
     resids = np.hypot(_norms(svd.s * c_rec - d), e_out)
     errs, cls_errs, resids = np.median(
         np.reshape([errs, cls_errs, resids], (3, len(deltas), trials)),

@@ -1,9 +1,9 @@
-"""Matrix-free linear operators on 2D arrays, plus the small solvers (CG on
-the normal equations, dense SVD / pseudo-inverse) used throughout the
+"""Matrix-free linear operators on image grids, plus the small solvers (CG
+on the normal equations, dense SVD / pseudo-inverse) used throughout the
 package.
 
-Images are plain float64 numpy arrays of shape (h, w).  Operators act on
-images directly; flattening only happens inside dense wrappers.
+Images are float64 arrays of a grid, (h, w) or (n,) for a bare matrix, and
+every map takes one image or a stack (k, *grid) of them.
 """
 
 from __future__ import annotations
@@ -116,10 +116,10 @@ def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray,
     the three-term recurrence and then once more against the whole basis,
     and a Galerkin solve on the block tridiagonal T = Q A*A Q.T by a
     Cholesky factor that grows one block per step.  Each new block is
-    rank-deflated, and so is each Schur block of that factor: a direction
-    of numerically zero energy (the kernel of A) never enters the basis,
-    which so stops at the rank.  Both thresholds follow numpy's
-    matrix_rank rule, n * eps * |A*A|.  Column j has converged when
+    rank-deflated at n eps max(|A*A|, 100 |A*A V_j|), above the rounding
+    noise left by reorthogonalisation, and each Schur block at n eps |A*A|
+    (numpy's matrix_rank rule): the kernel of A never enters the basis,
+    which so stops at the rank.  Column j has converged when
     |r_j| <= tol * |rhs_j|, read from the Lanczos identity
     r = -V_next C Y_last without forming r; a zero column returns 0 and
     counts as converged.  `iters` counts block steps.  x and `space` are
@@ -172,6 +172,7 @@ def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray,
     best = (1.0, np.ones(k), 0)
     while len(v) and steps < cfg.max_iters:
         w = normal(v)
+        size = np.linalg.norm(w)       # |A*A V_j|, before any cancellation
         if d + len(v) > len(basis):
             grown = (min(2 * (d + len(v)), n), n)
             basis, dirs = np.resize(basis, grown), np.resize(dirs, grown)
@@ -210,7 +211,7 @@ def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray,
         d_prev, d = d, d + len(v)
         q = basis[:d]
         w -= (w @ q.T) @ q             # full reorthogonalisation
-        c, v = orth(w, rank_eps * scale)
+        c, v = orth(w, rank_eps * max(scale, 100.0 * size))
         g = c @ y                      # C Y_last: the Galerkin residual
         res2 = (g * g).sum(axis=0) + lost
         worst = res2.max()
@@ -232,10 +233,10 @@ class SvdFactors:
     """Dense SVD of a small operator: matrix = u @ diag(s) @ v.T.
 
     Columns of u and v are orthonormal; s is nonincreasing and nonnegative.
-    in_shape/out_shape record the image grids of the operator the matrix was
-    densified from ((n,) and (m,) for a bare m x n matrix).  The maps take an
-    image, or a block: a 2D array of another shape, one image per column.
-    A block's coefficients are rows, so spectral weights broadcast on them.
+    in_shape/out_shape are the image grids of the operator the matrix was
+    densified from ((n,) and (m,) for a bare m x n matrix).  The maps take
+    one image or a stack (k, *grid) to (p,) or (k, p) coefficients, and
+    back; spectral weights broadcast on the coefficients' last axis.
     """
 
     u: np.ndarray
@@ -253,27 +254,30 @@ class SvdFactors:
         return (self.u * self.s) @ self.v.T
 
     def coeffs(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
-        """vec(x).T v over the first k (default all) columns of v."""
-        return _vec(x, self.in_shape).T @ self.v[:, :k]
+        """<x, v_i> for the first k (default all) columns of v."""
+        return _pixels(x, self.in_shape) @ self.v[:, :k]
 
     def data_coeffs(self, y: np.ndarray, k: int | None = None) -> np.ndarray:
-        """vec(y).T u over the first k (default all) columns of u."""
-        return _vec(y, self.out_shape).T @ self.u[:, :k]
+        """<y, u_i> for the first k (default all) columns of u."""
+        return _pixels(y, self.out_shape) @ self.u[:, :k]
 
     def image(self, c: np.ndarray, w=1.0) -> np.ndarray:
-        """v diag(w) c over as many columns of v as c has coefficients."""
-        x = self.v[:, :np.shape(c)[-1]] @ (w * c).T
-        return x if x.ndim == 2 else x.reshape(self.in_shape)
+        """sum_i w_i c_i v_i over the first c.shape[-1] columns of v."""
+        return _grid(np.multiply(w, c), self.v, self.in_shape)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The matrix times x."""
-        y = self.u @ (self.s * self.coeffs(x)).T
-        return y if y.ndim == 2 else y.reshape(self.out_shape)
+    def data_image(self, c: np.ndarray, w=1.0) -> np.ndarray:
+        """sum_i w_i c_i u_i over the first c.shape[-1] columns of u."""
+        return _grid(np.multiply(w, c), self.u, self.out_shape)
 
 
-def _vec(x, grid) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x if x.ndim == 2 and x.shape != grid else x.ravel()
+def _pixels(x, grid) -> np.ndarray:
+    x = _check_stack(x, grid)
+    return x.reshape(x.shape[:-len(grid)] + (int(np.prod(grid)),))
+
+
+def _grid(c, basis, grid) -> np.ndarray:
+    """(p,) or (k, p) coefficients on the leading basis columns, gridded."""
+    return (c @ basis[:, :c.shape[-1]].T).reshape(c.shape[:-1] + grid)
 
 
 _SVD_DIM_LIMIT = 1024

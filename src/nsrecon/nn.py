@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Callable, Iterator
 
 import numpy as np
@@ -264,9 +265,15 @@ def _all_finite(params: NetParams) -> bool:
 
 def save_params(path, arch: Architecture, params: NetParams) -> None:
     """Write a versioned, byte-stable checkpoint (header + raw float64).
-    Raises ValueError, writing nothing, on non-finite parameters."""
+    Raises ValueError, writing nothing, on non-finite or misshapen params."""
     if not _all_finite(params):
         raise ValueError(f"{path}: refusing to save non-finite parameters")
+    have = [(k.shape, b.shape) for k, b in zip(params.kernels, params.biases)]
+    want = [(chans + (3, 3), chans[:1]) for chans in arch.channels()]
+    for layer, (h, w) in enumerate(zip_longest(have, want)):
+        if h != w:
+            raise ValueError(f"{path}: layer {layer} kernel and bias shapes "
+                             f"{h} do not match {arch}")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<ii", arch.layers, arch.width))

@@ -27,7 +27,7 @@ class NullProjector:
     (z - V_r V_r.T z for an operator with a dense SVD) or
     `iterative_projector` (z - A+(A z) by CG for a general operator).  It
     maps one image or a stack (k, *shape): the mask broadcasts, the SVD
-    projector makes one matrix-matrix product and the iterative one
+    projector makes two matrix-matrix products and the iterative one
     solves all k columns in one block Krylov space, or in the one it
     built on an earlier call.
     """
@@ -52,13 +52,8 @@ def svd_projector(svd: SvdFactors) -> NullProjector:
     """Exact projector z - V_r V_r.T z with r = svd.rank.  It needs only the
     leading right singular vectors, so wide (thin-SVD) operators work too."""
     r = svd.rank
-    n = int(np.prod(svd.in_shape))
-
-    def apply(z):
-        cols = z.reshape(-1, n).T
-        return (cols - svd.image(svd.coeffs(cols, r))).T.reshape(z.shape)
-
-    return NullProjector(svd.in_shape, apply)
+    return NullProjector(svd.in_shape,
+                         lambda z: z - svd.image(svd.coeffs(z, r)))
 
 
 def iterative_projector(op: MatvecOp,

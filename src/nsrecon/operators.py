@@ -4,6 +4,8 @@ cumulative sum is `experiments.Problem.op`."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .linops import MatvecOp, SvdFactors, dense_svd
@@ -37,8 +39,7 @@ _DENSE_DIM_LIMIT = 4096
 
 def to_dense(op: MatvecOp) -> np.ndarray:
     """Densify a small operator column by column (row-major flattening)."""
-    n = op.in_shape[0] * op.in_shape[1]
-    m = op.out_shape[0] * op.out_shape[1]
+    n, m = int(np.prod(op.in_shape)), int(np.prod(op.out_shape))
     if max(n, m) > _DENSE_DIM_LIMIT:
         raise ValueError(f"operator exceeds dense limit {_DENSE_DIM_LIMIT}")
     mat = np.empty((m, n))
@@ -50,28 +51,24 @@ def to_dense(op: MatvecOp) -> np.ndarray:
     return mat
 
 
-def dense_op(matrix: np.ndarray,
-             in_shape: tuple[int, int] | None = None,
-             out_shape: tuple[int, int] | None = None) -> MatvecOp:
-    """Wrap a dense matrix as a MatvecOp on (optionally 2D) images; a stack of
-    images is one matrix-matrix product."""
+def dense_op(matrix: np.ndarray, in_shape: tuple[int, ...] | None = None,
+             out_shape: tuple[int, ...] | None = None) -> MatvecOp:
+    """Wrap a dense m x n matrix as a MatvecOp between grids of n and m pixels,
+    (n,) and (m,) by default; a stack is one matrix-matrix product."""
     matrix = np.asarray(matrix, dtype=float)
     m, n = matrix.shape
-    in_shape = in_shape or (n, 1)
-    out_shape = out_shape or (m, 1)
-    if in_shape[0] * in_shape[1] != n or out_shape[0] * out_shape[1] != m:
+    in_shape, out_shape = tuple(in_shape or (n,)), tuple(out_shape or (m,))
+    if np.prod(in_shape) != n or np.prod(out_shape) != m:
         raise ValueError("shapes inconsistent with matrix dimensions")
     return MatvecOp(
         in_shape, out_shape,
-        lambda x: (x.reshape(-1, n) @ matrix.T).reshape(x.shape[:-2]
-                                                        + out_shape),
-        lambda y: (y.reshape(-1, m) @ matrix).reshape(y.shape[:-2]
-                                                      + in_shape))
+        lambda x: (x.reshape(-1, n) @ matrix.T).reshape(
+            x.shape[:-len(in_shape)] + out_shape),
+        lambda y: (y.reshape(-1, m) @ matrix).reshape(
+            y.shape[:-len(out_shape)] + in_shape))
 
 
 def operator_svd(op: MatvecOp) -> SvdFactors:
-    """Dense SVD of a small operator, with image shapes recorded."""
-    svd = dense_svd(to_dense(op))
-    svd.in_shape = tuple(op.in_shape)
-    svd.out_shape = tuple(op.out_shape)
-    return svd
+    """Dense SVD of a small operator, with its image grids."""
+    return replace(dense_svd(to_dense(op)), in_shape=op.in_shape,
+                   out_shape=op.out_shape)

@@ -72,7 +72,7 @@ def filter_weights(spec: FilterSpec, s: np.ndarray) -> np.ndarray:
 def spectral_reconstruct(svd: SvdFactors, y: np.ndarray,
                          spec: FilterSpec) -> np.ndarray:
     """Filtered reconstruction sum_i g_a(s_i^2) s_i <y, u_i> v_i of an
-    image or a block of data; raises ValueError on non-finite data."""
+    image or a stack of data; raises ValueError on non-finite data."""
     if not np.all(np.isfinite(y)):
         raise ValueError("y has non-finite entries")
     return svd.image(svd.data_coeffs(y), filter_weights(spec, svd.s))

@@ -275,3 +275,19 @@ def test_unparsed_value_fails_naming_key(tmp_path, capsys, key, value):
     assert (f"nsrecon train: error: {key} must be int, got '{value}'"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["missing", "n 3\n"],
+                         ids=["missing", "no-equals"])
+def test_bad_config_fails_without_traceback(tmp_path, capsys, config):
+    # a missing file, or a line without '=', fails before the output
+    # directory is made
+    path = tmp_path / "cfg"
+    if config != "missing":
+        path.write_text(config)
+    out = tmp_path / "o"
+    assert main(["gen-data", "--out", str(out), "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "nsrecon gen-data: error: " in err and "Traceback" not in err
+    assert str(path) in err
+    assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 from nsrecon.experiments import Problem, make_rate_operator
 from nsrecon.linops import (SolverConfig, adjoint_check, cg_regularized_normal,
                             dense_svd, pseudo_inverse_apply)
-from nsrecon.nullspace import svd_projector
+from nsrecon.nullspace import iterative_projector, svd_projector
 from nsrecon.operators import dense_op, make_cumsum, operator_svd, to_dense
 from oracles import cg_reference, tikhonov_stack
 
@@ -99,8 +99,7 @@ class TestCg:
     def test_reports_iterations_run_on_singular_stop(self):
         # p = rhs spans the kernel of A, so the first step has p.A*Ap = 0
         op = dense_op(np.diag([1.0, 0.0]))
-        res = cg_regularized_normal(op, np.array([[0.0], [1.0]]),
-                                    SolverConfig())
+        res = cg_regularized_normal(op, np.array([0.0, 1.0]), SolverConfig())
         assert not res.converged
         assert res.iters == 0
 
@@ -235,6 +234,29 @@ class TestBlockCg:
                                    rtol=0, atol=1e-10)
         np.testing.assert_array_equal(res.space.galerkin(0.0 * rhs), 0.0)
 
+    @pytest.mark.parametrize("seed", [581, 1113, 1676])
+    def test_rounding_noise_stays_out_of_the_basis(self, seed):
+        # low-rank draws of the CG property test on which rounding noise
+        # left by the reorthogonalisation passed the deflation floor
+        # n eps |A*A| and entered the basis: a wrong answer marked
+        # converged, one marked unconverged, and a basis of more than n rows
+        meta = np.random.default_rng(10**6 + seed)
+        m, n = meta.integers(1, 13), meta.integers(1, 13)
+        r, k = meta.integers(0, min(m, n) + 1), meta.integers(0, 5)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (u[:, :r] * rng.uniform(0.1, 1.0, r)) @ v[:, :r].T
+        z = rng.standard_normal((k, n))
+        res = cg_regularized_normal(dense_op(a), z @ a.T @ a,
+                                    SolverConfig(tol=1e-12))
+        want = z @ a.T @ np.linalg.pinv(a).T       # A+ A z, row by row
+        assert res.converged
+        assert np.all(column_gaps(res.x, want, z) <= 1e-12)
+        p = iterative_projector(dense_op(a))(z)
+        assert np.all(column_gaps(p, z - want, z) <= 1e-12)
+        assert np.max(np.abs(p @ a.T)) <= 1e-12
+
     def test_stack_shapes_validated(self):
         op = make_cumsum(3, 3)
         for shape in [(3, 3, 2), (2, 3), (1, 1, 3, 3)]:
@@ -308,35 +330,38 @@ class TestDenseSvd:
         np.testing.assert_allclose(dense_svd(mat).matrix(), mat, atol=1e-12)
 
     def test_block_maps_match_columns(self):
-        # a 10 x 12 matrix between (3, 4) images and (2, 5) data; a block
-        # holds one image per column and its coefficients one per row
+        # a 10 x 12 matrix between (3, 4) images and (2, 5) data: each map
+        # of a stack (k, *grid) maps its images one by one, and a stack's
+        # coefficients are rows, so spectral weights broadcast on them
         rng = np.random.default_rng(2)
         mat = rng.standard_normal((10, 12))
         svd = operator_svd(dense_op(mat, (3, 4), (2, 5)))
-        xs = rng.standard_normal((12, 3))
-        ys = rng.standard_normal((10, 3))
-        coeffs = svd.coeffs(xs)
-        assert coeffs.shape == (3, 10)
-        np.testing.assert_allclose(svd.apply(xs), mat @ xs, atol=1e-12)
+        xs = rng.standard_normal((3, 3, 4))
+        ys = rng.standard_normal((3, 2, 5))
+        coeffs, data = svd.coeffs(xs), svd.data_coeffs(ys)
+        assert coeffs.shape == data.shape == (3, 10)
+        ax = xs.reshape(3, 12) @ mat.T
+        np.testing.assert_allclose(
+            svd.data_image(coeffs, svd.s).reshape(3, 10), ax, atol=1e-12)
         # a wide matrix: the image of the coefficients is the row-space part
-        np.testing.assert_allclose(mat @ svd.image(coeffs), mat @ xs,
-                                   atol=1e-12)
+        np.testing.assert_allclose(svd.image(coeffs).reshape(3, 12) @ mat.T,
+                                   ax, atol=1e-12)
         for j in range(3):
-            x = xs[:, j].reshape(3, 4)
-            assert svd.apply(x).shape == (2, 5)
-            np.testing.assert_allclose(svd.apply(x).ravel(), mat @ xs[:, j],
-                                       atol=1e-12)
-            np.testing.assert_allclose(svd.coeffs(x), coeffs[j], atol=1e-14)
-            np.testing.assert_allclose(svd.coeffs(x, 4), coeffs[j, :4],
+            np.testing.assert_allclose(svd.coeffs(xs[j]), coeffs[j],
                                        atol=1e-14)
-            np.testing.assert_allclose(svd.data_coeffs(ys[:, j]),
-                                       svd.data_coeffs(ys)[j], atol=1e-14)
-            assert svd.image(coeffs[j]).shape == (3, 4)
-            np.testing.assert_allclose(svd.image(coeffs[j], svd.s).ravel(),
-                                       svd.image(coeffs, svd.s)[:, j],
+            np.testing.assert_allclose(svd.coeffs(xs[j], 4), coeffs[j, :4],
                                        atol=1e-14)
-        with pytest.raises(ValueError):
-            svd.coeffs(np.ones((2, 5)))
+            np.testing.assert_allclose(svd.data_coeffs(ys[j]), data[j],
+                                       atol=1e-14)
+            for maps, grid in ((svd.image, (3, 4)), (svd.data_image, (2, 5))):
+                assert maps(coeffs[j], svd.s).shape == grid
+                np.testing.assert_allclose(maps(coeffs[j], svd.s),
+                                           maps(coeffs, svd.s)[j], atol=1e-14)
+        # an (n, k) block of column images is no stack of either grid
+        for maps, block in ((svd.coeffs, xs.reshape(3, 12).T),
+                            (svd.data_coeffs, ys.reshape(3, 10).T)):
+            with pytest.raises(ValueError):
+                maps(block)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -440,6 +440,19 @@ class TestCheckpoint:
             nn.save_params(out, arch, bad)
         assert not out.exists()
 
+    @pytest.mark.parametrize("layers, bad", [(3, 2), (7, 4), (5, 4)])
+    def test_save_rejects_params_of_another_architecture(self, tmp_path,
+                                                         layers, bad):
+        # default 5-layer params under a 3- or 7-layer header, and a bias
+        # of the wrong length, which load_params would reject
+        params = nn.init_params(nn.Architecture(), 19)
+        if layers == 5:
+            params.biases[bad] = np.zeros(2)
+        path = tmp_path / "net.ckpt"
+        with pytest.raises(ValueError, match=f"layer {bad} "):
+            nn.save_params(path, nn.Architecture(layers=layers), params)
+        assert not path.exists()
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"something else entirely")

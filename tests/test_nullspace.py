@@ -6,7 +6,7 @@ import pytest
 
 from nsrecon import nn, nullspace
 from nsrecon.experiments import Problem, make_rate_operator
-from nsrecon.linops import SolverConfig, cg_regularized_normal
+from nsrecon.linops import SolverConfig, cg_regularized_normal, dense_svd
 from nsrecon.nullspace import (iterative_projector, mask_projector,
                                project_null, svd_projector)
 from nsrecon.operators import dense_op, operator_svd
@@ -47,6 +47,19 @@ class TestProjectNull:
                                                              range(16))))
         out = proj(rng.standard_normal((4, 4)))
         assert np.max(np.abs(out)) < 1e-12
+
+    def test_bare_matrix_projectors_share_one_grid(self):
+        # a bare m x n matrix has the grid (n,) under dense_op and dense_svd
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 4)) @ rng.standard_normal((4, 9))
+        exact = svd_projector(dense_svd(a))
+        iterative = iterative_projector(dense_op(a))
+        assert exact.shape == iterative.shape == (9,)
+        for z in (rng.standard_normal(9), rng.standard_normal((3, 9))):
+            assert iterative(z).shape == z.shape
+            np.testing.assert_allclose(iterative(z), exact(z), rtol=0,
+                                       atol=1e-9)
+            assert np.max(np.abs(exact(z) @ a.T)) <= 1e-12
 
     def test_iterative_matches_closed_mask(self):
         op, support = stripe_problem()

@@ -100,13 +100,13 @@ def test_cg_returns_row_space_component_within_n_steps(case, k):
     # is one image z, k >= 1 a stack of k images solved as one block
     a, rng = case
     n = a.shape[1]
-    z = rng.standard_normal((k, n, 1) if k else (n, 1))
-    res = cg_regularized_normal(dense_op(a), a.T @ (a @ z),
+    z = rng.standard_normal((k, n) if k else (n,))
+    res = cg_regularized_normal(dense_op(a), z @ a.T @ a,
                                 SolverConfig(tol=1e-12))
     assert res.converged
     assert res.iters <= n
-    want = np.linalg.pinv(a) @ (a @ z)
-    for got, col, z_col in zip(*(np.reshape(v, (-1, n, 1))
+    want = z @ a.T @ np.linalg.pinv(a).T
+    for got, col, z_col in zip(*(np.reshape(v, (-1, n))
                                  for v in (res.x, want, z))):
         assert np.linalg.norm(got - col) <= 1e-8 * np.linalg.norm(z_col)
 

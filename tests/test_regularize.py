@@ -112,7 +112,7 @@ class TestSpectralReconstruct:
         _, svd = make_rate_operator(seed=0)
         y = np.ones((16, 16))
         y[3, 5] = bad
-        for data in (y, y.reshape(-1, 1)):   # an image and a block
+        for data in (y, y[None]):            # an image and a stack
             with pytest.raises(ValueError, match="non-finite"):
                 spectral_reconstruct(svd, data, FilterSpec("tikhonov", 0.1))
 
