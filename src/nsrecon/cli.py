@@ -116,11 +116,6 @@ def cmd_train(args, cfg):
         "final_loss": log[-1] if log else None})
 
 
-def _load_ckpt(path):
-    arch, params = nn.load_params(path)
-    return params
-
-
 def cmd_eval(args, cfg):
     ec = EvalConfig(
         n_per_kind=_get(cfg, "n_per_kind", int, 20),
@@ -129,7 +124,7 @@ def cmd_eval(args, cfg):
     n_dump = _get(cfg, "n_dump", int, 3)
     if n_dump < 0:
         raise ValueError("n_dump must be >= 0")
-    models = {kind: _load_ckpt(cfg[f"{kind}_ckpt"])
+    models = {kind: nn.load_params(cfg[f"{kind}_ckpt"])[1]
               for kind in ("resnet", "dcnet")}
     problem = _problem(cfg)
     report, wall_s = _timed(evaluate, models["resnet"], models["dcnet"], ec,
@@ -152,7 +147,7 @@ def cmd_eval(args, cfg):
 def cmd_dc_audit(args, cfg):
     model_kind = _get(cfg, "model_kind", str, "dcnet")
     n = _get(cfg, "n", int, 40)
-    params = _load_ckpt(cfg["ckpt"])
+    params = nn.load_params(cfg["ckpt"])[1]
     ec = EvalConfig(sigma=_get(cfg, "sigma", float, 0.05))
     problem = _problem(cfg)
     rows, wall_s = _timed(dc_audit, params, model_kind, n, args.seed, ec,

@@ -42,12 +42,20 @@ class NoiseSpec:
             raise ValueError("sigma must be finite and nonnegative")
 
 
-def _patch_position(spec: SampleSpec) -> tuple[int, int]:
+def _square_sample(spec: SampleSpec):
+    """`gen_square_sample`'s image and its patch position (row, col)."""
     rng = np.random.default_rng(spec.seed)
     n_even = (spec.image_size - spec.patch_size) // 2 + 1
     row = int(rng.integers(0, n_even)) * 2
     col = int(rng.integers(0, n_even)) * 2
-    return row, col
+    x = np.zeros((spec.image_size, spec.image_size))
+    if spec.kind == "ID":
+        patch = np.zeros((spec.patch_size, spec.patch_size))
+        patch[0::2, :] = 1.0
+    else:
+        patch = np.full((spec.patch_size, spec.patch_size), 0.5)
+    x[row:row + spec.patch_size, col:col + spec.patch_size] = patch
+    return x, (row, col)
 
 
 def gen_square_sample(spec: SampleSpec) -> np.ndarray:
@@ -56,15 +64,7 @@ def gen_square_sample(spec: SampleSpec) -> np.ndarray:
     ID: rows inside the patch alternate 1, 0 starting with 1 at the top.
     OOD: constant 0.5.
     """
-    row, col = _patch_position(spec)
-    x = np.zeros((spec.image_size, spec.image_size))
-    if spec.kind == "ID":
-        patch = np.zeros((spec.patch_size, spec.patch_size))
-        patch[0::2, :] = 1.0
-    else:
-        patch = np.full((spec.patch_size, spec.patch_size), 0.5)
-    x[row:row + spec.patch_size, col:col + spec.patch_size] = patch
-    return x
+    return _square_sample(spec)[0]
 
 
 def polar_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -137,12 +137,12 @@ def make_dataset(n: int, kind: str, base_seed: int, op: MatvecOp,
         seed = base_seed + i
         spec = SampleSpec(image_size=op.in_shape[0], patch_size=patch_size,
                           kind=kind, seed=seed)
-        x = gen_square_sample(spec)
+        x, position = _square_sample(spec)
         y, delta = gen_measurement(
             op, x, NoiseSpec(sigma=sigma, seed=seed + _NOISE_SEED_OFFSET),
             support=support)
         samples.append(Sample(x=x, y=y, kind=kind, seed=seed,
-                              position=_patch_position(spec), delta=delta))
+                              position=position, delta=delta))
     return samples
 
 

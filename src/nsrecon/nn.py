@@ -52,23 +52,26 @@ class NetParams:
                          [b * factor for b in self.biases])
 
 
-def _row_shifts(x: np.ndarray) -> np.ndarray:
+def _row_shifts(x: np.ndarray, wrap: bool = True) -> np.ndarray:
     """Row-shift matrix (..., in_ch*3, h*(w+2) + 2) of x (..., in_ch, h, w)
     for a 3x3 circular convolution: row 3c + di holds rows di .. di+h-1 of
     x[c] wrap-padded by one, flattened, then two zero columns of slack.  So
     for j < w its column i*(w+2) + j + dj holds
-    x[c, (i+di-1)%h, (j+dj-1)%w].  Leading axes are a stack of inputs."""
+    x[c, (i+di-1)%h, (j+dj-1)%w].  Leading axes are a stack of inputs.
+    wrap=False does not pad sideways: of h*w + 2 columns, column
+    i*w + j + dj holds x[c, (i+di-1)%h, j+dj]."""
     *lead, c, h, w = x.shape
-    n = h * (w + 2)
+    n = h * (w + 2 * wrap)
     rows = np.empty((*lead, c * 3, n + 2))
     rows[..., n:] = 0.0
     # r[c, di, i] is padded row i + di of x[c]: x row (i + di - 1) % h
-    r = rows.reshape(*lead, c, 3, n + 2)[..., :n].reshape(*lead, c, 3, h,
-                                                            w + 2)
-    r[..., 1, :, 1:-1] = x
-    r[..., 0, 1:, 1:-1], r[..., 0, 0, 1:-1] = x[..., :-1, :], x[..., -1, :]
-    r[..., 2, :-1, 1:-1], r[..., 2, -1, 1:-1] = x[..., 1:, :], x[..., 0, :]
-    r[..., 0], r[..., -1] = r[..., -2], r[..., 1]
+    r = rows.reshape(*lead, c, 3, n + 2)[..., :n].reshape(*lead, c, 3, h, -1)
+    mid = r[..., wrap:wrap + w]
+    mid[..., 1, :, :] = x
+    mid[..., 0, 1:, :], mid[..., 0, 0, :] = x[..., :-1, :], x[..., -1, :]
+    mid[..., 2, :-1, :], mid[..., 2, -1, :] = x[..., 1:, :], x[..., 0, :]
+    if wrap:
+        r[..., 0], r[..., -1] = r[..., -2], r[..., 1]
     return rows
 
 
@@ -78,7 +81,8 @@ def _conv_rows(rows: np.ndarray, kernel: np.ndarray, h: int,
     row-shift matrix is `rows`: one GEMM per column offset dj and stacked
     input.  Returns (..., out_ch, h, w + 2) holding, for j < w,
     out[o,i,j] = sum_{c,di,dj} k[o,c,di,dj] x[c,(i+di-1)%h,(j+dj-1)%w];
-    the last two columns of each row are slack."""
+    the last two columns of each row are slack.  On the unwrapped rows of
+    an (in_ch, h, w + 2) input, x[c,(i+di-1)%h,j+dj] is in the sum."""
     out_ch, n = kernel.shape[0], h * (w + 2)
     # taps[dj]: (out_ch, in_ch*3), contiguous so that BLAS runs the product
     taps = np.ascontiguousarray(kernel.transpose(3, 0, 1, 2))
@@ -100,6 +104,20 @@ def init_params(arch: Architecture, seed: int = 0) -> NetParams:
     return NetParams(kernels, biases)
 
 
+def _band(projector, w: int, layers: int):
+    """(ctx, arc, pad): the smallest circular arc of m columns holding the
+    projector's `columns` (all if it has none), and ctx, the arc with pad
+    = `layers` columns each side; all columns, pad 0, if m + 2 layers > w."""
+    cols = np.flatnonzero(getattr(projector, "columns", np.ones(w)))
+    gaps = np.diff(cols, append=cols[:1] + w)  # to the next marked column
+    m = w + 1 - gaps.max(initial=0)
+    if m + 2 * layers > w:
+        return slice(None), slice(None), 0
+    start = cols[(np.argmax(gaps) + 1) % cols.size] - layers
+    ctx = (start + np.arange(m + 2 * layers)) % w
+    return ctx, ctx[layers:-layers], layers
+
+
 def forward(params: NetParams, x: np.ndarray,
             projector: Callable[[np.ndarray], np.ndarray] | None = None):
     """Residual forward pass out = x + U(x), or x + P(U(x)) with a projector,
@@ -108,11 +126,15 @@ def forward(params: NetParams, x: np.ndarray,
     x is one (h, w) image or a stack (k, h, w); a stack runs every layer
     as one batched product and calls the projector once on the stack of
     corrections, and each of its images comes out bit for bit as alone.
-    Returns (out, cache).  The cache feeds `backward`: "rows" holds the
-    `_row_shifts` matrix of each layer's input, "masks" the boolean ReLU
-    mask (pre-activation > 0) of each layer but the last, in the
-    (..., ch, h, w + 2) layout of `_conv_rows` with False on the slack
-    columns.  Raises ValueError on a non-finite x.
+    Band rule: if the projector's `columns` fit a circular arc of m columns
+    with m + 2L <= w (L layers), horizontally valid convolutions run on
+    the arc and L columns each side only, as at full width up to BLAS
+    rounding.  Returns (out, cache).  The cache feeds `backward`: "band"
+    holds the projector's `_band`, "rows" the `_row_shifts` matrix of each
+    layer's input, "masks" the boolean ReLU mask (pre-activation > 0) of
+    each layer but the last, in the (..., ch, h, v + 2) layout of
+    `_conv_rows` for output width v, with False on the slack columns.
+    Raises ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3):
@@ -121,21 +143,25 @@ def forward(params: NetParams, x: np.ndarray,
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite network input")
     h, w = x.shape[-2:]
-    a = x[..., None, :, :]
+    layers = len(params.kernels)
+    ctx, arc, pad = band = _band(projector, w, layers)
+    a = x[..., None, :, ctx]
+    v = a.shape[-1]  # width of the layer input, then of its output
     rows, masks = [], []
-    last = len(params.kernels) - 1
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
-        rows.append(_row_shifts(a[..., :w]))
-        a = _conv_rows(rows[-1], k, h, w)
+        rows.append(_row_shifts(a[..., :v], wrap=not pad))
+        v -= 2 if pad else 0
+        a = _conv_rows(rows[-1], k, h, v)
         a += b[:, None, None]
-        if l < last:
-            a[..., w:] = 0.0
+        if l < layers - 1:
+            a[..., v:] = 0.0
             masks.append(a > 0)
             np.maximum(a, 0.0, out=a)
-    corr = a[..., 0, :, :w]
+    corr = np.zeros(x.shape)
+    corr[..., arc] = a[..., 0, :, :v]
     out = x + (corr if projector is None else projector(corr))
     cache = {"rows": rows, "masks": masks, "projector": projector,
-             "x_shape": x.shape}
+             "band": band, "x_shape": x.shape}
     return out, cache
 
 
@@ -146,9 +172,10 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     (grad_params, grad_in).  The projector, if any, must be linear and
     self-adjoint (orthogonal projections are).  ReLU subgradient at 0 is 0.
     Kernel gradients are taken against the cached row matrices.  The
-    gradient stays in the (ch, h, w + 2) layout of `_conv_rows`; its slack
+    gradient stays in the (ch, h, v + 2) layout of `_conv_rows`; its slack
     columns hold 0 (the masks are False there), so they add nothing to
-    those products.
+    those products.  After a banded forward (m + 2L <= w) it runs on the
+    band too, padding each gradient with zeros instead of wrapping it.
     """
     grad_out = np.asarray(grad_out, dtype=float)
     if len(cache["x_shape"]) != 2:
@@ -158,25 +185,34 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
         raise ValueError("grad_out shape does not match cached forward")
     if len(cache["rows"]) != len(params.kernels):
         raise ValueError("cache does not match parameter count")
-    h, w = grad_out.shape
-    g = np.zeros((1, h, w + 2))
-    g[0, :, :w] = (grad_out if cache["projector"] is None
-                   else cache["projector"](grad_out))
-    grad_k = [None] * len(params.kernels)
-    grad_b = [None] * len(params.kernels)
-    for l in range(len(params.kernels) - 1, -1, -1):
+    h = grad_out.shape[0]
+    (ctx, arc, pad), layers = cache["band"], len(params.kernels)
+    top = (grad_out if cache["projector"] is None
+           else cache["projector"](grad_out))[:, arc]
+    v = top.shape[-1]  # width of the layer output, then of its input
+    g = np.zeros((1, h, v + 2))
+    g[0, :, :v] = top
+    grad_k, grad_b = [None] * layers, [None] * layers
+    for l in range(layers - 1, -1, -1):
         k, rows = params.kernels[l], cache["rows"][l]
         flat = g.reshape(len(g), -1)
         grad_k[l] = np.stack([flat @ rows[:, dj:dj + flat.shape[1]].T
                               for dj in range(3)], axis=-1).reshape(k.shape)
-        grad_b[l] = g[:, :, :w].sum(axis=(1, 2))
-        # the adjoint of a circular correlation is the correlation with
-        # the flipped, channel-transposed kernel
-        g = _conv_rows(_row_shifts(g[:, :, :w]),
-                       k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, w)
+        grad_b[l] = g[:, :, :v].sum(axis=(1, 2))
+        # the adjoint of a correlation is the correlation with the flipped,
+        # channel-transposed kernel; a band pads g with zeros, not by wrap
+        if pad:  # two zero columns to the left; g's slack is the right two
+            shifts = _row_shifts(np.concatenate(
+                (np.zeros(g.shape[:-1] + (2,)), g), axis=-1), wrap=False)
+            v += 2
+        else:
+            shifts = _row_shifts(g[:, :, :v])
+        g = _conv_rows(shifts, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                       h, v)
         if l > 0:
             g *= cache["masks"][l - 1]
-    grad_in = grad_out + g[0, :, :w]
+    grad_in = grad_out.copy()
+    grad_in[:, ctx] += g[0, :, :v]
     return NetParams(grad_k, grad_b), grad_in
 
 

@@ -30,10 +30,15 @@ class NullProjector:
     projector makes two matrix-matrix products and the iterative one
     solves all k columns in one block Krylov space, or in the one it
     built on an earlier call.
+
+    P z reads and writes only the image columns (last axis) marked True in
+    the read-only `columns`: a mask projector's columns holding a 0, all
+    for the others.  See `nn.forward` for the band rule m + 2L <= w.
     """
 
     shape: tuple[int, ...]
     apply: ImageMap
+    columns: np.ndarray
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return project_null(self, z)
@@ -45,7 +50,9 @@ def mask_projector(support: np.ndarray) -> NullProjector:
     support = np.array(support, dtype=float)
     if not np.all((support == 0.0) | (support == 1.0)):
         raise ValueError("support must hold only 0 and 1")
-    return NullProjector(support.shape, lambda z: z - z * support)
+    columns = (support == 0).reshape(-1, support.shape[-1]).any(axis=0)
+    columns.flags.writeable = False
+    return NullProjector(support.shape, lambda z: z - z * support, columns)
 
 
 def svd_projector(svd: SvdFactors) -> NullProjector:
@@ -53,7 +60,8 @@ def svd_projector(svd: SvdFactors) -> NullProjector:
     leading right singular vectors, so wide (thin-SVD) operators work too."""
     r = svd.rank
     return NullProjector(svd.in_shape,
-                         lambda z: z - svd.image(svd.coeffs(z, r)))
+                         lambda z: z - svd.image(svd.coeffs(z, r)),
+                         np.broadcast_to(True, svd.in_shape[-1:]))
 
 
 def iterative_projector(op: MatvecOp,
@@ -104,7 +112,8 @@ def iterative_projector(op: MatvecOp,
             held[0], x = res.space, res.x
         return z - x
 
-    return NullProjector(op.in_shape, apply)
+    return NullProjector(op.in_shape, apply,
+                         np.broadcast_to(True, op.in_shape[-1:]))
 
 
 def project_null(proj: NullProjector, z: np.ndarray) -> np.ndarray:

@@ -157,6 +157,27 @@ class TestMakeDataset:
         for a, b in zip(samples, again):
             np.testing.assert_array_equal(a.y, b.y)
 
+    def test_one_generator_per_image_and_noise(self, monkeypatch):
+        # the patch position is drawn once per sample, with the image
+        op = Problem(16, 1.0, 0.01).op
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        samples = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
+        assert len(seeds) == 6
+        monkeypatch.undo()
+        for s in samples:
+            spec = SampleSpec(image_size=16, patch_size=6, seed=s.seed)
+            np.testing.assert_array_equal(s.x, gen_square_sample(spec))
+            row, col = s.position
+            assert s.x[row, col] == 1.0 and s.x[:row].sum() == 0.0
+            assert s.x[:, :col].sum() == 0.0
+
     def test_n_validated(self):
         op = Problem(16, 1.0, 0.01).op
         with pytest.raises(ValueError):

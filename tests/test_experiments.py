@@ -152,6 +152,29 @@ class TestTrain:
             assert len(log) == 30
             assert all(np.isfinite(v) for v in log)
 
+    def test_banded_dcnet_matches_full_width(self, small_problem,
+                                             monkeypatch):
+        # on the 32 x 32 grid the projector keeps an arc of 14 columns and
+        # 14 + 2 * 5 <= 32, so the dcnet trains on a band; the same
+        # projector as a plain callable (no `columns`) runs at full width
+        proj = small_problem.projector
+        assert nn._band(proj, 32, 5)[2] == 5
+        cfg = TrainConfig(epochs=20, model_kind="dcnet")
+        # every GEMM here has a multiple of 32 columns, so no BLAS
+        # remainder kernel runs and the band's forward is bit for bit
+        params = nn.init_params(cfg.arch, 3)
+        x = np.random.default_rng(3).standard_normal((4, 32, 32))
+        assert np.array_equal(nn.forward(params, x, proj)[0],
+                              nn.forward(params, x, lambda z: proj(z))[0])
+        params, log = train(cfg, small_problem)
+        monkeypatch.setattr(Problem, "model_projector",
+                            lambda self, kind: lambda z: proj(z))
+        ref_params, ref_log = train(cfg, small_problem)
+        for got, want in zip(params.kernels + params.biases,
+                             ref_params.kernels + ref_params.biases):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        np.testing.assert_allclose(log, ref_log, rtol=1e-12, atol=0)
+
     def test_model_kind_validated(self):
         with pytest.raises(ValueError):
             TrainConfig(model_kind="unet")

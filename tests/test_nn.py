@@ -146,6 +146,19 @@ class TestStackedForward:
             np.testing.assert_array_equal(out[i],
                                           nn.forward(params, x[i], proj)[0])
 
+    def test_banded_stack_equals_single_forwards(self):
+        # columns 15 and 0 of 16: a band of 2 + 2 * 4 columns that wraps
+        support = np.ones((6, 16))
+        support[:, [15, 0]] = 0.0
+        proj = mask_projector(support)
+        params = nn.init_params(nn.Architecture(layers=4, width=3), 8)
+        x = np.random.default_rng(8).standard_normal((5, 6, 16))
+        out, cache = nn.forward(params, x, proj)
+        assert cache["band"][2] == 4
+        for i in range(5):
+            np.testing.assert_array_equal(out[i],
+                                          nn.forward(params, x[i], proj)[0])
+
     def test_projector_called_once_on_the_stack(self):
         calls = []
 
@@ -213,13 +226,16 @@ class TestBackward:
     @pytest.mark.parametrize("layers", [2, 3, 5])
     def test_two_row_shift_builds_per_layer(self, monkeypatch, layers):
         # forward builds each layer input's row matrix, backward reuses it
-        # and builds one per layer for the input gradient
+        # and builds one per layer for the input gradient; so does a dcnet
+        # whose projector keeps one column of 16 (a band: 1 + 2L <= 16),
+        # on inputs no wider than the band's context and the gradient's
+        # two columns of zero padding
         calls = []
         row_shifts = nn._row_shifts
 
-        def counted(x):
+        def counted(x, *args, **kwargs):
             calls.append(x.shape)
-            return row_shifts(x)
+            return row_shifts(x, *args, **kwargs)
 
         monkeypatch.setattr(nn, "_row_shifts", counted)
         params = nn.init_params(nn.Architecture(layers=layers, width=3), 4)
@@ -227,6 +243,16 @@ class TestBackward:
         out, cache = nn.forward(params, x)
         nn.backward(params, cache, out - x)
         assert len(calls) == 2 * layers
+
+        calls.clear()
+        support = np.ones((6, 16))
+        support[2, 7] = 0.0
+        x = np.random.default_rng(5).standard_normal((6, 16))
+        out, cache = nn.forward(params, x, mask_projector(support))
+        assert cache["band"][2] == layers
+        nn.backward(params, cache, out - x)
+        assert len(calls) == 2 * layers
+        assert max(shape[-1] for shape in calls) == 1 + 2 * layers + 2
 
     @pytest.mark.parametrize("shape", [(1, 3), (5, 2), (4, 7), (9, 9)])
     @pytest.mark.parametrize("layers", [3, 4])
@@ -263,6 +289,17 @@ class TestGradCheck:
         proj = mask_projector(support)
         err = grad_check(nn.Architecture(layers=3, width=2), seed=1,
                          shape=(8, 8), projector=proj)
+        assert err < 1e-6
+
+    def test_dc_variant_banded(self):
+        # the projector keeps columns 11 and 0 of 12: an arc of m = 2 that
+        # wraps past column 0, so 3 layers run on a band of 2 + 6 columns
+        support = np.ones((8, 12))
+        support[:, [0, 11]] = 0.0
+        proj = mask_projector(support)
+        assert nn._band(proj, 12, 3)[2] == 3
+        err = grad_check(nn.Architecture(layers=3, width=2), seed=2,
+                         shape=(8, 12), projector=proj)
         assert err < 1e-6
 
     def test_eps_validated(self):

@@ -61,6 +61,30 @@ class TestProjectNull:
                                        atol=1e-9)
             assert np.max(np.abs(exact(z) @ a.T)) <= 1e-12
 
+    def test_columns_mark_what_the_projector_touches(self):
+        # a mask projector marks the columns holding a 0 of its support
+        # (whole stripes or single pixels); P z is 0 off them.  The SVD and
+        # iterative projectors mark every column.  All are read-only.
+        problem = Problem.benchmark(16)
+        support = np.ones((5, 7))
+        support[3, 6] = support[0, 2] = 0.0
+        op, svd = make_rate_operator((4, 6), seed=1)
+        cases = ((problem.projector, [0, 1, 4, 5, 8, 9, 12, 13]),
+                 (mask_projector(support), [2, 6]),
+                 (mask_projector(np.array([1.0, 0.0, 1.0])), [1]),
+                 (svd_projector(svd), range(6)),
+                 (iterative_projector(op), range(6)))
+        rng = np.random.default_rng(2)
+        for proj, marked in cases:
+            assert proj.columns.dtype == bool
+            assert proj.columns.shape == proj.shape[-1:]
+            np.testing.assert_array_equal(np.flatnonzero(proj.columns),
+                                          list(marked))
+            assert np.all(proj(rng.standard_normal(proj.shape))
+                          [..., ~proj.columns] == 0.0)
+            with pytest.raises(ValueError, match="read-only"):
+                proj.columns[0] = not proj.columns[0]
+
     def test_iterative_matches_closed_mask(self):
         op, support = stripe_problem()
         closed = mask_projector(support)

@@ -1,8 +1,8 @@
 """Property tests of the operators' adjoints, the pseudo-inverse and the
 kernel projectors over random shapes and stripe problems, of CG on the normal
 equations of a low-rank operator, of the benchmark problem's Tikhonov
-reconstruction, and of the CNN's circular convolution
-and kernel gradient."""
+reconstruction, and of the CNN's circular convolution, kernel gradient and
+banded dcnet."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -165,7 +165,8 @@ def test_conv_and_kernel_gradient_match_loops(in_ch, out_ch, h, w, seed):
     a1 = np.maximum(z0, 0.0)
     cache = {"rows": [nn._row_shifts(x), nn._row_shifts(a1)],
              "masks": [np.pad(z0 > 0, ((0, 0), (0, 0), (0, 2)))],
-             "projector": None, "x_shape": (h, w)}
+             "projector": None, "band": (slice(None), slice(None), 0),
+             "x_shape": (h, w)}
     g1 = rng.standard_normal((1, h, w))
     grads, _ = nn.backward(nn.NetParams([k0, k1], [b0, b1]), cache, g1[0])
     # the loss gradient at the first layer's output, by the adjoint's loop
@@ -174,3 +175,62 @@ def test_conv_and_kernel_gradient_match_loops(in_ch, out_ch, h, w, seed):
              for di in range(3) for dj in range(3)) * (z0 > 0)
     assert_close_1e13(grads.kernels[1], kernel_grad_reference(g1, a1))
     assert_close_1e13(grads.kernels[0], kernel_grad_reference(g0, x))
+
+
+def smallest_arc(marked):
+    """Length of the shortest run of consecutive columns, circularly, that
+    holds every marked one, by trying each start."""
+    w = len(marked)
+    return min(m for start in range(w) for m in range(1, w + 1)
+               if marked[(start + np.arange(m)) % w].sum() == marked.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 40), layers=st.integers(2, 5),
+       width=st.integers(1, 6), start=st.integers(0, 39),
+       span=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_banded_dcnet_matches_full_width(h, w, layers, width, start, span,
+                                         seed):
+    # a mask whose zeros lie in `span` columns from `start`, circularly:
+    # arcs that wrap past column 0, and arcs too wide for a band.  The
+    # outputs agree to rounding, not bit for bit: BLAS computes the last
+    # few columns of a GEMM whose column count is not a multiple of its
+    # block with a remainder kernel that rounds differently, and the two
+    # paths put different columns there (test_experiments checks the bit
+    # for bit agreement on a grid without remainders)
+    rng = np.random.default_rng(seed)
+    start, span = start % w, min(span, w)
+    marked = np.zeros(w, dtype=bool)
+    marked[(start + np.flatnonzero(rng.random(span) < 0.5)) % w] = True
+    marked[[start, (start + span - 1) % w]] = True
+    support = np.ones((h, w))
+    for col in np.flatnonzero(marked):
+        support[rng.random(h) < 0.5, col] = 0.0
+        support[rng.integers(h), col] = 0.0
+    proj = mask_projector(support)
+    ctx, arc, pad = nn._band(proj, w, layers)
+    m = smallest_arc(marked)
+    assert pad == (layers if m + 2 * layers <= w else 0)
+    if pad:
+        assert len(ctx) == m + 2 * layers
+        assert np.all(np.diff(ctx) % w == 1)  # consecutive, circularly
+        np.testing.assert_array_equal(arc, ctx[pad:-pad])
+        assert marked[arc].sum() == marked.sum()
+    else:
+        assert ctx == arc == slice(None)
+
+    params = nn.init_params(nn.Architecture(layers=layers, width=width),
+                            int(rng.integers(1000)))
+    x, g = rng.standard_normal((2, h, w))
+    out, cache = nn.forward(params, x, proj)
+    want, full = nn.forward(params, x, lambda z: proj(z))
+    assert full["band"][2] == 0
+    assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+    grads, grad_in = nn.backward(params, cache, g)
+    ref, ref_in = nn.backward(params, full, g)
+    assert np.max(np.abs(grad_in - ref_in)) <= 1e-13 * np.max(np.abs(ref_in))
+    # relative to the whole parameter gradient: a bias gradient sums its
+    # layer's output gradient and may cancel to far below its terms
+    flat, ref_flat = (np.concatenate([a.ravel() for a in p.kernels + p.biases])
+                      for p in (grads, ref))
+    assert np.max(np.abs(flat - ref_flat)) <= 1e-13 * np.max(np.abs(ref_flat))
