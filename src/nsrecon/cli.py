@@ -19,24 +19,26 @@ import numpy as np
 
 from . import nn
 from .data import export_dataset, write_pgm16
-from .experiments import (EvalConfig, Problem, TrainConfig, _reconstructions,
-                          convergence_study, dc_audit, evaluate,
+from .experiments import (EvalConfig, Problem, TrainConfig, _eval_report,
+                          _reconstructions, convergence_study, dc_audit,
                           make_rate_operator, save_json_summary, train)
 from .regularize import SourceCondition
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value config; '#' starts a comment, blank lines ignored."""
+    """Flat key=value config, each key set once; '#' starts a comment."""
     cfg = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: {key} set twice")
+            cfg[key] = value
     return cfg
 
 
@@ -122,21 +124,25 @@ def cmd_eval(args, cfg):
         eval_seed=args.seed + 10_000,
         sigma=_get(cfg, "sigma", float, 0.05))
     n_dump = _get(cfg, "n_dump", int, 3)
-    if n_dump < 0:
-        raise ValueError("n_dump must be >= 0")
+    if not 0 <= n_dump <= ec.n_per_kind:
+        raise ValueError(f"n_dump must be in 0..n_per_kind, got {n_dump}")
     models = {kind: nn.load_params(cfg[f"{kind}_ckpt"])[1]
               for kind in ("resnet", "dcnet")}
     problem = _problem(cfg)
-    report, wall_s = _timed(evaluate, models["resnet"], models["dcnet"], ec,
-                            problem)
-    report.to_csv(os.path.join(args.out, "eval.csv"))
+    dumps = []
 
-    # image dumps: ground truth / tikhonov / resnet / dcnet for the first
-    # n_dump ID samples
-    for _, i, s, recs in _reconstructions(problem, ec.sigma, (n_dump, 0),
-                                          ec.eval_seed, models):
-        write_pgm16(os.path.join(args.out, f"sample{i}_truth.pgm"), s.x)
-        for name, img in recs.items():
+    def stream():  # evaluate's samples, keeping the first n_dump ID ones
+        for kind, i, s, recs in _reconstructions(
+                problem, ec.sigma, (ec.n_per_kind,) * 2, ec.eval_seed, models):
+            if kind == "ID" and i < n_dump:
+                dumps.append((i, s, recs))
+            yield kind, i, s, recs
+
+    report, wall_s = _timed(_eval_report, problem, stream())
+    report.to_csv(os.path.join(args.out, "eval.csv"))
+    # PGMs of the dumped samples: ground truth and each reconstruction
+    for i, s, recs in dumps:
+        for name, img in {"truth": s.x, **recs}.items():
             write_pgm16(os.path.join(args.out, f"sample{i}_{name}.pgm"), img)
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "eval", "seed": args.seed, "config": ec,

@@ -224,10 +224,15 @@ def evaluate(params_resnet: nn.NetParams, params_dcnet: nn.NetParams,
     """Metric table over fresh ID and OOD samples for the three methods."""
     cfg = cfg or EvalConfig()
     problem = problem or Problem.benchmark()
+    return _eval_report(problem, _reconstructions(
+        problem, cfg.sigma, (cfg.n_per_kind,) * 2, cfg.eval_seed,
+        {"resnet": params_resnet, "dcnet": params_dcnet}))
+
+
+def _eval_report(problem: Problem, stream) -> EvalReport:
+    """The metric rows and means of a `_reconstructions` stream."""
     rows, groups = [], {}
-    for kind, i, s, recs in _reconstructions(
-            problem, cfg.sigma, (cfg.n_per_kind,) * 2, cfg.eval_seed,
-            {"resnet": params_resnet, "dcnet": params_dcnet}):
+    for kind, i, s, recs in stream:
         for method, xr in recs.items():
             row = {"kind": kind, "index": i, "method": method,
                    "psnr": psnr(s.x, xr), "ssim": ssim(s.x, xr),

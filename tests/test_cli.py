@@ -9,6 +9,7 @@ import pytest
 
 from nsrecon import nn
 from nsrecon.cli import main, parse_config_file
+from nsrecon.experiments import Problem
 
 
 def write_config(tmp_path, name, **kwargs):
@@ -134,15 +135,35 @@ class TestTrainEval:
         assert (out / "summary.json").exists()
         assert not list(out.glob("*.pgm"))
 
-    def test_eval_negative_dumps_fails_before_evaluating(self, tmp_path,
-                                                         ckpts, capsys):
+    @pytest.mark.parametrize("n_dump", [-1, 2])
+    def test_eval_dumps_out_of_range_fail_before_evaluating(
+            self, tmp_path, ckpts, capsys, n_dump):
+        # a dumped sample is one of the n_per_kind evaluated ID samples
         out = tmp_path / "eval"
         cfg = write_config(tmp_path, "cfg", resnet_ckpt=ckpts["resnet"],
                            dcnet_ckpt=ckpts["dcnet"], image_size=32,
-                           n_per_kind=1, n_dump=-1)
+                           n_per_kind=1, n_dump=n_dump)
         assert main(["eval", "--out", str(out), "--config", cfg]) == 1
         assert "nsrecon eval: error: n_dump" in capsys.readouterr().err
-        assert not (out / "eval.csv").exists()
+        assert not out.exists()
+
+    def test_eval_reconstructs_each_sample_once(self, tmp_path, ckpts,
+                                                monkeypatch):
+        calls = []
+        reconstruct = Problem.reconstruct
+
+        def counted(problem, y):
+            calls.append(y)
+            return reconstruct(problem, y)
+
+        monkeypatch.setattr(Problem, "reconstruct", counted)
+        out = tmp_path / "eval"
+        cfg = write_config(tmp_path, "cfg", resnet_ckpt=ckpts["resnet"],
+                           dcnet_ckpt=ckpts["dcnet"], image_size=32,
+                           n_per_kind=2, n_dump=2)
+        assert main(["eval", "--out", str(out), "--config", cfg]) == 0
+        assert len(calls) == 2 * 2
+        assert len(list(out.glob("sample*.pgm"))) == 2 * 4
 
     def test_eval_without_checkpoints_fails(self, tmp_path, capsys):
         code = main(["eval", "--out", str(tmp_path / "o")])
@@ -200,12 +221,16 @@ class TestDcAuditErrors:
 
 
 class TestRates:
-    def test_rates_outputs(self, tmp_path):
+    @pytest.mark.parametrize("filter_kind", ["tikhonov", "tsvd",
+                                             "landweber"])
+    def test_rates_outputs(self, tmp_path, filter_kind):
         out = tmp_path / "rates"
-        cfg = write_config(tmp_path, "cfg", mu=0.5, trials=3, n_deltas=3)
+        cfg = write_config(tmp_path, "cfg", mu=0.5, trials=3, n_deltas=3,
+                           filter=filter_kind)
         assert main(["rates", "--seed", "0", "--out", str(out),
                      "--config", cfg]) == 0
         summary = json.loads((out / "summary.json").read_text())
+        assert summary["filter"] == filter_kind
         assert summary["theory_error_slope"] == pytest.approx(0.5)
         assert np.isfinite(summary["error_slope"])
         rows = (out / "rates.csv").read_text().strip().splitlines()
@@ -277,11 +302,15 @@ def test_unparsed_value_fails_naming_key(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config", ["missing", "n 3\n"],
-                         ids=["missing", "no-equals"])
-def test_bad_config_fails_without_traceback(tmp_path, capsys, config):
-    # a missing file, or a line without '=', fails before the output
-    # directory is made
+@pytest.mark.parametrize("config, message", [
+    ("missing", "No such file"),
+    ("n 3\n", ":1: expected key=value"),
+    ("epochs = 1\nepochs = 2\n", ":2: epochs set twice"),
+], ids=["missing", "no-equals", "repeated-key"])
+def test_bad_config_fails_without_traceback(tmp_path, capsys, config,
+                                            message):
+    # a missing file, a line without '=', or a key set twice fails before
+    # the output directory is made
     path = tmp_path / "cfg"
     if config != "missing":
         path.write_text(config)
@@ -289,5 +318,5 @@ def test_bad_config_fails_without_traceback(tmp_path, capsys, config):
     assert main(["gen-data", "--out", str(out), "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "nsrecon gen-data: error: " in err and "Traceback" not in err
-    assert str(path) in err
+    assert str(path) in err and message in err
     assert not out.exists()
