@@ -16,9 +16,8 @@ from .regularize import (FILTER_QUALIFICATION, FilterSpec, SourceCondition,
 from .nullspace import (NullProjector, iterative_projector, mask_projector,
                         project_null, svd_projector)
 from .metrics import mse, psnr, ssim
-from .data import (NoiseSpec, Sample, SampleSpec, export_dataset,
-                   gen_measurement, gen_square_sample, make_dataset,
-                   read_pgm16, write_pgm16)
+from .data import (Sample, export_dataset, make_dataset, read_pgm16,
+                   write_pgm16)
 from .experiments import (ConvergenceReport, EvalConfig, EvalReport, Problem,
                           TrainConfig, convergence_study, dc_audit, evaluate,
                           fit_loglog_slope, make_rate_operator,

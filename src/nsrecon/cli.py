@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, dc-audit, rates.  Each accepts --seed,
---out DIR and --config FILE, where the config is flat key=value text.
+--out DIR and --config FILE, flat key=value text of its COMMANDS keys.
 Outputs are CSV tables, 16-bit PGM image dumps (gen-data also writes each
 measurement as float64 .npy), and a JSON summary echoing the effective
 configuration; for train, eval and dc-audit it also holds the wall time of
@@ -22,7 +22,7 @@ from .data import export_dataset, write_pgm16
 from .experiments import (EvalConfig, Problem, TrainConfig, _eval_report,
                           _reconstructions, convergence_study, dc_audit,
                           make_rate_operator, save_json_summary, train)
-from .regularize import SourceCondition
+from .regularize import FILTER_QUALIFICATION, SourceCondition
 
 
 def parse_config_file(path) -> dict:
@@ -42,22 +42,27 @@ def parse_config_file(path) -> dict:
     return cfg
 
 
-def _get(cfg, key, cast, default):
-    """cfg[key] cast, or default; a value that does not cast raises a
-    ValueError naming the key."""
-    if key not in cfg:
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError:
-        raise ValueError(f"{key} must be {cast.__name__}, "
-                         f"got {cfg[key]!r}") from None
+def _options(cfg: dict, keys: dict, path) -> dict:
+    """The defaults of keys (key -> (type, default)), overridden by cfg's
+    values cast to their type.  Raises ValueError naming the file on a key
+    not in keys, or naming the key on a value that does not cast."""
+    opts = {key: default for key, (_, default) in keys.items()
+            if default is not None}
+    for key, value in cfg.items():
+        if key not in keys:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        cast = keys[key][0]
+        try:
+            opts[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"{key} must be {cast.__name__}, "
+                             f"got {value!r}") from None
+    return opts
 
 
-def _problem(cfg) -> Problem:
+def _problem(opts) -> Problem:
     """The benchmark problem of the image_size and alpha_tik keys."""
-    return Problem.benchmark(_get(cfg, "image_size", int, 64),
-                             alpha=_get(cfg, "alpha_tik", float, 0.01))
+    return Problem.benchmark(opts["image_size"], alpha=opts["alpha_tik"])
 
 
 def _echo(problem: Problem) -> dict:
@@ -71,39 +76,26 @@ def _timed(fn, *args):
     return fn(*args), time.perf_counter() - start
 
 
-def _common(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--config", default=None, help="key=value config file")
-
-
-def cmd_gen_data(args, cfg):
-    n = _get(cfg, "n", int, 20)
-    kind = _get(cfg, "kind", str, "ID")
-    sigma = _get(cfg, "sigma", float, 0.05)
-    patch_size = _get(cfg, "patch_size", int, 20)
-    problem = _problem(cfg)
-    samples = problem.dataset(n, kind, args.seed, sigma,
-                              patch_size=patch_size)
+def cmd_gen_data(args, opts):
+    problem = _problem(opts)
+    samples = problem.dataset(opts["n"], opts["kind"], args.seed,
+                              opts["sigma"], opts["patch_size"])
     manifest = export_dataset(samples, args.out)
     save_json_summary(os.path.join(args.out, "summary.json"), {
-        "command": "gen-data", "seed": args.seed, "n": n, "kind": kind,
-        "sigma": sigma, "image_size": problem.image_size,
-        "patch_size": patch_size, "manifest": manifest})
+        "command": "gen-data", "seed": args.seed, "n": opts["n"],
+        "kind": opts["kind"], "sigma": opts["sigma"],
+        "image_size": problem.image_size, "patch_size": opts["patch_size"],
+        "manifest": manifest})
 
 
-def cmd_train(args, cfg):
+def cmd_train(args, opts):
     tc = TrainConfig(
-        epochs=_get(cfg, "epochs", int, 100),
-        lr=_get(cfg, "lr", float, 1e-3),
-        weight_decay=_get(cfg, "weight_decay", float, 1e-4),
-        sigma=_get(cfg, "sigma", float, 0.05),
-        model_kind=_get(cfg, "model_kind", str, "resnet"),
-        data_seed=args.seed,
-        init_seed=args.seed + _get(cfg, "init_seed_offset", int, 1),
-        arch=nn.Architecture(layers=_get(cfg, "layers", int, 5),
-                             width=_get(cfg, "width", int, 6)))
-    problem = _problem(cfg)
+        epochs=opts["epochs"], lr=opts["lr"],
+        weight_decay=opts["weight_decay"], sigma=opts["sigma"],
+        model_kind=opts["model_kind"], data_seed=args.seed,
+        init_seed=args.seed + opts["init_seed_offset"],
+        arch=nn.Architecture(layers=opts["layers"], width=opts["width"]))
+    problem = _problem(opts)
     (params, log), wall_s = _timed(train, tc, problem)
     ckpt = os.path.join(args.out, f"{tc.model_kind}.ckpt")
     nn.save_params(ckpt, tc.arch, params)
@@ -118,17 +110,15 @@ def cmd_train(args, cfg):
         "final_loss": log[-1] if log else None})
 
 
-def cmd_eval(args, cfg):
-    ec = EvalConfig(
-        n_per_kind=_get(cfg, "n_per_kind", int, 20),
-        eval_seed=args.seed + 10_000,
-        sigma=_get(cfg, "sigma", float, 0.05))
-    n_dump = _get(cfg, "n_dump", int, 3)
+def cmd_eval(args, opts):
+    ec = EvalConfig(n_per_kind=opts["n_per_kind"],
+                    eval_seed=args.seed + 10_000, sigma=opts["sigma"])
+    n_dump = opts["n_dump"]
     if not 0 <= n_dump <= ec.n_per_kind:
         raise ValueError(f"n_dump must be in 0..n_per_kind, got {n_dump}")
-    models = {kind: nn.load_params(cfg[f"{kind}_ckpt"])[1]
+    models = {kind: nn.load_params(opts[f"{kind}_ckpt"])[1]
               for kind in ("resnet", "dcnet")}
-    problem = _problem(cfg)
+    problem = _problem(opts)
     dumps = []
 
     def stream():  # evaluate's samples, keeping the first n_dump ID ones
@@ -150,12 +140,11 @@ def cmd_eval(args, cfg):
         "means": report.means})
 
 
-def cmd_dc_audit(args, cfg):
-    model_kind = _get(cfg, "model_kind", str, "dcnet")
-    n = _get(cfg, "n", int, 40)
-    params = nn.load_params(cfg["ckpt"])[1]
-    ec = EvalConfig(sigma=_get(cfg, "sigma", float, 0.05))
-    problem = _problem(cfg)
+def cmd_dc_audit(args, opts):
+    model_kind, n = opts["model_kind"], opts["n"]
+    params = nn.load_params(opts["ckpt"])[1]
+    ec = EvalConfig(sigma=opts["sigma"])
+    problem = _problem(opts)
     rows, wall_s = _timed(dc_audit, params, model_kind, n, args.seed, ec,
                           problem)
     with open(os.path.join(args.out, "dc_audit.csv"), "w") as fh:
@@ -171,36 +160,49 @@ def cmd_dc_audit(args, cfg):
         "max_relative_residual_gap": max_rel})
 
 
-def cmd_rates(args, cfg):
-    mu = _get(cfg, "mu", float, 0.5)
-    rho = _get(cfg, "rho", float, 1.0)
-    filter_kind = _get(cfg, "filter", str, "tikhonov")
-    trials = _get(cfg, "trials", int, 10)
-    c = _get(cfg, "c", float, 1.0)
-    n_deltas = _get(cfg, "n_deltas", int, 5)
-    deltas = np.geomspace(_get(cfg, "delta_max", float, 1e-1),
-                          _get(cfg, "delta_min", float, 1e-5), n_deltas)
+def cmd_rates(args, opts):
+    mu, kind = opts["mu"], opts["filter"]
+    deltas = np.geomspace(opts["delta_max"], opts["delta_min"],
+                          opts["n_deltas"])
     _, svd = make_rate_operator(seed=args.seed)
-    src = SourceCondition(mu=mu, rho=rho)
-    report = convergence_study(svd, filter_kind, src, deltas, trials,
-                               seed=args.seed, c=c)
+    report = convergence_study(svd, kind, SourceCondition(mu, opts["rho"]),
+                               deltas, opts["trials"], args.seed, opts["c"])
     report.to_csv(os.path.join(args.out, "rates.csv"))
+    # the a-priori rule's error bound: delta^(2 min(mu, mu_max) / (2 mu + 1))
+    mu_max = FILTER_QUALIFICATION[kind]["mu_max"]
     save_json_summary(os.path.join(args.out, "summary.json"), {
-        "command": "rates", "seed": args.seed, "mu": mu, "rho": rho,
-        "filter": filter_kind, "trials": trials, "c": c,
+        "command": "rates", "seed": args.seed, "mu": mu, "rho": opts["rho"],
+        "filter": kind, "trials": opts["trials"], "c": opts["c"],
         "error_slope": report.error_slope,
         "error_slope_halfwidth": report.error_slope_hw,
         "residual_slope": report.residual_slope,
         "residual_slope_halfwidth": report.residual_slope_hw,
-        "theory_error_slope": 2 * mu / (2 * mu + 1)})
+        "theory_error_slope": 2 * min(mu, mu_max) / (2 * mu + 1)})
 
 
+_PROBLEM_KEYS = {"image_size": (int, 64), "alpha_tik": (float, 0.01)}
+# Each subcommand and its config keys: key -> (type, default).  A key
+# without a default (a checkpoint path) is unset unless the config sets it.
 COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "dc-audit": cmd_dc_audit,
-    "rates": cmd_rates,
+    "gen-data": (cmd_gen_data, {
+        "n": (int, 20), "kind": (str, "ID"), "sigma": (float, 0.05),
+        "patch_size": (int, 20), **_PROBLEM_KEYS}),
+    "train": (cmd_train, {
+        "epochs": (int, 100), "lr": (float, 1e-3),
+        "weight_decay": (float, 1e-4), "sigma": (float, 0.05),
+        "model_kind": (str, "resnet"), "init_seed_offset": (int, 1),
+        "layers": (int, 5), "width": (int, 6), **_PROBLEM_KEYS}),
+    "eval": (cmd_eval, {
+        "n_per_kind": (int, 20), "sigma": (float, 0.05), "n_dump": (int, 3),
+        "resnet_ckpt": (str, None), "dcnet_ckpt": (str, None),
+        **_PROBLEM_KEYS}),
+    "dc-audit": (cmd_dc_audit, {
+        "model_kind": (str, "dcnet"), "n": (int, 40), "ckpt": (str, None),
+        "sigma": (float, 0.05), **_PROBLEM_KEYS}),
+    "rates": (cmd_rates, {
+        "mu": (float, 0.5), "rho": (float, 1.0), "filter": (str, "tikhonov"),
+        "trials": (int, 10), "c": (float, 1.0), "n_deltas": (int, 5),
+        "delta_max": (float, 1e-1), "delta_min": (float, 1e-5)}),
 }
 
 
@@ -210,13 +212,18 @@ def main(argv=None) -> int:
         description="Data-consistent learned reconstruction experiments")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _common(subs.add_parser(name))
+        sub = subs.add_parser(name)
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--out", required=True, help="output directory")
+        sub.add_argument("--config", help="key=value config file")
     args = parser.parse_args(argv)
     created = not os.path.exists(args.out)
     try:
         cfg = parse_config_file(args.config) if args.config else {}
+        command, keys = COMMANDS[args.command]
+        opts = _options(cfg, keys, args.config)
         os.makedirs(args.out, exist_ok=True)
-        COMMANDS[args.command](args, cfg)
+        command(args, opts)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"nsrecon {args.command}: error: {exc}", file=sys.stderr)
         # a failed run leaves no empty output directory of its own making

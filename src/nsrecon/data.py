@@ -18,53 +18,21 @@ from .linops import MatvecOp
 KINDS = ("ID", "OOD")
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    image_size: int = 64
-    patch_size: int = 20
-    kind: str = "ID"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-        if self.patch_size > self.image_size:
-            raise ValueError("patch must fit in the image")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    sigma: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be finite and nonnegative")
-
-
-def _square_sample(spec: SampleSpec):
-    """`gen_square_sample`'s image and its patch position (row, col)."""
-    rng = np.random.default_rng(spec.seed)
-    n_even = (spec.image_size - spec.patch_size) // 2 + 1
+def _square_sample(size: int, patch_size: int, kind: str, seed: int):
+    """Zero background with one square patch at a random even position,
+    and that position (row, col).  ID: rows inside the patch alternate 1, 0
+    starting with 1 at the top.  OOD: constant 0.5."""
+    rng = np.random.default_rng(seed)
+    n_even = (size - patch_size) // 2 + 1
     row = int(rng.integers(0, n_even)) * 2
     col = int(rng.integers(0, n_even)) * 2
-    x = np.zeros((spec.image_size, spec.image_size))
-    if spec.kind == "ID":
-        patch = np.zeros((spec.patch_size, spec.patch_size))
-        patch[0::2, :] = 1.0
+    x = np.zeros((size, size))
+    patch = x[row:row + patch_size, col:col + patch_size]
+    if kind == "ID":
+        patch[0::2] = 1.0
     else:
-        patch = np.full((spec.patch_size, spec.patch_size), 0.5)
-    x[row:row + spec.patch_size, col:col + spec.patch_size] = patch
+        patch[:] = 0.5
     return x, (row, col)
-
-
-def gen_square_sample(spec: SampleSpec) -> np.ndarray:
-    """Zero background with one square patch at a random even position.
-
-    ID: rows inside the patch alternate 1, 0 starting with 1 at the top.
-    OOD: constant 0.5.
-    """
-    return _square_sample(spec)[0]
 
 
 def polar_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -93,20 +61,15 @@ def polar_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-def gen_measurement(op: MatvecOp, x: np.ndarray, noise: NoiseSpec,
-                    support: np.ndarray | None = None):
-    """Noisy measurement y = A x + z with Gaussian noise of sd sigma.
-
-    When `support` (a boolean array over the output grid) is given, noise is
-    added only there - for stripe-masked operators that is the set of
-    observed columns, since the unobserved entries are identically zero.
-    Returns (y, delta_est) with delta_est = |z|.
-    """
-    y = op.apply(np.asarray(x, dtype=float))
-    if noise.sigma == 0.0:
+def _measurement(op: MatvecOp, x: np.ndarray, sigma: float, seed: int,
+                 support: np.ndarray | None):
+    """y = A x + z, z Gaussian of sd sigma kept on `support` (0/1 over the
+    output grid: the observed entries), and delta = |z|."""
+    y = op.apply(x)
+    if sigma == 0.0:
         return y, 0.0
-    rng = np.random.default_rng(noise.seed)
-    z = noise.sigma * polar_gaussian(rng, y.size).reshape(y.shape)
+    rng = np.random.default_rng(seed)
+    z = sigma * polar_gaussian(rng, y.size).reshape(y.shape)
     if support is not None:
         z = z * support
     return y + z, float(np.linalg.norm(z))
@@ -129,31 +92,34 @@ def make_dataset(n: int, kind: str, base_seed: int, op: MatvecOp,
                  sigma: float = 0.05, support: np.ndarray | None = None,
                  patch_size: int = 20) -> list[Sample]:
     """n independent (x, y) samples; sample i uses seed base_seed + i.
-    The images are square, of the size op.in_shape[0]."""
+    The images are square, of the size op.in_shape[0], with a patch of
+    kind ID (stripes) or OOD (constant); see `_square_sample`."""
+    size = op.in_shape[0]
     if n < 1:
         raise ValueError("n must be >= 1")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if patch_size > size:
+        raise ValueError("patch must fit in the image")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     samples = []
-    for i in range(n):
-        seed = base_seed + i
-        spec = SampleSpec(image_size=op.in_shape[0], patch_size=patch_size,
-                          kind=kind, seed=seed)
-        x, position = _square_sample(spec)
-        y, delta = gen_measurement(
-            op, x, NoiseSpec(sigma=sigma, seed=seed + _NOISE_SEED_OFFSET),
-            support=support)
+    for seed in range(base_seed, base_seed + n):
+        x, position = _square_sample(size, patch_size, kind, seed)
+        y, delta = _measurement(op, x, sigma, seed + _NOISE_SEED_OFFSET,
+                                support)
         samples.append(Sample(x=x, y=y, kind=kind, seed=seed,
                               position=position, delta=delta))
     return samples
 
 
-def write_pgm16(path, image: np.ndarray, data_range: float = 1.0) -> None:
-    """16-bit binary PGM, values clamped to [0, data_range]; raises
+def write_pgm16(path, image: np.ndarray) -> None:
+    """16-bit binary PGM, values clamped to [0, 1]; raises
     ValueError on non-finite entries, which have no pixel value."""
     image = np.asarray(image, dtype=float)
     if not np.all(np.isfinite(image)):
         raise ValueError("image has non-finite entries")
-    scaled = np.clip(image / data_range, 0.0, 1.0)
-    pix = np.round(scaled * 65535).astype(">u2")
+    pix = np.round(np.clip(image, 0.0, 1.0) * 65535).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n65535\n".encode())
         fh.write(pix.tobytes())
@@ -171,10 +137,9 @@ def read_pgm16(path) -> np.ndarray:
     return data.reshape(h, w).astype(float) / maxval
 
 
-def export_dataset(samples: list[Sample], out_dir,
-                   data_range: float = 1.0) -> str:
+def export_dataset(samples: list[Sample], out_dir) -> str:
     """Dump images as PGM plus a CSV manifest; returns the manifest path.
-    The PGMs clamp to [0, data_range], so each measurement y is also
+    The PGMs clamp to [0, 1], so each measurement y is also
     written losslessly, as float64 .npy (manifest column y_npy)."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.csv")
@@ -186,8 +151,8 @@ def export_dataset(samples: list[Sample], out_dir,
             x_file = f"x_{i:04d}.pgm"
             y_file = f"y_{i:04d}.pgm"
             y_npy = f"y_{i:04d}.npy"
-            write_pgm16(os.path.join(out_dir, x_file), s.x, data_range)
-            write_pgm16(os.path.join(out_dir, y_file), s.y, data_range)
+            write_pgm16(os.path.join(out_dir, x_file), s.x)
+            write_pgm16(os.path.join(out_dir, y_file), s.y)
             np.save(os.path.join(out_dir, y_npy),
                     np.asarray(s.y, dtype=np.float64))
             writer.writerow([i, s.kind, s.seed, s.position[0], s.position[1],

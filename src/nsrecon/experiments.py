@@ -34,8 +34,9 @@ class Problem:
     alpha: float    # Tikhonov parameter of `reconstruct`
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.spacing > 0):
-            raise ValueError("alpha and spacing must be positive")
+        for name in ("spacing", "alpha"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.image_size < 14:
             raise ValueError("image_size must be >= 14 to hold the stripes")
 
@@ -104,12 +105,11 @@ class Problem:
         return self._tikhonov @ (self.support * y)
 
     def dataset(self, n: int, kind: str, seed: int, sigma: float,
-                **kw) -> list[Sample]:
+                patch_size: int = 20) -> list[Sample]:
         """`make_dataset` on this problem, with the nominal noise sd sigma
         scaled to the data grid and the noise kept on observed entries."""
-        return make_dataset(n, kind, seed, self.op,
-                            sigma=sigma * self.spacing,
-                            support=self.support, **kw)
+        return make_dataset(n, kind, seed, self.op, sigma * self.spacing,
+                            self.support, patch_size)
 
 
 @dataclass

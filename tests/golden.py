@@ -1,11 +1,11 @@
 """Pinned stage values at a reduced configuration, kept in golden.json.
 
-Each stage the paper's claim rests on contributes a few floats: training
-losses and parameter sums of both models, evaluation means, the dc-audit
-worst gap, the dcnet's Lipschitz bound, and one classical and one
-null-space-network rate study.  `test_golden.py` recomputes them and
-compares at 1e-10 relative (1e-12 absolute near 0).  A change that moves a
-value regenerates the file with
+Each stage the paper's claim rests on contributes a few floats: the first
+ID and OOD sample of the data path, training losses and parameter sums of
+both models, evaluation means, the dc-audit worst gap, the dcnet's
+Lipschitz bound, and one classical and one null-space-network rate study.
+`test_golden.py` recomputes them and compares at 1e-10 relative (1e-12
+absolute near 0).  A change that moves a value regenerates the file with
 
     PYTHONPATH=src python tests/golden.py --write
 
@@ -46,6 +46,13 @@ def compute() -> dict:
     """Every pinned value by name, as floats."""
     problem = Problem.benchmark(32)
     values, params = {}, {}
+    for kind, seed in (("ID", 0), ("OOD", 1)):  # two positions, two deltas
+        s = problem.dataset(1, kind, seed, 0.05)[0]
+        values[f"data.{kind}.row"], values[f"data.{kind}.col"] = s.position
+        values[f"data.{kind}.delta"] = s.delta
+        for name, img in (("x", s.x), ("y", s.y)):
+            values[f"data.{kind}.{name}.sum"] = img.sum()
+            values[f"data.{kind}.{name}.sum_sq"] = np.sum(img * img)
     for kind in ("resnet", "dcnet"):
         cfg = TrainConfig(epochs=20, model_kind=kind, data_seed=0,
                           init_seed=1)

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from nsrecon import nn
+from nsrecon import cli, nn
 from nsrecon.cli import main, parse_config_file
 from nsrecon.experiments import Problem
 
@@ -75,12 +75,11 @@ class TestGenData:
 
 class TestTrainEval:
     def test_train_eval_audit_pipeline(self, tmp_path):
-        common = dict(epochs=3, image_size=32, n_per_kind=2, n_dump=1)
         ckpts = {}
         for kind in ("resnet", "dcnet"):
             out = tmp_path / f"train-{kind}"
-            cfg = write_config(tmp_path, f"cfg-{kind}",
-                               model_kind=kind, **common)
+            cfg = write_config(tmp_path, f"cfg-{kind}", model_kind=kind,
+                               epochs=3, image_size=32)
             assert main(["train", "--seed", "0", "--out", str(out),
                          "--config", cfg]) == 0
             ckpts[kind] = out / f"{kind}.ckpt"
@@ -96,7 +95,8 @@ class TestTrainEval:
         out = tmp_path / "eval"
         cfg = write_config(tmp_path, "cfg-eval",
                            resnet_ckpt=ckpts["resnet"],
-                           dcnet_ckpt=ckpts["dcnet"], **common)
+                           dcnet_ckpt=ckpts["dcnet"], image_size=32,
+                           n_per_kind=2, n_dump=1)
         assert main(["eval", "--seed", "0", "--out", str(out),
                      "--config", cfg]) == 0
         assert (out / "eval.csv").exists()
@@ -269,6 +269,21 @@ class TestRates:
         assert capfd.readouterr().err.startswith(
             "nsrecon rates: error: c must be finite and positive")
 
+    @pytest.mark.parametrize("filter_kind", ["tikhonov", "tsvd"])
+    def test_theory_slope_saturates_with_the_filter(self, tmp_path,
+                                                    filter_kind):
+        # at mu = 2 Tikhonov (mu_max = 1) saturates at 2/5, TSVD does not:
+        # 4/5; the measured slopes are 0.368 and 0.776 at seed 0
+        out = tmp_path / "rates"
+        cfg = write_config(tmp_path, "cfg", mu=2, filter=filter_kind)
+        assert main(["rates", "--seed", "0", "--out", str(out),
+                     "--config", cfg]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["theory_error_slope"] == pytest.approx(
+            {"tikhonov": 0.4, "tsvd": 0.8}[filter_kind])
+        assert abs(summary["theory_error_slope"]
+                   - summary["error_slope"]) <= 0.1
+
     def test_bad_filter_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg", filter="ridge")
         assert main(["rates", "--out", str(tmp_path / "o"),
@@ -281,6 +296,34 @@ def test_out_directory_created(tmp_path):
     cfg = write_config(tmp_path, "cfg", n=1, image_size=32, patch_size=10)
     assert main(["gen-data", "--out", str(nested), "--config", cfg]) == 0
     assert os.path.isdir(nested)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_infinite_alpha_fails_naming_alpha(tmp_path, capsys, monkeypatch,
+                                           command):
+    # rejected with the problem, before any sample is drawn
+    monkeypatch.setattr(Problem, "dataset", None)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg", alpha_tik="inf")
+    assert main([command, "--out", str(out), "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"nsrecon {command}: error: alpha must be finite and positive\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval",
+                                     "dc-audit", "rates"])
+def test_unknown_key_fails_naming_key_and_file(tmp_path, capsys,
+                                               monkeypatch, command):
+    # a typo such as epoch for epochs fails before any work or output
+    for name, (_, keys) in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name, (None, keys))
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg", epoch=2)
+    assert main([command, "--out", str(out), "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"nsrecon {command}: error: {cfg}: unknown key 'epoch'\n")
+    assert not out.exists()
 
 
 def test_negative_epochs_fails_naming_epochs(tmp_path, capsys):

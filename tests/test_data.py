@@ -1,62 +1,66 @@
-"""Synthetic samples, measurement simulation, dataset assembly, the PGM
-import/export round trip and the lossless export of the measurements."""
+"""Synthetic samples and their noisy measurements, all drawn through
+`make_dataset`, the PGM import/export round trip and the lossless export of
+the measurements."""
 
 import csv
 
 import numpy as np
 import pytest
 
-from nsrecon.data import (NoiseSpec, SampleSpec, export_dataset,
-                          gen_measurement, gen_square_sample, make_dataset,
-                          polar_gaussian, read_pgm16, write_pgm16)
+from nsrecon.data import (export_dataset, make_dataset, polar_gaussian,
+                          read_pgm16, write_pgm16)
 from nsrecon.experiments import Problem
 from nsrecon.operators import make_cumsum
 from oracles import polar_gaussian_reference
 
 
+OP64 = Problem(64, 1.0, 0.01).op
+
+
+def first_row_col(x):
+    """The top row and left column of the patch in x."""
+    return np.where(x.any(axis=1))[0][0], np.where(x.any(axis=0))[0][0]
+
+
 class TestSamples:
+    # images of the default 20x20 patch on 64x64, noiseless unless the
+    # test is about the measurement
+
     def test_id_row_sums_alternate(self):
-        spec = SampleSpec(kind="ID", seed=3)
-        x = gen_square_sample(spec)
+        x = make_dataset(1, "ID", 3, OP64, sigma=0.0)[0].x
         rows = np.where(x.any(axis=1))[0]
-        assert rows.size == spec.patch_size // 2  # odd patch rows are zero
-        top = rows[0]
-        sums = x[top:top + spec.patch_size].sum(axis=1)
-        np.testing.assert_array_equal(sums[0::2], spec.patch_size)
+        assert rows.size == 20 // 2  # odd patch rows are zero
+        sums = x[rows[0]:rows[0] + 20].sum(axis=1)
+        np.testing.assert_array_equal(sums[0::2], 20)
         np.testing.assert_array_equal(sums[1::2], 0.0)
 
     def test_ood_constant_patch(self):
-        x = gen_square_sample(SampleSpec(kind="OOD", seed=4))
+        x = make_dataset(1, "OOD", 4, OP64, sigma=0.0)[0].x
         vals = np.unique(x)
         np.testing.assert_array_equal(vals, [0.0, 0.5])
         assert np.sum(x == 0.5) == 400
 
     def test_patch_position_even_and_in_range(self):
-        for seed in range(50):
-            spec = SampleSpec(kind="ID", seed=seed)
-            x = gen_square_sample(spec)
-            rows = np.where(x.any(axis=1))[0]
-            cols = np.where(x.any(axis=0))[0]
-            assert rows[0] % 2 == 0 and cols[0] % 2 == 0
-            assert rows[0] <= spec.image_size - spec.patch_size
+        for s in make_dataset(50, "ID", 0, OP64, sigma=0.0):
+            row, col = s.position
+            assert (row, col) == first_row_col(s.x)
+            assert row % 2 == 0 and col % 2 == 0
+            assert 0 <= row <= 64 - 20 and 0 <= col <= 64 - 20
 
     def test_seed_determinism_and_variation(self):
-        a = gen_square_sample(SampleSpec(kind="ID", seed=5))
-        b = gen_square_sample(SampleSpec(kind="ID", seed=5))
-        np.testing.assert_array_equal(a, b)
-        positions = set()
-        for seed in range(100):
-            x = gen_square_sample(SampleSpec(kind="OOD", seed=seed))
-            rows = np.where(x.any(axis=1))[0]
-            cols = np.where(x.any(axis=0))[0]
-            positions.add((rows[0], cols[0]))
+        a = make_dataset(1, "ID", 5, OP64, sigma=0.0)[0]
+        b = make_dataset(1, "ID", 5, OP64, sigma=0.0)[0]
+        np.testing.assert_array_equal(a.x, b.x)
+        positions = {first_row_col(s.x)
+                     for s in make_dataset(100, "OOD", 0, OP64, sigma=0.0)}
         assert len(positions) > 10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SampleSpec(kind="weird")
-        with pytest.raises(ValueError):
-            SampleSpec(image_size=10, patch_size=20)
+        op = Problem(16, 1.0, 0.01).op
+        with pytest.raises(ValueError, match="kind must be one of"):
+            make_dataset(1, "weird", 0, op)
+        with pytest.raises(ValueError, match="patch must fit"):
+            make_dataset(1, "ID", 0, op, patch_size=20)
 
 
 class TestPolarGaussian:
@@ -96,49 +100,48 @@ class TestPolarGaussian:
 class TestMeasurement:
     def test_noiseless(self):
         op = Problem(16, 1.0, 0.01).op
-        x = gen_square_sample(SampleSpec(image_size=16, patch_size=6))
-        y, delta = gen_measurement(op, x, NoiseSpec(sigma=0.0))
-        np.testing.assert_array_equal(y, op.apply(x))
-        assert delta == 0.0
+        s = make_dataset(1, "ID", 0, op, sigma=0.0, patch_size=6)[0]
+        np.testing.assert_array_equal(s.y, op.apply(s.x))
+        assert s.delta == 0.0
 
     def test_noise_energy_on_eight_columns(self):
         # E|z|^2 = sigma^2 * (observed pixel count) = 0.0025 * 512 = 1.28
-        op = make_cumsum(64, 64)
         support = np.zeros((64, 64))
         support[:, [0, 1, 4, 5, 8, 9, 12, 13]] = 1.0
-        x = np.zeros((64, 64))
-        sq = []
-        for seed in range(200):
-            _, delta = gen_measurement(op, x, NoiseSpec(sigma=0.05, seed=seed),
-                                       support=support)
-            sq.append(delta**2)
-        assert np.mean(sq) == pytest.approx(1.28, rel=0.1)
+        samples = make_dataset(200, "ID", 0, make_cumsum(64, 64),
+                               sigma=0.05, support=support)
+        assert np.mean([s.delta**2 for s in samples]) == pytest.approx(
+            1.28, rel=0.1)
 
     def test_noise_confined_to_support(self):
         problem = Problem(16, 1.0, 0.01)
-        x = np.zeros((16, 16))
-        y, _ = gen_measurement(problem.op, x, NoiseSpec(sigma=0.1, seed=1),
-                               support=problem.support)
+        s = make_dataset(1, "ID", 1, problem.op, sigma=0.1,
+                         support=problem.support, patch_size=6)[0]
+        z = s.y - problem.op.apply(s.x)
         free = problem.support == 0.0
-        assert free.any() and np.max(np.abs(y[free])) == 0.0
-        assert np.all(y[~free] != 0.0)
+        assert free.any() and np.max(np.abs(z[free])) == 0.0
+        assert np.all(z[~free] != 0.0)
+        assert s.delta == pytest.approx(np.linalg.norm(z), rel=1e-12)
 
     def test_reproducible(self):
+        # a sample's image and noise depend on its own seed only
         op = Problem(16, 1.0, 0.01).op
-        x = np.random.default_rng(2).random((16, 16))
-        y1, d1 = gen_measurement(op, x, NoiseSpec(sigma=0.05, seed=9))
-        y2, d2 = gen_measurement(op, x, NoiseSpec(sigma=0.05, seed=9))
-        np.testing.assert_array_equal(y1, y2)
-        assert d1 == d2
+        a = make_dataset(3, "ID", 7, op, sigma=0.05, patch_size=6)[2]
+        b = make_dataset(1, "ID", 9, op, sigma=0.05, patch_size=6)[0]
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.y, b.y)
+        assert a.delta == b.delta and a.position == b.position
 
     def test_sigma_validated(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(sigma=-0.1)
+        op = Problem(16, 1.0, 0.01).op
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            make_dataset(1, "ID", 0, op, sigma=-0.1, patch_size=6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, bad):
+        op = Problem(16, 1.0, 0.01).op
         with pytest.raises(ValueError, match="sigma must be finite"):
-            NoiseSpec(sigma=bad)
+            make_dataset(1, "ID", 0, op, sigma=bad, patch_size=6)
 
 
 class TestMakeDataset:
@@ -169,11 +172,9 @@ class TestMakeDataset:
 
         monkeypatch.setattr(np.random, "default_rng", counted)
         samples = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
-        assert len(seeds) == 6
-        monkeypatch.undo()
+        # image seed, then its noise seed on a disjoint stream
+        assert seeds == [100, 7777877, 101, 7777878, 102, 7777879]
         for s in samples:
-            spec = SampleSpec(image_size=16, patch_size=6, seed=s.seed)
-            np.testing.assert_array_equal(s.x, gen_square_sample(spec))
             row, col = s.position
             assert s.x[row, col] == 1.0 and s.x[:row].sum() == 0.0
             assert s.x[:, :col].sum() == 0.0
@@ -218,13 +219,13 @@ class TestPgm:
 def test_export_dataset(tmp_path):
     op = Problem(16, 1.0, 0.01).op
     samples = make_dataset(2, "ID", 7, op, sigma=0.01, patch_size=6)
-    manifest = export_dataset(samples, tmp_path, data_range=2.0)
+    manifest = export_dataset(samples, tmp_path)
     with open(manifest) as fh:
         lines = fh.read().strip().splitlines()
     assert lines[0].startswith("index,kind,seed,patch_row,patch_col")
     assert len(lines) == 3
-    x_back = read_pgm16(tmp_path / "x_0000.pgm") * 2.0
-    np.testing.assert_allclose(x_back, samples[0].x, atol=2.0 / 65535)
+    x_back = read_pgm16(tmp_path / "x_0000.pgm")
+    np.testing.assert_array_equal(x_back, samples[0].x)  # 0 and 1 exactly
 
 
 def test_export_dataset_measurements_are_lossless(tmp_path):

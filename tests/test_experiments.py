@@ -102,6 +102,15 @@ class TestProblem:
         with pytest.raises(ValueError):
             Problem.benchmark(**{"image_size": 16, **bad})
 
+    @pytest.mark.parametrize("field", ["spacing", "alpha"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_field_rejected_naming_it(self, field, bad):
+        # an infinite alpha would make reconstruct return NaN
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be finite and positive"):
+            Problem(**{"image_size": 16, "spacing": 0.125, "alpha": 0.01,
+                       field: bad})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, small_problem, bad):
         y = small_problem.dataset(1, "ID", 0, 0.05)[0].y
