@@ -84,7 +84,7 @@ def cmd_gen_data(args, opts):
     save_json_summary(os.path.join(args.out, "summary.json"), {
         "command": "gen-data", "seed": args.seed, "n": opts["n"],
         "kind": opts["kind"], "sigma": opts["sigma"],
-        "image_size": problem.image_size, "patch_size": opts["patch_size"],
+        "patch_size": opts["patch_size"], "problem": _echo(problem),
         "manifest": manifest})
 
 

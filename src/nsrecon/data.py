@@ -99,8 +99,9 @@ def make_dataset(n: int, kind: str, base_seed: int, op: MatvecOp,
         raise ValueError("n must be >= 1")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    if patch_size > size:
-        raise ValueError("patch must fit in the image")
+    if not 1 <= patch_size <= size:
+        raise ValueError(f"need 1 <= patch_size <= {size} (the patch must "
+                         f"fit in the image), got {patch_size}")
     if not 0.0 <= sigma < np.inf:
         raise ValueError("sigma must be finite and nonnegative")
     samples = []

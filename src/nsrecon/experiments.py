@@ -200,7 +200,7 @@ def _reconstructions(problem: Problem, sigma: float, counts: tuple[int, int],
     "tikhonov" to B_alpha y and each kind of models (kind -> params) to
     that network on B_alpha y, run with `Problem.model_projector(kind)`."""
     projectors = {kind: problem.model_projector(kind) for kind in models}
-    if not all(nn._all_finite(params) for params in models.values()):
+    if not all(np.all(np.isfinite(p.flat)) for p in models.values()):
         raise ValueError("non-finite network parameters")
     for kind, count, offset in zip(("ID", "OOD"), counts,
                                    (0, _OOD_SEED_OFFSET)):

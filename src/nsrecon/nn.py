@@ -40,16 +40,32 @@ class Architecture:
 
 @dataclass
 class NetParams:
-    kernels: list  # per layer, (out_ch, in_ch, 3, 3)
-    biases: list   # per layer, (out_ch,)
+    """The network's parameters as one float64 vector `flat`.  `kernels`
+    (per layer, (out_ch, in_ch, 3, 3)) and `biases` (per layer, (out_ch,))
+    are tuples of views into it, all kernels first.  Built from per-layer
+    arrays of any shape, which it packs into a new vector."""
+
+    kernels: tuple
+    biases: tuple
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        arrays = (*self.kernels, *self.biases)
+        self.flat = np.concatenate([a.ravel() for a in arrays], dtype=float)
+        views, at = [], 0
+        for a in arrays:
+            views.append(self.flat[at:at + a.size].reshape(a.shape))
+            at += a.size
+        n = len(self.kernels)
+        self.kernels, self.biases = tuple(views[:n]), tuple(views[n:])
 
     def copy(self) -> "NetParams":
-        return NetParams([k.copy() for k in self.kernels],
-                         [b.copy() for b in self.biases])
+        return NetParams(self.kernels, self.biases)
 
     def scaled(self, factor: float) -> "NetParams":
-        return NetParams([k * factor for k in self.kernels],
-                         [b * factor for b in self.biases])
+        out = self.copy()
+        out.flat *= factor
+        return out
 
 
 def _row_shifts(x: np.ndarray, wrap: bool = True) -> np.ndarray:
@@ -223,8 +239,8 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    m: NetParams
-    v: NetParams
+    m: np.ndarray  # first and second moments, shaped like NetParams.flat
+    v: np.ndarray
     step: int = 0
     lr: float = 1e-3
     weight_decay: float = 0.0
@@ -232,36 +248,23 @@ class AdamState:
 
 def init_adam(params: NetParams, lr: float = 1e-3,
               weight_decay: float = 0.0) -> AdamState:
-    zeros = NetParams([np.zeros_like(k) for k in params.kernels],
-                      [np.zeros_like(b) for b in params.biases])
-    return AdamState(m=zeros, v=zeros.copy(), lr=lr,
+    return AdamState(m=np.zeros_like(params.flat),
+                     v=np.zeros_like(params.flat), lr=lr,
                      weight_decay=weight_decay)
 
 
 def adam_step(params: NetParams, grads: NetParams, state: AdamState):
-    """One Adam update with coupled L2 weight decay (grad += wd * param)."""
+    """One Adam update with coupled L2 weight decay (grad += wd * param),
+    elementwise on the parameter vector."""
     t = state.step + 1
-    new_p, new_m, new_v = [], [], []
-    flat = zip(params.kernels + params.biases,
-               grads.kernels + grads.biases,
-               state.m.kernels + state.m.biases,
-               state.v.kernels + state.v.biases)
-    for p, g, m, v in flat:
-        g = g + state.weight_decay * p
-        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        new_p.append(p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        new_m.append(m)
-        new_v.append(v)
-    n = len(params.kernels)
-    params2 = NetParams(new_p[:n], new_p[n:])
-    state2 = replace(state,
-                     m=NetParams(new_m[:n], new_m[n:]),
-                     v=NetParams(new_v[:n], new_v[n:]),
-                     step=t)
-    return params2, state2
+    g = grads.flat + state.weight_decay * params.flat
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g * g
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    params2 = params.copy()
+    params2.flat -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params2, replace(state, m=m, v=v, step=t)
 
 
 def layer_operator_norms(params: NetParams,
@@ -295,14 +298,10 @@ def lipschitz_bound(params: NetParams, shape: tuple[int, int]) -> float:
 _CKPT_MAGIC = b"nsnet-ckpt v1\n"
 
 
-def _all_finite(params: NetParams) -> bool:
-    return all(np.all(np.isfinite(a)) for a in params.kernels + params.biases)
-
-
 def save_params(path, arch: Architecture, params: NetParams) -> None:
     """Write a versioned, byte-stable checkpoint (header + raw float64).
     Raises ValueError, writing nothing, on non-finite or misshapen params."""
-    if not _all_finite(params):
+    if not np.all(np.isfinite(params.flat)):
         raise ValueError(f"{path}: refusing to save non-finite parameters")
     have = [(k.shape, b.shape) for k, b in zip(params.kernels, params.biases)]
     want = [(chans + (3, 3), chans[:1]) for chans in arch.channels()]
@@ -344,16 +343,15 @@ def load_params(path):
                                  f"{kshape} does not match {arch}")
             count = int(np.prod(kshape))
             kernels.append(np.frombuffer(read(8 * count),
-                                         dtype="<f8").reshape(kshape).copy())
+                                         dtype="<f8").reshape(kshape))
             (blen,) = struct.unpack("<i", read(4))
             if blen != chans[0]:
                 raise ValueError(f"{path}: layer {layer} has {blen} biases, "
                                  f"expected {chans[0]}")
-            biases.append(np.frombuffer(read(8 * blen),
-                                        dtype="<f8").copy())
+            biases.append(np.frombuffer(read(8 * blen), dtype="<f8"))
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last layer")
     params = NetParams(kernels, biases)
-    if not _all_finite(params):
+    if not np.all(np.isfinite(params.flat)):
         raise ValueError(f"{path}: non-finite parameters")
     return arch, params

@@ -172,6 +172,24 @@ def backward_reference(params, x, grad_out, projector=None):
     return grad_k, grad_b, grad_out + g[0]
 
 
+def adam_step_reference(params, grads, moments, step, lr, weight_decay):
+    """One Adam update with coupled L2 weight decay, array by array:
+    moments holds (m, v) per array of kernels + biases, step is the step
+    count after this update.  Returns (new params, new moments)."""
+    new_p, new_moments = [], []
+    for p, g, (m, v) in zip(params.kernels + params.biases,
+                            grads.kernels + grads.biases, moments):
+        g = g + weight_decay * p
+        m = nn.ADAM_BETA1 * m + (1 - nn.ADAM_BETA1) * g
+        v = nn.ADAM_BETA2 * v + (1 - nn.ADAM_BETA2) * g * g
+        m_hat = m / (1 - nn.ADAM_BETA1**step)
+        v_hat = v / (1 - nn.ADAM_BETA2**step)
+        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS))
+        new_moments.append((m, v))
+    n = len(params.kernels)
+    return nn.NetParams(new_p[:n], new_p[n:]), new_moments
+
+
 def layer_norm_reference(kernel, shape):
     """Operator norm of the bias-free 3x3 circular convolution on an h x w
     grid: the largest spectral norm of its out x in symbol over the full

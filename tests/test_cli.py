@@ -46,6 +46,8 @@ class TestGenData:
         assert (out / "y_0001.npy").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["command"] == "gen-data" and summary["n"] == 2
+        assert summary["problem"] == {"image_size": 32, "alpha_tik": 0.01}
+        assert "image_size" not in summary
 
     def test_bad_kind_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg", kind="nope")
@@ -63,6 +65,17 @@ class TestGenData:
         assert main(["gen-data", "--out", str(out), "--config", cfg]) == 1
         assert capfd.readouterr().err.startswith(
             "nsrecon gen-data: error: sigma must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("patch_size", [-4, 0])
+    def test_non_positive_patch_size_fails_naming_it(self, tmp_path, capfd,
+                                                     patch_size):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "cfg", n=1, image_size=32,
+                           patch_size=patch_size)
+        assert main(["gen-data", "--out", str(out), "--config", cfg]) == 1
+        assert capfd.readouterr().err.startswith(
+            "nsrecon gen-data: error: need 1 <= patch_size <= 32")
         assert not out.exists()
 
     def test_failure_keeps_an_existing_directory(self, tmp_path):

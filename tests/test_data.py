@@ -62,6 +62,13 @@ class TestSamples:
         with pytest.raises(ValueError, match="patch must fit"):
             make_dataset(1, "ID", 0, op, patch_size=20)
 
+    @pytest.mark.parametrize("patch_size", [-4, 0])
+    def test_non_positive_patch_size_rejected(self, patch_size):
+        # a negative patch would draw rows past the image and stay blank
+        op = Problem(32, 1.0, 0.01).op
+        with pytest.raises(ValueError, match=r"1 <= patch_size <= 32"):
+            make_dataset(1, "ID", 0, op, patch_size=patch_size)
+
 
 class TestPolarGaussian:
     def test_moments(self):

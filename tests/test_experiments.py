@@ -144,16 +144,14 @@ class TestTrain:
         params, log = train(cfg)
         init = nn.init_params(cfg.arch, 5)
         assert log == []
-        for a, b in zip(params.kernels, init.kernels):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(params.flat, init.flat)
 
     def test_deterministic(self, small_problem):
         cfg = TrainConfig(epochs=5, data_seed=3, init_seed=4)
         p1, l1 = train(cfg, small_problem)
         p2, l2 = train(cfg, small_problem)
         assert l1 == l2
-        for a, b in zip(p1.kernels, p2.kernels):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(p1.flat, p2.flat)
 
     def test_loss_logged_per_epoch(self, small_trained):
         for kind in ("resnet", "dcnet"):
@@ -255,7 +253,7 @@ class TestEvaluate:
                                         which):
         params = {k: small_trained[k][0] for k in ("resnet", "dcnet")}
         params[which] = params[which].copy()
-        params[which].biases[-1][0] = np.nan
+        params[which].biases[-1][0] = np.nan  # through a view into `flat`
         with pytest.raises(ValueError, match="non-finite"):
             evaluate(params["resnet"], params["dcnet"],
                      EvalConfig(n_per_kind=1), small_problem)

@@ -8,8 +8,8 @@ import pytest
 
 from nsrecon import nn
 from nsrecon.nullspace import mask_projector
-from oracles import (backward_reference, conv, conv_reference, grad_check,
-                     layer_norm_reference)
+from oracles import (adam_step_reference, backward_reference, conv,
+                     conv_reference, grad_check, layer_norm_reference)
 
 
 def small_stripe_support():
@@ -73,8 +73,7 @@ class TestInit:
         arch = nn.Architecture()
         a = nn.init_params(arch, seed=7)
         b = nn.init_params(arch, seed=7)
-        for ka, kb in zip(a.kernels, b.kernels):
-            np.testing.assert_array_equal(ka, kb)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_first_layer_bound(self):
         params = nn.init_params(nn.Architecture(), seed=0)
@@ -192,8 +191,7 @@ class TestBackward:
         _, cache = nn.forward(params, x)
         grads, grad_in = nn.backward(params, cache, np.zeros((6, 6)))
         assert np.max(np.abs(grad_in)) == 0.0
-        for g in grads.kernels + grads.biases:
-            assert np.max(np.abs(g)) == 0.0
+        assert np.max(np.abs(grads.flat)) == 0.0
 
     def test_zero_weights_pass_through(self):
         arch = nn.Architecture(layers=3, width=2)
@@ -313,8 +311,7 @@ class TestAdam:
         zeros = zero_grads(params)
         state = nn.init_adam(params)
         new_p, _ = nn.adam_step(params, zeros, state)
-        for a, b in zip(params.kernels, new_p.kernels):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(new_p.flat, params.flat)
 
     def test_first_step_magnitude(self):
         params = nn.NetParams([np.array([[[[0.0] * 3] * 3]])],
@@ -363,6 +360,76 @@ class TestAdam:
             params, state = nn.adam_step(params, grads, state)
         assert losses[-1] < losses[0]
 
+    def test_vector_update_matches_per_array_reference(self):
+        # 25 steps on the default architecture, gradients spanning seven
+        # decades, weight decay on: every element rounds as per array
+        params = nn.init_params(nn.Architecture(), 21)
+        lr, wd = 1e-2, 1e-2
+        state = nn.init_adam(params, lr=lr, weight_decay=wd)
+        ref = params
+        moments = [(np.zeros_like(a), np.zeros_like(a))
+                   for a in params.kernels + params.biases]
+        rng = np.random.default_rng(21)
+
+        def draw(a):
+            return rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-6, 1)
+
+        for step in range(1, 26):
+            grads = nn.NetParams([draw(k) for k in params.kernels],
+                                 [draw(b) for b in params.biases])
+            params, state = nn.adam_step(params, grads, state)
+            ref, moments = adam_step_reference(ref, grads, moments, step,
+                                               lr, wd)
+            assert np.array_equal(params.flat, ref.flat)
+        assert state.step == 25
+        for got, want in zip((state.m, state.v), zip(*moments)):
+            assert np.array_equal(got, np.concatenate(
+                [a.ravel() for a in want]))
+
+
+class TestParamVector:
+    """NetParams packs its per-layer arrays into one vector `flat`, and
+    its kernels and biases are views into it."""
+
+    def test_views_into_flat_kernels_first(self):
+        arch = nn.Architecture(layers=3, width=4)
+        params = nn.init_params(arch, 22)
+        arrays = params.kernels + params.biases
+        assert isinstance(params.kernels, tuple)
+        assert params.flat.dtype == np.float64
+        assert all(np.shares_memory(a, params.flat) for a in arrays)
+        np.testing.assert_array_equal(
+            params.flat, np.concatenate([a.ravel() for a in arrays]))
+        params.biases[1][2] = 5.0
+        assert params.flat[sum(k.size for k in params.kernels) + 4 + 2] == 5.0
+
+    def test_constructor_packs_copies(self):
+        k, b = np.ones((2, 1, 3, 3)), np.zeros(2)
+        params = nn.NetParams([k], [b])
+        k[0, 0, 0, 0] = 7.0
+        assert params.kernels[0][0, 0, 0, 0] == 1.0
+        assert params.kernels[0].shape == k.shape
+        assert params.biases[0].shape == b.shape
+
+    def test_copy_is_independent(self):
+        params = nn.init_params(nn.Architecture(layers=3, width=2), 23)
+        before = params.flat.copy()
+        dup = params.copy()
+        assert not np.shares_memory(dup.flat, params.flat)
+        assert all(np.shares_memory(a, dup.flat)
+                   for a in dup.kernels + dup.biases)
+        dup.kernels[0][0, 0, 1, 1] = np.nan
+        dup.biases[-1][0] = 3.0
+        np.testing.assert_array_equal(params.flat, before)
+
+    def test_scaled_equals_per_array_product(self):
+        params = nn.init_params(nn.Architecture(), 24)
+        for factor in (0.25, -3.7, 0.0):
+            got = params.scaled(factor)
+            want = nn.NetParams([k * factor for k in params.kernels],
+                                [b * factor for b in params.biases])
+            assert np.array_equal(got.flat, want.flat)
+
 
 class TestLipschitz:
     def test_zero_net_bound_is_one(self):
@@ -410,9 +477,9 @@ class TestCheckpoint:
         nn.save_params(path, arch, params)
         arch2, params2 = nn.load_params(path)
         assert arch2 == arch
-        for a, b in zip(params.kernels + params.biases,
-                        params2.kernels + params2.biases):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(params2.flat, params.flat)
+        assert [a.shape for a in params2.kernels + params2.biases] == \
+            [a.shape for a in params.kernels + params.biases]
 
     def test_byte_stable(self, tmp_path):
         arch = nn.Architecture(layers=2, width=3)
@@ -470,12 +537,15 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match="patched.ckpt: non-finite"):
                 nn.load_params(path)
 
-        bad = params.copy()
-        bad.kernels[1][0, 0, 1, 1] = np.nan
+        # a NaN written through a kernel or a bias view of a copy
         out = tmp_path / "bad.ckpt"
-        with pytest.raises(ValueError, match="non-finite"):
-            nn.save_params(out, arch, bad)
-        assert not out.exists()
+        for view in (lambda p: p.kernels[1][0, 0, 1], lambda p: p.biases[-1]):
+            bad = params.copy()
+            view(bad)[0] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                nn.save_params(out, arch, bad)
+            assert not out.exists()
+        assert np.all(np.isfinite(params.flat))
 
     @pytest.mark.parametrize("layers, bad", [(3, 2), (7, 4), (5, 4)])
     def test_save_rejects_params_of_another_architecture(self, tmp_path,
@@ -484,7 +554,9 @@ class TestCheckpoint:
         # of the wrong length, which load_params would reject
         params = nn.init_params(nn.Architecture(), 19)
         if layers == 5:
-            params.biases[bad] = np.zeros(2)
+            biases = list(params.biases)
+            biases[bad] = np.zeros(2)
+            params = nn.NetParams(params.kernels, biases)
         path = tmp_path / "net.ckpt"
         with pytest.raises(ValueError, match=f"layer {bad} "):
             nn.save_params(path, nn.Architecture(layers=layers), params)
