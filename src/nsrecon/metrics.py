@@ -6,7 +6,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import ndimage
 
 
 def mse(x: np.ndarray, y: np.ndarray) -> float:
@@ -38,16 +37,14 @@ _TAPS = np.exp(-(_AX**2) / (2 * SSIM_WINDOW_SIGMA**2))
 _TAPS /= _TAPS.sum()  # the 2-D window is the outer product of these taps
 
 
-def _wmean(img: np.ndarray) -> np.ndarray:
-    rows = ndimage.correlate1d(img, _TAPS, axis=-2, mode="constant")
-    return ndimage.correlate1d(rows, _TAPS, axis=-1, mode="constant")
-
-
 @functools.lru_cache(maxsize=8)
-def _border_weight(shape: tuple[int, int]) -> np.ndarray:
-    weight = _wmean(np.ones(shape))  # in-image window mass per pixel
-    weight.flags.writeable = False  # every caller of this shape shares it
-    return weight
+def _window(n: int) -> np.ndarray:
+    """(n, n) local mean along one axis: row i holds the taps centred on
+    pixel i, cut at the image edge and rescaled to sum to one."""
+    win = sum(t * np.eye(n, k=k) for k, t in zip(_AX, _TAPS))
+    win /= win.sum(axis=1, keepdims=True)
+    win.flags.writeable = False  # every caller of this size shares it
+    return win
 
 
 def ssim(x: np.ndarray, y: np.ndarray) -> float:
@@ -62,8 +59,9 @@ def ssim(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     if x.ndim != 2 or min(x.shape) < SSIM_WINDOW_SIZE:
         raise ValueError(f"SSIM needs a window-sized 2-D image, got {x.shape}")
-    mu_x, mu_y, xx, yy, xy = (_wmean(np.stack([x, y, x * x, y * y, x * y]))
-                              / _border_weight(x.shape))
+    h, w = x.shape  # one expression: the stack dies after the first product
+    mu_x, mu_y, xx, yy, xy = (
+        _window(h) @ np.stack([x, y, x * x, y * y, x * y]) @ _window(w).T)
     var_x, var_y, cov = xx - mu_x**2, yy - mu_y**2, xy - mu_x * mu_y
 
     c1 = (SSIM_K1 * SSIM_DATA_RANGE) ** 2

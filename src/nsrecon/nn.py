@@ -9,6 +9,7 @@ null-space network, returns x + P(U(x)) for a null-space projection P.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -122,15 +123,22 @@ def init_params(arch: Architecture, seed: int = 0) -> NetParams:
 
 def _band(projector, w: int, layers: int):
     """(ctx, arc, pad): the smallest circular arc of m columns holding the
-    projector's `columns` (all if it has none), and ctx, the arc with pad
-    = `layers` columns each side; all columns, pad 0, if m + 2 layers > w."""
-    cols = np.flatnonzero(getattr(projector, "columns", np.ones(w)))
+    projector's `columns`, and ctx, the arc with pad = `layers` columns each
+    side; all columns, pad 0, without `columns` or if m + 2 layers > w."""
+    columns = getattr(projector, "columns", None)
+    return _arc_band(b"" if columns is None else columns.tobytes(), w, layers)
+
+
+@functools.lru_cache(maxsize=16)  # once per column mask, w and layers
+def _arc_band(columns: bytes, w: int, layers: int):
+    cols = np.flatnonzero(np.frombuffer(columns, dtype=bool))
     gaps = np.diff(cols, append=cols[:1] + w)  # to the next marked column
     m = w + 1 - gaps.max(initial=0)
     if m + 2 * layers > w:
         return slice(None), slice(None), 0
     start = cols[(np.argmax(gaps) + 1) % cols.size] - layers
     ctx = (start + np.arange(m + 2 * layers)) % w
+    ctx.flags.writeable = False  # every forward on this band shares it
     return ctx, ctx[layers:-layers], layers
 
 

@@ -1,11 +1,16 @@
 """MSE, PSNR and SSIM anchors."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import nsrecon
 from nsrecon import metrics
 from nsrecon.metrics import mse, psnr, ssim
 
@@ -114,7 +119,8 @@ class TestSsim:
         with pytest.raises(ValueError, match="2-D"):
             ssim(np.zeros(shape), np.zeros(shape))
 
-    @pytest.mark.parametrize("shape", [(11, 11), (17, 40), (64, 64)])
+    @pytest.mark.parametrize("shape", [(11, 11), (17, 40), (64, 64),
+                                       (11, 200), (128, 96)])
     def test_matches_2d_reference(self, shape):
         rng = np.random.default_rng(sum(shape))
         for _ in range(5):
@@ -122,17 +128,38 @@ class TestSsim:
             y = np.clip(x + 0.2 * rng.standard_normal(shape), 0.0, 1.0)
             assert abs(ssim(x, y) - ssim_reference(x, y)) <= 1e-14
 
-    def test_border_weight_cache_is_read_only_and_per_shape(self):
+    def test_window_cache_is_read_only_and_per_size(self):
         rng = np.random.default_rng(7)
         pairs = {shape: (rng.random(shape), rng.random(shape))
                  for shape in ((17, 40), (40, 17))}
         first = {shape: ssim(*xy) for shape, xy in pairs.items()}
-        for shape, xy in pairs.items():  # both shapes are cached by now
-            weight = metrics._border_weight(shape)
-            assert weight.shape == shape
-            assert not weight.flags.writeable
+        for n in (11, 17, 40, 64):
+            win = metrics._window(n)
+            assert win.shape == (n, n)
+            assert not win.flags.writeable
             with pytest.raises(ValueError):
-                weight[0, 0] = 1.0
-            np.testing.assert_array_equal(
-                weight, metrics._wmean(np.ones(shape)))
+                win[0, 0] = 1.0
+            assert metrics._window(n) is win
+            np.testing.assert_allclose(win.sum(axis=1), 1.0,
+                                       rtol=0, atol=1e-15)
+            # before rescaling, row i is the zero-padded correlation's
+            cut = ndimage.correlate1d(np.eye(n), metrics._TAPS, axis=0,
+                                      mode="constant")
+            np.testing.assert_allclose(win * cut.sum(axis=1)[:, None], cut,
+                                       rtol=0, atol=1e-15)
+        assert metrics._window(17) is not metrics._window(40)
+        for shape, xy in pairs.items():  # both sizes are cached by now
             assert ssim(*xy) == first[shape]
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only: the package, its CLI and SSIM run on
+    # numpy alone
+    code = ("import sys; import numpy as np; import nsrecon, nsrecon.cli; "
+            "x = np.random.default_rng(0).random((32, 32)); "
+            "assert nsrecon.ssim(x, x) == 1.0; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = {**os.environ, "PYTHONPATH": str(Path(nsrecon.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -158,6 +158,20 @@ class TestStackedForward:
             np.testing.assert_array_equal(out[i],
                                           nn.forward(params, x[i], proj)[0])
 
+    def test_band_computed_once_per_columns_and_grid(self):
+        support = np.ones((6, 16))
+        support[:, [15, 0]] = 0.0
+        # two projectors with equal columns share one read-only band
+        ctx, arc, pad = band = nn._band(mask_projector(support), 16, 4)
+        assert nn._band(mask_projector(support), 16, 4) is band
+        np.testing.assert_array_equal(ctx, np.arange(11, 21) % 16)
+        np.testing.assert_array_equal(arc, [15, 0])
+        assert pad == 4 and not ctx.flags.writeable
+        assert nn._band(mask_projector(support), 16, 3)[2] == 3
+        # without `columns` (the resnet, a plain callable): full width
+        for proj in (None, lambda z: z):
+            assert nn._band(proj, 16, 4) == (slice(None), slice(None), 0)
+
     def test_projector_called_once_on_the_stack(self):
         calls = []
 
