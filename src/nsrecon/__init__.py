@@ -7,9 +7,9 @@ so the learned reconstruction keeps the measurement residual of its
 classical initialization exactly.
 """
 
-from .linops import (CgResult, KrylovSpace, MatvecOp, SolverConfig,
-                     SvdFactors, adjoint_check, cg_regularized_normal,
-                     dense_svd, pseudo_inverse_apply)
+from .linops import (CgResult, KrylovSpace, MatvecOp, SvdFactors,
+                     adjoint_check, cg_regularized_normal, dense_svd,
+                     pseudo_inverse_apply)
 from .operators import dense_op, make_cumsum, operator_svd, to_dense
 from .regularize import (FILTER_QUALIFICATION, FilterSpec, SourceCondition,
                          filter_value, param_choice, spectral_reconstruct)

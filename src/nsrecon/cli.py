@@ -6,6 +6,11 @@ Outputs are CSV tables, 16-bit PGM image dumps (gen-data also writes each
 measurement as float64 .npy), and a JSON summary echoing the effective
 configuration; for train, eval and dc-audit it also holds the wall time of
 the library call in seconds (wall_s).
+
+Each cmd_* takes (args, opts, problem), writes its outputs under args.out
+and returns its own summary fields.  `main` builds the benchmark Problem of
+the image_size and alpha_tik keys (None for rates) and writes every
+summary.json: command, seed, the problem echo and those fields.
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ def parse_config_file(path) -> dict:
 def _options(cfg: dict, keys: dict, path) -> dict:
     """The defaults of keys (key -> (type, default)), overridden by cfg's
     values cast to their type.  Raises ValueError naming the file on a key
-    not in keys, or naming the key on a value that does not cast."""
-    opts = {key: default for key, (_, default) in keys.items()
-            if default is not None}
+    not in keys, naming the key on a value that does not cast, and naming
+    the first key that has no default and that cfg leaves unset."""
+    opts = {key: default for key, (_, default) in keys.items()}
     for key, value in cfg.items():
         if key not in keys:
             raise ValueError(f"{path}: unknown key {key!r}")
@@ -57,17 +62,10 @@ def _options(cfg: dict, keys: dict, path) -> dict:
         except ValueError:
             raise ValueError(f"{key} must be {cast.__name__}, "
                              f"got {value!r}") from None
+    for key, value in opts.items():
+        if value is None:
+            raise ValueError(f"missing key {key!r}")
     return opts
-
-
-def _problem(opts) -> Problem:
-    """The benchmark problem of the image_size and alpha_tik keys."""
-    return Problem.benchmark(opts["image_size"], alpha=opts["alpha_tik"])
-
-
-def _echo(problem: Problem) -> dict:
-    """The problem settings for summary.json."""
-    return {"image_size": problem.image_size, "alpha_tik": problem.alpha}
 
 
 def _timed(fn, *args):
@@ -76,26 +74,19 @@ def _timed(fn, *args):
     return fn(*args), time.perf_counter() - start
 
 
-def cmd_gen_data(args, opts):
-    problem = _problem(opts)
+def cmd_gen_data(args, opts, problem):
     samples = problem.dataset(opts["n"], opts["kind"], args.seed,
                               opts["sigma"], opts["patch_size"])
-    manifest = export_dataset(samples, args.out)
-    save_json_summary(os.path.join(args.out, "summary.json"), {
-        "command": "gen-data", "seed": args.seed, "n": opts["n"],
-        "kind": opts["kind"], "sigma": opts["sigma"],
-        "patch_size": opts["patch_size"], "problem": _echo(problem),
-        "manifest": manifest})
+    return {**opts, "manifest": export_dataset(samples, args.out)}
 
 
-def cmd_train(args, opts):
+def cmd_train(args, opts, problem):
     tc = TrainConfig(
         epochs=opts["epochs"], lr=opts["lr"],
         weight_decay=opts["weight_decay"], sigma=opts["sigma"],
         model_kind=opts["model_kind"], data_seed=args.seed,
         init_seed=args.seed + opts["init_seed_offset"],
         arch=nn.Architecture(layers=opts["layers"], width=opts["width"]))
-    problem = _problem(opts)
     (params, log), wall_s = _timed(train, tc, problem)
     ckpt = os.path.join(args.out, f"{tc.model_kind}.ckpt")
     nn.save_params(ckpt, tc.arch, params)
@@ -103,14 +94,11 @@ def cmd_train(args, opts):
         fh.write("epoch,loss\n")
         for i, loss in enumerate(log):
             fh.write(f"{i},{loss:.17g}\n")
-    save_json_summary(os.path.join(args.out, "summary.json"), {
-        "command": "train", "seed": args.seed, "config": tc,
-        "problem": _echo(problem),
-        "checkpoint": ckpt, "wall_s": wall_s,
-        "final_loss": log[-1] if log else None})
+    return {"config": tc, "checkpoint": ckpt, "wall_s": wall_s,
+            "final_loss": log[-1] if log else None}
 
 
-def cmd_eval(args, opts):
+def cmd_eval(args, opts, problem):
     ec = EvalConfig(n_per_kind=opts["n_per_kind"],
                     eval_seed=args.seed + 10_000, sigma=opts["sigma"])
     n_dump = opts["n_dump"]
@@ -118,7 +106,6 @@ def cmd_eval(args, opts):
         raise ValueError(f"n_dump must be in 0..n_per_kind, got {n_dump}")
     models = {kind: nn.load_params(opts[f"{kind}_ckpt"])[1]
               for kind in ("resnet", "dcnet")}
-    problem = _problem(opts)
     dumps = []
 
     def stream():  # evaluate's samples, keeping the first n_dump ID ones
@@ -134,17 +121,16 @@ def cmd_eval(args, opts):
     for i, s, recs in dumps:
         for name, img in {"truth": s.x, **recs}.items():
             write_pgm16(os.path.join(args.out, f"sample{i}_{name}.pgm"), img)
-    save_json_summary(os.path.join(args.out, "summary.json"), {
-        "command": "eval", "seed": args.seed, "config": ec,
-        "problem": _echo(problem), "wall_s": wall_s,
-        "means": report.means})
+    return {"config": ec, "n_dump": n_dump,
+            "resnet_ckpt": opts["resnet_ckpt"],
+            "dcnet_ckpt": opts["dcnet_ckpt"], "wall_s": wall_s,
+            "means": report.means}
 
 
-def cmd_dc_audit(args, opts):
+def cmd_dc_audit(args, opts, problem):
     model_kind, n = opts["model_kind"], opts["n"]
     params = nn.load_params(opts["ckpt"])[1]
     ec = EvalConfig(sigma=opts["sigma"])
-    problem = _problem(opts)
     rows, wall_s = _timed(dc_audit, params, model_kind, n, args.seed, ec,
                           problem)
     with open(os.path.join(args.out, "dc_audit.csv"), "w") as fh:
@@ -154,13 +140,10 @@ def cmd_dc_audit(args, opts):
                      f"{r['residual_model']:.17g},{r['y_norm']:.17g}\n")
     max_rel = max(abs(r["residual_model"] - r["residual_tikhonov"])
                   / r["y_norm"] for r in rows)
-    save_json_summary(os.path.join(args.out, "summary.json"), {
-        "command": "dc-audit", "seed": args.seed, "model_kind": model_kind,
-        "n": n, "problem": _echo(problem), "wall_s": wall_s,
-        "max_relative_residual_gap": max_rel})
+    return {**opts, "wall_s": wall_s, "max_relative_residual_gap": max_rel}
 
 
-def cmd_rates(args, opts):
+def cmd_rates(args, opts, problem):
     mu, kind = opts["mu"], opts["filter"]
     deltas = np.geomspace(opts["delta_max"], opts["delta_min"],
                           opts["n_deltas"])
@@ -170,19 +153,16 @@ def cmd_rates(args, opts):
     report.to_csv(os.path.join(args.out, "rates.csv"))
     # the a-priori rule's error bound: delta^(2 min(mu, mu_max) / (2 mu + 1))
     mu_max = FILTER_QUALIFICATION[kind]["mu_max"]
-    save_json_summary(os.path.join(args.out, "summary.json"), {
-        "command": "rates", "seed": args.seed, "mu": mu, "rho": opts["rho"],
-        "filter": kind, "trials": opts["trials"], "c": opts["c"],
-        "error_slope": report.error_slope,
-        "error_slope_halfwidth": report.error_slope_hw,
-        "residual_slope": report.residual_slope,
-        "residual_slope_halfwidth": report.residual_slope_hw,
-        "theory_error_slope": 2 * min(mu, mu_max) / (2 * mu + 1)})
+    return {**opts, "error_slope": report.error_slope,
+            "error_slope_halfwidth": report.error_slope_hw,
+            "residual_slope": report.residual_slope,
+            "residual_slope_halfwidth": report.residual_slope_hw,
+            "theory_error_slope": 2 * min(mu, mu_max) / (2 * mu + 1)}
 
 
 _PROBLEM_KEYS = {"image_size": (int, 64), "alpha_tik": (float, 0.01)}
 # Each subcommand and its config keys: key -> (type, default).  A key
-# without a default (a checkpoint path) is unset unless the config sets it.
+# without a default (a checkpoint path) must be set by the config.
 COMMANDS = {
     "gen-data": (cmd_gen_data, {
         "n": (int, 20), "kind": (str, "ID"), "sigma": (float, 0.05),
@@ -222,8 +202,16 @@ def main(argv=None) -> int:
         cfg = parse_config_file(args.config) if args.config else {}
         command, keys = COMMANDS[args.command]
         opts = _options(cfg, keys, args.config)
+        summary = {"command": args.command, "seed": args.seed}
+        problem = None
+        if "image_size" in opts:       # echoed under "problem" only
+            problem = Problem.benchmark(opts.pop("image_size"),
+                                        alpha=opts.pop("alpha_tik"))
+            summary["problem"] = {"image_size": problem.image_size,
+                                  "alpha_tik": problem.alpha}
         os.makedirs(args.out, exist_ok=True)
-        command(args, opts)
+        summary.update(command(args, opts, problem))
+        save_json_summary(os.path.join(args.out, "summary.json"), summary)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"nsrecon {args.command}: error: {exc}", file=sys.stderr)
         # a failed run leaves no empty output directory of its own making

@@ -290,8 +290,7 @@ def make_rate_operator(shape: tuple[int, int] = (16, 16),
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = np.zeros(n)
     s[:n - kernel_dim] = np.geomspace(1.0, s_min, n - kernel_dim)
-    svd = SvdFactors(u=u, s=s, v=v, rank_tol=1e-12 * n,
-                     in_shape=shape, out_shape=shape)
+    svd = SvdFactors(u=u, s=s, v=v, in_shape=shape, out_shape=shape)
     return dense_op(svd.matrix(), shape, shape), svd
 
 

@@ -13,20 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iterative solver settings; tol is a relative residual tolerance."""
-
-    tol: float = 1e-8
-    max_iters: int = 10000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-
 def _check_stack(x, shape) -> np.ndarray:
     """x as floats; ValueError unless it is one image of `shape` or a stack
     of them along one leading axis."""
@@ -57,7 +43,8 @@ class MatvecOp:
 
 
 def adjoint_check(op: MatvecOp, trials: int = 50, seed: int = 0) -> float:
-    """Max relative defect of <A u, v> = <u, A* v> over random test pairs."""
+    """Max relative defect of <A u, v> = <u, A* v> over random test pairs,
+    over |A u| |v| + |u| |A* v|: the scale of both products' rounding."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -69,7 +56,8 @@ def adjoint_check(op: MatvecOp, trials: int = 50, seed: int = 0) -> float:
         atv = op.adjoint(v)
         lhs = float(np.vdot(au, v))
         rhs = float(np.vdot(u, atv))
-        scale = np.linalg.norm(au) * np.linalg.norm(v) + 1e-300
+        scale = (np.linalg.norm(au) * np.linalg.norm(v)
+                 + np.linalg.norm(u) * np.linalg.norm(atv) + 1e-300)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst
 
@@ -105,8 +93,8 @@ class CgResult:
     space: KrylovSpace | None = None
 
 
-def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray,
-                          cfg: SolverConfig) -> CgResult:
+def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray, *, tol: float,
+                          max_iters: int) -> CgResult:
     """Block conjugate gradients for the normal equations A*A x = rhs.
 
     `rhs` is one image of the input space of `op` (typically A* y) or a
@@ -120,17 +108,21 @@ def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray,
     noise left by reorthogonalisation, and each Schur block at n eps |A*A|
     (numpy's matrix_rank rule): the kernel of A never enters the basis,
     which so stops at the rank.  Column j has converged when
-    |r_j| <= tol * |rhs_j|, read from the Lanczos identity
+    |r_j| <= tol * |rhs_j| (tol > 0), read from the Lanczos identity
     r = -V_next C Y_last without forming r; a zero column returns 0 and
     counts as converged.  `iters` counts block steps.  x and `space` are
     those of the step with the smallest worst-column estimate, which is
     the last step unless the tolerance is out of reach: past the
     attainable accuracy the basis runs on to the rank and the last
-    iterates drift far from the solution.  Each step forward-substitutes
-    its new block through the Cholesky factor, so the space holds the
-    conjugate directions and x is `space.galerkin(rhs)`.  perfbench's
+    iterates drift far from the solution; it makes at most max_iters >= 1
+    steps.  Each step forward-substitutes its new block through the
+    Cholesky factor, so the space holds the conjugate directions and x is
+    `space.galerkin(rhs)`.  perfbench's
     tracer finds the projector's solve under this name.
     """
+    if tol <= 0 or max_iters < 1:
+        raise ValueError(f"need tol > 0 and max_iters >= 1, got {tol}, "
+                         f"{max_iters}")
     rhs = _check_stack(rhs, op.in_shape)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs has non-finite entries")
@@ -170,7 +162,7 @@ def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray,
     # worst and all squared relative residuals, and basis rows, of the
     # best step
     best = (1.0, np.ones(k), 0)
-    while len(v) and steps < cfg.max_iters:
+    while len(v) and steps < max_iters:
         w = normal(v)
         size = np.linalg.norm(w)       # |A*A V_j|, before any cancellation
         if d + len(v) > len(basis):
@@ -217,13 +209,13 @@ def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray,
         worst = res2.max()
         if worst <= best[0]:
             best = (worst, res2, d)
-        if worst <= cfg.tol ** 2:
+        if worst <= tol ** 2:
             break
         sub = c / ld.T
     _, res2, d = best
     space = KrylovSpace(dirs[:d].copy())
     res = np.sqrt(res2)
-    failed = int(np.sum(res > cfg.tol))
+    failed = int(np.sum(res > tol))
     return CgResult(space.galerkin(rows).reshape(rhs.shape), failed == 0,
                     steps, float(res.max(initial=0.0)), failed, space)
 
@@ -242,9 +234,14 @@ class SvdFactors:
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-    rank_tol: float
     in_shape: tuple[int, ...]
     out_shape: tuple[int, ...]
+
+    @property
+    def rank_tol(self) -> float:
+        """s_max * 1e-12 * max(m, n) for the m x n matrix."""
+        s_max = self.s[0] if self.s.size else 0.0
+        return float(s_max * 1e-12 * max(len(self.u), len(self.v)))
 
     @property
     def rank(self) -> int:
@@ -284,9 +281,7 @@ _SVD_DIM_LIMIT = 1024
 
 
 def dense_svd(matrix: np.ndarray) -> SvdFactors:
-    """Full SVD of a small dense matrix (desk-scale guard at 1024x1024),
-    with rank_tol = s_max * 1e-12 * max(dims).
-    """
+    """Full SVD of a small dense matrix (desk-scale guard at 1024x1024)."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("expected a 2D matrix")
@@ -295,9 +290,8 @@ def dense_svd(matrix: np.ndarray) -> SvdFactors:
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix has non-finite entries")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    rank_tol = (s[0] if s.size else 0.0) * 1e-12 * max(matrix.shape)
-    return SvdFactors(u=u, s=s, v=vt.T, rank_tol=float(rank_tol),
-                      in_shape=matrix.shape[1:], out_shape=matrix.shape[:1])
+    return SvdFactors(u=u, s=s, v=vt.T, in_shape=matrix.shape[1:],
+                      out_shape=matrix.shape[:1])
 
 
 def pseudo_inverse_apply(svd: SvdFactors, y: np.ndarray) -> np.ndarray:

@@ -12,8 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linops import (MatvecOp, SolverConfig, SvdFactors, _check_stack,
-                     cg_regularized_normal)
+from .linops import MatvecOp, SvdFactors, _check_stack, cg_regularized_normal
 
 ImageMap = Callable[[np.ndarray], np.ndarray]
 
@@ -64,11 +63,14 @@ def svd_projector(svd: SvdFactors) -> NullProjector:
                          np.broadcast_to(True, svd.in_shape[-1:]))
 
 
-def iterative_projector(op: MatvecOp,
-                        solver: SolverConfig | None = None) -> NullProjector:
+_PROJECTOR_TOL = 1e-14
+_PROJECTOR_MAX_ITERS = 20000
+
+
+def iterative_projector(op: MatvecOp) -> NullProjector:
     """z - A+(A z) by block CG on the normal equations A*A x = A*A z: one
     solve for a whole stack.  Raises RuntimeError when a column misses the
-    solver's tolerance.
+    tolerance _PROJECTOR_TOL within _PROJECTOR_MAX_ITERS block steps.
 
     The projector holds the Krylov space of its last solve (d x n floats,
     d <= rank A, for its lifetime; A never changes) and first tries the
@@ -80,7 +82,6 @@ def iterative_projector(op: MatvecOp,
     solves afresh and holds the new space; a solve that raises keeps the
     old one.  Threads sharing a projector at worst repeat a solve.
     """
-    solver = solver or SolverConfig(tol=1e-14, max_iters=20000)
     n = int(np.prod(op.in_shape))
     held = [None]                      # KrylovSpace of the last solve
 
@@ -96,14 +97,15 @@ def iterative_projector(op: MatvecOp,
         x = space.galerkin(rows).reshape(b.shape)
         r = (b - normal(x)).reshape(-1, n)
         passed = (np.linalg.norm(r, axis=1)
-                  <= solver.tol * np.linalg.norm(rows, axis=1))
+                  <= _PROJECTOR_TOL * np.linalg.norm(rows, axis=1))
         return x if passed.all() else None
 
     def apply(z):
         b = normal(z)
         x = reuse(b)
         if x is None:
-            res = cg_regularized_normal(op, b, solver)
+            res = cg_regularized_normal(op, b, tol=_PROJECTOR_TOL,
+                                        max_iters=_PROJECTOR_MAX_ITERS)
             if not res.converged:
                 raise RuntimeError(
                     f"projector CG did not converge: {res.unconverged} of "

@@ -8,7 +8,7 @@ from nsrecon.linops import CgResult, MatvecOp
 from nsrecon.regularize import FilterSpec, param_choice, spectral_reconstruct
 
 
-def cg_reference(op, rhs, cfg):
+def cg_reference(op, rhs, *, tol, max_iters):
     """Single-vector conjugate gradients for A*A x = rhs, each residual
     reorthogonalised against all earlier ones, so that CG stops within
     n = rhs.size steps; the column-by-column solver that the block solver
@@ -34,7 +34,7 @@ def cg_reference(op, rhs, cfg):
     # rows = the normalised residuals so far; grown by doubling, never past n
     basis = np.empty((min(n, 16), n))
     k = 0
-    while k < min(n, cfg.max_iters) and np.sqrt(rs) > cfg.tol * rhs_norm:
+    while k < min(n, max_iters) and np.sqrt(rs) > tol * rhs_norm:
         if k == len(basis):
             basis = np.resize(basis, (min(2 * k, n), n))
         basis[k] = r.ravel() / np.sqrt(rs)
@@ -52,7 +52,7 @@ def cg_reference(op, rhs, cfg):
         rs_new = float(np.vdot(r, r))
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return CgResult(x, bool(np.sqrt(rs) <= cfg.tol * rhs_norm), k,
+    return CgResult(x, bool(np.sqrt(rs) <= tol * rhs_norm), k,
                     np.sqrt(rs) / rhs_norm)
 
 

@@ -19,6 +19,16 @@ def write_config(tmp_path, name, **kwargs):
     return str(path)
 
 
+@pytest.fixture
+def ckpts(tmp_path):
+    arch = nn.Architecture()
+    paths = {}
+    for kind in ("resnet", "dcnet"):
+        paths[kind] = tmp_path / f"{kind}.ckpt"
+        nn.save_params(paths[kind], arch, nn.init_params(arch, 0))
+    return paths
+
+
 class TestConfigParsing:
     def test_key_value_and_comments(self, tmp_path):
         path = tmp_path / "cfg"
@@ -128,15 +138,6 @@ class TestTrainEval:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_relative_residual_gap"] <= 1e-10
         assert summary["wall_s"] > 0
-
-    @pytest.fixture
-    def ckpts(self, tmp_path):
-        arch = nn.Architecture()
-        paths = {}
-        for kind in ("resnet", "dcnet"):
-            paths[kind] = tmp_path / f"{kind}.ckpt"
-            nn.save_params(paths[kind], arch, nn.init_params(arch, 0))
-        return paths
 
     def test_eval_without_dumps(self, tmp_path, ckpts):
         out = tmp_path / "eval"
@@ -375,4 +376,72 @@ def test_bad_config_fails_without_traceback(tmp_path, capsys, config,
     err = capsys.readouterr().err
     assert "nsrecon gen-data: error: " in err and "Traceback" not in err
     assert str(path) in err and message in err
+    assert not out.exists()
+
+
+def echoed(summary, key):
+    """Config key `key` as summary.json records it: at the top level, in
+    the problem echo, or in train's or eval's config."""
+    config = summary.get("config", {})
+    if key in ("layers", "width"):
+        return config["arch"][key]
+    if key == "init_seed_offset":
+        return config["init_seed"] - summary["seed"]
+    for where in (summary, summary.get("problem", {}), config):
+        if key in where:
+            return where[key]
+    raise AssertionError(f"{key} is not in summary.json")
+
+
+# a small config of each subcommand, every key set off its default; eval's
+# and dc-audit's checkpoint paths come from the ckpts fixture
+ECHO_CONFIGS = {
+    "gen-data": dict(n=1, kind="OOD", sigma=0.1, patch_size=6,
+                     image_size=32, alpha_tik=0.02),
+    "train": dict(epochs=1, lr=0.002, weight_decay=0.0, sigma=0.1,
+                  model_kind="dcnet", init_seed_offset=3, layers=3, width=4,
+                  image_size=32, alpha_tik=0.02),
+    "eval": dict(n_per_kind=1, sigma=0.1, n_dump=1, image_size=32,
+                 alpha_tik=0.02),
+    "dc-audit": dict(model_kind="resnet", n=1, sigma=0.1, image_size=32,
+                     alpha_tik=0.02),
+    "rates": dict(mu=1.0, rho=2.0, filter="tsvd", trials=2, c=0.5,
+                  n_deltas=2, delta_max=0.01, delta_min=1e-4),
+}
+
+
+@pytest.mark.parametrize("command", ECHO_CONFIGS)
+def test_summary_echoes_every_key(tmp_path, ckpts, command):
+    # every key differs from its default, so each value read back is the
+    # one the config set
+    paths = {"eval": {"resnet_ckpt": ckpts["resnet"],
+                      "dcnet_ckpt": ckpts["dcnet"]},
+             "dc-audit": {"ckpt": ckpts["resnet"]}}
+    keys = {**ECHO_CONFIGS[command], **paths.get(command, {})}
+    _, defaults = cli.COMMANDS[command]
+    assert set(keys) == set(defaults)
+    assert all(keys[key] != default for key, (_, default) in defaults.items())
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg", **keys)
+    assert main([command, "--seed", "2", "--out", str(out),
+                 "--config", cfg]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["command"] == command and summary["seed"] == 2
+    for key, value in keys.items():
+        cast = defaults[key][0]
+        assert echoed(summary, key) == cast(str(value)), key
+
+
+@pytest.mark.parametrize("command, keys, missing", [
+    ("eval", {}, "resnet_ckpt"),
+    ("eval", {"resnet_ckpt": "r.ckpt"}, "dcnet_ckpt"),
+    ("dc-audit", {"n": 2}, "ckpt"),
+], ids=["eval-resnet", "eval-dcnet", "dc-audit"])
+def test_missing_key_fails_naming_it(tmp_path, capsys, command, keys,
+                                     missing):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg", **keys)
+    assert main([command, "--out", str(out), "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"nsrecon {command}: error: missing key {missing!r}\n")
     assert not out.exists()

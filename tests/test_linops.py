@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsrecon.experiments import Problem, make_rate_operator
-from nsrecon.linops import (SolverConfig, adjoint_check, cg_regularized_normal,
+from nsrecon.linops import (MatvecOp, adjoint_check, cg_regularized_normal,
                             dense_svd, pseudo_inverse_apply)
 from nsrecon.nullspace import iterative_projector, svd_projector
 from nsrecon.operators import dense_op, make_cumsum, operator_svd, to_dense
@@ -35,6 +35,31 @@ class TestAdjointCheck:
         op = dense_op(rng.standard_normal((64, 64)), (8, 8), (8, 8))
         assert adjoint_check(op, trials=50) < 1e-12
 
+    def test_rank_one_draw_reads_rounding(self):
+        # a draw of test_properties.low_rank: a 12 x 6 rank-1 matrix on
+        # which A u nearly vanishes for one test pair; scaled by |A u| |v|
+        # alone, the defect read 3.4e-12
+        rng = np.random.default_rng(9444)
+        m, n = rng.integers(1, 13, 2)
+        r = rng.integers(0, min(m, n) + 1)
+        u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = rng.uniform(0.1, 10, r)
+        a = (u[:, :r] * s) @ v[:, :r].T
+        assert a.shape == (12, 6) and np.linalg.matrix_rank(a) == 1
+        assert adjoint_check(dense_op(a), seed=9444) <= 1e-12
+
+    @pytest.mark.parametrize("rank", [1, 6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wrong_adjoint_fails(self, rank, seed):
+        # 2 A.T, or the transpose of another matrix, posing as A*
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 6))
+        for wrong in (2.0 * a, rng.standard_normal((12, 6))):
+            op = MatvecOp((6,), (12,), lambda x: x @ a.T,
+                          lambda y, wrong=wrong: y @ wrong)
+            assert adjoint_check(op, seed=seed) > 1e-3
+
     def test_trials_validated(self):
         op = make_cumsum(3, 3)
         with pytest.raises(ValueError):
@@ -62,14 +87,14 @@ class TestCg:
         op = dense_op(np.eye(4), (2, 2), (2, 2))
         rhs = np.arange(4.0).reshape(2, 2)
         res = cg_regularized_normal(tikhonov_stack(op, 1.0), rhs,
-                                    SolverConfig())
+                                    tol=1e-8, max_iters=10000)
         assert res.converged
         np.testing.assert_allclose(res.x, rhs / 2.0, atol=1e-10)
 
     def test_scaling_unregularized(self):
         op = dense_op(2.0 * np.eye(4), (2, 2), (2, 2))
         e = np.ones((2, 2))
-        res = cg_regularized_normal(op, 4.0 * e, SolverConfig())
+        res = cg_regularized_normal(op, 4.0 * e, tol=1e-8, max_iters=10000)
         np.testing.assert_allclose(res.x, e, atol=1e-10)
 
     def test_matches_dense_solve(self):
@@ -79,14 +104,15 @@ class TestCg:
         rhs = rng.standard_normal((4, 4))
         lam = 0.3
         res = cg_regularized_normal(tikhonov_stack(op, lam), rhs,
-                                    SolverConfig(tol=1e-12))
+                                    tol=1e-12, max_iters=10000)
         direct = np.linalg.solve(a.T @ a + lam * np.eye(16), rhs.ravel())
         np.testing.assert_allclose(res.x.ravel(), direct, atol=1e-8)
 
     def test_rejects_bad_rhs_shape(self):
         op = make_cumsum(3, 3)
         with pytest.raises(ValueError):
-            cg_regularized_normal(op, np.zeros((2, 2)), SolverConfig())
+            cg_regularized_normal(op, np.zeros((2, 2)), tol=1e-8,
+                                  max_iters=10000)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_rhs(self, bad):
@@ -94,12 +120,13 @@ class TestCg:
         rhs = np.ones((3, 3))
         rhs[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            cg_regularized_normal(op, rhs, SolverConfig())
+            cg_regularized_normal(op, rhs, tol=1e-8, max_iters=10000)
 
     def test_reports_iterations_run_on_singular_stop(self):
         # p = rhs spans the kernel of A, so the first step has p.A*Ap = 0
         op = dense_op(np.diag([1.0, 0.0]))
-        res = cg_regularized_normal(op, np.array([0.0, 1.0]), SolverConfig())
+        res = cg_regularized_normal(op, np.array([0.0, 1.0]), tol=1e-8,
+                                    max_iters=10000)
         assert not res.converged
         assert res.iters == 0
 
@@ -111,7 +138,7 @@ class TestCg:
         op = dense_op(a, (2, 4), (2, 4))
         rhs = rng.standard_normal((2, 4))
         res = cg_regularized_normal(op, rhs,
-                                    SolverConfig(tol=1e-300, max_iters=100))
+                                    tol=1e-300, max_iters=100)
         assert res.iters == 8
         np.testing.assert_allclose(
             res.x.ravel(), np.linalg.solve(a.T @ a, rhs.ravel()), rtol=1e-8)
@@ -136,12 +163,12 @@ class TestBlockCg:
         op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=seed)
         z = np.random.default_rng(seed).standard_normal((k, 16, 16))
         rhs = op.adjoint(op.apply(z))
-        cfg = SolverConfig(tol=1e-14, max_iters=20000)
-        res = cg_regularized_normal(op, rhs, cfg)
+        cfg = dict(tol=1e-14, max_iters=20000)
+        res = cg_regularized_normal(op, rhs, **cfg)
         assert res.converged and res.unconverged == 0
         assert res.x.shape == z.shape
         assert res.iters <= 224
-        loop = np.stack([cg_reference(op, col, cfg).x for col in rhs])
+        loop = np.stack([cg_reference(op, col, **cfg).x for col in rhs])
         exact = z - svd_projector(svd)(z)
         assert np.all(column_gaps(res.x, loop, z) <= 1e-8)
         assert np.all(column_gaps(res.x, exact, z) <= 1e-8)
@@ -157,7 +184,7 @@ class TestBlockCg:
         columns = []
         forward = op._forward
         op._forward = lambda x: (columns.append(len(x)), forward(x))[1]
-        res = cg_regularized_normal(op, rhs, SolverConfig(tol=1e-14))
+        res = cg_regularized_normal(op, rhs, tol=1e-14, max_iters=10000)
         assert sum(columns) <= 224 + k
         kernel = svd_projector(svd)(res.x)
         assert np.all(column_gaps(kernel, 0.0 * z, z) <= 1e-8)
@@ -168,10 +195,10 @@ class TestBlockCg:
         stacked = tikhonov_stack(op, 0.3)
         rng = np.random.default_rng(21)
         rhs = rng.standard_normal((4, 16, 16))
-        cfg = SolverConfig(tol=1e-12)
-        res = cg_regularized_normal(stacked, rhs, cfg)
+        cfg = dict(tol=1e-12, max_iters=10000)
+        res = cg_regularized_normal(stacked, rhs, **cfg)
         assert res.converged
-        loop = np.stack([cg_reference(stacked, col, cfg).x for col in rhs])
+        loop = np.stack([cg_reference(stacked, col, **cfg).x for col in rhs])
         mat = to_dense(op)
         direct = np.linalg.solve(mat.T @ mat + 0.3 * np.eye(256),
                                  rhs.reshape(4, -1).T).T.reshape(rhs.shape)
@@ -182,22 +209,22 @@ class TestBlockCg:
         op = tikhonov_stack(make_rate_operator(seed=1)[0], 0.1)
         rhs = np.random.default_rng(22).standard_normal((4, 16, 16))
         rhs[[0, 2]] = 0.0
-        cfg = SolverConfig(tol=1e-12)
-        res = cg_regularized_normal(op, rhs, cfg)
+        cfg = dict(tol=1e-12, max_iters=10000)
+        res = cg_regularized_normal(op, rhs, **cfg)
         assert res.converged and res.rel_residual <= 1e-12
         np.testing.assert_array_equal(res.x[[0, 2]], 0.0)
-        pair = cg_regularized_normal(op, rhs[[1, 3]], cfg)
+        pair = cg_regularized_normal(op, rhs[[1, 3]], **cfg)
         assert res.iters == pair.iters
         np.testing.assert_allclose(res.x[[1, 3]], pair.x, rtol=0,
                                    atol=1e-13)
-        none = cg_regularized_normal(op, np.zeros((3, 16, 16)), cfg)
+        none = cg_regularized_normal(op, np.zeros((3, 16, 16)), **cfg)
         assert none.converged and none.iters == 0
         np.testing.assert_array_equal(none.x, 0.0)
 
     def test_unconverged_block_counts_columns(self):
         op = Problem(16, 1.0, 0.01).op
         rhs = np.random.default_rng(23).standard_normal((3, 16, 16))
-        res = cg_regularized_normal(op, rhs, SolverConfig(max_iters=1))
+        res = cg_regularized_normal(op, rhs, tol=1e-8, max_iters=1)
         assert not res.converged
         assert res.iters == 1 and res.unconverged == 3
         assert res.rel_residual > 1e-8
@@ -212,7 +239,7 @@ class TestBlockCg:
         z = np.random.default_rng(seed).standard_normal((16, 16))
         rhs = op.adjoint(op.apply(z))
         res = cg_regularized_normal(op, rhs,
-                                    SolverConfig(tol=1e-300, max_iters=20000))
+                                    tol=1e-300, max_iters=20000)
         assert not res.converged and res.rel_residual <= 1e-15
         exact = z - svd_projector(svd)(z)
         again = res.space.galerkin(rhs.reshape(1, -1)).reshape(z.shape)
@@ -226,7 +253,7 @@ class TestBlockCg:
         a = rng.standard_normal((16, 16))
         op = tikhonov_stack(dense_op(a, (4, 4), (4, 4)), 0.3)
         res = cg_regularized_normal(op, rng.standard_normal((4, 4, 4)),
-                                    SolverConfig(tol=1e-12))
+                                    tol=1e-12, max_iters=10000)
         assert res.converged and res.space.directions.shape == (16, 16)
         rhs = rng.standard_normal((3, 16))
         direct = np.linalg.solve(a.T @ a + 0.3 * np.eye(16), rhs.T).T
@@ -249,7 +276,7 @@ class TestBlockCg:
         a = (u[:, :r] * rng.uniform(0.1, 1.0, r)) @ v[:, :r].T
         z = rng.standard_normal((k, n))
         res = cg_regularized_normal(dense_op(a), z @ a.T @ a,
-                                    SolverConfig(tol=1e-12))
+                                    tol=1e-12, max_iters=10000)
         want = z @ a.T @ np.linalg.pinv(a).T       # A+ A z, row by row
         assert res.converged
         assert np.all(column_gaps(res.x, want, z) <= 1e-12)
@@ -261,7 +288,8 @@ class TestBlockCg:
         op = make_cumsum(3, 3)
         for shape in [(3, 3, 2), (2, 3), (1, 1, 3, 3)]:
             with pytest.raises(ValueError):
-                cg_regularized_normal(op, np.zeros(shape), SolverConfig())
+                cg_regularized_normal(op, np.zeros(shape), tol=1e-8,
+                                      max_iters=10000)
 
 
 class TestStackedOperators:
@@ -393,8 +421,9 @@ class TestPseudoInverse:
         np.testing.assert_allclose(pinv @ a, (pinv @ a).T, atol=1e-9)
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
+def test_cg_settings_validated():
+    for tol, max_iters in [(0.0, 10), (-1e-8, 10), (1e-8, 0)]:
+        with pytest.raises(ValueError,
+                           match="need tol > 0 and max_iters >= 1"):
+            cg_regularized_normal(make_cumsum(3, 3), np.ones((3, 3)),
+                                  tol=tol, max_iters=max_iters)

@@ -6,7 +6,7 @@ import pytest
 
 from nsrecon import nn, nullspace
 from nsrecon.experiments import Problem, make_rate_operator
-from nsrecon.linops import SolverConfig, cg_regularized_normal, dense_svd
+from nsrecon.linops import cg_regularized_normal, dense_svd
 from nsrecon.nullspace import (iterative_projector, mask_projector,
                                project_null, svd_projector)
 from nsrecon.operators import dense_op, operator_svd
@@ -113,8 +113,8 @@ class TestProjectNull:
         op, _ = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=seed)
         results = []
 
-        def spy(*args):
-            results.append(cg_regularized_normal(*args))
+        def spy(*args, **kwargs):
+            results.append(cg_regularized_normal(*args, **kwargs))
             return results[-1]
 
         monkeypatch.setattr(nullspace, "cg_regularized_normal", spy)
@@ -146,15 +146,17 @@ class TestProjectNull:
                 pytest.raises(ValueError, match="non-finite"):
             iterative_projector(op)(z)
 
-    def test_iterative_unconverged_raises(self):
+    def test_iterative_unconverged_raises(self, monkeypatch):
+        monkeypatch.setattr(nullspace, "_PROJECTOR_MAX_ITERS", 1)
         op, _ = stripe_problem()
-        proj = iterative_projector(op, SolverConfig(max_iters=1))
+        proj = iterative_projector(op)
         with pytest.raises(RuntimeError, match="did not converge"):
             proj(np.random.default_rng(12).standard_normal((16, 16)))
 
-    def test_iterative_unconverged_block_names_columns(self):
+    def test_iterative_unconverged_block_names_columns(self, monkeypatch):
+        monkeypatch.setattr(nullspace, "_PROJECTOR_MAX_ITERS", 1)
         op, _ = stripe_problem()
-        proj = iterative_projector(op, SolverConfig(max_iters=1))
+        proj = iterative_projector(op)
         z = np.random.default_rng(12).standard_normal((3, 16, 16))
         with pytest.raises(RuntimeError, match=r"did not converge: 3 of 3 "
                            r"columns .* worst relative residual"):
@@ -166,8 +168,8 @@ class TestProjectNull:
         exact = svd_projector(svd)
         results = []
 
-        def spy(*args):
-            results.append(cg_regularized_normal(*args))
+        def spy(*args, **kwargs):
+            results.append(cg_regularized_normal(*args, **kwargs))
             return results[-1]
 
         monkeypatch.setattr(nullspace, "cg_regularized_normal", spy)
@@ -249,8 +251,8 @@ def solve_spy(monkeypatch):
     """Results of every block solve the projectors make from now on."""
     results = []
 
-    def spy(*args):
-        results.append(cg_regularized_normal(*args))
+    def spy(*args, **kwargs):
+        results.append(cg_regularized_normal(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(nullspace, "cg_regularized_normal", spy)
@@ -323,7 +325,7 @@ class TestKrylovReuse:
         proj, exact, results = self.full_rank(monkeypatch)
         spy = nullspace.cg_regularized_normal
 
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise RuntimeError("solver failed")
 
         monkeypatch.setattr(nullspace, "cg_regularized_normal", fail)

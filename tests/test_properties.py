@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from nsrecon import nn
 from nsrecon.experiments import Problem
-from nsrecon.linops import (SolverConfig, adjoint_check, cg_regularized_normal,
-                            dense_svd, pseudo_inverse_apply)
+from nsrecon.linops import (adjoint_check, cg_regularized_normal, dense_svd,
+                            pseudo_inverse_apply)
 from nsrecon.nullspace import mask_projector, svd_projector
 from nsrecon.operators import dense_op, make_cumsum
 from oracles import conv, conv_reference, kernel_grad_reference
@@ -102,7 +102,7 @@ def test_cg_returns_row_space_component_within_n_steps(case, k):
     n = a.shape[1]
     z = rng.standard_normal((k, n) if k else (n,))
     res = cg_regularized_normal(dense_op(a), z @ a.T @ a,
-                                SolverConfig(tol=1e-12))
+                                tol=1e-12, max_iters=10000)
     assert res.converged
     assert res.iters <= n
     want = z @ a.T @ np.linalg.pinv(a).T

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nsrecon.experiments import Problem, make_rate_operator
-from nsrecon.linops import SolverConfig, cg_regularized_normal, dense_svd
+from nsrecon.linops import cg_regularized_normal, dense_svd
 from nsrecon.operators import dense_op, operator_svd
 from nsrecon.regularize import (FILTER_KINDS, FILTER_QUALIFICATION,
                                 FilterSpec, SourceCondition, filter_value,
@@ -98,7 +98,7 @@ class TestSpectralReconstruct:
         # CG on the normal equations of [A; sqrt(alpha) I]
         via_cg = cg_regularized_normal(tikhonov_stack(op, alpha),
                                        op.adjoint(y),
-                                       SolverConfig(tol=1e-13)).x
+                                       tol=1e-13, max_iters=10000).x
         np.testing.assert_allclose(via_svd, via_cg, atol=1e-8)
 
     def test_shape_validation(self):
