@@ -16,6 +16,7 @@ summary.json: command, seed, the problem echo and those fields.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -74,6 +75,13 @@ def _timed(fn, *args):
     return fn(*args), time.perf_counter() - start
 
 
+def _load(path):
+    """A checkpoint's parameters and the SHA-256 of its bytes."""
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return nn.load_params(path)[1], digest
+
+
 def cmd_gen_data(args, opts, problem):
     samples = problem.dataset(opts["n"], opts["kind"], args.seed,
                               opts["sigma"], opts["patch_size"])
@@ -104,8 +112,9 @@ def cmd_eval(args, opts, problem):
     n_dump = opts["n_dump"]
     if not 0 <= n_dump <= ec.n_per_kind:
         raise ValueError(f"n_dump must be in 0..n_per_kind, got {n_dump}")
-    models = {kind: nn.load_params(opts[f"{kind}_ckpt"])[1]
-              for kind in ("resnet", "dcnet")}
+    models, digests = {}, {}
+    for kind in ("resnet", "dcnet"):
+        models[kind], digests[kind] = _load(opts[f"{kind}_ckpt"])
     dumps = []
 
     def stream():  # evaluate's samples, keeping the first n_dump ID ones
@@ -123,13 +132,15 @@ def cmd_eval(args, opts, problem):
             write_pgm16(os.path.join(args.out, f"sample{i}_{name}.pgm"), img)
     return {"config": ec, "n_dump": n_dump,
             "resnet_ckpt": opts["resnet_ckpt"],
-            "dcnet_ckpt": opts["dcnet_ckpt"], "wall_s": wall_s,
+            "resnet_ckpt_sha256": digests["resnet"],
+            "dcnet_ckpt": opts["dcnet_ckpt"],
+            "dcnet_ckpt_sha256": digests["dcnet"], "wall_s": wall_s,
             "means": report.means}
 
 
 def cmd_dc_audit(args, opts, problem):
     model_kind, n = opts["model_kind"], opts["n"]
-    params = nn.load_params(opts["ckpt"])[1]
+    params, digest = _load(opts["ckpt"])
     ec = EvalConfig(sigma=opts["sigma"])
     rows, wall_s = _timed(dc_audit, params, model_kind, n, args.seed, ec,
                           problem)
@@ -140,7 +151,8 @@ def cmd_dc_audit(args, opts, problem):
                      f"{r['residual_model']:.17g},{r['y_norm']:.17g}\n")
     max_rel = max(abs(r["residual_model"] - r["residual_tikhonov"])
                   / r["y_norm"] for r in rows)
-    return {**opts, "wall_s": wall_s, "max_relative_residual_gap": max_rel}
+    return {**opts, "ckpt_sha256": digest, "wall_s": wall_s,
+            "max_relative_residual_gap": max_rel}
 
 
 def cmd_rates(args, opts, problem):

@@ -127,15 +127,22 @@ def write_pgm16(path, image: np.ndarray) -> None:
 
 
 def read_pgm16(path) -> np.ndarray:
+    """A binary PGM as floats in [0, 1]; ValueError, naming the path, on
+    another format, a maxval outside 1..65535 or a body of wrong length."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
             raise ValueError(f"{path}: not a binary PGM")
         w, h = map(int, fh.readline().split())
         maxval = int(fh.readline())
-        dtype = ">u2" if maxval > 255 else "u1"
-        data = np.frombuffer(fh.read(), dtype=dtype)[:h * w]
-    return data.reshape(h, w).astype(float) / maxval
+        body = fh.read()
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval {maxval} is not in 1..65535")
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    if min(w, h) < 0 or len(body) != h * w * dtype.itemsize:
+        raise ValueError(f"{path}: PGM body of {len(body)} bytes does not "
+                         f"hold {w}x{h} pixels of {dtype.itemsize} bytes")
+    return np.frombuffer(body, dtype=dtype).reshape(h, w) / maxval
 
 
 def export_dataset(samples: list[Sample], out_dir) -> str:

@@ -69,37 +69,30 @@ class NetParams:
         return out
 
 
-def _row_shifts(x: np.ndarray, wrap: bool = True) -> np.ndarray:
-    """Row-shift matrix (..., in_ch*3, h*(w+2) + 2) of x (..., in_ch, h, w)
-    for a 3x3 circular convolution: row 3c + di holds rows di .. di+h-1 of
-    x[c] wrap-padded by one, flattened, then two zero columns of slack.  So
-    for j < w its column i*(w+2) + j + dj holds
-    x[c, (i+di-1)%h, (j+dj-1)%w].  Leading axes are a stack of inputs.
-    wrap=False does not pad sideways: of h*w + 2 columns, column
-    i*w + j + dj holds x[c, (i+di-1)%h, j+dj]."""
+def _row_shifts(x: np.ndarray) -> np.ndarray:
+    """Row-shift matrix (..., in_ch*3, h*w + 2) of x (..., in_ch, h, w) for
+    a 3x3 convolution circular in rows and valid in columns: row 3c + di
+    holds rows di .. di+h-1 of x[c] wrap-padded by one, flattened, then two
+    zero columns of slack, so column i*w + j + dj holds
+    x[c, (i+di-1)%h, j+dj].  Leading axes are a stack of inputs."""
     *lead, c, h, w = x.shape
-    n = h * (w + 2 * wrap)
-    rows = np.empty((*lead, c * 3, n + 2))
-    rows[..., n:] = 0.0
+    rows = np.empty((*lead, c * 3, h * w + 2))
+    rows[..., h * w:] = 0.0
     # r[c, di, i] is padded row i + di of x[c]: x row (i + di - 1) % h
-    r = rows.reshape(*lead, c, 3, n + 2)[..., :n].reshape(*lead, c, 3, h, -1)
-    mid = r[..., wrap:wrap + w]
-    mid[..., 1, :, :] = x
-    mid[..., 0, 1:, :], mid[..., 0, 0, :] = x[..., :-1, :], x[..., -1, :]
-    mid[..., 2, :-1, :], mid[..., 2, -1, :] = x[..., 1:, :], x[..., 0, :]
-    if wrap:
-        r[..., 0], r[..., -1] = r[..., -2], r[..., 1]
+    r = rows.reshape(*lead, c, 3, -1)[..., :h * w].reshape(*lead, c, 3, h, w)
+    r[..., 1, :, :] = x
+    r[..., 0, 1:, :], r[..., 0, 0, :] = x[..., :-1, :], x[..., -1, :]
+    r[..., 2, :-1, :], r[..., 2, -1, :] = x[..., 1:, :], x[..., 0, :]
     return rows
 
 
 def _conv_rows(rows: np.ndarray, kernel: np.ndarray, h: int,
                w: int) -> np.ndarray:
-    """Bias-free 3x3 circular convolution of the (in_ch, h, w) input whose
-    row-shift matrix is `rows`: one GEMM per column offset dj and stacked
-    input.  Returns (..., out_ch, h, w + 2) holding, for j < w,
-    out[o,i,j] = sum_{c,di,dj} k[o,c,di,dj] x[c,(i+di-1)%h,(j+dj-1)%w];
-    the last two columns of each row are slack.  On the unwrapped rows of
-    an (in_ch, h, w + 2) input, x[c,(i+di-1)%h,j+dj] is in the sum."""
+    """Bias-free 3x3 convolution, circular in rows and valid in columns, of
+    the (..., in_ch, h, w + 2) input whose row-shift matrix is `rows`: one
+    GEMM per column offset dj and stacked input.  Returns (..., out_ch, h,
+    w + 2) holding out[o,i,j] = sum k[o,c,di,dj] x[c,(i+di-1)%h,j+dj] for
+    j < w; the last two columns of each row are slack."""
     out_ch, n = kernel.shape[0], h * (w + 2)
     # taps[dj]: (out_ch, in_ch*3), contiguous so that BLAS runs the product
     taps = np.ascontiguousarray(kernel.transpose(3, 0, 1, 2))
@@ -122,9 +115,10 @@ def init_params(arch: Architecture, seed: int = 0) -> NetParams:
 
 
 def _band(projector, w: int, layers: int):
-    """(ctx, arc, pad): the smallest circular arc of m columns holding the
-    projector's `columns`, and ctx, the arc with pad = `layers` columns each
-    side; all columns, pad 0, without `columns` or if m + 2 layers > w."""
+    """(ctx, arc): the smallest circular arc of m columns holding the
+    projector's `columns`, the whole circle (m = w) without any or if
+    m + 2 layers > w, and ctx, the arc and `layers` columns each side,
+    read mod w, so that it may repeat columns."""
     columns = getattr(projector, "columns", None)
     return _arc_band(b"" if columns is None else columns.tobytes(), w, layers)
 
@@ -134,12 +128,13 @@ def _arc_band(columns: bytes, w: int, layers: int):
     cols = np.flatnonzero(np.frombuffer(columns, dtype=bool))
     gaps = np.diff(cols, append=cols[:1] + w)  # to the next marked column
     m = w + 1 - gaps.max(initial=0)
-    if m + 2 * layers > w:
-        return slice(None), slice(None), 0
-    start = cols[(np.argmax(gaps) + 1) % cols.size] - layers
-    ctx = (start + np.arange(m + 2 * layers)) % w
+    if m + 2 * layers > w:  # no band fits: the whole circle
+        start, m = 0, w
+    else:
+        start = cols[(np.argmax(gaps) + 1) % cols.size]
+    ctx = (start - layers + np.arange(m + 2 * layers)) % w
     ctx.flags.writeable = False  # every forward on this band shares it
-    return ctx, ctx[layers:-layers], layers
+    return ctx, ctx[layers:-layers]
 
 
 def forward(params: NetParams, x: np.ndarray,
@@ -150,15 +145,15 @@ def forward(params: NetParams, x: np.ndarray,
     x is one (h, w) image or a stack (k, h, w); a stack runs every layer
     as one batched product and calls the projector once on the stack of
     corrections, and each of its images comes out bit for bit as alone.
-    Band rule: if the projector's `columns` fit a circular arc of m columns
-    with m + 2L <= w (L layers), horizontally valid convolutions run on
-    the arc and L columns each side only, as at full width up to BLAS
-    rounding.  Returns (out, cache).  The cache feeds `backward`: "band"
-    holds the projector's `_band`, "rows" the `_row_shifts` matrix of each
-    layer's input, "masks" the boolean ReLU mask (pre-activation > 0) of
-    each layer but the last, in the (..., ch, h, v + 2) layout of
-    `_conv_rows` for output width v, with False on the slack columns.
-    Raises ValueError on a non-finite x.
+    Band rule: the conv stack runs valid convolutions on the projector's
+    arc (`_band`, the whole circle without `columns`) and L columns each
+    side (L layers), read mod w, so U is circular and 0 off the arc.
+    Returns (out, cache).  The cache feeds `backward`: "band" holds the
+    projector's `_band`, "rows" the `_row_shifts` matrix of each layer's
+    input, "masks" the boolean ReLU mask (pre-activation > 0) of each layer
+    but the last, in the (..., ch, h, v + 2) layout of `_conv_rows` for
+    output width v, with False on the slack columns.  Raises ValueError on
+    a non-finite x.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3):
@@ -168,13 +163,13 @@ def forward(params: NetParams, x: np.ndarray,
         raise ValueError("non-finite network input")
     h, w = x.shape[-2:]
     layers = len(params.kernels)
-    ctx, arc, pad = band = _band(projector, w, layers)
+    ctx, arc = band = _band(projector, w, layers)
     a = x[..., None, :, ctx]
     v = a.shape[-1]  # width of the layer input, then of its output
     rows, masks = [], []
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
-        rows.append(_row_shifts(a[..., :v], wrap=not pad))
-        v -= 2 if pad else 0
+        rows.append(_row_shifts(a[..., :v]))
+        v -= 2
         a = _conv_rows(rows[-1], k, h, v)
         a += b[:, None, None]
         if l < layers - 1:
@@ -198,8 +193,8 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     Kernel gradients are taken against the cached row matrices.  The
     gradient stays in the (ch, h, v + 2) layout of `_conv_rows`; its slack
     columns hold 0 (the masks are False there), so they add nothing to
-    those products.  After a banded forward (m + 2L <= w) it runs on the
-    band too, padding each gradient with zeros instead of wrapping it.
+    those products.  It runs on the forward's band, padding each gradient
+    with zeros, and adds every context column into the column it read.
     """
     grad_out = np.asarray(grad_out, dtype=float)
     if len(cache["x_shape"]) != 2:
@@ -210,7 +205,7 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     if len(cache["rows"]) != len(params.kernels):
         raise ValueError("cache does not match parameter count")
     h = grad_out.shape[0]
-    (ctx, arc, pad), layers = cache["band"], len(params.kernels)
+    (ctx, arc), layers = cache["band"], len(params.kernels)
     top = (grad_out if cache["projector"] is None
            else cache["projector"](grad_out))[:, arc]
     v = top.shape[-1]  # width of the layer output, then of its input
@@ -223,20 +218,19 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
         grad_k[l] = np.stack([flat @ rows[:, dj:dj + flat.shape[1]].T
                               for dj in range(3)], axis=-1).reshape(k.shape)
         grad_b[l] = g[:, :, :v].sum(axis=(1, 2))
-        # the adjoint of a correlation is the correlation with the flipped,
-        # channel-transposed kernel; a band pads g with zeros, not by wrap
-        if pad:  # two zero columns to the left; g's slack is the right two
-            shifts = _row_shifts(np.concatenate(
-                (np.zeros(g.shape[:-1] + (2,)), g), axis=-1), wrap=False)
-            v += 2
-        else:
-            shifts = _row_shifts(g[:, :, :v])
+        # the adjoint of a valid correlation is the full one with the
+        # flipped, channel-transposed kernel: g padded by two zero columns
+        # to the left, and its two slack columns to the right
+        shifts = _row_shifts(np.concatenate(
+            (np.zeros(g.shape[:-1] + (2,)), g), axis=-1))
+        v += 2
         g = _conv_rows(shifts, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
                        h, v)
         if l > 0:
             g *= cache["masks"][l - 1]
     grad_in = grad_out.copy()
-    grad_in[:, ctx] += g[0, :, :v]
+    # unbuffered: a column that ctx repeats gathers every read of it
+    np.add.at(grad_in, (slice(None), ctx), g[0, :, :v])
     return NetParams(grad_k, grad_b), grad_in
 
 

@@ -82,11 +82,32 @@ def source_element(svd, src, seed=0):
 
 
 def conv(x, kernel, bias):
-    """3x3 circular convolution of x (in_ch, h, w) plus bias by the
-    network's row-shift GEMMs, slack columns dropped."""
-    h, w = x.shape[-2:]
+    """3x3 circular convolution of x (in_ch, h, w) plus bias: the valid
+    convolution of x extended by one column each side, read mod w."""
+    w = x.shape[-1]
+    return valid_conv(x[..., (np.arange(w + 2) - 1) % w], kernel, bias)
+
+
+def valid_conv(x, kernel, bias):
+    """3x3 convolution of x (in_ch, h, w + 2), circular in rows and valid in
+    columns, plus bias: (out_ch, h, w) by the network's row-shift GEMMs,
+    slack columns dropped."""
+    h, w = x.shape[-2], x.shape[-1] - 2
     out = nn._conv_rows(nn._row_shifts(x), kernel, h, w)
     return out[..., :w] + bias[:, None, None]
+
+
+def forward_reference(params, x, projector=None):
+    """x + U(x), or x + P(U(x)) with a projector, for one (h, w) image: U
+    is the stack of 3x3 circular convolutions with ReLU between layers,
+    each tap an np.roll of the layer input."""
+    a, last = x[None, :, :], len(params.kernels) - 1
+    for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
+        z = sum(np.einsum("oc,chw->ohw", k[:, :, di, dj],
+                          np.roll(a, (1 - di, 1 - dj), axis=(1, 2)))
+                for di in range(3) for dj in range(3)) + b[:, None, None]
+        a = np.maximum(z, 0.0) if l < last else z
+    return x + (a[0] if projector is None else projector(a[0]))
 
 
 def conv_reference(x, kernel, bias):
@@ -142,15 +163,19 @@ def polar_gaussian_reference(rng, n):
 
 
 def backward_reference(params, x, grad_out, projector=None):
-    """Gradients of nn.forward by a loop that keeps each layer's input and
-    float pre-activation, rebuilds the layer input's row-shift matrix and
-    zero-pads the gradient into the row-shift layout at every layer.
-    Returns (kernel grads, bias grads, input grad)."""
-    a, inputs, preacts = x[None, :, :], [], []
-    last = len(params.kernels) - 1
+    """Gradients of nn.forward on the whole circle by a loop on its
+    context, x extended circularly by L columns each side for L layers.
+    The loop keeps each layer's input and float pre-activation, rebuilds
+    the layer input's row-shift matrix, zero-pads the gradient into the
+    row-shift layout at every layer and adds the context's gradient into
+    the input gradient column by column.  Returns (kernel grads, bias
+    grads, input grad)."""
+    w, layers = x.shape[1], len(params.kernels)
+    ctx, last = (np.arange(w + 2 * layers) - layers) % w, layers - 1
+    a, inputs, preacts = x[None, :, ctx], [], []
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
         inputs.append(a)
-        z = conv(a, k, b)
+        z = valid_conv(a, k, b)
         preacts.append(z)
         a = np.maximum(z, 0.0) if l < last else z
     g = grad_out if projector is None else projector(grad_out)
@@ -165,11 +190,15 @@ def backward_reference(params, x, grad_out, projector=None):
         grad_k[l] = np.stack([g_ext @ rows[:, dj:dj + g_ext.shape[1]].T
                               for dj in range(3)], axis=-1).reshape(k.shape)
         grad_b[l] = g.sum(axis=(1, 2))
-        g = conv(g, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                 np.zeros(k.shape[1]))
+        g = valid_conv(np.pad(g, ((0, 0), (0, 0), (2, 2))),
+                       k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                       np.zeros(k.shape[1]))
         if l > 0:
             g = g * (preacts[l - 1] > 0)
-    return grad_k, grad_b, grad_out + g[0]
+    grad_in = grad_out.copy()
+    for j, col in enumerate(ctx):
+        grad_in[:, col] += g[0, :, j]
+    return grad_k, grad_b, grad_in
 
 
 def adam_step_reference(params, grads, moments, step, lr, weight_decay):

@@ -1,5 +1,6 @@
 """Command-line interface smoke tests on tiny configurations."""
 
+import hashlib
 import json
 import os
 import struct
@@ -430,6 +431,30 @@ def test_summary_echoes_every_key(tmp_path, ckpts, command):
     for key, value in keys.items():
         cast = defaults[key][0]
         assert echoed(summary, key) == cast(str(value)), key
+
+
+def test_summaries_name_checkpoint_digests(tmp_path):
+    # two checkpoints with different bytes, so that a swapped digest shows
+    arch = nn.Architecture(layers=2, width=2)
+    paths, digests = {}, {}
+    for seed, kind in enumerate(("resnet", "dcnet")):
+        paths[kind] = tmp_path / f"{kind}.ckpt"
+        nn.save_params(paths[kind], arch, nn.init_params(arch, seed))
+        digests[kind] = hashlib.sha256(paths[kind].read_bytes()).hexdigest()
+    assert digests["resnet"] != digests["dcnet"]
+    cfg = write_config(tmp_path, "eval.cfg", resnet_ckpt=paths["resnet"],
+                       dcnet_ckpt=paths["dcnet"], image_size=32,
+                       n_per_kind=1, n_dump=0)
+    assert main(["eval", "--out", str(tmp_path / "e"), "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "e" / "summary.json").read_text())
+    assert summary["resnet_ckpt_sha256"] == digests["resnet"]
+    assert summary["dcnet_ckpt_sha256"] == digests["dcnet"]
+    cfg = write_config(tmp_path, "audit.cfg", ckpt=paths["resnet"],
+                       model_kind="resnet", n=1, image_size=32)
+    assert main(["dc-audit", "--out", str(tmp_path / "a"),
+                 "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["ckpt_sha256"] == digests["resnet"]
 
 
 @pytest.mark.parametrize("command, keys, missing", [

@@ -3,6 +3,7 @@
 the measurements."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,27 @@ class TestPgm:
         path = tmp_path / "nope.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(ValueError):
+            read_pgm16(path)
+
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_rejects_maxval_out_of_range(self, tmp_path, maxval):
+        # maxval 0 used to divide the image into inf and NaN
+        path = tmp_path / "maxval.pgm"
+        path.write_bytes(b"P5\n2 1\n%d\n" % maxval + b"\x00\x01" * 2)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: PGM maxval {maxval}")):
+            read_pgm16(path)
+
+    @pytest.mark.parametrize("maxval, body", [
+        (65535, b"\x00\x01\x00"), (255, b"\x00"), (65535, b"\x00\x01" * 3),
+    ], ids=["odd", "short", "trailing"])
+    def test_rejects_body_of_wrong_length(self, tmp_path, maxval, body):
+        # a 2x1 image: a short body used to raise a numpy error naming no
+        # file, and trailing bytes were ignored
+        path = tmp_path / "body.pgm"
+        path.write_bytes(b"P5\n2 1\n%d\n" % maxval + body)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: PGM body of")):
             read_pgm16(path)
 
 

@@ -18,7 +18,7 @@ from nsrecon.nullspace import iterative_projector, svd_projector
 from nsrecon.operators import operator_svd
 from nsrecon.regularize import (FILTER_KINDS, FilterSpec, SourceCondition,
                                 spectral_reconstruct)
-from oracles import rate_study_reference, source_element
+from oracles import forward_reference, rate_study_reference, source_element
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
 
@@ -163,16 +163,20 @@ class TestTrain:
                                              monkeypatch):
         # on the 32 x 32 grid the projector keeps an arc of 14 columns and
         # 14 + 2 * 5 <= 32, so the dcnet trains on a band; the same
-        # projector as a plain callable (no `columns`) runs at full width
+        # projector as a plain callable (no `columns`) runs on the whole
+        # circle
         proj = small_problem.projector
-        assert nn._band(proj, 32, 5)[2] == 5
+        assert len(nn._band(proj, 32, 5)[0]) == 14 + 2 * 5
         cfg = TrainConfig(epochs=20, model_kind="dcnet")
         # every GEMM here has a multiple of 32 columns, so no BLAS
         # remainder kernel runs and the band's forward is bit for bit
         params = nn.init_params(cfg.arch, 3)
         x = np.random.default_rng(3).standard_normal((4, 32, 32))
-        assert np.array_equal(nn.forward(params, x, proj)[0],
-                              nn.forward(params, x, lambda z: proj(z))[0])
+        out = nn.forward(params, x, proj)[0]
+        assert np.array_equal(out, nn.forward(params, x, lambda z: proj(z))[0])
+        for got, image in zip(out, x):
+            want = forward_reference(params, image, proj)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         params, log = train(cfg, small_problem)
         monkeypatch.setattr(Problem, "model_projector",
                             lambda self, kind: lambda z: proj(z))

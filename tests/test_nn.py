@@ -9,7 +9,8 @@ import pytest
 from nsrecon import nn
 from nsrecon.nullspace import mask_projector
 from oracles import (adam_step_reference, backward_reference, conv,
-                     conv_reference, grad_check, layer_norm_reference)
+                     conv_reference, forward_reference, grad_check,
+                     layer_norm_reference)
 
 
 def small_stripe_support():
@@ -153,7 +154,7 @@ class TestStackedForward:
         params = nn.init_params(nn.Architecture(layers=4, width=3), 8)
         x = np.random.default_rng(8).standard_normal((5, 6, 16))
         out, cache = nn.forward(params, x, proj)
-        assert cache["band"][2] == 4
+        assert len(cache["band"][0]) == 2 + 2 * 4
         for i in range(5):
             np.testing.assert_array_equal(out[i],
                                           nn.forward(params, x[i], proj)[0])
@@ -162,15 +163,28 @@ class TestStackedForward:
         support = np.ones((6, 16))
         support[:, [15, 0]] = 0.0
         # two projectors with equal columns share one read-only band
-        ctx, arc, pad = band = nn._band(mask_projector(support), 16, 4)
+        ctx, arc = band = nn._band(mask_projector(support), 16, 4)
         assert nn._band(mask_projector(support), 16, 4) is band
         np.testing.assert_array_equal(ctx, np.arange(11, 21) % 16)
         np.testing.assert_array_equal(arc, [15, 0])
-        assert pad == 4 and not ctx.flags.writeable
-        assert nn._band(mask_projector(support), 16, 3)[2] == 3
-        # without `columns` (the resnet, a plain callable): full width
-        for proj in (None, lambda z: z):
-            assert nn._band(proj, 16, 4) == (slice(None), slice(None), 0)
+        assert not ctx.flags.writeable
+        np.testing.assert_array_equal(nn._band(mask_projector(support), 16,
+                                               3)[0], np.arange(12, 20) % 16)
+        # without `columns` (the resnet, a plain callable), with none marked
+        # or with an arc too wide for a band: the whole circle, and ctx
+        # reads 4 columns each side of it, mod 16
+        wide = np.ones((6, 16))
+        wide[:, [0, 8]] = 0.0  # an arc of 9: 9 + 2 * 4 > 16
+        params = nn.init_params(nn.Architecture(layers=4, width=3), 9)
+        x = np.random.default_rng(9).standard_normal((6, 16))
+        for proj in (None, lambda z: z, mask_projector(np.ones((6, 16))),
+                     mask_projector(wide)):
+            ctx, arc = nn._band(proj, 16, 4)
+            np.testing.assert_array_equal(ctx, np.arange(-4, 20) % 16)
+            np.testing.assert_array_equal(arc, np.arange(16))
+            want = forward_reference(params, x, proj)
+            assert (np.max(np.abs(nn.forward(params, x, proj)[0] - want))
+                    <= 1e-13 * np.max(np.abs(want)))
 
     def test_projector_called_once_on_the_stack(self):
         calls = []
@@ -228,6 +242,27 @@ class TestBackward:
                                    dense_conv(k, 5, 7).T @ g.ravel(),
                                    atol=1e-13)
 
+    def test_input_gradient_gathers_repeated_context_columns(self):
+        # 3 layers on a grid 5 wide: ctx reads 5 + 2 * 3 columns mod 5, so
+        # the conv stack reads each column two or three times and each read
+        # must reach grad_in.  Positive weights, biases and input keep every
+        # ReLU open, so the net is affine with the product of the layers'
+        # dense convolutions as its Jacobian
+        rng = np.random.default_rng(17)
+        chans = nn.Architecture(layers=3, width=2).channels()
+        kernels = [rng.uniform(0.1, 1.0, c + (3, 3)) for c in chans]
+        params = nn.NetParams(kernels, [np.full(len(k), 0.1) for k in kernels])
+        x = rng.uniform(0.1, 1.0, (4, 5))
+        g = rng.standard_normal((4, 5))
+        _, cache = nn.forward(params, x)
+        assert len(cache["band"][0]) == 11
+        assert all(m[..., :-2].all() for m in cache["masks"])
+        _, grad_in = nn.backward(params, cache, g)
+        jac = np.linalg.multi_dot([dense_conv(k, 4, 5) for k in kernels[::-1]])
+        want = jac.T @ g.ravel()
+        assert (np.max(np.abs((grad_in - g).ravel() - want))
+                <= 1e-13 * np.max(np.abs(want)))
+
     def test_shape_validation(self):
         arch = nn.Architecture(layers=2, width=2)
         params = nn.init_params(arch, 9)
@@ -261,7 +296,7 @@ class TestBackward:
         support[2, 7] = 0.0
         x = np.random.default_rng(5).standard_normal((6, 16))
         out, cache = nn.forward(params, x, mask_projector(support))
-        assert cache["band"][2] == layers
+        assert len(cache["band"][0]) == 1 + 2 * layers
         nn.backward(params, cache, out - x)
         assert len(calls) == 2 * layers
         assert max(shape[-1] for shape in calls) == 1 + 2 * layers + 2
@@ -309,7 +344,13 @@ class TestGradCheck:
         support = np.ones((8, 12))
         support[:, [0, 11]] = 0.0
         proj = mask_projector(support)
-        assert nn._band(proj, 12, 3)[2] == 3
+        np.testing.assert_array_equal(nn._band(proj, 12, 3)[0],
+                                      np.arange(8, 16) % 12)
+        params = nn.init_params(nn.Architecture(layers=3, width=2), 2)
+        x = np.random.default_rng(2).standard_normal((8, 12))
+        want = forward_reference(params, x, proj)
+        assert (np.max(np.abs(nn.forward(params, x, proj)[0] - want))
+                <= 1e-13 * np.max(np.abs(want)))
         err = grad_check(nn.Architecture(layers=3, width=2), seed=2,
                          shape=(8, 12), projector=proj)
         assert err < 1e-6

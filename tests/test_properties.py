@@ -13,7 +13,8 @@ from nsrecon.linops import (adjoint_check, cg_regularized_normal, dense_svd,
                             pseudo_inverse_apply)
 from nsrecon.nullspace import mask_projector, svd_projector
 from nsrecon.operators import dense_op, make_cumsum
-from oracles import conv, conv_reference, kernel_grad_reference
+from oracles import (backward_reference, conv, conv_reference,
+                     forward_reference, kernel_grad_reference)
 
 PROPERTY = settings(max_examples=25, deadline=None)
 TOL = 1e-10
@@ -161,11 +162,14 @@ def test_conv_and_kernel_gradient_match_loops(in_ch, out_ch, h, w, seed):
     assert_close_1e13(conv(x, k0, b0), z0)
 
     # kernel gradients of the net in_ch -> out_ch -> 1 through nn.backward;
-    # the cache is built by hand because nn.forward feeds one channel
+    # the cache is built by hand because nn.forward feeds one channel: on
+    # the whole circle, each layer input read on its context mod w
     a1 = np.maximum(z0, 0.0)
-    cache = {"rows": [nn._row_shifts(x), nn._row_shifts(a1)],
-             "masks": [np.pad(z0 > 0, ((0, 0), (0, 0), (0, 2)))],
-             "projector": None, "band": (slice(None), slice(None), 0),
+    ctx = (np.arange(w + 4) - 2) % w
+    mask = np.pad(z0[..., ctx[1:-1]] > 0, ((0, 0), (0, 0), (0, 2)))
+    cache = {"rows": [nn._row_shifts(x[..., ctx]),
+                      nn._row_shifts(a1[..., ctx[1:-1]])],
+             "masks": [mask], "projector": None, "band": (ctx, ctx[2:-2]),
              "x_shape": (h, w)}
     g1 = rng.standard_normal((1, h, w))
     grads, _ = nn.backward(nn.NetParams([k0, k1], [b0, b1]), cache, g1[0])
@@ -192,12 +196,9 @@ def smallest_arc(marked):
 def test_banded_dcnet_matches_full_width(h, w, layers, width, start, span,
                                          seed):
     # a mask whose zeros lie in `span` columns from `start`, circularly:
-    # arcs that wrap past column 0, and arcs too wide for a band.  The
-    # outputs agree to rounding, not bit for bit: BLAS computes the last
-    # few columns of a GEMM whose column count is not a multiple of its
-    # block with a remainder kernel that rounds differently, and the two
-    # paths put different columns there (test_experiments checks the bit
-    # for bit agreement on a grid without remainders)
+    # arcs that wrap past column 0, and arcs too wide for a band, which
+    # take the whole circle.  The oracles run the whole circle and sum in
+    # other orders, so they agree to rounding, not bit for bit
     rng = np.random.default_rng(seed)
     start, span = start % w, min(span, w)
     marked = np.zeros(w, dtype=bool)
@@ -208,26 +209,25 @@ def test_banded_dcnet_matches_full_width(h, w, layers, width, start, span,
         support[rng.random(h) < 0.5, col] = 0.0
         support[rng.integers(h), col] = 0.0
     proj = mask_projector(support)
-    ctx, arc, pad = nn._band(proj, w, layers)
+    ctx, arc = nn._band(proj, w, layers)
     m = smallest_arc(marked)
-    assert pad == (layers if m + 2 * layers <= w else 0)
-    if pad:
+    if m + 2 * layers <= w:
         assert len(ctx) == m + 2 * layers
-        assert np.all(np.diff(ctx) % w == 1)  # consecutive, circularly
-        np.testing.assert_array_equal(arc, ctx[pad:-pad])
         assert marked[arc].sum() == marked.sum()
-    else:
-        assert ctx == arc == slice(None)
+    else:  # the whole circle
+        np.testing.assert_array_equal(arc, np.arange(w))
+    assert np.all((np.diff(ctx) - 1) % w == 0)  # consecutive, circularly
+    np.testing.assert_array_equal(arc, ctx[layers:-layers])
 
     params = nn.init_params(nn.Architecture(layers=layers, width=width),
                             int(rng.integers(1000)))
     x, g = rng.standard_normal((2, h, w))
     out, cache = nn.forward(params, x, proj)
-    want, full = nn.forward(params, x, lambda z: proj(z))
-    assert full["band"][2] == 0
+    want = forward_reference(params, x, proj)
     assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
     grads, grad_in = nn.backward(params, cache, g)
-    ref, ref_in = nn.backward(params, full, g)
+    ref_k, ref_b, ref_in = backward_reference(params, x, g, proj)
+    ref = nn.NetParams(ref_k, ref_b)
     assert np.max(np.abs(grad_in - ref_in)) <= 1e-13 * np.max(np.abs(ref_in))
     # relative to the whole parameter gradient: a bias gradient sums its
     # layer's output gradient and may cancel to far below its terms
