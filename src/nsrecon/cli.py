@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, dc-audit, rates.  Each accepts --seed,
 --out DIR and --config FILE, flat key=value text of its COMMANDS keys.
-Outputs are CSV tables, 16-bit PGM image dumps (gen-data also writes each
+Outputs are CSV tables, each a list of the library's records written by
+`data.write_csv`, 16-bit PGM image dumps (gen-data also writes each
 measurement as float64 .npy), and a JSON summary echoing the effective
 configuration; for train, eval and dc-audit it also holds the wall time of
 the library call in seconds (wall_s).
@@ -24,7 +25,7 @@ import time
 import numpy as np
 
 from . import nn
-from .data import export_dataset, write_pgm16
+from .data import export_dataset, write_csv, write_pgm16
 from .experiments import (EvalConfig, Problem, TrainConfig, _eval_report,
                           _reconstructions, convergence_study, dc_audit,
                           make_rate_operator, save_json_summary, train)
@@ -98,10 +99,9 @@ def cmd_train(args, opts, problem):
     (params, log), wall_s = _timed(train, tc, problem)
     ckpt = os.path.join(args.out, f"{tc.model_kind}.ckpt")
     nn.save_params(ckpt, tc.arch, params)
-    with open(os.path.join(args.out, "loss.csv"), "w") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(log):
-            fh.write(f"{i},{loss:.17g}\n")
+    write_csv(os.path.join(args.out, "loss.csv"),
+              [{"epoch": i, "loss": loss} for i, loss in enumerate(log)],
+              ("epoch", "loss"))
     return {"config": tc, "checkpoint": ckpt, "wall_s": wall_s,
             "final_loss": log[-1] if log else None}
 
@@ -125,7 +125,7 @@ def cmd_eval(args, opts, problem):
             yield kind, i, s, recs
 
     report, wall_s = _timed(_eval_report, problem, stream())
-    report.to_csv(os.path.join(args.out, "eval.csv"))
+    write_csv(os.path.join(args.out, "eval.csv"), report.rows)
     # PGMs of the dumped samples: ground truth and each reconstruction
     for i, s, recs in dumps:
         for name, img in {"truth": s.x, **recs}.items():
@@ -144,11 +144,7 @@ def cmd_dc_audit(args, opts, problem):
     ec = EvalConfig(sigma=opts["sigma"])
     rows, wall_s = _timed(dc_audit, params, model_kind, n, args.seed, ec,
                           problem)
-    with open(os.path.join(args.out, "dc_audit.csv"), "w") as fh:
-        fh.write("kind,seed,residual_tikhonov,residual_model,y_norm\n")
-        for r in rows:
-            fh.write(f"{r['kind']},{r['seed']},{r['residual_tikhonov']:.17g},"
-                     f"{r['residual_model']:.17g},{r['y_norm']:.17g}\n")
+    write_csv(os.path.join(args.out, "dc_audit.csv"), rows)
     max_rel = max(abs(r["residual_model"] - r["residual_tikhonov"])
                   / r["y_norm"] for r in rows)
     return {**opts, "ckpt_sha256": digest, "wall_s": wall_s,
@@ -162,7 +158,7 @@ def cmd_rates(args, opts, problem):
     _, svd = make_rate_operator(seed=args.seed)
     report = convergence_study(svd, kind, SourceCondition(mu, opts["rho"]),
                                deltas, opts["trials"], args.seed, opts["c"])
-    report.to_csv(os.path.join(args.out, "rates.csv"))
+    write_csv(os.path.join(args.out, "rates.csv"), report.entries)
     # the a-priori rule's error bound: delta^(2 min(mu, mu_max) / (2 mu + 1))
     mu_max = FILTER_QUALIFICATION[kind]["mu_max"]
     return {**opts, "error_slope": report.error_slope,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +116,12 @@ def make_dataset(n: int, kind: str, base_seed: int, op: MatvecOp,
 
 
 def write_pgm16(path, image: np.ndarray) -> None:
-    """16-bit binary PGM, values clamped to [0, 1]; raises
-    ValueError on non-finite entries, which have no pixel value."""
+    """16-bit binary PGM of a 2-D image, values clamped to [0, 1]; raises
+    ValueError on another shape or on non-finite entries, which have no
+    pixel value."""
     image = np.asarray(image, dtype=float)
+    if image.ndim != 2:
+        raise ValueError(f"a PGM holds a 2-D image, got shape {image.shape}")
     if not np.all(np.isfinite(image)):
         raise ValueError("image has non-finite entries")
     pix = np.round(np.clip(image, 0.0, 1.0) * 65535).astype(">u2")
@@ -126,23 +130,44 @@ def write_pgm16(path, image: np.ndarray) -> None:
         fh.write(pix.tobytes())
 
 
+# a netpbm P5 header: the magic, width, height and maxval, separated by
+# whitespace and '#' comments that run to the end of their line (so that
+# backtracking cannot read digits out of one), then one whitespace byte
+_COMMENT = rb"#[^\r\n]*(?=[\r\n]|\Z)"
+_PGM_HEADER = re.compile(rb"P5" + (rb"(?:\s|%s)+(\d+)" % _COMMENT) * 3
+                         + rb"(?:%s)?\s" % _COMMENT)
+
+
 def read_pgm16(path) -> np.ndarray:
     """A binary PGM as floats in [0, 1]; ValueError, naming the path, on
-    another format, a maxval outside 1..65535 or a body of wrong length."""
+    another format or header (see `_PGM_HEADER`), a maxval outside
+    1..65535 or a body of wrong length."""
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"{path}: not a binary PGM")
-        w, h = map(int, fh.readline().split())
-        maxval = int(fh.readline())
-        body = fh.read()
+        data = fh.read()
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: not a binary PGM with integer width, "
+                         f"height and maxval")
+    w, h, maxval = map(int, header.groups())
+    body = data[header.end():]
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM maxval {maxval} is not in 1..65535")
     dtype = np.dtype(">u2" if maxval > 255 else "u1")
-    if min(w, h) < 0 or len(body) != h * w * dtype.itemsize:
+    if len(body) != h * w * dtype.itemsize:
         raise ValueError(f"{path}: PGM body of {len(body)} bytes does not "
                          f"hold {w}x{h} pixels of {dtype.itemsize} bytes")
     return np.frombuffer(body, dtype=dtype).reshape(h, w) / maxval
+
+
+def write_csv(path, rows, columns=()) -> None:
+    """A table in the csv module's default dialect: a header of the first
+    row's keys (`columns` without rows), then each row dict, floats by repr."""
+    if not (rows or columns):
+        raise ValueError(f"{path}: a table needs rows or column names")
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]) if rows else columns)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def export_dataset(samples: list[Sample], out_dir) -> str:
@@ -150,19 +175,17 @@ def export_dataset(samples: list[Sample], out_dir) -> str:
     The PGMs clamp to [0, 1], so each measurement y is also
     written losslessly, as float64 .npy (manifest column y_npy)."""
     os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    for i, s in enumerate(samples):
+        row = {"index": i, "kind": s.kind, "seed": s.seed,
+               "patch_row": s.position[0], "patch_col": s.position[1],
+               "delta": s.delta, "x_file": f"x_{i:04d}.pgm",
+               "y_file": f"y_{i:04d}.pgm", "y_npy": f"y_{i:04d}.npy"}
+        write_pgm16(os.path.join(out_dir, row["x_file"]), s.x)
+        write_pgm16(os.path.join(out_dir, row["y_file"]), s.y)
+        np.save(os.path.join(out_dir, row["y_npy"]),
+                np.asarray(s.y, dtype=np.float64))
+        rows.append(row)
     manifest = os.path.join(out_dir, "manifest.csv")
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "kind", "seed", "patch_row", "patch_col",
-                         "delta", "x_file", "y_file", "y_npy"])
-        for i, s in enumerate(samples):
-            x_file = f"x_{i:04d}.pgm"
-            y_file = f"y_{i:04d}.pgm"
-            y_npy = f"y_{i:04d}.npy"
-            write_pgm16(os.path.join(out_dir, x_file), s.x)
-            write_pgm16(os.path.join(out_dir, y_file), s.y)
-            np.save(os.path.join(out_dir, y_npy),
-                    np.asarray(s.y, dtype=np.float64))
-            writer.writerow([i, s.kind, s.seed, s.position[0], s.position[1],
-                             f"{s.delta:.17g}", x_file, y_file, y_npy])
+    write_csv(manifest, rows)
     return manifest

@@ -4,7 +4,6 @@ convergence-rate studies for classical and learned regularization."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
@@ -185,13 +184,6 @@ class EvalReport:
     rows: list            # per-sample dicts
     means: dict           # means[method][kind][metric]
 
-    def to_csv(self, path) -> None:
-        cols = ["kind", "index", "method", *_METRICS]
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
-            writer.writerows({c: r[c] for c in cols} for r in self.rows)
-
 
 def _reconstructions(problem: Problem, sigma: float, counts: tuple[int, int],
                      seed: int, models: dict):
@@ -328,13 +320,6 @@ class ConvergenceReport:
     error_slope_hw: float
     residual_slope: float
     residual_slope_hw: float
-
-    def to_csv(self, path) -> None:
-        cols = list(self.entries[0].keys())
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
-            writer.writerows(self.entries)
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Command-line interface smoke tests on tiny configurations."""
 
+import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import struct
@@ -10,7 +13,10 @@ import pytest
 
 from nsrecon import cli, nn
 from nsrecon.cli import main, parse_config_file
-from nsrecon.experiments import Problem
+from nsrecon.experiments import (EvalConfig, Problem, TrainConfig,
+                                 convergence_study, dc_audit, evaluate,
+                                 make_rate_operator, train)
+from nsrecon.regularize import SourceCondition
 
 
 def write_config(tmp_path, name, **kwargs):
@@ -470,3 +476,136 @@ def test_missing_key_fails_naming_it(tmp_path, capsys, command, keys,
     assert capsys.readouterr().err == (
         f"nsrecon {command}: error: missing key {missing!r}\n")
     assert not out.exists()
+
+
+def test_cli_defaults_are_the_librarys():
+    # each default a COMMANDS key repeats, with its type, is the one the
+    # library call it feeds would take by itself
+    def fields(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    def params(fn):
+        return {name: p.default
+                for name, p in inspect.signature(fn).parameters.items()}
+
+    tc, arch, ec = fields(TrainConfig), fields(nn.Architecture), fields(
+        EvalConfig)
+    bench, study = params(Problem.benchmark), params(convergence_study)
+    library = {
+        **{("train", k): tc[k] for k in ("epochs", "lr", "weight_decay",
+                                         "sigma", "model_kind")},
+        **{("train", k): arch[k] for k in ("layers", "width")},
+        ("eval", "n_per_kind"): ec["n_per_kind"],
+        ("eval", "sigma"): ec["sigma"], ("dc-audit", "sigma"): ec["sigma"],
+        **{(c, key): bench[arg] for c in ("gen-data", "train", "eval",
+                                          "dc-audit")
+           for key, arg in (("image_size", "image_size"),
+                            ("alpha_tik", "alpha"))},
+        ("gen-data", "patch_size"): params(Problem.dataset)["patch_size"],
+        ("rates", "trials"): study["trials"], ("rates", "c"): study["c"],
+    }
+    for (command, key), default in library.items():
+        cast, cli_default = cli.COMMANDS[command][1][key]
+        assert type(default) is cast, (command, key)
+        assert type(cli_default) is cast, (command, key)
+        assert cli_default == default, (command, key)
+
+
+def assert_table(path, records):
+    """The CSV at path reads back as records: the same keys in the same
+    order, ints and strings as written, floats float-equal."""
+    with open(path, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == len(records) > 0
+    for row, record in zip(table, records):
+        assert list(row) == list(record)
+        for key, value in record.items():
+            assert type(value)(row[key]) == value, key
+
+
+class TestTables:
+    """Each CSV the CLI writes holds the records of the library call it
+    runs, at the seed and configuration the CLI passes."""
+
+    PROBLEM = Problem.benchmark(32)
+
+    def test_manifest_holds_the_samples(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg", n=3, kind="OOD", image_size=32,
+                           patch_size=6)
+        assert main(["gen-data", "--seed", "4", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 0
+        samples = self.PROBLEM.dataset(3, "OOD", 4, 0.05, 6)
+        assert_table(tmp_path / "o" / "manifest.csv", [
+            {"index": i, "kind": s.kind, "seed": s.seed,
+             "patch_row": s.position[0], "patch_col": s.position[1],
+             "delta": s.delta, "x_file": f"x_{i:04d}.pgm",
+             "y_file": f"y_{i:04d}.pgm", "y_npy": f"y_{i:04d}.npy"}
+            for i, s in enumerate(samples)])
+
+    @pytest.mark.parametrize("kind", ["resnet", "dcnet"])
+    def test_loss_holds_the_training_log(self, tmp_path, kind):
+        cfg = write_config(tmp_path, "cfg", epochs=3, model_kind=kind,
+                           image_size=32)
+        assert main(["train", "--seed", "2", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 0
+        _, log = train(TrainConfig(epochs=3, model_kind=kind, data_seed=2,
+                                   init_seed=3), self.PROBLEM)
+        assert_table(tmp_path / "o" / "loss.csv",
+                     [{"epoch": i, "loss": loss} for i, loss in
+                      enumerate(log)])
+
+    def test_no_epochs_give_a_header_only_loss_table(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg", epochs=0, image_size=32)
+        out = tmp_path / "o"
+        assert main(["train", "--out", str(out), "--config", cfg]) == 0
+        assert (out / "loss.csv").read_text().splitlines() == ["epoch,loss"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_loss"] is None
+
+    def test_eval_holds_the_report_rows(self, tmp_path, ckpts):
+        cfg = write_config(tmp_path, "cfg", resnet_ckpt=ckpts["resnet"],
+                           dcnet_ckpt=ckpts["dcnet"], image_size=32,
+                           n_per_kind=2, n_dump=0)
+        assert main(["eval", "--seed", "1", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 0
+        params = {k: nn.load_params(ckpts[k])[1] for k in ckpts}
+        report = evaluate(params["resnet"], params["dcnet"],
+                          EvalConfig(n_per_kind=2, eval_seed=10_001),
+                          self.PROBLEM)
+        assert_table(tmp_path / "o" / "eval.csv", report.rows)
+
+    @pytest.mark.parametrize("kind", ["resnet", "dcnet"])
+    def test_dc_audit_holds_the_audit_rows(self, tmp_path, ckpts, kind):
+        cfg = write_config(tmp_path, "cfg", ckpt=ckpts[kind],
+                           model_kind=kind, n=3, image_size=32)
+        assert main(["dc-audit", "--seed", "5", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 0
+        rows = dc_audit(nn.load_params(ckpts[kind])[1], kind, 3, 5,
+                        EvalConfig(), self.PROBLEM)
+        assert_table(tmp_path / "o" / "dc_audit.csv", rows)
+
+    def test_dc_audit_writes_every_key_of_its_rows(self, tmp_path, ckpts,
+                                                   monkeypatch):
+        # the table's columns are the rows' keys, not a list in the CLI
+        def audit(*args):
+            return [{**r, "extra": 0.25 * i}
+                    for i, r in enumerate(dc_audit(*args))]
+
+        monkeypatch.setattr(cli, "dc_audit", audit)
+        cfg = write_config(tmp_path, "cfg", ckpt=ckpts["dcnet"], n=2,
+                           image_size=32)
+        assert main(["dc-audit", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 0
+        rows = audit(nn.load_params(ckpts["dcnet"])[1], "dcnet", 2, 0,
+                     EvalConfig(), self.PROBLEM)
+        assert_table(tmp_path / "o" / "dc_audit.csv", rows)
+
+    def test_rates_holds_the_study_entries(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg", trials=2, n_deltas=3, mu=1.0,
+                           filter="tsvd", c=0.5)
+        assert main(["rates", "--seed", "3", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 0
+        _, svd = make_rate_operator(seed=3)
+        report = convergence_study(svd, "tsvd", SourceCondition(1.0, 1.0),
+                                   np.geomspace(1e-1, 1e-5, 3), 2, 3, 0.5)
+        assert_table(tmp_path / "o" / "rates.csv", report.entries)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nsrecon.data import (export_dataset, make_dataset, polar_gaussian,
-                          read_pgm16, write_pgm16)
+                          read_pgm16, write_csv, write_pgm16)
 from nsrecon.experiments import Problem
 from nsrecon.operators import make_cumsum
 from oracles import polar_gaussian_reference
@@ -243,6 +243,65 @@ class TestPgm:
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: PGM body of")):
             read_pgm16(path)
+
+
+    @pytest.mark.parametrize("header, first", [
+        (b"P5\n# made by hand\n2 1\n255\n", 0),
+        (b"P5 2 1 255\n", 0),
+        (b"P5\t2#c\r1\r\n# two\n#\n 255 ", 0),
+        (b"P5 2 1 255#c\n", 0),
+        (b"P5 2 1 255\n", ord("\n")),
+    ], ids=["comment-line", "one-line", "mixed", "comment-after-maxval",
+            "whitespace-pixel"])
+    def test_reads_every_netpbm_header(self, tmp_path, header, first):
+        # tokens are separated by whitespace and '#' comments; the pixels
+        # follow exactly one whitespace byte, even a pixel that reads as one
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + bytes([first, 255]))
+        np.testing.assert_array_equal(read_pgm16(path), [[first / 255, 1.0]])
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n2 x 255\n", b"P5\n2 1\n#\n", b"P5\n# 2 1 255\n",
+        b"P5\n2 1 255", b"", b"P52 1 255\n"], ids=[
+        "not-integer", "truncated", "all-comment", "no-raster-byte", "empty",
+        "glued-magic"])
+    def test_rejects_bad_header_naming_path(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + b"\x00\x01")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            read_pgm16(path)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3,), ()])
+    def test_write_refuses_a_non_2d_image(self, tmp_path, shape):
+        # a (2, 3, 4) stack used to write a 3x2 header over 24 pixels
+        path = tmp_path / "stack.pgm"
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            write_pgm16(path, np.zeros(shape))
+        assert not path.exists()
+
+
+class TestWriteCsv:
+    def test_header_is_the_first_rows_keys(self, tmp_path):
+        rows = [{"b": 1, "a": 0.1, "s": "x"}, {"b": 2, "a": 1e-300, "s": ""}]
+        path = tmp_path / "t.csv"
+        write_csv(path, rows)
+        assert path.read_bytes() == (b"b,a,s\r\n1,0.1,x\r\n"
+                                     b"2,1e-300,\r\n")
+
+    def test_empty_table_writes_its_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [], ("epoch", "loss"))
+        assert path.read_bytes() == b"epoch,loss\r\n"
+
+    def test_rejects_a_table_without_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="needs rows or column names"):
+            write_csv(path, [])
+        assert not path.exists()
+
+    def test_rejects_a_key_outside_the_header(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", [{"a": 1}, {"a": 2, "b": 3}])
 
 
 def test_export_dataset(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nsrecon import nn
+from nsrecon.data import write_csv
 from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  TrainConfig, convergence_study, dc_audit,
                                  evaluate, fit_loglog_slope,
@@ -247,7 +248,7 @@ class TestEvaluate:
         report = evaluate(small_trained["resnet"][0],
                           small_trained["dcnet"][0], cfg, small_problem)
         path = tmp_path / "eval.csv"
-        report.to_csv(path)
+        write_csv(path, report.rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "kind,index,method,psnr,ssim,mse,residual"
         assert len(lines) == 1 + len(report.rows)
@@ -441,7 +442,7 @@ class TestClassicalRates:
                                    SourceCondition(mu=0.5, rho=1.0),
                                    DELTAS[:3], trials=3, seed=1)
         path = tmp_path / "rates.csv"
-        report.to_csv(path)
+        write_csv(path, report.entries)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "delta,alpha,error,residual"
         assert len(lines) == 4
