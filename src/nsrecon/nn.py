@@ -269,25 +269,47 @@ def adam_step(params: NetParams, grads: NetParams, state: AdamState):
     return params2, replace(state, m=m, v=v, step=t)
 
 
+_PRUNE_SEEDS = 8  # frequencies whose top eigenvalue starts the prune
+
+
+def _layer_grams(k: np.ndarray, shape: tuple[int, int]):
+    """(G, e): G stacks the smaller Gram matrix, S^H S or S S^H, of the
+    9-term symbol S(f) = sum k[:, :, di, dj] 2^-e e^(-2 pi i (f1 di / h +
+    f2 dj / w)) at each frequency f of the half spectrum, S(-f) being
+    conj S(f).  S is periodic, so taps wrap on grids narrower than 3.  The
+    power of two 2^-e brings the largest tap into [0.5, 1) exactly, so no
+    entry of G, nor a square in its Frobenius norm, leaves the float range."""
+    h, w = shape
+    e = np.frexp(np.abs(k).max())[1]
+    e1, e2 = (np.exp(-2j * np.pi / n * (np.arange(m)[:, None] * range(3) % n))
+              for m, n in ((h, h), (w // 2 + 1, w)))  # frequency x tap
+    k = np.ldexp(k, -e)
+    s = (e1 @ k @ e2.T).transpose(3, 2, 0, 1).reshape((-1,) + k.shape[:2])
+    sh = s.conj().swapaxes(1, 2)
+    return (sh @ s if k.shape[0] >= k.shape[1] else s @ sh), e
+
+
 def layer_operator_norms(params: NetParams,
                          shape: tuple[int, int]) -> list[float]:
     """Exact operator norm of each conv layer (bias excluded) on a grid of
-    `shape`: the largest singular value, over all 2-D DFT frequencies, of
-    the out x in symbol of its taps wrapped onto the grid (Sedghi, Gupta &
-    Long, ICLR 2019).  The taps are real, so the symbol at -f is the
-    conjugate of the one at f and the half spectrum of rfft2 suffices.
-    Each singular value is the root of the top eigenvalue of the smaller
-    Gram matrix of the symbol S, S^H S or S S^H."""
-    h, w = shape
-    rows, cols = np.arange(3)[:, None] % h, np.arange(3)[None, :] % w
+    `shape` (Sedghi, Gupta & Long, ICLR 2019): the root of the largest top
+    eigenvalue of the Gram matrices of `_layer_grams`.  They are PSD, so a
+    Frobenius norm bounds its top eigenvalue: `eigvalsh` runs at the
+    _PRUNE_SEEDS largest, whose top eigenvalue lo bounds the maximum from
+    below, then only where the Frobenius norm is >= lo (1 - 1e-12), as no
+    other frequency can hold it.  Raises ValueError on a grid side < 1 or a
+    non-finite kernel."""
+    if min(shape) < 1:
+        raise ValueError(f"grid {shape} has a side < 1")
     norms = []
-    for k in params.kernels:
-        taps = np.zeros((h, w) + k.shape[:2])
-        np.add.at(taps, (rows, cols), k.transpose(2, 3, 0, 1))
-        s = np.fft.rfft2(taps, axes=(0, 1))
-        sh = s.conj().swapaxes(-1, -2)
-        gram = sh @ s if k.shape[0] >= k.shape[1] else s @ sh
-        norms.append(float(np.sqrt(np.linalg.eigvalsh(gram)[..., -1].max())))
+    for layer, k in enumerate(params.kernels):
+        if not np.all(np.isfinite(k)):
+            raise ValueError(f"layer {layer} kernel is not finite")
+        gram, e = _layer_grams(k, shape)
+        fro = np.linalg.norm(gram, axis=(1, 2))
+        lo = np.linalg.eigvalsh(gram[np.argsort(fro)[-_PRUNE_SEEDS:]]).max()
+        top = np.linalg.eigvalsh(gram[fro >= lo * (1 - 1e-12)]).max()
+        norms.append(float(np.ldexp(np.sqrt(top), e)))
     return norms
 
 

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Criterion 8 trains the full pipeline three times; its models are shared with
+Criterion 8 trains the full pipeline three times; its models come from the
+session fixture `criterion8_params` (tests/conftest.py) and are shared with
 criterion 1 through a module fixture.
 """
 
@@ -8,10 +9,9 @@ import numpy as np
 import pytest
 
 from nsrecon import nn
-from nsrecon.experiments import (EvalConfig, Problem, TrainConfig,
-                                 convergence_study, dc_audit, evaluate,
-                                 make_rate_operator, nsn_convergence_study,
-                                 train)
+from nsrecon.experiments import (EvalConfig, Problem, convergence_study,
+                                 dc_audit, evaluate, make_rate_operator,
+                                 nsn_convergence_study)
 from nsrecon.linops import dense_svd, pseudo_inverse_apply
 from nsrecon.metrics import psnr, ssim
 from nsrecon.nullspace import (iterative_projector, mask_projector,
@@ -29,15 +29,12 @@ def report(number, name, passed):
 
 
 @pytest.fixture(scope="module")
-def trained_models():
+def trained_models(criterion8_params):
     """Three training seeds of both models at benchmark defaults, evaluated."""
     results = []
     for seed in range(3):
-        params = {}
-        for kind in ("resnet", "dcnet"):
-            cfg = TrainConfig(model_kind=kind, data_seed=seed,
-                              init_seed=seed + 1)
-            params[kind], _ = train(cfg)
+        params = {kind: criterion8_params[(seed, kind)]
+                  for kind in ("resnet", "dcnet")}
         means = evaluate(params["resnet"], params["dcnet"],
                          EvalConfig(eval_seed=10_000 + seed)).means
         results.append({"params": params, "means": means})

@@ -511,6 +511,21 @@ class TestLipschitz:
         assert norm == pytest.approx(layer_norm_reference(k, shape),
                                      rel=1e-13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_fails_naming_the_layer(self, bad):
+        params = nn.init_params(nn.Architecture(layers=4, width=3), 5)
+        params.kernels[2][1, 0, 2, 1] = bad
+        for call in (nn.layer_operator_norms, nn.lipschitz_bound):
+            with pytest.raises(ValueError, match="layer 2 kernel"):
+                call(params, (8, 8))
+
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0), (-1, 5), (0, 0)])
+    def test_grid_side_below_one_fails(self, shape):
+        params = nn.init_params(nn.Architecture(layers=2, width=2), 6)
+        for call in (nn.layer_operator_norms, nn.lipschitz_bound):
+            with pytest.raises(ValueError, match="side < 1"):
+                call(params, shape)
+
     def test_bound_dominates_empirical_ratio(self):
         params = nn.init_params(nn.Architecture(layers=3, width=2), 13)
         bound = nn.lipschitz_bound(params, (8, 8))
@@ -522,6 +537,39 @@ class TestLipschitz:
             fb, _ = nn.forward(params, b)
             ratio = np.linalg.norm(fa - fb) / np.linalg.norm(a - b)
             assert ratio <= bound * (1 + 1e-10)
+
+
+class TestPrunedNorms:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_equal_full_spectrum_bit_for_bit(self, criterion8_params, n):
+        for params in criterion8_params.values():
+            norms = nn.layer_operator_norms(params, (n, n))
+            for k, norm in zip(params.kernels, norms):
+                gram, e = nn._layer_grams(k, (n, n))
+                full = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram).max()), e)
+                assert norm == full
+                assert norm == pytest.approx(layer_norm_reference(k, (n, n)),
+                                             rel=1e-13)
+
+    def test_stripe_eval_dcnet_prunes_nine_in_ten(self, criterion8_params,
+                                                  monkeypatch):
+        # the certify stage's net: data seed 0, init seed 1, at 64 x 64;
+        # each layer calls eigvalsh twice, on the seeds and on the kept
+        params = criterion8_params[(0, "dcnet")]
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+
+        def spy(a):
+            sizes.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        nn.layer_operator_norms(params, (64, 64))
+        assert len(sizes) == 2 * len(params.kernels)
+        for (out_ch, in_ch), sent in zip(
+                (k.shape[:2] for k in params.kernels),
+                np.add.reduceat(sizes, range(0, len(sizes), 2))):
+            if (out_ch, in_ch) == (6, 6):
+                assert sent < 0.1 * 64 * 33
 
 
 class TestCheckpoint:

@@ -1,11 +1,11 @@
 """Property tests of the operators' adjoints, the pseudo-inverse and the
 kernel projectors over random shapes and stripe problems, of CG on the normal
 equations of a low-rank operator, of the benchmark problem's Tikhonov
-reconstruction, and of the CNN's circular convolution, kernel gradient and
-banded dcnet."""
+reconstruction, and of the CNN's circular convolution, kernel gradient,
+banded dcnet and exact layer norms."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nsrecon import nn
 from nsrecon.experiments import Problem
@@ -14,7 +14,8 @@ from nsrecon.linops import (adjoint_check, cg_regularized_normal, dense_svd,
 from nsrecon.nullspace import mask_projector, svd_projector
 from nsrecon.operators import dense_op, make_cumsum
 from oracles import (backward_reference, conv, conv_reference,
-                     forward_reference, kernel_grad_reference)
+                     forward_reference, kernel_grad_reference,
+                     layer_norm_reference)
 
 PROPERTY = settings(max_examples=25, deadline=None)
 TOL = 1e-10
@@ -233,3 +234,30 @@ def test_banded_dcnet_matches_full_width(h, w, layers, width, start, span,
     # layer's output gradient and may cancel to far below its terms
     assert (np.max(np.abs(grads.flat - ref.flat))
             <= 1e-13 * np.max(np.abs(ref.flat)))
+
+
+@PROPERTY
+@given(chans=st.sampled_from([(6, 1), (6, 6), (1, 6), (2, 3)]),
+       h=st.integers(1, 12), w=st.integers(1, 19),
+       kind=st.sampled_from(["random", "delta", "zero"]),
+       exponent=st.sampled_from([0, 100, -100, -160]),
+       seed=st.integers(0, 2**32 - 1))
+@example(chans=(6, 6), h=12, w=19, kind="random", exponent=-160, seed=0)
+@example(chans=(2, 3), h=1, w=2, kind="delta", exponent=100, seed=0)
+def test_pruned_layer_norm_is_exact(chans, h, w, kind, exponent, seed):
+    # a delta kernel (one tap) gives every frequency the same Gram matrix,
+    # up to rounding, so every Frobenius norm ties and every frequency must
+    # be kept; at 1e+-100 the squares in a Frobenius norm would leave the
+    # float range, and at 1e-160 the Gram entries would be subnormal (the
+    # examples hold both scales in every run, derandomized ones included)
+    rng = np.random.default_rng(seed)
+    k = np.zeros(chans + (3, 3))
+    if kind == "random":
+        k = rng.standard_normal(k.shape)
+    elif kind == "delta":
+        k[:, :, rng.integers(3), rng.integers(3)] = rng.standard_normal(chans)
+    k *= 10.0 ** exponent
+    norm = nn.layer_operator_norms(nn.NetParams([k], [np.zeros(chans[0])]),
+                                   (h, w))[0]
+    want = layer_norm_reference(k, (h, w))
+    assert abs(norm - want) <= 1e-13 * want
