@@ -10,8 +10,9 @@ the library call in seconds (wall_s).
 
 Each cmd_* takes (args, opts, problem), writes its outputs under args.out
 and returns its own summary fields.  `main` builds the benchmark Problem of
-the image_size and alpha_tik keys (None for rates) and writes every
-summary.json: command, seed, the problem echo and those fields.
+the image_size and alpha_tik keys (gen-data reconstructs nothing and has
+only image_size; rates gets None) and writes every summary.json: command,
+seed, the problem echo and those fields.
 """
 
 from __future__ import annotations
@@ -168,13 +169,14 @@ def cmd_rates(args, opts, problem):
             "theory_error_slope": 2 * min(mu, mu_max) / (2 * mu + 1)}
 
 
-_PROBLEM_KEYS = {"image_size": (int, 64), "alpha_tik": (float, 0.01)}
+_IMAGE_SIZE = {"image_size": (int, 64)}
+_PROBLEM_KEYS = {**_IMAGE_SIZE, "alpha_tik": (float, 0.01)}
 # Each subcommand and its config keys: key -> (type, default).  A key
 # without a default (a checkpoint path) must be set by the config.
 COMMANDS = {
     "gen-data": (cmd_gen_data, {
         "n": (int, 20), "kind": (str, "ID"), "sigma": (float, 0.05),
-        "patch_size": (int, 20), **_PROBLEM_KEYS}),
+        "patch_size": (int, 20), **_IMAGE_SIZE}),
     "train": (cmd_train, {
         "epochs": (int, 100), "lr": (float, 1e-3),
         "weight_decay": (float, 1e-4), "sigma": (float, 0.05),
@@ -213,10 +215,10 @@ def main(argv=None) -> int:
         summary = {"command": args.command, "seed": args.seed}
         problem = None
         if "image_size" in opts:       # echoed under "problem" only
-            problem = Problem.benchmark(opts.pop("image_size"),
-                                        alpha=opts.pop("alpha_tik"))
-            summary["problem"] = {"image_size": problem.image_size,
-                                  "alpha_tik": problem.alpha}
+            echo = {k: opts.pop(k) for k in _PROBLEM_KEYS if k in opts}
+            alpha = {"alpha": echo["alpha_tik"]} if "alpha_tik" in echo else {}
+            problem = Problem.benchmark(echo["image_size"], **alpha)
+            summary["problem"] = echo
         os.makedirs(args.out, exist_ok=True)
         summary.update(command(args, opts, problem))
         save_json_summary(os.path.join(args.out, "summary.json"), summary)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +66,6 @@ def _measurement(op: MatvecOp, x: np.ndarray, sigma: float, seed: int,
     """y = A x + z, z Gaussian of sd sigma kept on `support` (0/1 over the
     output grid: the observed entries), and delta = |z|."""
     y = op.apply(x)
-    if sigma == 0.0:
-        return y, 0.0
     rng = np.random.default_rng(seed)
     z = sigma * polar_gaussian(rng, y.size).reshape(y.shape)
     if support is not None:
@@ -128,35 +125,6 @@ def write_pgm16(path, image: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n65535\n".encode())
         fh.write(pix.tobytes())
-
-
-# a netpbm P5 header: the magic, width, height and maxval, separated by
-# whitespace and '#' comments that run to the end of their line (so that
-# backtracking cannot read digits out of one), then one whitespace byte
-_COMMENT = rb"#[^\r\n]*(?=[\r\n]|\Z)"
-_PGM_HEADER = re.compile(rb"P5" + (rb"(?:\s|%s)+(\d+)" % _COMMENT) * 3
-                         + rb"(?:%s)?\s" % _COMMENT)
-
-
-def read_pgm16(path) -> np.ndarray:
-    """A binary PGM as floats in [0, 1]; ValueError, naming the path, on
-    another format or header (see `_PGM_HEADER`), a maxval outside
-    1..65535 or a body of wrong length."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = _PGM_HEADER.match(data)
-    if header is None:
-        raise ValueError(f"{path}: not a binary PGM with integer width, "
-                         f"height and maxval")
-    w, h, maxval = map(int, header.groups())
-    body = data[header.end():]
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"{path}: PGM maxval {maxval} is not in 1..65535")
-    dtype = np.dtype(">u2" if maxval > 255 else "u1")
-    if len(body) != h * w * dtype.itemsize:
-        raise ValueError(f"{path}: PGM body of {len(body)} bytes does not "
-                         f"hold {w}x{h} pixels of {dtype.itemsize} bytes")
-    return np.frombuffer(body, dtype=dtype).reshape(h, w) / maxval
 
 
 def write_csv(path, rows, columns=()) -> None:

@@ -5,6 +5,7 @@ convergence-rate studies for classical and learned regularization."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
 
@@ -298,19 +299,41 @@ def _positive(values, name: str, distinct: int = 0) -> np.ndarray:
     return values
 
 
+# Student's t quantile 0.975 as a series in 1/dof (Cornish-Fisher; A&S
+# 26.7.5, its fifth term from Fisher & Cornish, Technometrics 2, 1960):
+# term k is z q_k(z^2) / (d_k dof^k), z the normal quantile 0.975;
+# (q_k from z^0 up, d_k)
+_T_TERMS = (((1, 1), 4), ((3, 16, 5), 96), ((-15, 17, 19, 3), 384),
+            ((-945, -1920, 1482, 776, 79), 92160),
+            ((17955, -765, -1782, 930, 339, 27), 368640))
+
+
+def _t975(dof: int) -> float:
+    """Student's t quantile 0.975 at dof >= 1: exact at 1 and 2, the series
+    from 3 (within 3e-4 relative, the worst at 3 dof)."""
+    p, z = 0.975, 1.959963984540054
+    if dof <= 2:
+        return (math.tan(math.pi * (p - 0.5)) if dof == 1 else
+                (2 * p - 1) / math.sqrt(2 * p * (1 - p)))
+    return z + sum(z * np.polyval(q[::-1], z * z) / (d * dof**k)
+                   for k, (q, d) in enumerate(_T_TERMS, 1))
+
+
 def fit_loglog_slope(xs, ys):
-    """Least-squares slope of log(y) vs log(x) with a 95% half-width (nan
-    for two points, which leave no residual degree of freedom).  Raises
-    ValueError unless all values are finite and positive and at least two
-    x differ."""
+    """Least-squares slope of log(y) vs log(x) with a 95% half-width, by
+    the t quantile at n - 2 degrees of freedom (nan for two points, which
+    leave none).  Raises ValueError unless all values are finite and
+    positive and at least two x differ."""
     lx = np.log(_positive(xs, "x", distinct=2))
     ly = np.log(_positive(ys, "y"))
     dx, dy = lx - lx.mean(), ly - ly.mean()
     sxx = float(dx @ dx)
     slope = float(dx @ dy) / sxx
-    dof = len(lx) - 2  # two points leave no residual: width unknown
-    sigma2 = float(np.sum((dy - slope * dx)**2)) / dof if dof > 0 else np.nan
-    return slope, float(1.96 * np.sqrt(sigma2 / sxx))
+    dof = len(lx) - 2
+    if dof == 0:
+        return slope, math.nan
+    sigma2 = float(np.sum((dy - slope * dx)**2)) / dof
+    return slope, float(_t975(dof) * math.sqrt(sigma2 / sxx))
 
 
 @dataclass
@@ -417,19 +440,14 @@ def nsn_convergence_study(params: nn.NetParams, proj: NullProjector,
 
 # The rate study's network map, bound at import rather than looked up as
 # nn.forward: perfbench/tracer.py counts the conv FLOPs of an nn.forward
-# call from the shape of one image and fails on a stack (ROADMAP item 1).
+# call from the shape of one image and fails on a stack (ROADMAP item 2).
 _network = nn.forward
 
 
 def save_json_summary(path, payload: dict) -> None:
-    """JSON dump with dataclass configs flattened for provenance."""
-    def default(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return asdict(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        raise TypeError(f"cannot serialize {type(obj)}")
+    """Strict JSON (RFC 8259), keys sorted, with dataclass configs flattened
+    for provenance and non-finite floats, which it cannot spell, as null."""
+    plain = json.loads(json.dumps(payload, default=asdict),
+                       parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=default, sort_keys=True)
+        json.dump(plain, fh, indent=2, sort_keys=True, allow_nan=False)

@@ -97,8 +97,8 @@ def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray, *, tol: float,
                           max_iters: int) -> CgResult:
     """Block conjugate gradients for the normal equations A*A x = rhs.
 
-    `rhs` is one image of the input space of `op` (typically A* y) or a
-    stack (k, *op.in_shape); a single image is a block of one.  All k
+    `rhs` is one image of the input space of `op` (the projector's A*A z)
+    or a stack (k, *op.in_shape); a single image is a block of one.  All k
     columns are solved in one block Krylov space (O'Leary, Linear Algebra
     Appl. 29, 1980): block Lanczos, whose new block is orthogonalised by
     the three-term recurrence and then once more against the whole basis,

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+DATA_RANGE = 1.0  # the images span [0, 1]: L of PSNR and of SSIM's constants
+
 
 def mse(x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
@@ -16,14 +18,12 @@ def mse(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((x - y) ** 2))
 
 
-def psnr(x: np.ndarray, y: np.ndarray, data_range: float = 1.0) -> float:
-    """10 log10(L^2 / MSE) in dB; +inf for identical images."""
-    if not data_range > 0:
-        raise ValueError(f"data_range must be positive, got {data_range}")
+def psnr(x: np.ndarray, y: np.ndarray) -> float:
+    """10 log10(DATA_RANGE^2 / MSE) in dB; +inf for identical images."""
     err = mse(x, y)
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(data_range**2 / err)
+    return 10.0 * math.log10(DATA_RANGE**2 / err)
 
 
 # the standard reference constants (Wang et al., IEEE TIP 13, 2004)
@@ -31,7 +31,6 @@ SSIM_WINDOW_SIZE = 11
 SSIM_WINDOW_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-SSIM_DATA_RANGE = 1.0
 _AX = np.arange(SSIM_WINDOW_SIZE) - SSIM_WINDOW_SIZE // 2
 _TAPS = np.exp(-(_AX**2) / (2 * SSIM_WINDOW_SIGMA**2))
 _TAPS /= _TAPS.sum()  # the 2-D window is the outer product of these taps
@@ -64,8 +63,8 @@ def ssim(x: np.ndarray, y: np.ndarray) -> float:
         _window(h) @ np.stack([x, y, x * x, y * y, x * y]) @ _window(w).T)
     var_x, var_y, cov = xx - mu_x**2, yy - mu_y**2, xy - mu_x * mu_y
 
-    c1 = (SSIM_K1 * SSIM_DATA_RANGE) ** 2
-    c2 = (SSIM_K2 * SSIM_DATA_RANGE) ** 2
+    c1 = (SSIM_K1 * DATA_RANGE) ** 2
+    c2 = (SSIM_K2 * DATA_RANGE) ** 2
     num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
     den = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
     return float(np.mean(num / den))

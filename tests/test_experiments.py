@@ -3,9 +3,11 @@ audit and the convergence-rate studies."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nsrecon import nn
 from nsrecon.data import write_csv
@@ -334,6 +336,21 @@ class TestRateMachinery:
         assert slope == pytest.approx(np.log10(4.0))
         assert np.isnan(hw)
 
+    def test_half_width_is_the_t_quantile_times_the_standard_error(self):
+        # t at n - 2 degrees of freedom; 1.96 was 1.62x too narrow at 3
+        rng = np.random.default_rng(0)
+        dofs = np.arange(1, 1001)
+        ratios = []
+        for dof in dofs:
+            lx = rng.standard_normal(dof + 2)
+            ly = 0.5 * lx + rng.standard_normal(dof + 2)
+            slope, hw = fit_loglog_slope(np.exp(lx), np.exp(ly))
+            dx = lx - lx.mean()
+            resid = ly - ly.mean() - slope * dx
+            ratios.append(hw / np.sqrt(resid @ resid / dof / (dx @ dx)))
+        np.testing.assert_allclose(ratios, stats.t.ppf(0.975, dofs),
+                                   rtol=1e-3)
+
     @pytest.mark.parametrize("xs, ys", [
         ([1.0, 1.0, 1.0], [0.1, 0.2, 0.3]),
         ([0.1, np.nan, 0.01], [0.1, 0.2, 0.3]),
@@ -567,13 +584,18 @@ class TestBlockRateStudy:
 
 
 def test_save_json_summary(tmp_path):
+    # strict JSON: a non-finite float, which RFC 8259 cannot spell, is null
     path = tmp_path / "summary.json"
     save_json_summary(path, {
         "config": TrainConfig(epochs=2),
-        "array": np.arange(3.0),
         "value": np.float64(1.5),
+        "widths": {"nan": math.nan, "inf": [math.inf, -math.inf]},
     })
-    payload = json.loads(path.read_text())
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    payload = json.loads(path.read_text(), parse_constant=reject)
     assert payload["config"]["epochs"] == 2
-    assert payload["array"] == [0.0, 1.0, 2.0]
     assert payload["value"] == 1.5
+    assert payload["widths"] == {"nan": None, "inf": [None, None]}

@@ -32,8 +32,8 @@ def ssim_reference(x, y):
     var_x = wmean(x * x) / weight - mu_x**2
     var_y = wmean(y * y) / weight - mu_y**2
     cov = wmean(x * y) / weight - mu_x * mu_y
-    c1 = (metrics.SSIM_K1 * metrics.SSIM_DATA_RANGE) ** 2
-    c2 = (metrics.SSIM_K2 * metrics.SSIM_DATA_RANGE) ** 2
+    c1 = (metrics.SSIM_K1 * metrics.DATA_RANGE) ** 2
+    c2 = (metrics.SSIM_K2 * metrics.DATA_RANGE) ** 2
     num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
     den = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
     return float(np.mean(num / den))
@@ -74,20 +74,9 @@ class TestPsnr:
         y = np.ones((10, 10))
         assert psnr(x, y) == pytest.approx(0.0)
 
-    def test_data_range_offset(self):
-        x = np.zeros((10, 10))
-        y = np.full((10, 10), 0.1)
-        gain = psnr(x, y, data_range=2.0) - psnr(x, y)
-        assert gain == pytest.approx(10 * math.log10(4), abs=1e-12)
-
     def test_identical_is_inf(self):
         x = np.ones((4, 4))
         assert psnr(x, x) == math.inf
-
-    @pytest.mark.parametrize("data_range", [0.0, -1.0, math.nan])
-    def test_data_range_validated(self, data_range):
-        with pytest.raises(ValueError, match="data_range"):
-            psnr(np.zeros((4, 4)), np.full((4, 4), 0.1), data_range)
 
 
 class TestSsim:
