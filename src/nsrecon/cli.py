@@ -12,7 +12,8 @@ Each cmd_* takes (args, opts, problem), writes its outputs under args.out
 and returns its own summary fields.  `main` builds the benchmark Problem of
 the image_size and alpha_tik keys (gen-data reconstructs nothing and has
 only image_size; rates gets None) and writes every summary.json: command,
-seed, the problem echo and those fields.
+seed, the problem echo and those fields.  train, eval and dc-audit draw
+PATCH_SIZE-pixel patches: `main` refuses a smaller image_size up front.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 import numpy as np
 
 from . import nn
-from .data import export_dataset, write_csv, write_pgm16
+from .data import PATCH_SIZE, export_dataset, write_csv, write_pgm16
 from .experiments import (EvalConfig, Problem, TrainConfig, _eval_report,
                           _reconstructions, convergence_study, dc_audit,
                           make_rate_operator, save_json_summary, train)
@@ -176,7 +177,7 @@ _PROBLEM_KEYS = {**_IMAGE_SIZE, "alpha_tik": (float, 0.01)}
 COMMANDS = {
     "gen-data": (cmd_gen_data, {
         "n": (int, 20), "kind": (str, "ID"), "sigma": (float, 0.05),
-        "patch_size": (int, 20), **_IMAGE_SIZE}),
+        "patch_size": (int, PATCH_SIZE), **_IMAGE_SIZE}),
     "train": (cmd_train, {
         "epochs": (int, 100), "lr": (float, 1e-3),
         "weight_decay": (float, 1e-4), "sigma": (float, 0.05),
@@ -216,6 +217,11 @@ def main(argv=None) -> int:
         problem = None
         if "image_size" in opts:       # echoed under "problem" only
             echo = {k: opts.pop(k) for k in _PROBLEM_KEYS if k in opts}
+            if "patch_size" not in opts and echo["image_size"] < PATCH_SIZE:
+                raise ValueError(
+                    f"image_size must be >= {PATCH_SIZE} to hold the "
+                    f"{PATCH_SIZE}-pixel patch that {args.command} draws, "
+                    f"got {echo['image_size']}")
             alpha = {"alpha": echo["alpha_tik"]} if "alpha_tik" in echo else {}
             problem = Problem.benchmark(echo["image_size"], **alpha)
             summary["problem"] = echo

@@ -16,6 +16,7 @@ import numpy as np
 from .linops import MatvecOp
 
 KINDS = ("ID", "OOD")
+PATCH_SIZE = 20  # the side of every sample's patch, unless patch_size is set
 
 
 def _square_sample(size: int, patch_size: int, kind: str, seed: int):
@@ -88,7 +89,7 @@ _NOISE_SEED_OFFSET = 7777777  # disjoint stream from the image seeds
 
 def make_dataset(n: int, kind: str, base_seed: int, op: MatvecOp,
                  sigma: float = 0.05, support: np.ndarray | None = None,
-                 patch_size: int = 20) -> list[Sample]:
+                 patch_size: int = PATCH_SIZE) -> list[Sample]:
     """n independent (x, y) samples; sample i uses seed base_seed + i.
     The images are square, of the size op.in_shape[0], with a patch of
     kind ID (stripes) or OOD (constant); see `_square_sample`."""

@@ -7,12 +7,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import nn
-from .data import Sample, make_dataset
+from .data import PATCH_SIZE, Sample, make_dataset
 from .linops import MatvecOp, SvdFactors
 from .metrics import mse, psnr, ssim
 from .nullspace import NullProjector, mask_projector
@@ -105,7 +105,7 @@ class Problem:
         return self._tikhonov @ (self.support * y)
 
     def dataset(self, n: int, kind: str, seed: int, sigma: float,
-                patch_size: int = 20) -> list[Sample]:
+                patch_size: int = PATCH_SIZE) -> list[Sample]:
         """`make_dataset` on this problem, with the nominal noise sd sigma
         scaled to the data grid and the noise kept on observed entries."""
         return make_dataset(n, kind, seed, self.op, sigma * self.spacing,
@@ -287,15 +287,17 @@ def make_rate_operator(shape: tuple[int, int] = (16, 16),
     return dense_op(svd.matrix(), shape, shape), svd
 
 
-def _positive(values, name: str, distinct: int = 0) -> np.ndarray:
-    """values as floats; ValueError unless all are finite and positive and
-    at least `distinct` of them differ."""
+def _positive(values, name: str, abscissae: bool = False) -> np.ndarray:
+    """values as floats; ValueError unless all are finite and positive and,
+    as the abscissae of a slope fit, 1-D with at least two distinct."""
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values) & (values > 0)):
         raise ValueError(f"{name} must be finite and positive, got {values}")
-    if np.unique(values).size < distinct:
-        raise ValueError(f"a slope fit needs >= {distinct} points of "
-                         f"distinct {name}, got {values}")
+    if abscissae and values.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {values.shape}")
+    if abscissae and not (values.size >= 2 and values.min() < values.max()):
+        raise ValueError(f"a slope fit needs >= 2 points of distinct "
+                         f"{name}, got {values}")
     return values
 
 
@@ -308,6 +310,7 @@ _T_TERMS = (((1, 1), 4), ((3, 16, 5), 96), ((-15, 17, 19, 3), 384),
             ((17955, -765, -1782, 930, 339, 27), 368640))
 
 
+@cache
 def _t975(dof: int) -> float:
     """Student's t quantile 0.975 at dof >= 1: exact at 1 and 2, the series
     from 3 (within 3e-4 relative, the worst at 3 dof)."""
@@ -319,21 +322,34 @@ def _t975(dof: int) -> float:
                    for k, (q, d) in enumerate(_T_TERMS, 1))
 
 
+def _loglog_fits(lx: np.ndarray, *lys: np.ndarray) -> list[tuple]:
+    """(slope, 95% half-width) of each least-squares line of ly on lx, all
+    fits sharing the centred lx and the t quantile at n - 2 dof (a nan
+    half-width at 0 dof)."""
+    dx = lx - lx.mean()
+    sxx, dof = float(dx @ dx), len(lx) - 2
+    fits = []
+    for ly in lys:
+        dy = ly - ly.mean()
+        slope = float(dx @ dy) / sxx
+        sse = float(np.sum((dy - slope * dx)**2))
+        fits.append((slope, float(_t975(dof) * math.sqrt(sse / dof / sxx))
+                     if dof else math.nan))
+    return fits
+
+
 def fit_loglog_slope(xs, ys):
     """Least-squares slope of log(y) vs log(x) with a 95% half-width, by
     the t quantile at n - 2 degrees of freedom (nan for two points, which
-    leave none).  Raises ValueError unless all values are finite and
-    positive and at least two x differ."""
-    lx = np.log(_positive(xs, "x", distinct=2))
+    leave none).  Raises ValueError, naming x or y, unless both are 1-D
+    and of one length, all values are finite and positive and at least
+    two x differ."""
+    lx = np.log(_positive(xs, "x", abscissae=True))
     ly = np.log(_positive(ys, "y"))
-    dx, dy = lx - lx.mean(), ly - ly.mean()
-    sxx = float(dx @ dx)
-    slope = float(dx @ dy) / sxx
-    dof = len(lx) - 2
-    if dof == 0:
-        return slope, math.nan
-    sigma2 = float(np.sum((dy - slope * dx)**2)) / dof
-    return slope, float(_t975(dof) * math.sqrt(sigma2 / sxx))
+    if ly.shape != lx.shape:
+        raise ValueError(f"y must hold one point per x, {lx.size} in all; "
+                         f"got shape {ly.shape}")
+    return _loglog_fits(lx, ly)[0]
 
 
 @dataclass
@@ -349,6 +365,15 @@ def _norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
 
 
+def _medians(rows: np.ndarray) -> np.ndarray:
+    """np.median over the last axis by one sort: the mean of the middle one
+    or two values; NaN where a value is NaN, which sorts last."""
+    rows = np.sort(rows, axis=-1)
+    t = rows.shape[-1]
+    return np.where(np.isnan(rows[..., -1]), np.nan,
+                    rows[..., (t - 1) // 2:t // 2 + 1].mean(axis=-1))
+
+
 def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
                 deltas, trials: int, seed: int, c: float,
                 f=None) -> ConvergenceReport:
@@ -361,15 +386,15 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
     two children of SeedSequence(seed) draw stacks of k source directions
     and k noise images, k = len(deltas) * trials: trial t at the i-th
     largest delta is image i * trials + t of each.  The classical path is
-    two products into SVD coefficients, then elementwise weights; f runs
-    once, on the stack of every reconstruction and x0.
+    two products into SVD coefficients, then the weights of every alpha in
+    one broadcast; f runs once, on the stack of every reconstruction and
+    x0.  One sort gives the medians, and both fits share log delta.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    deltas = np.sort(_positive(deltas, "delta", distinct=2))[::-1]
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    deltas = np.sort(_positive(deltas, "delta", abscissae=True))[::-1]
     _positive(c, "c")
-    specs = [FilterSpec(filter_kind, param_choice(delta, src, c))
-             for delta in deltas]
+    spec = FilterSpec(filter_kind, param_choice(deltas, src, c))
     if not np.any(svd.s > 0):
         raise ValueError("operator has no positive singular value")
     k, p = len(deltas) * trials, len(svd.s)
@@ -382,8 +407,8 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
     c_w, c_e = svd.coeffs(w), svd.data_coeffs(e)
     c0 = svd.s ** (2.0 * src.mu) * c_w
     d = svd.s * c0 + c_e  # coefficients of y_d = A x0 + e
-    c_cls = np.repeat([filter_weights(spec, svd.s) for spec in specs],
-                      trials, axis=0) * d
+    c_cls = (filter_weights(spec, svd.s)[:, None]
+             * d.reshape(-1, trials, p)).reshape(k, p)
     # parts outside the span of a thin factor, formed explicitly: a
     # difference of squared norms loses small errors to cancellation
     n, m = w[0].size, e[0].size
@@ -396,15 +421,15 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
         out = f(np.concatenate([svd.image(c_cls), x0]))
         errs, c_rec = _norms(out[:k] - out[k:]), svd.coeffs(out[:k])
     resids = np.hypot(_norms(svd.s * c_rec - d), e_out)
-    errs, cls_errs, resids = np.median(
-        np.reshape([errs, cls_errs, resids], (3, len(deltas), trials)),
-        axis=2)
-    entries = [{"delta": delta, "alpha": spec.alpha, "error": float(err),
+    errs, cls_errs, resids = _medians(
+        np.reshape([errs, cls_errs, resids], (3, -1, trials)))
+    entries = [{"delta": delta, "alpha": alpha, "error": float(err),
                 **({} if f is None else {"classical_error": float(cls)}),
-                "residual": float(res)} for delta, spec, err, cls, res
-               in zip(deltas, specs, errs, cls_errs, resids)]
-    return ConvergenceReport(entries, *fit_loglog_slope(deltas, errs),
-                             *fit_loglog_slope(deltas, resids))
+                "residual": float(res)} for delta, alpha, err, cls, res
+               in zip(deltas, spec.alpha, errs, cls_errs, resids)]
+    fits = _loglog_fits(np.log(deltas), np.log(_positive(errs, "error")),
+                        np.log(_positive(resids, "residual")))
+    return ConvergenceReport(entries, *fits[0], *fits[1])
 
 
 def convergence_study(svd: SvdFactors, filter_kind: str,

@@ -34,38 +34,47 @@ class FilterSpec:
 
     For the landweber kind, alpha = 1/N where N is the number of unit-step
     iterations; the spectrum must be scaled into [0, 1] for that filter.
+    alpha may also be an array: a family of filters of one kind, which
+    `filter_value` evaluates in one broadcast.
     """
 
     kind: str
-    alpha: float
+    alpha: float | np.ndarray
 
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if not 0.0 < self.alpha < np.inf:
+        if not np.all((0.0 < self.alpha) & (self.alpha < np.inf)):
             raise ValueError("alpha must be positive and finite")
 
 
 def filter_value(spec: FilterSpec, lam) -> np.ndarray | float:
-    """Pointwise filter g_alpha(lam); accepts scalars or arrays."""
+    """Pointwise filter g_alpha(lam); accepts scalars or arrays.  For an
+    array of alphas the result has shape alpha.shape + lam.shape, and each
+    of its rows equals the call with that alpha alone, bit for bit."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lam must be nonnegative")
-    a = spec.alpha
+    a = np.reshape(spec.alpha, np.shape(spec.alpha) + (1,) * lam.ndim)
     if spec.kind == "tikhonov":
         out = 1.0 / (lam + a)
     elif spec.kind == "tsvd":
         out = np.where(lam >= a, 1.0 / np.maximum(lam, a), 0.0)
     else:  # landweber
-        n = max(1, int(round(1.0 / a)))
+        n = np.maximum(1.0, np.rint(1.0 / a))  # round half to even
+        q = 1.0 - lam
+        # q ** n as numpy computes it for a scalar exponent: q for 1, q * q
+        # for 2, pow otherwise (a SIMD pow need not round those two alike)
+        power = np.where(n == 1, q, np.where(n == 2, q * q, q ** n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(lam > 0, (1.0 - (1.0 - lam) ** n) / np.where(
-                lam > 0, lam, 1.0), float(n))
+            out = np.where(lam > 0, (1.0 - power) / np.where(
+                lam > 0, lam, 1.0), n)
     return out if out.ndim else float(out)
 
 
 def filter_weights(spec: FilterSpec, s: np.ndarray) -> np.ndarray:
-    """g_alpha(s^2) s: data coefficients to reconstruction coefficients."""
+    """g_alpha(s^2) s: data coefficients to reconstruction coefficients
+    (a row per alpha for an array of them)."""
     return filter_value(spec, s**2) * s
 
 
@@ -90,9 +99,16 @@ class SourceCondition:
             raise ValueError("need finite mu >= 0 and rho > 0")
 
 
-def param_choice(delta: float, src: SourceCondition, c: float = 1.0) -> float:
-    """A-priori rule alpha = c * (delta/rho)^(2/(2 mu + 1))."""
-    if not 0.0 < delta < np.inf:
+def param_choice(delta, src: SourceCondition,
+                 c: float = 1.0) -> float | np.ndarray:
+    """A-priori rule alpha = c * (delta/rho)^(2/(2 mu + 1)): a float for one
+    noise level, an array of one alpha each for an array of them."""
+    deltas = np.asarray(delta, dtype=float)
+    if not np.all((0.0 < deltas) & (deltas < np.inf)):
         raise ValueError("delta must be positive and finite")
-    return c * (delta / src.rho) ** (2.0 / (2.0 * src.mu + 1.0))
+    exponent = 2.0 / (2.0 * src.mu + 1.0)
+    # numpy's scalar power (libm's pow) element by element: its array power
+    # may take a SIMD pow that rounds some results differently
+    alpha = c * np.array([r ** exponent for r in (deltas / src.rho).flat])
+    return alpha.reshape(deltas.shape) if deltas.ndim else float(alpha[0])
 

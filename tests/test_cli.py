@@ -322,6 +322,29 @@ class TestRates:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, keys", [
+    ("train", dict(epochs=2)),
+    ("eval", dict(resnet_ckpt="resnet.ckpt", dcnet_ckpt="dcnet.ckpt")),
+    ("dc-audit", dict(ckpt="dcnet.ckpt"))],
+    ids=["train", "eval", "dc-audit"])
+def test_image_size_below_the_patch_fails_before_any_work(
+        tmp_path, capsys, monkeypatch, command, keys):
+    # Problem allows image_size >= 14, but these commands draw 20-pixel
+    # patches: the run stops before it trains or reads a checkpoint
+    def forbidden(*args):
+        raise AssertionError("trained or read a checkpoint")
+
+    monkeypatch.setattr(cli, "train", forbidden)
+    monkeypatch.setattr(cli, "_load", forbidden)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg", image_size=16, **keys)
+    assert main([command, "--out", str(out), "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"nsrecon {command}: error: image_size must be >= 20 to hold the "
+        f"20-pixel patch that {command} draws, got 16\n")
+    assert not out.exists()
+
+
 def test_out_directory_created(tmp_path):
     nested = tmp_path / "a" / "b" / "c"
     cfg = write_config(tmp_path, "cfg", n=1, image_size=32, patch_size=10)

@@ -12,8 +12,8 @@ from scipy import stats
 from nsrecon import nn
 from nsrecon.data import write_csv
 from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
-                                 TrainConfig, convergence_study, dc_audit,
-                                 evaluate, fit_loglog_slope,
+                                 TrainConfig, _medians, convergence_study,
+                                 dc_audit, evaluate, fit_loglog_slope,
                                  make_rate_operator, nsn_convergence_study,
                                  save_json_summary, train)
 from nsrecon.linops import dense_svd
@@ -363,6 +363,25 @@ class TestRateMachinery:
         with pytest.raises(ValueError):
             fit_loglog_slope(xs, ys)
 
+    @pytest.mark.parametrize("xs, ys, match", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0], "y must hold one point per x"),
+        ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]], "y must hold one point per x"),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "x must be 1-D"),
+        (2.0, 2.0, "x must be 1-D")],
+        ids=["short-y", "2d-y", "2d-x", "scalar-x"])
+    def test_fit_loglog_slope_names_the_bad_argument(self, xs, ys, match):
+        with pytest.raises(ValueError, match=match):
+            fit_loglog_slope(xs, ys)
+
+    @pytest.mark.parametrize("trials", [1, 2, 5, 10])
+    def test_medians_are_numpys(self, trials):
+        rows = np.random.default_rng(trials).lognormal(size=(3, 5, trials))
+        rows[0, 1] = rows[0, 0]     # ties
+        rows[1, 2, -1] = np.nan     # a NaN trial makes its median NaN
+        rows[2, 3, 0] = np.inf
+        np.testing.assert_array_equal(_medians(rows),
+                                      np.median(rows, axis=-1))
+
     def test_make_rate_operator_spectrum(self):
         op, svd = make_rate_operator(shape=(8, 8), s_min=1e-3, kernel_dim=10)
         assert svd.s[0] == pytest.approx(1.0)
@@ -428,7 +447,7 @@ class TestClassicalRates:
 
     @pytest.mark.parametrize("deltas", [
         [1e-1, np.nan, 1e-3], [1e-1, np.inf, 1e-3], [1e-1, -1e-2, 1e-3],
-        [1e-1, 0.0, 1e-3], [1e-1, 1e-1, 1e-1]])
+        [1e-1, 0.0, 1e-3], [1e-1, 1e-1, 1e-1], [[1e-1, 1e-2], [1e-3, 1e-4]]])
     def test_bad_deltas_rejected_before_any_draw(self, deltas, capfd,
                                                  monkeypatch):
         _, svd = make_rate_operator(shape=(4, 4), seed=1)
@@ -452,6 +471,53 @@ class TestClassicalRates:
         with pytest.raises(ValueError, match=match):
             convergence_study(svd, kind, SourceCondition(mu=0.5, rho=1.0),
                               DELTAS, trials=2, c=c)
+
+    @pytest.mark.parametrize("deltas, c", [([1e200, 1e100], 1.0),
+                                           ([10.0, 1.0], 1e308)],
+                             ids=["power", "product"])
+    def test_overflowing_alpha_rejected_before_any_draw(self, deltas, c,
+                                                        monkeypatch):
+        # at mu = 0, alpha = c delta^2 overflows to inf
+        _, svd = make_rate_operator(shape=(4, 4), seed=1)
+        forbid_draws(monkeypatch)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="alpha must be positive and finite"):
+            convergence_study(svd, "tikhonov",
+                              SourceCondition(mu=0.0, rho=1.0), deltas,
+                              trials=2, c=c)
+
+    @pytest.mark.parametrize("trials", [2.5, 3.0, "3", None])
+    def test_non_integer_trials_rejected_before_any_draw(self, trials,
+                                                         monkeypatch):
+        _, svd = make_rate_operator(shape=(4, 4), seed=1)
+        forbid_draws(monkeypatch)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            convergence_study(svd, "tikhonov",
+                              SourceCondition(mu=0.5, rho=1.0), DELTAS,
+                              trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        _, svd = make_rate_operator(shape=(4, 4), seed=1)
+        src = SourceCondition(mu=0.5, rho=1.0)
+        assert (convergence_study(svd, "tikhonov", src, DELTAS,
+                                  trials=np.int64(3))
+                == convergence_study(svd, "tikhonov", src, DELTAS, trials=3))
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("n_deltas, trials", [(2, 1), (5, 4), (5, 5)])
+    def test_report_fits_its_own_entries(self, kind, n_deltas, trials):
+        # the study's shared log-delta fits are fit_loglog_slope's, bit for
+        # bit (two noise levels leave no half-width: NaN on both sides)
+        _, svd = make_rate_operator(seed=2)
+        report = convergence_study(svd, kind, SourceCondition(mu=1.0, rho=1.0),
+                                   DELTAS[:n_deltas], trials, seed=4)
+        deltas = [e["delta"] for e in report.entries]
+        for key, slope, hw in (
+                ("error", report.error_slope, report.error_slope_hw),
+                ("residual", report.residual_slope, report.residual_slope_hw)):
+            np.testing.assert_array_equal(
+                (slope, hw),
+                fit_loglog_slope(deltas, [e[key] for e in report.entries]))
 
     def test_report_csv(self, tmp_path):
         _, svd = make_rate_operator(shape=(8, 8), seed=1)

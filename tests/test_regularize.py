@@ -13,6 +13,19 @@ from nsrecon.regularize import (FILTER_KINDS, FILTER_QUALIFICATION,
 from oracles import source_element, tikhonov_stack
 
 
+def scalar_filter(kind, alpha, lams):
+    """g_alpha(lams) by each formula with one float alpha and, for
+    landweber, an int N, the way a per-alpha loop computes it."""
+    if kind == "tikhonov":
+        return 1.0 / (lams + alpha)
+    if kind == "tsvd":
+        return np.where(lams >= alpha, 1.0 / np.maximum(lams, alpha), 0.0)
+    n = max(1, int(round(1.0 / alpha)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lams > 0, (1.0 - (1.0 - lams) ** n)
+                        / np.where(lams > 0, lams, 1.0), float(n))
+
+
 class TestFilterValue:
     def test_tikhonov(self):
         assert filter_value(FilterSpec("tikhonov", 0.01), 1.0) == \
@@ -46,6 +59,26 @@ class TestFilterValue:
         for alpha in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 FilterSpec("tikhonov", alpha)
+            with pytest.raises(ValueError, match="alpha"):
+                FilterSpec("tikhonov", np.array([0.1, alpha, 0.2]))
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_array_alpha_is_each_alpha_alone(self, kind):
+        # landweber's N = round(1/alpha) is 1 at 0.9 and 0.7, 2 at 0.55,
+        # 0.5 and 0.45 (numpy squares for a scalar exponent 2, where a
+        # broadcast pow may round differently) and >= 3 below
+        alphas = np.array([0.9, 0.7, 0.55, 0.5, 0.45, 0.3, 0.05, 1e-3])
+        lams = np.concatenate([[0.0, 1e-300, 1.0], np.random.default_rng(
+            0).uniform(0.0, 1.0, 4000)])
+        rows = filter_value(FilterSpec(kind, alphas), lams)
+        assert rows.shape == (len(alphas), len(lams))
+        for alpha, row in zip(alphas, rows):
+            alone = filter_value(FilterSpec(kind, float(alpha)), lams)
+            assert row.tobytes() == alone.tobytes()
+            assert row.tobytes() == scalar_filter(kind, alpha, lams).tobytes()
+        at_one_lam = filter_value(FilterSpec(kind, alphas), 0.3)
+        assert at_one_lam.tolist() == [
+            filter_value(FilterSpec(kind, alpha), 0.3) for alpha in alphas]
 
 
 class TestQualification:
@@ -172,6 +205,21 @@ class TestParamChoice:
         for delta in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 param_choice(delta, SourceCondition(mu=0.5, rho=1.0))
+            with pytest.raises(ValueError, match="delta"):
+                param_choice(np.array([0.1, delta]),
+                             SourceCondition(mu=0.5, rho=1.0))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.25, 0.5, 1.0, 2.0])
+    def test_array_is_each_delta_alone(self, mu):
+        # bit for bit the float formula, which takes libm's pow: numpy's
+        # array power may round differently
+        src, c = SourceCondition(mu=mu, rho=1.7), 0.3
+        deltas = np.geomspace(2.0, 1e-6, 61)
+        alphas = param_choice(deltas, src, c)
+        assert alphas.shape == deltas.shape
+        assert alphas.tolist() == [param_choice(d, src, c) for d in deltas]
+        assert alphas.tolist() == [
+            c * (float(d) / 1.7) ** (2.0 / (2.0 * mu + 1.0)) for d in deltas]
 
     def test_source_condition_validated(self):
         for mu, rho in ((-1.0, 1.0), (0.5, 0.0), (np.nan, 1.0),
