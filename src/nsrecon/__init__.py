@@ -9,8 +9,8 @@ classical initialization exactly.
 
 from .linops import (CgResult, KrylovSpace, MatvecOp, SvdFactors,
                      adjoint_check, cg_regularized_normal, dense_svd,
-                     pseudo_inverse_apply)
-from .operators import dense_op, make_cumsum, operator_svd, to_dense
+                     operator_svd, pseudo_inverse_apply, to_dense)
+from .operators import dense_op, make_cumsum
 from .regularize import (FILTER_QUALIFICATION, FilterSpec, SourceCondition,
                          filter_value, param_choice, spectral_reconstruct)
 from .nullspace import (NullProjector, iterative_projector, mask_projector,

@@ -157,9 +157,10 @@ def cmd_rates(args, opts, problem):
     mu, kind = opts["mu"], opts["filter"]
     deltas = np.geomspace(opts["delta_max"], opts["delta_min"],
                           opts["n_deltas"])
+    src = SourceCondition(mu, opts["rho"])  # checked before the draw
     _, svd = make_rate_operator(seed=args.seed)
-    report = convergence_study(svd, kind, SourceCondition(mu, opts["rho"]),
-                               deltas, opts["trials"], args.seed, opts["c"])
+    report = convergence_study(svd, kind, src, deltas, opts["trials"],
+                               args.seed, opts["c"])
     write_csv(os.path.join(args.out, "rates.csv"), report.entries)
     # the a-priori rule's error bound: delta^(2 min(mu, mu_max) / (2 mu + 1))
     mu_max = FILTER_QUALIFICATION[kind]["mu_max"]

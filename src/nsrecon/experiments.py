@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nn
 from .data import PATCH_SIZE, Sample, make_dataset
-from .linops import MatvecOp, SvdFactors
+from .linops import MatvecOp, SvdFactors, to_dense
 from .metrics import mse, psnr, ssim
 from .nullspace import NullProjector, mask_projector
 from .operators import dense_op, make_cumsum
@@ -89,7 +89,7 @@ class Problem:
         # (A*A + alpha I)^-1 A* y = R (support * y) with one h x h matrix
         # R = (L^T L + alpha I)^-1 L^T
         h = self.image_size
-        lmat = make_cumsum(h, h, self.spacing).apply(np.eye(h))
+        lmat = to_dense(make_cumsum(h, 1, self.spacing))
         return np.linalg.solve(lmat.T @ lmat + self.alpha * np.eye(h),
                                lmat.T)
 
@@ -455,12 +455,14 @@ def nsn_convergence_study(params: nn.NetParams, proj: NullProjector,
     the classical errors together with the network's layer-norm Lipschitz
     bound.  The network runs once, on the stack of all 2 * len(deltas) *
     trials images, so an `iterative_projector` makes one block solve for
-    the study.  Returns (report, lip_bound).
+    the study.  Arguments are checked before any work, and the bound comes
+    last.  Returns (report, lip_bound).
     """
-    lip = nn.lipschitz_bound(params, svd.in_shape)
+    if not np.all(np.isfinite(params.flat)):
+        raise ValueError("non-finite network parameters")
     report = _rate_study(svd, filter_kind, src, deltas, trials, seed, c,
                          f=lambda stack: _network(params, stack, proj)[0])
-    return report, lip
+    return report, nn.lipschitz_bound(params, svd.in_shape)
 
 
 # The rate study's network map, bound at import rather than looked up as

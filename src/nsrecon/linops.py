@@ -8,7 +8,7 @@ every map takes one image or a stack (k, *grid) of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,22 +44,21 @@ class MatvecOp:
 
 def adjoint_check(op: MatvecOp, trials: int = 50, seed: int = 0) -> float:
     """Max relative defect of <A u, v> = <u, A* v> over random test pairs,
-    over |A u| |v| + |u| |A* v|: the scale of both products' rounding."""
+    over |A u| |v| + |u| |A* v|: the scale of both products' rounding.
+    Pair t is row t of one (trials, n + m) normal draw, u then v; the
+    pairs go through one stacked apply and one stacked adjoint."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal(op.in_shape)
-        v = rng.standard_normal(op.out_shape)
-        au = op.apply(u)
-        atv = op.adjoint(v)
-        lhs = float(np.vdot(au, v))
-        rhs = float(np.vdot(u, atv))
-        scale = (np.linalg.norm(au) * np.linalg.norm(v)
-                 + np.linalg.norm(u) * np.linalg.norm(atv) + 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    n, m = int(np.prod(op.in_shape)), int(np.prod(op.out_shape))
+    uv = np.random.default_rng(seed).standard_normal((trials, n + m))
+    u, v = uv[:, :n], uv[:, n:]
+    au = op.apply(u.reshape((trials,) + op.in_shape)).reshape(trials, m)
+    atv = op.adjoint(v.reshape((trials,) + op.out_shape)).reshape(trials, n)
+    norm = np.linalg.norm
+    scale = (norm(au, axis=1) * norm(v, axis=1)
+             + norm(u, axis=1) * norm(atv, axis=1) + 1e-300)
+    return float(np.max(np.abs(np.sum(au * v, axis=1)
+                               - np.sum(u * atv, axis=1)) / scale))
 
 
 @dataclass(frozen=True)
@@ -238,14 +237,11 @@ class SvdFactors:
     out_shape: tuple[int, ...]
 
     @property
-    def rank_tol(self) -> float:
-        """s_max * 1e-12 * max(m, n) for the m x n matrix."""
-        s_max = self.s[0] if self.s.size else 0.0
-        return float(s_max * 1e-12 * max(len(self.u), len(self.v)))
-
-    @property
     def rank(self) -> int:
-        return int(np.sum(self.s > self.rank_tol))
+        """The number of singular values above s_max * 1e-12 * max(m, n)
+        for the m x n matrix."""
+        tol = self.s.max(initial=0.0) * 1e-12 * max(len(self.u), len(self.v))
+        return int(np.sum(self.s > tol))
 
     def matrix(self) -> np.ndarray:
         return (self.u * self.s) @ self.v.T
@@ -280,6 +276,15 @@ def _grid(c, basis, grid) -> np.ndarray:
 _SVD_DIM_LIMIT = 1024
 
 
+def to_dense(op: MatvecOp) -> np.ndarray:
+    """The m x n matrix of a small operator (both grids flattened row-major)
+    by one apply on the stack of the n unit images, under dense_svd's guard."""
+    n, m = int(np.prod(op.in_shape)), int(np.prod(op.out_shape))
+    if max(m, n) > _SVD_DIM_LIMIT:
+        raise ValueError(f"operator exceeds {_SVD_DIM_LIMIT} in one dimension")
+    return op.apply(np.eye(n).reshape((n,) + op.in_shape)).reshape(n, m).T
+
+
 def dense_svd(matrix: np.ndarray) -> SvdFactors:
     """Full SVD of a small dense matrix (desk-scale guard at 1024x1024)."""
     matrix = np.asarray(matrix, dtype=float)
@@ -292,6 +297,12 @@ def dense_svd(matrix: np.ndarray) -> SvdFactors:
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     return SvdFactors(u=u, s=s, v=vt.T, in_shape=matrix.shape[1:],
                       out_shape=matrix.shape[:1])
+
+
+def operator_svd(op: MatvecOp) -> SvdFactors:
+    """Dense SVD of a small operator, with its image grids."""
+    return replace(dense_svd(to_dense(op)), in_shape=op.in_shape,
+                   out_shape=op.out_shape)
 
 
 def pseudo_inverse_apply(svd: SvdFactors, y: np.ndarray) -> np.ndarray:

@@ -4,11 +4,9 @@ cumulative sum is `experiments.Problem.op`."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .linops import MatvecOp, SvdFactors, dense_svd
+from .linops import MatvecOp
 
 
 def make_cumsum(h: int, w: int, spacing: float = 1.0) -> MatvecOp:
@@ -34,23 +32,6 @@ def make_cumsum(h: int, w: int, spacing: float = 1.0) -> MatvecOp:
     return MatvecOp(shape, shape, forward, backward)
 
 
-_DENSE_DIM_LIMIT = 4096
-
-
-def to_dense(op: MatvecOp) -> np.ndarray:
-    """Densify a small operator column by column (row-major flattening)."""
-    n, m = int(np.prod(op.in_shape)), int(np.prod(op.out_shape))
-    if max(n, m) > _DENSE_DIM_LIMIT:
-        raise ValueError(f"operator exceeds dense limit {_DENSE_DIM_LIMIT}")
-    mat = np.empty((m, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        mat[:, j] = op.apply(e.reshape(op.in_shape)).ravel()
-        e[j] = 0.0
-    return mat
-
-
 def dense_op(matrix: np.ndarray, in_shape: tuple[int, ...] | None = None,
              out_shape: tuple[int, ...] | None = None) -> MatvecOp:
     """Wrap a dense m x n matrix as a MatvecOp between grids of n and m pixels,
@@ -66,9 +47,3 @@ def dense_op(matrix: np.ndarray, in_shape: tuple[int, ...] | None = None,
             x.shape[:-len(in_shape)] + out_shape),
         lambda y: (y.reshape(-1, m) @ matrix).reshape(
             y.shape[:-len(out_shape)] + in_shape))
-
-
-def operator_svd(op: MatvecOp) -> SvdFactors:
-    """Dense SVD of a small operator, with its image grids."""
-    return replace(dense_svd(to_dense(op)), in_shape=op.in_shape,
-                   out_shape=op.out_shape)

@@ -56,6 +56,45 @@ def cg_reference(op, rhs, *, tol, max_iters):
                     np.sqrt(rs) / rhs_norm)
 
 
+def to_dense_reference(op):
+    """The matrix of an operator column by column, one apply per unit
+    image; the loop that `linops.to_dense` replaced."""
+    n, m = int(np.prod(op.in_shape)), int(np.prod(op.out_shape))
+    mat = np.empty((m, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        mat[:, j] = op.apply(e.reshape(op.in_shape)).ravel()
+        e[j] = 0.0
+    return mat
+
+
+def adjoint_check_reference(op, trials=50, seed=0):
+    """`linops.adjoint_check` pair by pair: u then v drawn from one
+    generator, one apply and one adjoint per pair."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        u = rng.standard_normal(op.in_shape)
+        v = rng.standard_normal(op.out_shape)
+        au = op.apply(u)
+        atv = op.adjoint(v)
+        lhs = float(np.vdot(au, v))
+        rhs = float(np.vdot(u, atv))
+        scale = (np.linalg.norm(au) * np.linalg.norm(v)
+                 + np.linalg.norm(u) * np.linalg.norm(atv) + 1e-300)
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
+def rank_reference(svd):
+    """The singular values above s[0] * 1e-12 * max(m, n), read through the
+    derived tolerance that `SvdFactors.rank` folded in."""
+    s_max = svd.s[0] if svd.s.size else 0.0
+    tol = float(s_max * 1e-12 * max(len(svd.u), len(svd.v)))
+    return int(np.sum(svd.s > tol))
+
+
 def tikhonov_stack(op, lam):
     """The operator [A; sqrt(lam) I], the identity block stacked below A's
     output rows: its normal operator is A*A + lam I, so CG on its normal

@@ -315,6 +315,19 @@ class TestRates:
         assert abs(summary["theory_error_slope"]
                    - summary["error_slope"]) <= 0.1
 
+    @pytest.mark.parametrize("keys", [{"rho": 0}, {"mu": -1}])
+    def test_bad_source_fails_before_the_operator(self, tmp_path, capsys,
+                                                  monkeypatch, keys):
+        draws = []
+        monkeypatch.setattr(cli, "make_rate_operator",
+                            lambda **kw: draws.append(kw))
+        cfg = write_config(tmp_path, "cfg", **keys)
+        assert main(["rates", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            "nsrecon rates: error: need finite mu >= 0 and rho > 0")
+        assert draws == []
+
     def test_bad_filter_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg", filter="ridge")
         assert main(["rates", "--out", str(tmp_path / "o"),

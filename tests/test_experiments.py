@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nsrecon import nn
+from nsrecon import experiments, nn
 from nsrecon.data import write_csv
 from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  TrainConfig, _medians, convergence_study,
                                  dc_audit, evaluate, fit_loglog_slope,
                                  make_rate_operator, nsn_convergence_study,
                                  save_json_summary, train)
-from nsrecon.linops import dense_svd
+from nsrecon.linops import dense_svd, operator_svd
 from nsrecon.nullspace import iterative_projector, svd_projector
-from nsrecon.operators import operator_svd
 from nsrecon.regularize import (FILTER_KINDS, FilterSpec, SourceCondition,
                                 spectral_reconstruct)
 from oracles import forward_reference, rate_study_reference, source_element
@@ -571,6 +570,41 @@ class TestNsnRates:
         assert 0.4 <= report.error_slope <= 0.6
         for e in report.entries:
             assert e["error"] <= lip * e["classical_error"] * 1.05
+
+    @pytest.mark.parametrize("bad", [
+        {}, {"trials": 0}, {"deltas": [1e-2, 1e-2]}, {"c": 0.0},
+        {"filter_kind": "ridge"}], ids=["valid", "trials", "delta", "c",
+                                        "kind"])
+    def test_bad_argument_fails_before_the_bound(self, kernel_operator,
+                                                 monkeypatch, bad):
+        # the valid call shows that the patch sees the bound
+        _, svd, proj = kernel_operator
+        calls = []
+        monkeypatch.setattr(nn, "lipschitz_bound",
+                            lambda *args: calls.append(args) or 1.0)
+        params = nn.init_params(nn.Architecture(layers=2, width=2), 0)
+        args = {"filter_kind": "tikhonov", "src": SourceCondition(0.5, 1.0),
+                "deltas": DELTAS[:3], "trials": 2, "c": 1.0, **bad}
+        if not bad:
+            assert nsn_convergence_study(params, proj, svd, **args)[1] == 1.0
+            assert len(calls) == 1
+            return
+        with pytest.raises(ValueError):
+            nsn_convergence_study(params, proj, svd, **args)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bias_fails_naming_the_parameters(
+            self, kernel_operator, monkeypatch, bad):
+        # the bound reads only the kernels, and the network's NaN output
+        # would fail only the study's fit, after the whole study
+        _, svd, proj = kernel_operator
+        params = nn.init_params(nn.Architecture(layers=2, width=2), 0)
+        params.biases[1][0] = bad
+        monkeypatch.setattr(experiments, "_rate_study", None)
+        with pytest.raises(ValueError, match="non-finite network parameters"):
+            nsn_convergence_study(params, proj, svd, "tikhonov",
+                                  SourceCondition(0.5, 1.0), DELTAS[:3], 2)
 
 
 def _unit_norm(matrix):

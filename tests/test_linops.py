@@ -4,17 +4,29 @@ import numpy as np
 import pytest
 
 from nsrecon.experiments import Problem, make_rate_operator
-from nsrecon.linops import (MatvecOp, adjoint_check, cg_regularized_normal,
-                            dense_svd, pseudo_inverse_apply)
+from nsrecon.linops import (MatvecOp, SvdFactors, adjoint_check,
+                            cg_regularized_normal, dense_svd, operator_svd,
+                            pseudo_inverse_apply, to_dense)
 from nsrecon.nullspace import iterative_projector, svd_projector
-from nsrecon.operators import dense_op, make_cumsum, operator_svd, to_dense
-from oracles import cg_reference, tikhonov_stack
+from nsrecon.operators import dense_op, make_cumsum
+from oracles import (adjoint_check_reference, cg_reference, rank_reference,
+                     tikhonov_stack, to_dense_reference)
 
 
 def cumsum_spectrum(n):
     # singular values of the n x n lower-triangular all-ones matrix
     k = np.arange(1, n + 1)
     return 1.0 / (2.0 * np.sin((2 * k - 1) * np.pi / (2 * (2 * n + 1))))
+
+
+def wrong_adjoints(rank, seed):
+    """A 12 x 6 matrix A of the rank between (6,) and (12,), twice: with
+    2 A.T, and with the transpose of another matrix, posing as A*."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 6))
+    return [MatvecOp((6,), (12,), lambda x: x @ a.T,
+                     lambda y, wrong=wrong: y @ wrong)
+            for wrong in (2.0 * a, rng.standard_normal((12, 6)))]
 
 
 class TestAdjointCheck:
@@ -52,13 +64,26 @@ class TestAdjointCheck:
     @pytest.mark.parametrize("rank", [1, 6])
     @pytest.mark.parametrize("seed", range(3))
     def test_wrong_adjoint_fails(self, rank, seed):
-        # 2 A.T, or the transpose of another matrix, posing as A*
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 6))
-        for wrong in (2.0 * a, rng.standard_normal((12, 6))):
-            op = MatvecOp((6,), (12,), lambda x: x @ a.T,
-                          lambda y, wrong=wrong: y @ wrong)
+        for op in wrong_adjoints(rank, seed):
             assert adjoint_check(op, seed=seed) > 1e-3
+
+    @pytest.mark.parametrize("rank", [1, 6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_pairs_match_pair_loop(self, rank, seed):
+        # a defect well above rounding is a function of the draws, so
+        # agreement pins them: row t of the stacked draw is pair t, u then v
+        for op in wrong_adjoints(rank, seed):
+            for trials in (1, 7, 50):
+                assert adjoint_check(op, trials, seed) == pytest.approx(
+                    adjoint_check_reference(op, trials, seed), rel=1e-12)
+
+    def test_stacked_pairs_match_pair_loop_on_grids(self):
+        # (5, 3) images to (10, 3) data, with twice the adjoint as A*
+        op = tikhonov_stack(make_cumsum(5, 3, 0.5), 0.3)
+        wrong = MatvecOp(op.in_shape, op.out_shape, op.apply,
+                         lambda y: 2.0 * op.adjoint(y))
+        assert adjoint_check(wrong, seed=4) == pytest.approx(
+            adjoint_check_reference(wrong, seed=4), rel=1e-12)
 
     def test_trials_validated(self):
         op = make_cumsum(3, 3)
@@ -80,6 +105,67 @@ class TestOperatorNorm:
         support[:, :2] = 1.0
         mask = dense_op(np.diag(support.ravel()), (8, 8), (8, 8))
         assert operator_svd(mask).s[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def counted(op):
+    """op behind a MatvecOp that records the shape of each apply and
+    adjoint argument: (wrapped op, list of shapes)."""
+    calls = []
+
+    def forward(x):
+        calls.append(x.shape)
+        return op.apply(x)
+
+    def backward(y):
+        calls.append(y.shape)
+        return op.adjoint(y)
+
+    return MatvecOp(op.in_shape, op.out_shape, forward, backward), calls
+
+
+DENSE_CASES = {
+    "cumsum": lambda: make_cumsum(5, 3, 0.25),
+    "dense_op": lambda: dense_op(
+        np.random.default_rng(8).standard_normal((6, 10)), (2, 5), (3, 2)),
+    "problem": lambda: Problem(14, 0.5, 0.01).op,
+    "rate": lambda: make_rate_operator(seed=1)[0],
+    "tikhonov_stack": lambda: tikhonov_stack(Problem(14, 0.5, 0.01).op, 0.3),
+}
+
+
+class TestDenseForms:
+    """`to_dense` and `operator_svd` share `dense_svd`'s size limit."""
+
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_to_dense_matches_column_loop(self, case):
+        op = DENSE_CASES[case]()
+        np.testing.assert_array_equal(to_dense(op), to_dense_reference(op))
+
+    def test_to_dense_is_one_stacked_apply(self):
+        op, calls = counted(Problem(14, 1.0, 0.01).op)
+        assert to_dense(op).shape == (196, 196)
+        assert calls == [(196, 14, 14)]
+
+    @pytest.mark.parametrize("densify", [to_dense, operator_svd])
+    @pytest.mark.parametrize("case", ["input", "output", "benchmark"])
+    def test_refused_past_limit_before_any_apply(self, densify, case):
+        op = {"input": lambda: make_cumsum(1025, 1),
+              "output": lambda: dense_op(np.ones((1025, 1))),
+              "benchmark": lambda: Problem.benchmark().op}[case]()
+        op, calls = counted(op)
+        with pytest.raises(ValueError, match="exceeds 1024"):
+            densify(op)
+        assert calls == []
+
+    def test_limit_is_inclusive(self):
+        op, calls = counted(dense_op(np.ones((1024, 1))))
+        assert operator_svd(op).s[0] == pytest.approx(32.0, rel=1e-12)
+        assert calls == [(1, 1)]
+
+    @pytest.mark.parametrize("shape", [(1025, 1), (1, 1025)])
+    def test_dense_svd_refuses_past_limit(self, shape):
+        with pytest.raises(ValueError, match="exceeds 1024"):
+            dense_svd(np.zeros(shape))
 
 
 class TestCg:
@@ -339,6 +425,25 @@ class TestDenseSvd:
         svd = dense_svd(np.diag([3.0, 0.0]))
         np.testing.assert_allclose(svd.s, [3.0, 0.0])
         assert svd.rank == 1
+
+    @pytest.mark.parametrize("case", ["full", "deficient", "threshold",
+                                      "zero", "empty"])
+    def test_rank_matches_tolerance_rule(self, case):
+        # the threshold case straddles s_max * 1e-12 * max(m, n) = 3e-12
+        rng = np.random.default_rng(5)
+        svd = {"full": lambda: dense_svd(rng.standard_normal((5, 4))),
+               "deficient": lambda: dense_svd(
+                   rng.standard_normal((6, 2)) @ rng.standard_normal((2, 3))),
+               "threshold": lambda: SvdFactors(
+                   np.eye(3), np.array([1.0, 3.1e-12, 2.9e-12]), np.eye(3),
+                   (3,), (3,)),
+               "zero": lambda: dense_svd(np.zeros((3, 2))),
+               "empty": lambda: SvdFactors(np.zeros((3, 0)), np.zeros(0),
+                                           np.zeros((2, 0)), (2,), (3,)),
+               }[case]()
+        assert svd.rank == rank_reference(svd) == {
+            "full": 4, "deficient": 2, "threshold": 2, "zero": 0,
+            "empty": 0}[case]
 
     def test_cumsum_3x3_spectrum(self):
         mat = to_dense(make_cumsum(3, 1))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from nsrecon.experiments import Problem
-from nsrecon.linops import adjoint_check
-from nsrecon.operators import dense_op, make_cumsum, operator_svd, to_dense
+from nsrecon.linops import adjoint_check, operator_svd, to_dense
+from nsrecon.operators import dense_op, make_cumsum
 
 
 class TestCumsum:
