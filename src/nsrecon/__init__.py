@@ -8,9 +8,9 @@ classical initialization exactly.
 """
 
 from .linops import (CgResult, KrylovSpace, MatvecOp, SvdFactors,
-                     adjoint_check, cg_regularized_normal, dense_svd,
-                     operator_svd, pseudo_inverse_apply, to_dense)
-from .operators import dense_op, make_cumsum
+                     adjoint_check, cg_regularized_normal, dense_op,
+                     dense_svd, make_cumsum, operator_svd,
+                     pseudo_inverse_apply, to_dense)
 from .regularize import (FILTER_QUALIFICATION, FilterSpec, SourceCondition,
                          filter_value, param_choice, spectral_reconstruct)
 from .nullspace import (NullProjector, iterative_projector, mask_projector,

@@ -31,7 +31,7 @@ from .data import PATCH_SIZE, export_dataset, write_csv, write_pgm16
 from .experiments import (EvalConfig, Problem, TrainConfig, _eval_report,
                           _reconstructions, convergence_study, dc_audit,
                           make_rate_operator, save_json_summary, train)
-from .regularize import FILTER_QUALIFICATION, SourceCondition
+from .regularize import FILTER_QUALIFICATION, FilterSpec, SourceCondition
 
 
 def parse_config_file(path) -> dict:
@@ -157,7 +157,8 @@ def cmd_rates(args, opts, problem):
     mu, kind = opts["mu"], opts["filter"]
     deltas = np.geomspace(opts["delta_max"], opts["delta_min"],
                           opts["n_deltas"])
-    src = SourceCondition(mu, opts["rho"])  # checked before the draw
+    src = SourceCondition(mu, opts["rho"])  # checked before the draw,
+    FilterSpec(kind, 1.0)                   # as is the filter kind
     _, svd = make_rate_operator(seed=args.seed)
     report = convergence_study(svd, kind, src, deltas, opts["trials"],
                                args.seed, opts["c"])

@@ -13,10 +13,9 @@ import numpy as np
 
 from . import nn
 from .data import PATCH_SIZE, Sample, make_dataset
-from .linops import MatvecOp, SvdFactors, to_dense
+from .linops import MatvecOp, SvdFactors, dense_op, make_cumsum
 from .metrics import mse, psnr, ssim
 from .nullspace import NullProjector, mask_projector
-from .operators import dense_op, make_cumsum
 from .regularize import (FilterSpec, SourceCondition, filter_weights,
                          param_choice)
 
@@ -89,7 +88,7 @@ class Problem:
         # (A*A + alpha I)^-1 A* y = R (support * y) with one h x h matrix
         # R = (L^T L + alpha I)^-1 L^T
         h = self.image_size
-        lmat = to_dense(make_cumsum(h, 1, self.spacing))
+        lmat = self.spacing * np.tril(np.ones((h, h)))
         return np.linalg.solve(lmat.T @ lmat + self.alpha * np.eye(h),
                                lmat.T)
 
@@ -365,15 +364,6 @@ def _norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
 
 
-def _medians(rows: np.ndarray) -> np.ndarray:
-    """np.median over the last axis by one sort: the mean of the middle one
-    or two values; NaN where a value is NaN, which sorts last."""
-    rows = np.sort(rows, axis=-1)
-    t = rows.shape[-1]
-    return np.where(np.isnan(rows[..., -1]), np.nan,
-                    rows[..., (t - 1) // 2:t // 2 + 1].mean(axis=-1))
-
-
 def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
                 deltas, trials: int, seed: int, c: float,
                 f=None) -> ConvergenceReport:
@@ -388,7 +378,7 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
     largest delta is image i * trials + t of each.  The classical path is
     two products into SVD coefficients, then the weights of every alpha in
     one broadcast; f runs once, on the stack of every reconstruction and
-    x0.  One sort gives the medians, and both fits share log delta.
+    x0.  One np.median takes every median, and both fits share log delta.
     """
     if not (isinstance(trials, (int, np.integer)) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
@@ -421,8 +411,8 @@ def _rate_study(svd: SvdFactors, filter_kind: str, src: SourceCondition,
         out = f(np.concatenate([svd.image(c_cls), x0]))
         errs, c_rec = _norms(out[:k] - out[k:]), svd.coeffs(out[:k])
     resids = np.hypot(_norms(svd.s * c_rec - d), e_out)
-    errs, cls_errs, resids = _medians(
-        np.reshape([errs, cls_errs, resids], (3, -1, trials)))
+    errs, cls_errs, resids = np.median(
+        np.reshape([errs, cls_errs, resids], (3, -1, trials)), axis=-1)
     entries = [{"delta": delta, "alpha": alpha, "error": float(err),
                 **({} if f is None else {"classical_error": float(cls)}),
                 "residual": float(res)} for delta, alpha, err, cls, res

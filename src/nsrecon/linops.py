@@ -1,6 +1,6 @@
-"""Matrix-free linear operators on image grids, plus the small solvers (CG
-on the normal equations, dense SVD / pseudo-inverse) used throughout the
-package.
+"""Linear operators on image grids (matrix-free, the per-column integration
+among them, or wrapping a dense matrix), plus the small solvers (CG on the
+normal equations, dense SVD / pseudo-inverse) used throughout the package.
 
 Images are float64 arrays of a grid, (h, w) or (n,) for a bare matrix, and
 every map takes one image or a stack (k, *grid) of them.
@@ -23,6 +23,16 @@ def _check_stack(x, shape) -> np.ndarray:
     return x
 
 
+def _finite_matrix(matrix) -> np.ndarray:
+    """matrix as floats; ValueError unless it is 2-D and finite."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError("expected a 2D matrix")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix has non-finite entries")
+    return matrix
+
+
 class MatvecOp:
     """Linear operator between image spaces, built from a pair of callables:
     `apply` and `adjoint` each take one image of `in_shape` / `out_shape`
@@ -40,6 +50,47 @@ class MatvecOp:
 
     def adjoint(self, y):
         return self._backward(_check_stack(y, self.out_shape))
+
+
+def make_cumsum(h: int, w: int, spacing: float = 1.0) -> MatvecOp:
+    """Per-column prefix sum (discrete vertical integration) of an image or
+    a stack of images.
+
+    The adjoint is the per-column suffix sum (transpose of the
+    lower-triangular all-ones matrix).  `spacing` scales the sums by the
+    grid step, turning the raw prefix sum into a Riemann sum;
+    `experiments.Problem.op` masks it to the stripe operator.
+    """
+    if h < 1 or w < 1:
+        raise ValueError("h and w must be >= 1")
+    if not 0 < spacing < np.inf:
+        raise ValueError("spacing must be finite and positive")
+    shape = (h, w)
+
+    def forward(x):
+        return spacing * np.cumsum(x, axis=-2)
+
+    def backward(y):
+        return spacing * np.cumsum(y[..., ::-1, :], axis=-2)[..., ::-1, :]
+
+    return MatvecOp(shape, shape, forward, backward)
+
+
+def dense_op(matrix: np.ndarray, in_shape: tuple[int, ...] | None = None,
+             out_shape: tuple[int, ...] | None = None) -> MatvecOp:
+    """Wrap a finite 2-D m x n matrix as a MatvecOp between grids of n and
+    m pixels, (n,) and (m,) by default; a stack is one matrix product."""
+    matrix = _finite_matrix(matrix)
+    m, n = matrix.shape
+    in_shape, out_shape = tuple(in_shape or (n,)), tuple(out_shape or (m,))
+    if np.prod(in_shape) != n or np.prod(out_shape) != m:
+        raise ValueError("shapes inconsistent with matrix dimensions")
+    return MatvecOp(
+        in_shape, out_shape,
+        lambda x: (x.reshape(-1, n) @ matrix.T).reshape(
+            x.shape[:-len(in_shape)] + out_shape),
+        lambda y: (y.reshape(-1, m) @ matrix).reshape(
+            y.shape[:-len(out_shape)] + in_shape))
 
 
 def adjoint_check(op: MatvecOp, trials: int = 50, seed: int = 0) -> float:
@@ -287,13 +338,9 @@ def to_dense(op: MatvecOp) -> np.ndarray:
 
 def dense_svd(matrix: np.ndarray) -> SvdFactors:
     """Full SVD of a small dense matrix (desk-scale guard at 1024x1024)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2D matrix")
+    matrix = _finite_matrix(matrix)
     if max(matrix.shape) > _SVD_DIM_LIMIT:
         raise ValueError(f"matrix exceeds {_SVD_DIM_LIMIT} in one dimension")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix has non-finite entries")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     return SvdFactors(u=u, s=s, v=vt.T, in_shape=matrix.shape[1:],
                       out_shape=matrix.shape[:1])

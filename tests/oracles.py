@@ -4,7 +4,7 @@ import numpy as np
 
 from nsrecon import nn
 from nsrecon.experiments import ConvergenceReport, fit_loglog_slope
-from nsrecon.linops import CgResult, MatvecOp
+from nsrecon.linops import CgResult, MatvecOp, make_cumsum, to_dense
 from nsrecon.regularize import FilterSpec, param_choice, spectral_reconstruct
 
 
@@ -67,6 +67,14 @@ def to_dense_reference(op):
         mat[:, j] = op.apply(e.reshape(op.in_shape)).ravel()
         e[j] = 0.0
     return mat
+
+
+def tikhonov_matrix_reference(problem):
+    """R = (L^T L + alpha I)^-1 L^T of `Problem.reconstruct`, with L the
+    dense form of the h x 1 cumulative sum instead of its closed form."""
+    h = problem.image_size
+    lmat = to_dense(make_cumsum(h, 1, problem.spacing))
+    return np.linalg.solve(lmat.T @ lmat + problem.alpha * np.eye(h), lmat.T)
 
 
 def adjoint_check_reference(op, trials=50, seed=0):

@@ -315,9 +315,12 @@ class TestRates:
         assert abs(summary["theory_error_slope"]
                    - summary["error_slope"]) <= 0.1
 
-    @pytest.mark.parametrize("keys", [{"rho": 0}, {"mu": -1}])
+    @pytest.mark.parametrize("keys", [{"rho": 0}, {"mu": -1},
+                                      {"filter": "ridge"}])
     def test_bad_source_fails_before_the_operator(self, tmp_path, capsys,
                                                   monkeypatch, keys):
+        message = ("unknown filter kind 'ridge'" if "filter" in keys
+                   else "need finite mu >= 0 and rho > 0")
         draws = []
         monkeypatch.setattr(cli, "make_rate_operator",
                             lambda **kw: draws.append(kw))
@@ -325,7 +328,7 @@ class TestRates:
         assert main(["rates", "--out", str(tmp_path / "o"),
                      "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith(
-            "nsrecon rates: error: need finite mu >= 0 and rho > 0")
+            "nsrecon rates: error: " + message)
         assert draws == []
 
     def test_bad_filter_fails(self, tmp_path, capsys):

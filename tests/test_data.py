@@ -11,7 +11,7 @@ import pytest
 from nsrecon.data import (KINDS, export_dataset, make_dataset,
                           polar_gaussian, write_csv, write_pgm16)
 from nsrecon.experiments import Problem
-from nsrecon.operators import make_cumsum
+from nsrecon.linops import make_cumsum
 from oracles import polar_gaussian_reference
 
 

@@ -12,15 +12,16 @@ from scipy import stats
 from nsrecon import experiments, nn
 from nsrecon.data import write_csv
 from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
-                                 TrainConfig, _medians, convergence_study,
-                                 dc_audit, evaluate, fit_loglog_slope,
+                                 TrainConfig, convergence_study, dc_audit,
+                                 evaluate, fit_loglog_slope,
                                  make_rate_operator, nsn_convergence_study,
                                  save_json_summary, train)
 from nsrecon.linops import dense_svd, operator_svd
 from nsrecon.nullspace import iterative_projector, svd_projector
 from nsrecon.regularize import (FILTER_KINDS, FilterSpec, SourceCondition,
                                 spectral_reconstruct)
-from oracles import forward_reference, rate_study_reference, source_element
+from oracles import (forward_reference, rate_study_reference, source_element,
+                     tikhonov_matrix_reference)
 
 DELTAS = np.geomspace(1e-1, 1e-5, 5)
 
@@ -62,6 +63,24 @@ class TestProblem:
                                    FilterSpec("tikhonov", small_problem.alpha))
         gap = np.linalg.norm(small_problem.reconstruct(y) - ref)
         assert gap <= 1e-12 * np.linalg.norm(ref)
+
+    def test_reconstruct_matches_dense_form_at_every_size(self):
+        rng = np.random.default_rng(3)
+        for size, spacing in [(14, 1.0), (20, 0.3), (33, 1 / 8), (64, 2.5)]:
+            problem = Problem(size, spacing, 0.01)
+            y = rng.standard_normal((size, size))
+            np.testing.assert_array_equal(
+                problem.reconstruct(y),
+                tikhonov_matrix_reference(problem) @ (problem.support * y))
+        # past the dense forms' 1024-pixel limit: x solves the normal
+        # equations (A*A + alpha I) x = A* y of the matrix-free operator
+        problem = Problem.benchmark(1025)
+        y = rng.standard_normal((1025, 1025))
+        x, op = problem.reconstruct(y), problem.op
+        rhs = op.adjoint(y)
+        gap = np.linalg.norm(op.adjoint(op.apply(x)) + problem.alpha * x
+                             - rhs)
+        assert gap <= 1e-10 * np.linalg.norm(rhs)
 
     def test_removed_columns_are_zero(self, small_problem):
         y = np.random.default_rng(5).standard_normal((32, 32))
@@ -371,15 +390,6 @@ class TestRateMachinery:
     def test_fit_loglog_slope_names_the_bad_argument(self, xs, ys, match):
         with pytest.raises(ValueError, match=match):
             fit_loglog_slope(xs, ys)
-
-    @pytest.mark.parametrize("trials", [1, 2, 5, 10])
-    def test_medians_are_numpys(self, trials):
-        rows = np.random.default_rng(trials).lognormal(size=(3, 5, trials))
-        rows[0, 1] = rows[0, 0]     # ties
-        rows[1, 2, -1] = np.nan     # a NaN trial makes its median NaN
-        rows[2, 3, 0] = np.inf
-        np.testing.assert_array_equal(_medians(rows),
-                                      np.median(rows, axis=-1))
 
     def test_make_rate_operator_spectrum(self):
         op, svd = make_rate_operator(shape=(8, 8), s_min=1e-3, kernel_dim=10)

@@ -5,10 +5,10 @@ import pytest
 
 from nsrecon.experiments import Problem, make_rate_operator
 from nsrecon.linops import (MatvecOp, SvdFactors, adjoint_check,
-                            cg_regularized_normal, dense_svd, operator_svd,
-                            pseudo_inverse_apply, to_dense)
+                            cg_regularized_normal, dense_op, dense_svd,
+                            make_cumsum, operator_svd, pseudo_inverse_apply,
+                            to_dense)
 from nsrecon.nullspace import iterative_projector, svd_projector
-from nsrecon.operators import dense_op, make_cumsum
 from oracles import (adjoint_check_reference, cg_reference, rank_reference,
                      tikhonov_stack, to_dense_reference)
 

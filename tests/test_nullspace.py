@@ -6,10 +6,10 @@ import pytest
 
 from nsrecon import nn, nullspace
 from nsrecon.experiments import Problem, make_rate_operator
-from nsrecon.linops import cg_regularized_normal, dense_svd, operator_svd
+from nsrecon.linops import (cg_regularized_normal, dense_op, dense_svd,
+                            operator_svd)
 from nsrecon.nullspace import (iterative_projector, mask_projector,
                                project_null, svd_projector)
-from nsrecon.operators import dense_op
 
 
 def subsampled_unitary(basis, kept):

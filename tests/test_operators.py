@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from nsrecon.experiments import Problem
-from nsrecon.linops import adjoint_check, operator_svd, to_dense
-from nsrecon.operators import dense_op, make_cumsum
+from nsrecon.linops import (adjoint_check, dense_op, make_cumsum,
+                            operator_svd, to_dense)
 
 
 class TestCumsum:
@@ -34,8 +34,10 @@ class TestCumsum:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_cumsum(0, 3)
-        with pytest.raises(ValueError):
-            make_cumsum(3, 3, spacing=0.0)
+        for spacing in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError,
+                               match="spacing must be finite and positive"):
+                make_cumsum(3, 3, spacing)
 
 
 STRIPES = [0, 1, 4, 5, 8, 9, 12, 13]  # array columns {4k, 4k+1}, k < 4
@@ -121,3 +123,10 @@ class TestDense:
     def test_dense_op_shape_validation(self):
         with pytest.raises(ValueError):
             dense_op(np.eye(4), (3, 3), (2, 2))
+        # dense_svd's checks
+        for matrix, message in [(np.ones(4), "expected a 2D matrix"),
+                                (np.ones((2, 2, 2)), "expected a 2D matrix"),
+                                ([[1.0, np.nan]], "non-finite entries"),
+                                ([[np.inf], [0.0]], "non-finite entries")]:
+            with pytest.raises(ValueError, match=message):
+                dense_op(matrix)

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from nsrecon import nn
 from nsrecon.experiments import Problem
-from nsrecon.linops import (adjoint_check, cg_regularized_normal, dense_svd,
-                            pseudo_inverse_apply)
+from nsrecon.linops import (adjoint_check, cg_regularized_normal, dense_op,
+                            dense_svd, make_cumsum, pseudo_inverse_apply)
 from nsrecon.nullspace import mask_projector, svd_projector
-from nsrecon.operators import dense_op, make_cumsum
 from oracles import (backward_reference, conv, conv_reference,
                      forward_reference, kernel_grad_reference,
                      layer_norm_reference)

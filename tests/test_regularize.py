@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from nsrecon.experiments import Problem, make_rate_operator
-from nsrecon.linops import cg_regularized_normal, dense_svd, operator_svd
-from nsrecon.operators import dense_op
+from nsrecon.linops import (cg_regularized_normal, dense_op, dense_svd,
+                            operator_svd)
 from nsrecon.regularize import (FILTER_KINDS, FILTER_QUALIFICATION,
                                 FilterSpec, SourceCondition, filter_value,
                                 param_choice, spectral_reconstruct)
