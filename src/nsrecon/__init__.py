@@ -7,10 +7,9 @@ so the learned reconstruction keeps the measurement residual of its
 classical initialization exactly.
 """
 
-from .linops import (CgResult, KrylovSpace, MatvecOp, SvdFactors,
-                     adjoint_check, cg_regularized_normal, dense_op,
-                     dense_svd, make_cumsum, operator_svd,
-                     pseudo_inverse_apply, to_dense)
+from .linops import (CgResult, MatvecOp, SvdFactors, adjoint_check,
+                     cg_regularized_normal, dense_op, dense_svd, make_cumsum,
+                     operator_svd, pseudo_inverse_apply, to_dense)
 from .regularize import (FILTER_QUALIFICATION, FilterSpec, SourceCondition,
                          filter_value, param_choice, spectral_reconstruct)
 from .nullspace import (NullProjector, iterative_projector, mask_projector,

@@ -100,7 +100,7 @@ def cmd_train(args, opts, problem):
         arch=nn.Architecture(layers=opts["layers"], width=opts["width"]))
     (params, log), wall_s = _timed(train, tc, problem)
     ckpt = os.path.join(args.out, f"{tc.model_kind}.ckpt")
-    nn.save_params(ckpt, tc.arch, params)
+    nn.save_params(ckpt, params)
     write_csv(os.path.join(args.out, "loss.csv"),
               [{"epoch": i, "loss": loss} for i, loss in enumerate(log)],
               ("epoch", "loss"))

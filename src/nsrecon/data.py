@@ -63,14 +63,12 @@ def polar_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _measurement(op: MatvecOp, x: np.ndarray, sigma: float, seed: int,
-                 support: np.ndarray | None):
+                 support: np.ndarray):
     """y = A x + z, z Gaussian of sd sigma kept on `support` (0/1 over the
     output grid: the observed entries), and delta = |z|."""
     y = op.apply(x)
     rng = np.random.default_rng(seed)
-    z = sigma * polar_gaussian(rng, y.size).reshape(y.shape)
-    if support is not None:
-        z = z * support
+    z = sigma * polar_gaussian(rng, y.size).reshape(y.shape) * support
     return y + z, float(np.linalg.norm(z))
 
 
@@ -88,11 +86,12 @@ _NOISE_SEED_OFFSET = 7777777  # disjoint stream from the image seeds
 
 
 def make_dataset(n: int, kind: str, base_seed: int, op: MatvecOp,
-                 sigma: float = 0.05, support: np.ndarray | None = None,
+                 sigma: float, support: np.ndarray,
                  patch_size: int = PATCH_SIZE) -> list[Sample]:
     """n independent (x, y) samples; sample i uses seed base_seed + i.
     The images are square, of the size op.in_shape[0], with a patch of
-    kind ID (stripes) or OOD (constant); see `_square_sample`."""
+    kind ID (stripes) or OOD (constant); see `_square_sample`.  Their
+    data carry noise of sd sigma on `support`; see `_measurement`."""
     size = op.in_shape[0]
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nn
 from .data import PATCH_SIZE, Sample, make_dataset
-from .linops import MatvecOp, SvdFactors, dense_op, make_cumsum
+from .linops import MatvecOp, SvdFactors, _check_stack, dense_op, make_cumsum
 from .metrics import mse, psnr, ssim
 from .nullspace import NullProjector, mask_projector
 from .regularize import (FilterSpec, SourceCondition, filter_weights,
@@ -93,12 +93,10 @@ class Problem:
                                lmat.T)
 
     def reconstruct(self, y: np.ndarray) -> np.ndarray:
-        """B_alpha y: Tikhonov by a direct per-column solve; raises
-        ValueError on a y of the wrong shape or with non-finite entries."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != self.support.shape:
-            raise ValueError(f"expected data shape {self.support.shape}, "
-                             f"got {y.shape}")
+        """B_alpha y of one data image or a stack (k, h, w), in one product:
+        Tikhonov by a direct per-column solve; raises ValueError on a y of
+        another shape or with non-finite entries."""
+        y = _check_stack(y, self.support.shape)
         if not np.all(np.isfinite(y)):
             raise ValueError("y has non-finite entries")
         return self._tikhonov @ (self.support * y)

@@ -112,35 +112,27 @@ def adjoint_check(op: MatvecOp, trials: int = 50, seed: int = 0) -> float:
                                - np.sum(u * atv, axis=1)) / scale))
 
 
-@dataclass(frozen=True)
-class KrylovSpace:
-    """A block Krylov space of A*A as `cg_regularized_normal` left it, kept
-    as its conjugate directions: the rows P = L^-1 Q (d x n), Q the
-    orthonormal basis and L the block Cholesky factor of T = Q A*A Q.T, so
-    that P A*A P.T = I."""
-
-    directions: np.ndarray
-
-    def galerkin(self, rhs: np.ndarray) -> np.ndarray:
-        """Rows x in the span whose residual A*A x - rhs is orthogonal to
-        it, one per row of rhs (k x n):
-        x = Q.T T^-1 Q rhs = P.T P rhs."""
-        p = self.directions
-        return (np.asarray(rhs, dtype=float) @ p.T) @ p
+def _galerkin(rhs: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Rows x in the span of the conjugate directions P (d x n) whose
+    residual A*A x - rhs is orthogonal to it, one per row of rhs (k x n):
+    x = Q.T T^-1 Q rhs = P.T P rhs."""
+    return (rhs @ directions.T) @ directions
 
 
 @dataclass
 class CgResult:
     """x has the shape of the right-hand side; converged is True when every
     column met the tolerance, rel_residual is the worst column's and iters
-    counts block steps.  space is the Krylov space x was taken from."""
+    counts block steps.  directions holds the rows P = L^-1 Q (d x n) of
+    the block Krylov space x was taken from, Q its orthonormal basis and L
+    the block Cholesky factor of T = Q A*A Q.T, so that P A*A P.T = I."""
 
     x: np.ndarray
     converged: bool
     iters: int
     rel_residual: float
     unconverged: int = 0  # columns above the tolerance
-    space: KrylovSpace | None = None
+    directions: np.ndarray | None = None
 
 
 def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray, *, tol: float,
@@ -160,15 +152,15 @@ def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray, *, tol: float,
     which so stops at the rank.  Column j has converged when
     |r_j| <= tol * |rhs_j| (tol > 0), read from the Lanczos identity
     r = -V_next C Y_last without forming r; a zero column returns 0 and
-    counts as converged.  `iters` counts block steps.  x and `space` are
-    those of the step with the smallest worst-column estimate, which is
+    counts as converged.  `iters` counts block steps.  x and `directions`
+    are those of the step with the smallest worst-column estimate, which is
     the last step unless the tolerance is out of reach: past the
     attainable accuracy the basis runs on to the rank and the last
     iterates drift far from the solution; it makes at most max_iters >= 1
     steps.  Each step forward-substitutes its new block through the
-    Cholesky factor, so the space holds the conjugate directions and x is
-    `space.galerkin(rhs)`.  perfbench's
-    tracer finds the projector's solve under this name.
+    Cholesky factor into the conjugate directions, and x is their Galerkin
+    product P.T P rhs.  perfbench's tracer finds the projector's solve
+    under this name.
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError(f"need tol > 0 and max_iters >= 1, got {tol}, "
@@ -263,11 +255,12 @@ def cg_regularized_normal(op: MatvecOp, rhs: np.ndarray, *, tol: float,
             break
         sub = c / ld.T
     _, res2, d = best
-    space = KrylovSpace(dirs[:d].copy())
+    directions = dirs[:d].copy()
     res = np.sqrt(res2)
     failed = int(np.sum(res > tol))
-    return CgResult(space.galerkin(rows).reshape(rhs.shape), failed == 0,
-                    steps, float(res.max(initial=0.0)), failed, space)
+    return CgResult(_galerkin(rows, directions).reshape(rhs.shape),
+                    failed == 0, steps, float(res.max(initial=0.0)), failed,
+                    directions)
 
 
 @dataclass

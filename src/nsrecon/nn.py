@@ -10,6 +10,7 @@ null-space network, returns x + P(U(x)) for a null-space projection P.
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -322,14 +323,17 @@ def lipschitz_bound(params: NetParams, shape: tuple[int, int]) -> float:
 _CKPT_MAGIC = b"nsnet-ckpt v1\n"
 
 
-def save_params(path, arch: Architecture, params: NetParams) -> None:
-    """Write a versioned, byte-stable checkpoint (header + raw float64).
-    Raises ValueError, writing nothing, on non-finite or misshapen params."""
+def save_params(path, params: NetParams) -> None:
+    """Write a versioned, byte-stable checkpoint (header + raw float64) of
+    params and the Architecture they form.  Raises ValueError, writing
+    nothing, on non-finite params or on no 1 -> C -> ... -> C -> 1 stack."""
     if not np.all(np.isfinite(params.flat)):
         raise ValueError(f"{path}: refusing to save non-finite parameters")
-    have = [(k.shape, b.shape) for k, b in zip(params.kernels, params.biases)]
+    have = [(np.shape(k), np.shape(b))
+            for k, b in zip_longest(params.kernels, params.biases)]
+    arch = Architecture(len(have), int(np.prod(have[0][1])) if have else 0)
     want = [(chans + (3, 3), chans[:1]) for chans in arch.channels()]
-    for layer, (h, w) in enumerate(zip_longest(have, want)):
+    for layer, (h, w) in enumerate(zip(have, want)):
         if h != w:
             raise ValueError(f"{path}: layer {layer} kernel and bias shapes "
                              f"{h} do not match {arch}")
@@ -348,11 +352,12 @@ def load_params(path):
     Raises ValueError on a foreign, truncated or over-long file and on
     non-finite parameters."""
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
 
-        def read(size):
-            data = fh.read(size)
+        def read(size):  # a block longer than the file is never allocated
+            data = fh.read(size) if size <= end - fh.tell() else b""
             if len(data) != size:
                 raise ValueError(f"{path}: truncated checkpoint")
             return data

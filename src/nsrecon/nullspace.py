@@ -12,7 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linops import MatvecOp, SvdFactors, _check_stack, cg_regularized_normal
+from .linops import (MatvecOp, SvdFactors, _check_stack, _galerkin,
+                     cg_regularized_normal)
 
 ImageMap = Callable[[np.ndarray], np.ndarray]
 
@@ -72,29 +73,30 @@ def iterative_projector(op: MatvecOp) -> NullProjector:
     solve for a whole stack.  Raises RuntimeError when a column misses the
     tolerance _PROJECTOR_TOL within _PROJECTOR_MAX_ITERS block steps.
 
-    The projector holds the Krylov space of its last solve (d x n floats,
-    d <= rank A, for its lifetime; A never changes) and first tries the
-    Galerkin solution in that space.  It keeps that solution when every
-    column passes the solver's own test |b_j - A*A x_j| <= tol |b_j|, b =
-    A*A z, with the residual formed explicitly (one more application of
-    A*A to the stack): once the space spans range(A*), as a solve of
-    several generic columns does, no further call solves.  Otherwise it
-    solves afresh and holds the new space; a solve that raises keeps the
-    old one.  Threads sharing a projector at worst repeat a solve.
+    The projector holds the conjugate directions of its last solve (d x n
+    floats, d <= rank A, for its lifetime; A never changes) and first
+    tries the Galerkin solution in their span.  It keeps that solution
+    when every column passes the solver's own test |b_j - A*A x_j| <= tol
+    |b_j|, b = A*A z, with the residual formed explicitly (one more
+    application of A*A to the stack): once the span is range(A*), as
+    after a solve of several generic columns, no further call solves.
+    Otherwise it solves afresh and holds the new directions; a solve that
+    raises keeps the old ones.  Threads sharing a projector at worst
+    repeat a solve.
     """
     n = int(np.prod(op.in_shape))
-    held = [None]                      # KrylovSpace of the last solve
+    held = [None]                      # directions of the last solve
 
     def normal(x):
         return op.adjoint(op.apply(x))
 
     def reuse(b):
-        """The Galerkin solution in the held space if it passes, else None."""
-        space = held[0]
-        if space is None or not np.all(np.isfinite(b)):
+        """The Galerkin solution in the held span if it passes, else None."""
+        directions = held[0]
+        if directions is None or not np.all(np.isfinite(b)):
             return None
         rows = b.reshape(-1, n)
-        x = space.galerkin(rows).reshape(b.shape)
+        x = _galerkin(rows, directions).reshape(b.shape)
         r = (b - normal(x)).reshape(-1, n)
         passed = (np.linalg.norm(r, axis=1)
                   <= _PROJECTOR_TOL * np.linalg.norm(rows, axis=1))
@@ -111,7 +113,7 @@ def iterative_projector(op: MatvecOp) -> NullProjector:
                     f"projector CG did not converge: {res.unconverged} of "
                     f"{z.size // n} columns after {res.iters} block steps, "
                     f"worst relative residual {res.rel_residual:.3g}")
-            held[0], x = res.space, res.x
+            held[0], x = res.directions, res.x
         return z - x
 
     return NullProjector(op.in_shape, apply,

@@ -15,7 +15,8 @@ from nsrecon.linops import make_cumsum
 from oracles import polar_gaussian_reference
 
 
-OP64 = Problem(64, 1.0, 0.01).op
+P64 = Problem(64, 1.0, 0.01)
+P16 = Problem(16, 1.0, 0.01)
 
 
 def pgm_pixels(path, shape):
@@ -38,7 +39,7 @@ class TestSamples:
     # test is about the measurement
 
     def test_id_row_sums_alternate(self):
-        x = make_dataset(1, "ID", 3, OP64, sigma=0.0)[0].x
+        x = make_dataset(1, "ID", 3, P64.op, 0.0, P64.support)[0].x
         rows = np.where(x.any(axis=1))[0]
         assert rows.size == 20 // 2  # odd patch rows are zero
         sums = x[rows[0]:rows[0] + 20].sum(axis=1)
@@ -46,39 +47,41 @@ class TestSamples:
         np.testing.assert_array_equal(sums[1::2], 0.0)
 
     def test_ood_constant_patch(self):
-        x = make_dataset(1, "OOD", 4, OP64, sigma=0.0)[0].x
+        x = make_dataset(1, "OOD", 4, P64.op, 0.0, P64.support)[0].x
         vals = np.unique(x)
         np.testing.assert_array_equal(vals, [0.0, 0.5])
         assert np.sum(x == 0.5) == 400
 
     def test_patch_position_even_and_in_range(self):
-        for s in make_dataset(50, "ID", 0, OP64, sigma=0.0):
+        for s in make_dataset(50, "ID", 0, P64.op, 0.0, P64.support):
             row, col = s.position
             assert (row, col) == first_row_col(s.x)
             assert row % 2 == 0 and col % 2 == 0
             assert 0 <= row <= 64 - 20 and 0 <= col <= 64 - 20
 
     def test_seed_determinism_and_variation(self):
-        a = make_dataset(1, "ID", 5, OP64, sigma=0.0)[0]
-        b = make_dataset(1, "ID", 5, OP64, sigma=0.0)[0]
+        a = make_dataset(1, "ID", 5, P64.op, 0.0, P64.support)[0]
+        b = make_dataset(1, "ID", 5, P64.op, 0.0, P64.support)[0]
         np.testing.assert_array_equal(a.x, b.x)
         positions = {first_row_col(s.x)
-                     for s in make_dataset(100, "OOD", 0, OP64, sigma=0.0)}
+                     for s in make_dataset(100, "OOD", 0, P64.op, 0.0,
+                                           P64.support)}
         assert len(positions) > 10
 
     def test_validation(self):
-        op = Problem(16, 1.0, 0.01).op
+        op, support = P16.op, P16.support
         with pytest.raises(ValueError, match="kind must be one of"):
-            make_dataset(1, "weird", 0, op)
+            make_dataset(1, "weird", 0, op, 0.05, support)
         with pytest.raises(ValueError, match="patch must fit"):
-            make_dataset(1, "ID", 0, op, patch_size=20)
+            make_dataset(1, "ID", 0, op, 0.05, support, patch_size=20)
 
     @pytest.mark.parametrize("patch_size", [-4, 0])
     def test_non_positive_patch_size_rejected(self, patch_size):
         # a negative patch would draw rows past the image and stay blank
-        op = Problem(32, 1.0, 0.01).op
+        problem = Problem(32, 1.0, 0.01)
         with pytest.raises(ValueError, match=r"1 <= patch_size <= 32"):
-            make_dataset(1, "ID", 0, op, patch_size=patch_size)
+            make_dataset(1, "ID", 0, problem.op, 0.05, problem.support,
+                         patch_size=patch_size)
 
 
 class TestPolarGaussian:
@@ -120,9 +123,9 @@ class TestMeasurement:
         # sigma = 0 draws zero noise: y is A x to the sign bit
         problem = Problem(16, 1.0, 0.01)
         for kind in KINDS:
-            for support in (None, problem.support):
-                s = make_dataset(1, kind, 0, problem.op, sigma=0.0,
-                                 support=support, patch_size=6)[0]
+            for support in (np.ones((16, 16)), problem.support):
+                s = make_dataset(1, kind, 0, problem.op, 0.0, support,
+                                 patch_size=6)[0]
                 assert s.y.tobytes() == problem.op.apply(s.x).tobytes()
                 assert s.delta == 0.0
 
@@ -130,15 +133,15 @@ class TestMeasurement:
         # E|z|^2 = sigma^2 * (observed pixel count) = 0.0025 * 512 = 1.28
         support = np.zeros((64, 64))
         support[:, [0, 1, 4, 5, 8, 9, 12, 13]] = 1.0
-        samples = make_dataset(200, "ID", 0, make_cumsum(64, 64),
-                               sigma=0.05, support=support)
+        samples = make_dataset(200, "ID", 0, make_cumsum(64, 64), 0.05,
+                               support)
         assert np.mean([s.delta**2 for s in samples]) == pytest.approx(
             1.28, rel=0.1)
 
     def test_noise_confined_to_support(self):
         problem = Problem(16, 1.0, 0.01)
-        s = make_dataset(1, "ID", 1, problem.op, sigma=0.1,
-                         support=problem.support, patch_size=6)[0]
+        s = make_dataset(1, "ID", 1, problem.op, 0.1, problem.support,
+                         patch_size=6)[0]
         z = s.y - problem.op.apply(s.x)
         free = problem.support == 0.0
         assert free.any() and np.max(np.abs(z[free])) == 0.0
@@ -147,44 +150,45 @@ class TestMeasurement:
 
     def test_reproducible(self):
         # a sample's image and noise depend on its own seed only
-        op = Problem(16, 1.0, 0.01).op
-        a = make_dataset(3, "ID", 7, op, sigma=0.05, patch_size=6)[2]
-        b = make_dataset(1, "ID", 9, op, sigma=0.05, patch_size=6)[0]
+        op, support = P16.op, P16.support
+        a = make_dataset(3, "ID", 7, op, 0.05, support, patch_size=6)[2]
+        b = make_dataset(1, "ID", 9, op, 0.05, support, patch_size=6)[0]
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
         assert a.delta == b.delta and a.position == b.position
 
     def test_sigma_validated(self):
-        op = Problem(16, 1.0, 0.01).op
+        op, support = P16.op, P16.support
         with pytest.raises(ValueError, match="sigma must be finite"):
-            make_dataset(1, "ID", 0, op, sigma=-0.1, patch_size=6)
+            make_dataset(1, "ID", 0, op, -0.1, support, patch_size=6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, bad):
-        op = Problem(16, 1.0, 0.01).op
+        op, support = P16.op, P16.support
         with pytest.raises(ValueError, match="sigma must be finite"):
-            make_dataset(1, "ID", 0, op, sigma=bad, patch_size=6)
+            make_dataset(1, "ID", 0, op, bad, support, patch_size=6)
 
 
 class TestMakeDataset:
     def test_sizes(self):
-        op = Problem(16, 1.0, 0.01).op
+        op, support = P16.op, P16.support
         for n in (1, 20):
-            samples = make_dataset(n, "OOD", 0, op, sigma=0.01, patch_size=6)
+            samples = make_dataset(n, "OOD", 0, op, 0.01, support,
+                                   patch_size=6)
             assert len(samples) == n
             assert samples[0].x.shape == op.in_shape
 
     def test_per_sample_seeds(self):
-        op = Problem(16, 1.0, 0.01).op
-        samples = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
+        op, support = P16.op, P16.support
+        samples = make_dataset(3, "ID", 100, op, 0.01, support, patch_size=6)
         assert [s.seed for s in samples] == [100, 101, 102]
-        again = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
+        again = make_dataset(3, "ID", 100, op, 0.01, support, patch_size=6)
         for a, b in zip(samples, again):
             np.testing.assert_array_equal(a.y, b.y)
 
     def test_one_generator_per_image_and_noise(self, monkeypatch):
         # the patch position is drawn once per sample, with the image
-        op = Problem(16, 1.0, 0.01).op
+        op, support = P16.op, P16.support
         seeds = []
         default_rng = np.random.default_rng
 
@@ -193,7 +197,7 @@ class TestMakeDataset:
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counted)
-        samples = make_dataset(3, "ID", 100, op, sigma=0.01, patch_size=6)
+        samples = make_dataset(3, "ID", 100, op, 0.01, support, patch_size=6)
         # image seed, then its noise seed on a disjoint stream
         assert seeds == [100, 7777877, 101, 7777878, 102, 7777879]
         for s in samples:
@@ -202,9 +206,9 @@ class TestMakeDataset:
             assert s.x[:, :col].sum() == 0.0
 
     def test_n_validated(self):
-        op = Problem(16, 1.0, 0.01).op
+        op, support = P16.op, P16.support
         with pytest.raises(ValueError):
-            make_dataset(0, "ID", 0, op)
+            make_dataset(0, "ID", 0, op, 0.05, support)
 
 
 class TestPgm:
@@ -264,8 +268,8 @@ class TestWriteCsv:
 
 
 def test_export_dataset(tmp_path):
-    op = Problem(16, 1.0, 0.01).op
-    samples = make_dataset(2, "ID", 7, op, sigma=0.01, patch_size=6)
+    op, support = P16.op, P16.support
+    samples = make_dataset(2, "ID", 7, op, 0.01, support, patch_size=6)
     manifest = export_dataset(samples, tmp_path)
     with open(manifest) as fh:
         lines = fh.read().strip().splitlines()
@@ -277,8 +281,8 @@ def test_export_dataset(tmp_path):
 
 def test_export_dataset_measurements_are_lossless(tmp_path):
     # at unit spacing y leaves the PGM range [0, 1] on both sides
-    op = Problem(16, 1.0, 0.01).op
-    samples = make_dataset(3, "ID", 7, op, sigma=0.05, patch_size=6)
+    op, support = P16.op, P16.support
+    samples = make_dataset(3, "ID", 7, op, 0.05, support, patch_size=6)
     assert max(s.y.max() for s in samples) > 1.0
     assert min(s.y.min() for s in samples) < 0.0
     manifest = export_dataset(samples, tmp_path)

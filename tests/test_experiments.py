@@ -1,5 +1,5 @@
-"""Experiment harness: training loop, evaluation report, data-consistency
-audit and the convergence-rate studies."""
+"""Experiment harness: the stripe problem, training loop, evaluation
+report, data-consistency audit and the convergence-rate studies."""
 
 import dataclasses
 import json
@@ -16,7 +16,8 @@ from nsrecon.experiments import (ConvergenceReport, EvalConfig, Problem,
                                  evaluate, fit_loglog_slope,
                                  make_rate_operator, nsn_convergence_study,
                                  save_json_summary, train)
-from nsrecon.linops import dense_svd, operator_svd
+from nsrecon.linops import (adjoint_check, dense_svd, make_cumsum,
+                            operator_svd)
 from nsrecon.nullspace import iterative_projector, svd_projector
 from nsrecon.regularize import (FILTER_KINDS, FilterSpec, SourceCondition,
                                 spectral_reconstruct)
@@ -139,10 +140,18 @@ class TestProblem:
         with pytest.raises(ValueError):
             small_problem.reconstruct(y)
 
-    @pytest.mark.parametrize("shape", [(32,), (32, 1), (16, 32)])
+    @pytest.mark.parametrize("shape", [(32,), (32, 1), (16, 32),
+                                       (3, 16, 32), (2, 3, 32, 32)])
     def test_wrong_data_shape_rejected(self, small_problem, shape):
-        with pytest.raises(ValueError, match="data shape"):
+        with pytest.raises(ValueError, match=r"expected shape \(32, 32\)"):
             small_problem.reconstruct(np.ones(shape))
+
+    def test_reconstructs_a_stack_as_single_images(self, small_problem):
+        y = np.random.default_rng(6).standard_normal((5, 32, 32))
+        stack = small_problem.reconstruct(y)
+        assert stack.shape == y.shape
+        for one, x in zip(y, stack):
+            assert small_problem.reconstruct(one).tobytes() == x.tobytes()
 
     def test_model_projector(self, small_problem):
         assert small_problem.model_projector("dcnet") is \
@@ -157,6 +166,55 @@ class TestProblem:
         for s in samples:
             assert s.x.shape == s.y.shape == (32, 32)
             assert s.kind == "OOD"
+
+
+STRIPES = [0, 1, 4, 5, 8, 9, 12, 13]  # array columns {4k, 4k+1}, k < 4
+
+
+class TestStripeMask:
+    """The support of `Problem`: ones, with the four stripes removed."""
+
+    def test_single_stripe_columns(self):
+        # stripe k is the one-based column pair {4k+1, 4k+2}
+        support = Problem(16, 1.0, 0.01).support
+        for k in range(4):
+            assert np.all(support[:, 4 * k:4 * k + 2] == 0.0)
+            assert np.all(support[:, 4 * k + 2:4 * k + 4] == 1.0)
+
+    def test_benchmark_eight_columns(self):
+        support = Problem.benchmark().support
+        assert support.shape == (64, 64)
+        assert np.all((support == 0.0) | (support == 1.0))
+        removed = np.flatnonzero(support[0] == 0.0)
+        assert removed.tolist() == STRIPES
+        assert np.all(support == support[0])
+
+    def test_complement(self):
+        kept = np.flatnonzero(Problem.benchmark().support[0])
+        assert len(kept) == 56
+        assert not set(kept) & set(STRIPES)
+
+    def test_validation(self):
+        # 14 columns are the narrowest that hold the four stripes
+        with pytest.raises(ValueError, match="stripes"):
+            Problem(13, 1.0, 0.01)
+        assert Problem(14, 1.0, 0.01).support[:, 13].sum() == 0.0
+        with pytest.raises(ValueError):
+            Problem(14, 1.0, 0.01).support[0, 0] = 1.0
+
+
+class TestCompose:
+    """The stripe operator is the column mask after the integration."""
+
+    def test_mask_commutes_with_cumsum(self):
+        k = make_cumsum(16, 16, spacing=0.25)
+        x = np.random.default_rng(3).standard_normal((16, 16))
+        problem = Problem(16, 0.25, 0.01)
+        np.testing.assert_array_equal(problem.op.apply(x),
+                                      problem.support * k.apply(x))
+
+    def test_adjoint_defect(self):
+        assert adjoint_check(Problem(16, 1.0, 0.01).op) < 1e-12
 
 
 class TestTrain:

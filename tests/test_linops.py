@@ -1,10 +1,11 @@
-"""Operator plumbing: adjoint checks, CG, dense SVD and the pseudo-inverse."""
+"""Operator plumbing: the per-column integration, adjoint checks, dense
+forms and wrappers, CG, dense SVD and the pseudo-inverse."""
 
 import numpy as np
 import pytest
 
 from nsrecon.experiments import Problem, make_rate_operator
-from nsrecon.linops import (MatvecOp, SvdFactors, adjoint_check,
+from nsrecon.linops import (MatvecOp, SvdFactors, _galerkin, adjoint_check,
                             cg_regularized_normal, dense_op, dense_svd,
                             make_cumsum, operator_svd, pseudo_inverse_apply,
                             to_dense)
@@ -27,6 +28,37 @@ def wrong_adjoints(rank, seed):
     return [MatvecOp((6,), (12,), lambda x: x @ a.T,
                      lambda y, wrong=wrong: y @ wrong)
             for wrong in (2.0 * a, rng.standard_normal((12, 6)))]
+
+
+class TestCumsum:
+    def test_column(self):
+        op = make_cumsum(3, 1)
+        x = np.array([[1.0], [0.0], [2.0]])
+        np.testing.assert_array_equal(op.apply(x),
+                                      np.array([[1.0], [1.0], [3.0]]))
+
+    def test_adjoint_is_suffix_sum(self):
+        op = make_cumsum(3, 1)
+        y = np.array([[1.0], [2.0], [3.0]])
+        np.testing.assert_array_equal(op.adjoint(y),
+                                      np.array([[6.0], [5.0], [3.0]]))
+
+    def test_adjoint_defect(self):
+        assert adjoint_check(make_cumsum(8, 8)) < 1e-12
+
+    def test_spacing_scales_linearly(self):
+        x = np.random.default_rng(0).standard_normal((6, 4))
+        coarse = make_cumsum(6, 4).apply(x)
+        fine = make_cumsum(6, 4, spacing=0.25).apply(x)
+        np.testing.assert_allclose(fine, 0.25 * coarse)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            make_cumsum(0, 3)
+        for spacing in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError,
+                               match="spacing must be finite and positive"):
+                make_cumsum(3, 3, spacing)
 
 
 class TestAdjointCheck:
@@ -166,6 +198,49 @@ class TestDenseForms:
     def test_dense_svd_refuses_past_limit(self, shape):
         with pytest.raises(ValueError, match="exceeds 1024"):
             dense_svd(np.zeros(shape))
+
+
+class TestDense:
+    def test_identity_matrix(self):
+        np.testing.assert_array_equal(
+            to_dense(dense_op(np.eye(4), (2, 2), (2, 2))), np.eye(4))
+
+    def test_cumsum_2x1(self):
+        np.testing.assert_array_equal(to_dense(make_cumsum(2, 1)),
+                                      np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_transpose_matches_adjoint(self):
+        op = Problem(14, 1.0, 0.01).op
+        mat = to_dense(op)
+        for j in range(14 * 14):
+            e = np.zeros(14 * 14)
+            e[j] = 1.0
+            np.testing.assert_allclose(
+                op.adjoint(e.reshape(14, 14)).ravel(), mat.T[:, j],
+                atol=1e-14)
+
+    def test_dense_op_roundtrip(self):
+        rng = np.random.default_rng(6)
+        mat = rng.standard_normal((16, 16))
+        np.testing.assert_allclose(to_dense(dense_op(mat, (4, 4), (4, 4))),
+                                   mat, atol=1e-14)
+
+    def test_operator_svd_keeps_shapes(self):
+        op = Problem(14, 1.0, 0.01).op
+        svd = operator_svd(op)
+        assert svd.in_shape == (14, 14) and svd.out_shape == (14, 14)
+        np.testing.assert_allclose(svd.matrix(), to_dense(op), atol=1e-12)
+
+    def test_dense_op_shape_validation(self):
+        with pytest.raises(ValueError):
+            dense_op(np.eye(4), (3, 3), (2, 2))
+        # dense_svd's checks
+        for matrix, message in [(np.ones(4), "expected a 2D matrix"),
+                                (np.ones((2, 2, 2)), "expected a 2D matrix"),
+                                ([[1.0, np.nan]], "non-finite entries"),
+                                ([[np.inf], [0.0]], "non-finite entries")]:
+            with pytest.raises(ValueError, match=message):
+                dense_op(matrix)
 
 
 class TestCg:
@@ -328,7 +403,7 @@ class TestBlockCg:
                                     tol=1e-300, max_iters=20000)
         assert not res.converged and res.rel_residual <= 1e-15
         exact = z - svd_projector(svd)(z)
-        again = res.space.galerkin(rhs.reshape(1, -1)).reshape(z.shape)
+        again = _galerkin(rhs.reshape(1, -1), res.directions).reshape(z.shape)
         for x in (res.x, again):
             assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(z)
 
@@ -340,12 +415,13 @@ class TestBlockCg:
         op = tikhonov_stack(dense_op(a, (4, 4), (4, 4)), 0.3)
         res = cg_regularized_normal(op, rng.standard_normal((4, 4, 4)),
                                     tol=1e-12, max_iters=10000)
-        assert res.converged and res.space.directions.shape == (16, 16)
+        assert res.converged and res.directions.shape == (16, 16)
         rhs = rng.standard_normal((3, 16))
         direct = np.linalg.solve(a.T @ a + 0.3 * np.eye(16), rhs.T).T
-        np.testing.assert_allclose(res.space.galerkin(rhs), direct,
+        np.testing.assert_allclose(_galerkin(rhs, res.directions), direct,
                                    rtol=0, atol=1e-10)
-        np.testing.assert_array_equal(res.space.galerkin(0.0 * rhs), 0.0)
+        np.testing.assert_array_equal(_galerkin(0.0 * rhs, res.directions),
+                                      0.0)
 
     @pytest.mark.parametrize("seed", [581, 1113, 1676])
     def test_rounding_noise_stays_out_of_the_basis(self, seed):

@@ -2,6 +2,7 @@
 gradient checking, Lipschitz bound and checkpoint round trips."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -577,7 +578,7 @@ class TestCheckpoint:
         arch = nn.Architecture(layers=3, width=4)
         params = nn.init_params(arch, 14)
         path = tmp_path / "net.ckpt"
-        nn.save_params(path, arch, params)
+        nn.save_params(path, params)
         arch2, params2 = nn.load_params(path)
         assert arch2 == arch
         np.testing.assert_array_equal(params2.flat, params.flat)
@@ -588,14 +589,14 @@ class TestCheckpoint:
         arch = nn.Architecture(layers=2, width=3)
         params = nn.init_params(arch, 15)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        nn.save_params(p1, arch, params)
-        nn.save_params(p2, arch, params)
+        nn.save_params(p1, params)
+        nn.save_params(p2, params)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_truncated_and_overlong(self, tmp_path):
         arch = nn.Architecture(layers=2, width=2)
         src = tmp_path / "net.ckpt"
-        nn.save_params(src, arch, nn.init_params(arch, 16))
+        nn.save_params(src, nn.init_params(arch, 16))
         data = src.read_bytes()
         path = tmp_path / "cut.ckpt"
         for size in range(len(data)):
@@ -609,7 +610,7 @@ class TestCheckpoint:
     def test_rejects_header_that_misdescribes_layers(self, tmp_path):
         arch = nn.Architecture(layers=2, width=2)
         src = tmp_path / "net.ckpt"
-        nn.save_params(src, arch, nn.init_params(arch, 17))
+        nn.save_params(src, nn.init_params(arch, 17))
         data = src.read_bytes()
         head = len(nn._CKPT_MAGIC)
         blen_at = head + 8 + 16 + 8 * 2 * 1 * 9  # layer 0 bias count
@@ -627,7 +628,7 @@ class TestCheckpoint:
         arch = nn.Architecture(layers=2, width=2)
         params = nn.init_params(arch, 18)
         src = tmp_path / "net.ckpt"
-        nn.save_params(src, arch, params)
+        nn.save_params(src, params)
         data = src.read_bytes()
         kernel_at = len(nn._CKPT_MAGIC) + 8 + 16  # layer 0, first tap
         bias_at = kernel_at + 8 * 2 * 1 * 9 + 4   # layer 0, first bias
@@ -646,24 +647,70 @@ class TestCheckpoint:
             bad = params.copy()
             view(bad)[0] = np.nan
             with pytest.raises(ValueError, match="non-finite"):
-                nn.save_params(out, arch, bad)
+                nn.save_params(out, bad)
             assert not out.exists()
         assert np.all(np.isfinite(params.flat))
 
     @pytest.mark.parametrize("layers, bad", [(3, 2), (7, 4), (5, 4)])
     def test_save_rejects_params_of_another_architecture(self, tmp_path,
                                                          layers, bad):
-        # default 5-layer params under a 3- or 7-layer header, and a bias
-        # of the wrong length, which load_params would reject
-        params = nn.init_params(nn.Architecture(), 19)
-        if layers == 5:
-            biases = list(params.biases)
+        # params that no Architecture describes, which load_params would
+        # reject: the first layers of the default stack, ending on a
+        # 6-channel layer; a 4-channel layer inside a 6-channel stack; and
+        # a bias of the wrong length
+        params = nn.init_params(nn.Architecture(layers=layers), 19)
+        kernels, biases = list(params.kernels), list(params.biases)
+        if layers == 3:
+            full = nn.init_params(nn.Architecture(), 19)
+            kernels, biases = full.kernels[:3], full.biases[:3]
+        elif layers == 7:
+            kernels[bad] = np.zeros((4, 6, 3, 3))
+        else:
             biases[bad] = np.zeros(2)
-            params = nn.NetParams(params.kernels, biases)
+        params = nn.NetParams(kernels, biases)
         path = tmp_path / "net.ckpt"
         with pytest.raises(ValueError, match=f"layer {bad} "):
-            nn.save_params(path, nn.Architecture(layers=layers), params)
+            nn.save_params(path, params)
         assert not path.exists()
+
+    @pytest.mark.parametrize("case", ["one-layer", "no-channels",
+                                      "a-bias-too-many"])
+    def test_save_rejects_params_of_no_stack(self, tmp_path, case):
+        full = nn.init_params(nn.Architecture(), 19)
+        params = {
+            "one-layer": lambda: nn.NetParams(full.kernels[:1],
+                                              full.biases[:1]),
+            "no-channels": lambda: nn.NetParams(
+                (np.zeros((0, 1, 3, 3)), np.zeros((1, 0, 3, 3))),
+                (np.zeros(0), np.zeros(1))),
+            "a-bias-too-many": lambda: nn.NetParams(full.kernels[:4],
+                                                    full.biases),
+        }[case]()
+        path = tmp_path / "net.ckpt"
+        with pytest.raises(ValueError):
+            nn.save_params(path, params)
+        assert not path.exists()
+
+    def test_rejects_header_that_declares_more_than_the_file(self,
+                                                             tmp_path):
+        # width 2**31 - 1 declares a first kernel of about 155 GB: the
+        # read is refused before any buffer is allocated
+        src = tmp_path / "net.ckpt"
+        nn.save_params(src, nn.init_params(nn.Architecture(2, 2), 20))
+        patched = bytearray(src.read_bytes())
+        head = len(nn._CKPT_MAGIC)
+        width = 2**31 - 1
+        patched[head + 4:head + 12] = struct.pack("<ii", width, width)
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(bytes(patched))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="huge.ckpt: truncated"):
+                nn.load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

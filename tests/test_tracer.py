@@ -19,8 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from nsrecon import nn
-from nsrecon.experiments import Problem, TrainConfig, train
+import numpy as np
+
+from nsrecon import nn, nullspace
+from nsrecon.experiments import (Problem, TrainConfig, make_rate_operator,
+                                 train)
+from nsrecon.linops import cg_regularized_normal
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -76,3 +80,28 @@ def test_digest_sees_the_trained_numbers(perfbench):
     params, log = train(cfg, problem)
     assert digest((params, log)) == digest(train(cfg, problem))
     assert digest((params.scaled(2.0), log)) != digest((params, log))
+
+
+def test_projector_solve_is_one_span_of_its_block_steps(perfbench):
+    # the tracer reads `converged` and `iters` of the projector's
+    # CgResult: one traced iterative_projector call on the 16x16 rate
+    # operator is one linops.cg.projector span whose work is the solve's
+    # block steps, and a second call on the same image reuses the held
+    # directions and records none
+    op, _ = make_rate_operator()
+    z = np.random.default_rng(0).standard_normal((16, 16))
+    steps = cg_regularized_normal(
+        op, op.adjoint(op.apply(z)), tol=nullspace._PROJECTOR_TOL,
+        max_iters=nullspace._PROJECTOR_MAX_ITERS).iters
+    tracer = perfbench("tracer").Tracer()
+    proj = nullspace.iterative_projector(op)
+    spans = []
+    with tracer.installed():
+        cg = tracer.names.index("linops.cg.projector")
+        for _ in range(2):
+            proj(z)
+            spans.append([work for name, work in zip(tracer.name,
+                                                     tracer.work)
+                          if name == cg])
+    assert spans == [[float(steps)]] * 2 and steps > 0
+    assert tracer.unconverged == 0
