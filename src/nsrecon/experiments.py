@@ -307,7 +307,7 @@ _T_TERMS = (((1, 1), 4), ((3, 16, 5), 96), ((-15, 17, 19, 3), 384),
             ((17955, -765, -1782, 930, 339, 27), 368640))
 
 
-@cache
+@cache  # uncached, a classical rate study's two calls took 66 us of 1.84 ms
 def _t975(dof: int) -> float:
     """Student's t quantile 0.975 at dof >= 1: exact at 1 and 2, the series
     from 3 (within 3e-4 relative, the worst at 3 dof)."""

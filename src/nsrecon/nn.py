@@ -124,7 +124,7 @@ def _band(projector, w: int, layers: int):
     return _arc_band(b"" if columns is None else columns.tobytes(), w, layers)
 
 
-@functools.lru_cache(maxsize=16)  # once per column mask, w and layers
+@functools.lru_cache(maxsize=16)  # uncached, stripe_train ran 13-16% slower
 def _arc_band(columns: bytes, w: int, layers: int):
     cols = np.flatnonzero(np.frombuffer(columns, dtype=bool))
     gaps = np.diff(cols, append=cols[:1] + w)  # to the next marked column
@@ -150,11 +150,9 @@ def forward(params: NetParams, x: np.ndarray,
     arc (`_band`, the whole circle without `columns`) and L columns each
     side (L layers), read mod w, so U is circular and 0 off the arc.
     Returns (out, cache).  The cache feeds `backward`: "band" holds the
-    projector's `_band`, "rows" the `_row_shifts` matrix of each layer's
-    input, "masks" the boolean ReLU mask (pre-activation > 0) of each layer
-    but the last, in the (..., ch, h, v + 2) layout of `_conv_rows` for
-    output width v, with False on the slack columns.  Raises ValueError on
-    a non-finite x.
+    projector's `_band` and "rows" the `_row_shifts` matrix of each layer's
+    input, which for every layer but the first is the ReLU output of the
+    layer before.  Raises ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3):
@@ -167,21 +165,19 @@ def forward(params: NetParams, x: np.ndarray,
     ctx, arc = band = _band(projector, w, layers)
     a = x[..., None, :, ctx]
     v = a.shape[-1]  # width of the layer input, then of its output
-    rows, masks = [], []
+    rows = []
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
         rows.append(_row_shifts(a[..., :v]))
         v -= 2
         a = _conv_rows(rows[-1], k, h, v)
         a += b[:, None, None]
         if l < layers - 1:
-            a[..., v:] = 0.0
-            masks.append(a > 0)
             np.maximum(a, 0.0, out=a)
     corr = np.zeros(x.shape)
     corr[..., arc] = a[..., 0, :, :v]
     out = x + (corr if projector is None else projector(corr))
-    cache = {"rows": rows, "masks": masks, "projector": projector,
-             "band": band, "x_shape": x.shape}
+    cache = {"rows": rows, "projector": projector, "band": band,
+             "x_shape": x.shape}
     return out, cache
 
 
@@ -193,9 +189,9 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     self-adjoint (orthogonal projections are).  ReLU subgradient at 0 is 0.
     Kernel gradients are taken against the cached row matrices.  The
     gradient stays in the (ch, h, v + 2) layout of `_conv_rows`; its slack
-    columns hold 0 (the masks are False there), so they add nothing to
-    those products.  It runs on the forward's band, padding each gradient
-    with zeros, and adds every context column into the column it read.
+    columns are masked to 0, so they add nothing to those products.  It
+    runs on the forward's band, padding each gradient with zeros, and adds
+    every context column into the column it read.
     """
     grad_out = np.asarray(grad_out, dtype=float)
     if len(cache["x_shape"]) != 2:
@@ -227,8 +223,10 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
         v += 2
         g = _conv_rows(shifts, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
                        h, v)
-        if l > 0:
-            g *= cache["masks"][l - 1]
+        if l > 0:  # layer l - 1's ReLU mask z > 0 is max(z, 0) > 0, read
+            mask = np.zeros(g.shape, dtype=bool)  # off layer l's input
+            mask[..., :v] = rows[1::3, :h * v].reshape(-1, h, v) > 0
+            g *= mask
     grad_in = grad_out.copy()
     # unbuffered: a column that ctx repeats gathers every read of it
     np.add.at(grad_in, (slice(None), ctx), g[0, :, :v])
@@ -323,6 +321,14 @@ def lipschitz_bound(params: NetParams, shape: tuple[int, int]) -> float:
 _CKPT_MAGIC = b"nsnet-ckpt v1\n"
 
 
+def _architecture(path, layers: int, width: int) -> Architecture:
+    """Architecture(layers, width), its refusal prefixed by the path."""
+    try:
+        return Architecture(layers, width)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def save_params(path, params: NetParams) -> None:
     """Write a versioned, byte-stable checkpoint (header + raw float64) of
     params and the Architecture they form.  Raises ValueError, writing
@@ -331,7 +337,8 @@ def save_params(path, params: NetParams) -> None:
         raise ValueError(f"{path}: refusing to save non-finite parameters")
     have = [(np.shape(k), np.shape(b))
             for k, b in zip_longest(params.kernels, params.biases)]
-    arch = Architecture(len(have), int(np.prod(have[0][1])) if have else 0)
+    arch = _architecture(path, len(have),
+                         int(np.prod(have[0][1])) if have else 0)
     want = [(chans + (3, 3), chans[:1]) for chans in arch.channels()]
     for layer, (h, w) in enumerate(zip(have, want)):
         if h != w:
@@ -349,8 +356,8 @@ def save_params(path, params: NetParams) -> None:
 
 def load_params(path):
     """Read a checkpoint written by `save_params`; returns (arch, params).
-    Raises ValueError on a foreign, truncated or over-long file and on
-    non-finite parameters."""
+    Raises ValueError naming the path on a foreign, truncated or over-long
+    file, a header no Architecture takes or non-finite parameters."""
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
@@ -363,7 +370,7 @@ def load_params(path):
             return data
 
         layers, width = struct.unpack("<ii", read(8))
-        arch = Architecture(layers=layers, width=width)
+        arch = _architecture(path, layers, width)
         kernels, biases = [], []
         for layer, chans in enumerate(arch.channels()):
             kshape = struct.unpack("<iiii", read(16))

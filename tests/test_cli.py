@@ -223,6 +223,26 @@ def test_checkpoint_declaring_more_than_its_file_fails(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("layers, width, message", [
+    (5, -1, "width must be >= 1"), (1, 6, "need at least 2 layers")],
+    ids=["width-1", "one-layer"])
+def test_eval_names_the_checkpoint_no_architecture_takes(
+        tmp_path, capsys, ckpts, layers, width, message):
+    # of eval's two checkpoints, the error line names the bad one
+    path = ckpts["dcnet"]
+    data = bytearray(path.read_bytes())
+    at = len(nn._CKPT_MAGIC)  # the header's layer count and width
+    data[at:at + 8] = struct.pack("<ii", layers, width)
+    path.write_bytes(bytes(data))
+    cfg = write_config(tmp_path, "cfg", image_size=32,
+                       resnet_ckpt=ckpts["resnet"], dcnet_ckpt=path)
+    out = tmp_path / "o"
+    assert main(["eval", "--out", str(out), "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"nsrecon eval: error: {path}: {message}\n")
+    assert not out.exists()
+
+
 class TestDcAuditErrors:
     def ckpt(self, tmp_path):
         arch = nn.Architecture()

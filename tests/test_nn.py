@@ -1,6 +1,7 @@
 """From-scratch CNN: convolution, initialization, forward/backward, Adam,
 gradient checking, Lipschitz bound and checkpoint round trips."""
 
+import re
 import struct
 import tracemalloc
 
@@ -257,7 +258,8 @@ class TestBackward:
         g = rng.standard_normal((4, 5))
         _, cache = nn.forward(params, x)
         assert len(cache["band"][0]) == 11
-        assert all(m[..., :-2].all() for m in cache["masks"])
+        # every hidden unit is open: each cached layer input is > 0
+        assert all((r[1::3, :-2] > 0).all() for r in cache["rows"][1:])
         _, grad_in = nn.backward(params, cache, g)
         jac = np.linalg.multi_dot([dense_conv(k, 4, 5) for k in kernels[::-1]])
         want = jac.T @ g.ravel()
@@ -615,9 +617,12 @@ class TestCheckpoint:
         head = len(nn._CKPT_MAGIC)
         blen_at = head + 8 + 16 + 8 * 2 * 1 * 9  # layer 0 bias count
         path = tmp_path / "patched.ckpt"
+        # Architecture's own refusals name the file too
         for at, value, match in ((head + 4, 5, "kernel shape"),
                                  (head, 10**6, "kernel shape"),
-                                 (blen_at, 3, "biases")):
+                                 (blen_at, 3, "biases"),
+                                 (head, 1, "patched.ckpt: need at least 2"),
+                                 (head + 4, -1, "patched.ckpt: width must")):
             patched = bytearray(data)
             patched[at:at + 4] = struct.pack("<i", value)
             path.write_bytes(bytes(patched))
@@ -687,7 +692,7 @@ class TestCheckpoint:
                                                     full.biases),
         }[case]()
         path = tmp_path / "net.ckpt"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             nn.save_params(path, params)
         assert not path.exists()
 

@@ -166,11 +166,9 @@ def test_conv_and_kernel_gradient_match_loops(in_ch, out_ch, h, w, seed):
     # the whole circle, each layer input read on its context mod w
     a1 = np.maximum(z0, 0.0)
     ctx = (np.arange(w + 4) - 2) % w
-    mask = np.pad(z0[..., ctx[1:-1]] > 0, ((0, 0), (0, 0), (0, 2)))
     cache = {"rows": [nn._row_shifts(x[..., ctx]),
                       nn._row_shifts(a1[..., ctx[1:-1]])],
-             "masks": [mask], "projector": None, "band": (ctx, ctx[2:-2]),
-             "x_shape": (h, w)}
+             "projector": None, "band": (ctx, ctx[2:-2]), "x_shape": (h, w)}
     g1 = rng.standard_normal((1, h, w))
     grads, _ = nn.backward(nn.NetParams([k0, k1], [b0, b1]), cache, g1[0])
     # the loss gradient at the first layer's output, by the adjoint's loop

@@ -9,8 +9,11 @@ projector's `nullspace.cg_regularized_normal` and `nullspace.project_null`)
 fails here instead of going silent in a benchmark run.  perfbench/run.py
 checks each traced output against the untraced one by `digest`, which
 hashes the numbers of dataclasses but the repr, and so the address, of
-other objects.  The perfbench modules are loaded from their files without
-writing bytecode next to them.
+other objects.  The tracer also takes image shapes from what nn.forward
+and nn.backward return, and the rate_study workload's speed rests on how
+often its projector solves; the last tests pin both.  The perfbench
+modules are loaded from their files without writing bytecode next to
+them.
 """
 
 import importlib.util
@@ -21,8 +24,9 @@ import pytest
 
 import numpy as np
 
-from nsrecon import nn, nullspace
-from nsrecon.experiments import (Problem, TrainConfig, make_rate_operator,
+from nsrecon import experiments, nn, nullspace
+from nsrecon.experiments import (MODEL_KINDS, EvalConfig, Problem,
+                                 TrainConfig, evaluate, make_rate_operator,
                                  train)
 from nsrecon.linops import cg_regularized_normal
 
@@ -105,3 +109,55 @@ def test_projector_solve_is_one_span_of_its_block_steps(perfbench):
                           if name == cg])
     assert spans == [[float(steps)]] * 2 and steps > 0
     assert tracer.unconverged == 0
+
+
+def test_traced_training_and_evaluation_record_their_work(perfbench):
+    # the tracer counts conv FLOPs from the image shape of nn.forward's
+    # output [0] and of nn.backward's input gradient [1]: a forward that
+    # returned a bare array, or a backward without the input gradient,
+    # would break every traced run
+    tracer = perfbench("tracer").Tracer()
+    problem = Problem.benchmark(32)
+    with tracer.installed():
+        models = {kind: train(TrainConfig(model_kind=kind, epochs=3),
+                              problem)[0] for kind in MODEL_KINDS}
+        evaluate(models["resnet"], models["dcnet"], EvalConfig(n_per_kind=1),
+                 problem)
+    name, _, _, _, work = tracer.columns()
+    for span in ("nn.forward", "nn.backward", "data.make_dataset"):
+        done = work[name == tracer.names.index(span)]
+        assert done.size > 0 and np.all(done > 0), span
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rate_study_round_solves_once_and_reuses_once(perfbench, monkeypatch,
+                                                      seed):
+    # perfbench builds rate_study afresh every round, so each measured
+    # round's projector solves once, in the mu = 1/2 stage, and the mu = 1
+    # stage is served by the held directions (ROADMAP item 10): that pair
+    # is what main_per_s measures.  The net's ReLUs never fire at seed 0
+    # and do at seed 1
+    stages = perfbench("workloads").rate_study(seed).stages[-2:]
+    solve, network = nullspace.cg_regularized_normal, experiments._network
+    solves, fired = [], []
+
+    def counted(op, rhs, **kwargs):
+        solves.append(rhs.shape)
+        return solve(op, rhs, **kwargs)
+
+    def recorded(params, x, projector):
+        out, cache = network(params, x, projector)
+        fired.append(bool(np.any(cache["rows"][1] > 0)))
+        return out, cache
+
+    monkeypatch.setattr(nullspace, "cg_regularized_normal", counted)
+    monkeypatch.setattr(experiments, "_network", recorded)
+    per_stage = []
+    for stage in stages:
+        solves.clear()
+        stage.run()
+        per_stage.append(len(solves))
+    assert [stage.name for stage in stages] == ["nsn_tikhonov_mu0.5",
+                                                "nsn_tikhonov_mu1.0"]
+    assert per_stage == [1, 0]
+    assert fired == [seed == 1] * 2
