@@ -86,8 +86,13 @@ def _load(path):
 
 
 def cmd_gen_data(args, opts, problem):
-    samples = problem.dataset(opts["n"], opts["kind"], args.seed,
-                              opts["sigma"], opts["patch_size"])
+    if opts["n"] < 1:
+        raise ValueError("n must be >= 1")
+    # sample i alone, as element i of problem.dataset(n, ...); the first
+    # draw checks kind, sigma and patch_size before any file is written
+    samples = (problem.dataset(1, opts["kind"], args.seed + i, opts["sigma"],
+                               opts["patch_size"])[0]
+               for i in range(opts["n"]))
     return {**opts, "manifest": export_dataset(samples, args.out)}
 
 
@@ -212,6 +217,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     created = not os.path.exists(args.out)
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         cfg = parse_config_file(args.config) if args.config else {}
         command, keys = COMMANDS[args.command]
         opts = _options(cfg, keys, args.config)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +139,10 @@ def write_csv(path, rows, columns=()) -> None:
         writer.writerows(rows)
 
 
-def export_dataset(samples: list[Sample], out_dir) -> str:
+def export_dataset(samples: Iterable[Sample], out_dir) -> str:
     """Dump images as PGM plus a CSV manifest; returns the manifest path.
+    Each sample is written as the iterable yields it, so a generator is
+    never held whole.
     The PGMs clamp to [0, 1], so each measurement y is also
     written losslessly, as float64 .npy (manifest column y_npy)."""
     os.makedirs(out_dir, exist_ok=True)

@@ -109,6 +109,14 @@ class Problem:
                             self.support, patch_size)
 
 
+def _check_seeds(**seeds):
+    """Raise ValueError naming the first negative seed, which numpy would
+    refuse without a name."""
+    for name, seed in seeds.items():
+        if seed < 0:
+            raise ValueError(f"{name} must be >= 0, got {seed}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 100
@@ -129,11 +137,23 @@ class TrainConfig:
                 and 0.0 <= self.sigma < np.inf):
             raise ValueError("need lr > 0, weight_decay >= 0 and a finite "
                              "sigma >= 0")
+        # inline: the call made each valid config 12% slower to build
+        if self.data_seed < 0 or self.init_seed < 0:
+            _check_seeds(data_seed=self.data_seed, init_seed=self.init_seed)
+
+
+# pairs `train` draws at once: drawn one an epoch, between two steps, a
+# 64 x 64 pair took 0.53 ms instead of 0.21 ms (traced stripe_train), and
+# a default dcnet train call took 6% longer
+_DRAW_BLOCK = 16
 
 
 def train(cfg: TrainConfig, problem: Problem | None = None):
-    """Train one model on pre-generated ID pairs, one Adam step per epoch.
+    """Train one model on ID pairs, one Adam step per epoch.
 
+    Epoch e trains on element e of `problem.dataset(cfg.epochs, "ID",
+    cfg.data_seed, cfg.sigma)`, drawn _DRAW_BLOCK pairs at a time when the
+    first of them comes, so memory is constant in the number of epochs.
     Per pair: reconstruct the data classically (`Problem.reconstruct`), run
     the model on the reconstruction, take one Adam step on the squared-error
     loss (the Frobenius weight penalty enters through Adam's coupled weight
@@ -146,11 +166,14 @@ def train(cfg: TrainConfig, problem: Problem | None = None):
         return params, []
     state = nn.init_adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     projector = problem.model_projector(cfg.model_kind)
-    samples = problem.dataset(cfg.epochs, "ID", cfg.data_seed, cfg.sigma)
-    log = []
-    for epoch, s in enumerate(samples):
+    log, cache = [], None
+    for epoch in range(cfg.epochs):
+        if epoch % _DRAW_BLOCK == 0:
+            block = problem.dataset(min(_DRAW_BLOCK, cfg.epochs - epoch),
+                                    "ID", cfg.data_seed + epoch, cfg.sigma)
+        s = block[epoch % _DRAW_BLOCK]
         b = problem.reconstruct(s.y)
-        out, cache = nn.forward(params, b, projector)
+        out, cache = nn.forward(params, b, projector, cache)
         r = out - s.x
         loss = float(np.sum(r * r))
         if not np.isfinite(loss):
@@ -171,6 +194,7 @@ class EvalConfig:
     def __post_init__(self):
         if not (self.n_per_kind >= 1 and 0.0 <= self.sigma < np.inf):
             raise ValueError("need n_per_kind >= 1 and a finite sigma >= 0")
+        _check_seeds(eval_seed=self.eval_seed)
 
 
 _METRICS = ("psnr", "ssim", "mse", "residual")
@@ -190,18 +214,23 @@ def _reconstructions(problem: Problem, sigma: float, counts: tuple[int, int],
     "tikhonov" to B_alpha y and each kind of models (kind -> params) to
     that network on B_alpha y, run with `Problem.model_projector(kind)`."""
     projectors = {kind: problem.model_projector(kind) for kind in models}
+    caches = dict.fromkeys(models)  # each lends its store to the next call
     if not all(np.all(np.isfinite(p.flat)) for p in models.values()):
         raise ValueError("non-finite network parameters")
     for kind, count, offset in zip(("ID", "OOD"), counts,
                                    (0, _OOD_SEED_OFFSET)):
         if count == 0:
             continue
+        # one draw per kind: per-sample draws read evaluate 6% and dc_audit
+        # 5% slower, to save about 1 MB
         for i, s in enumerate(problem.dataset(count, kind, seed + offset,
                                               sigma)):
             tik = problem.reconstruct(s.y)
-            yield kind, i, s, {"tikhonov": tik, **{
-                k: nn.forward(params, tik, projectors[k])[0]
-                for k, params in models.items()}}
+            recs = {"tikhonov": tik}
+            for k, params in models.items():
+                recs[k], caches[k] = nn.forward(params, tik, projectors[k],
+                                                caches[k])
+            yield kind, i, s, recs
 
 
 def _residual(problem: Problem, x: np.ndarray, y: np.ndarray) -> float:
@@ -248,6 +277,7 @@ def dc_audit(params: nn.NetParams, model_kind: str, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_seeds(seed=seed)
     cfg = cfg or EvalConfig()
     problem = problem or Problem.benchmark()
     return [{"kind": kind, "seed": s.seed,

@@ -10,6 +10,7 @@ null-space network, returns x + P(U(x)) for a null-space projection P.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -70,14 +71,16 @@ class NetParams:
         return out
 
 
-def _row_shifts(x: np.ndarray) -> np.ndarray:
+def _row_shifts(x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Row-shift matrix (..., in_ch*3, h*w + 2) of x (..., in_ch, h, w) for
     a 3x3 convolution circular in rows and valid in columns: row 3c + di
     holds rows di .. di+h-1 of x[c] wrap-padded by one, flattened, then two
     zero columns of slack, so column i*w + j + dj holds
-    x[c, (i+di-1)%h, j+dj].  Leading axes are a stack of inputs."""
+    x[c, (i+di-1)%h, j+dj].  Leading axes are a stack of inputs.  It is
+    written into rows, a contiguous array of that shape, if given."""
     *lead, c, h, w = x.shape
-    rows = np.empty((*lead, c * 3, h * w + 2))
+    if rows is None:
+        rows = np.empty((*lead, c * 3, h * w + 2))
     rows[..., h * w:] = 0.0
     # r[c, di, i] is padded row i + di of x[c]: x row (i + di - 1) % h
     r = rows.reshape(*lead, c, 3, -1)[..., :h * w].reshape(*lead, c, 3, h, w)
@@ -139,7 +142,8 @@ def _arc_band(columns: bytes, w: int, layers: int):
 
 
 def forward(params: NetParams, x: np.ndarray,
-            projector: Callable[[np.ndarray], np.ndarray] | None = None):
+            projector: Callable[[np.ndarray], np.ndarray] | None = None,
+            reuse: dict | None = None):
     """Residual forward pass out = x + U(x), or x + P(U(x)) with a projector,
     where U is the conv stack with ReLU between layers.
 
@@ -152,7 +156,10 @@ def forward(params: NetParams, x: np.ndarray,
     Returns (out, cache).  The cache feeds `backward`: "band" holds the
     projector's `_band` and "rows" the `_row_shifts` matrix of each layer's
     input, which for every layer but the first is the ReLU output of the
-    layer before.  Raises ValueError on a non-finite x.
+    layer before, all split from one flat array, "store".  reuse is the
+    cache of an earlier call that the caller no longer reads: its store is
+    written over when it has the size this call needs, so a loop of calls
+    allocates it once.  Raises ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3):
@@ -165,9 +172,17 @@ def forward(params: NetParams, x: np.ndarray,
     ctx, arc = band = _band(projector, w, layers)
     a = x[..., None, :, ctx]
     v = a.shape[-1]  # width of the layer input, then of its output
+    shapes = [(*x.shape[:-2], k.shape[1] * 3, h * (v - 2 * l) + 2)
+              for l, k in enumerate(params.kernels)]
+    sizes = [math.prod(shape) for shape in shapes]
+    # a store allocated per call was faulted in again on most calls once
+    # the heap had no free space to spare (about 14 000 pages an evaluate)
+    store = (reuse["store"] if reuse is not None
+             and reuse["store"].size == sum(sizes) else np.empty(sum(sizes)))
+    blocks = np.split(store, np.cumsum(sizes[:-1]))
     rows = []
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
-        rows.append(_row_shifts(a[..., :v]))
+        rows.append(_row_shifts(a[..., :v], blocks[l].reshape(shapes[l])))
         v -= 2
         a = _conv_rows(rows[-1], k, h, v)
         a += b[:, None, None]
@@ -176,8 +191,8 @@ def forward(params: NetParams, x: np.ndarray,
     corr = np.zeros(x.shape)
     corr[..., arc] = a[..., 0, :, :v]
     out = x + (corr if projector is None else projector(corr))
-    cache = {"rows": rows, "projector": projector, "band": band,
-             "x_shape": x.shape}
+    cache = {"rows": rows, "store": store, "projector": projector,
+             "band": band, "x_shape": x.shape}
     return out, cache
 
 
@@ -275,17 +290,28 @@ def _layer_grams(k: np.ndarray, shape: tuple[int, int]):
     """(G, e): G stacks the smaller Gram matrix, S^H S or S S^H, of the
     9-term symbol S(f) = sum k[:, :, di, dj] 2^-e e^(-2 pi i (f1 di / h +
     f2 dj / w)) at each frequency f of the half spectrum, S(-f) being
-    conj S(f).  S is periodic, so taps wrap on grids narrower than 3.  The
-    power of two 2^-e brings the largest tap into [0.5, 1) exactly, so no
-    entry of G, nor a square in its Frobenius norm, leaves the float range."""
+    conj S(f).  S^H S(f) is the symbol of the kernel's 5x5
+    autocorrelation, whose lag (a, b) term is sum k[:, :, di, dj]^T
+    k[:, :, di + a, dj + b], and S S^H is S^H S of the flipped adjoint
+    kernel.  Two small DFT products sum the 25 lag terms; they are
+    periodic, so lags wrap on grids narrower than 5.  The power of two 2^-e
+    brings the largest tap into [0.5, 1) exactly, so no entry of G, nor a
+    square in its Frobenius norm, leaves the float range."""
     h, w = shape
     e = np.frexp(np.abs(k).max())[1]
-    e1, e2 = (np.exp(-2j * np.pi / n * (np.arange(m)[:, None] * range(3) % n))
-              for m, n in ((h, h), (w // 2 + 1, w)))  # frequency x tap
     k = np.ldexp(k, -e)
-    s = (e1 @ k @ e2.T).transpose(3, 2, 0, 1).reshape((-1,) + k.shape[:2])
-    sh = s.conj().swapaxes(1, 2)
-    return (sh @ s if k.shape[0] >= k.shape[1] else s @ sh), e
+    if k.shape[0] < k.shape[1]:
+        k = k.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    c = k.shape[1]
+    pairs = np.einsum("oide,ojab->deabij", k, k)
+    lags = np.zeros((5, 5, c, c))
+    for di, dj in np.ndindex(3, 3):
+        lags[2 - di:5 - di, 2 - dj:5 - dj] += pairs[di, dj]
+    e1, e2 = (np.exp(-2j * np.pi / n * (np.arange(m)[:, None] * range(-2, 3)
+                                        % n))
+              for m, n in ((h, h), (w // 2 + 1, w)))  # frequency x lag
+    partial = (e2 @ lags.swapaxes(0, 1).reshape(5, -1)).reshape(-1, 5, c * c)
+    return (e1 @ partial).reshape(-1, c, c), e
 
 
 def layer_operator_norms(params: NetParams,

@@ -1,4 +1,7 @@
-"""Shared pytest set-up: criterion 8's trained models, once per session."""
+"""Shared pytest set-up: criterion 8's trained models, once per session,
+and a tracemalloc peak measurer."""
+
+import tracemalloc
 
 import pytest
 
@@ -13,3 +16,17 @@ def criterion8_params():
     return {(seed, kind): train(TrainConfig(model_kind=kind, data_seed=seed,
                                             init_seed=seed + 1))[0]
             for seed in range(3) for kind in MODEL_KINDS}
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args): the peak in bytes of what Python's
+    allocators held while fn(*args) ran, by tracemalloc."""
+    def measure(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

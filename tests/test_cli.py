@@ -13,6 +13,7 @@ import pytest
 
 from nsrecon import cli, nn
 from nsrecon.cli import main, parse_config_file
+from nsrecon.data import export_dataset
 from nsrecon.experiments import (EvalConfig, Problem, TrainConfig,
                                  convergence_study, dc_audit, evaluate,
                                  make_rate_operator, train)
@@ -104,6 +105,45 @@ class TestGenData:
         assert capfd.readouterr().err.startswith(
             "nsrecon gen-data: error: need 1 <= patch_size <= 32")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 0, "n must be >= 1"),
+        ("kind", "nope", "kind must be one of ('ID', 'OOD')")])
+    def test_bad_key_fails_before_any_file(self, tmp_path, capsys, key,
+                                           value, message):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "cfg", image_size=32, **{key: value})
+        assert main(["gen-data", "--out", str(out), "--config", cfg]) == 1
+        assert capsys.readouterr().err == \
+            f"nsrecon gen-data: error: {message}\n"
+        assert not out.exists()
+
+    def test_files_equal_an_export_of_the_whole_dataset(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg", n=3, kind="OOD", image_size=32,
+                           patch_size=6)
+        assert main(["gen-data", "--seed", "4", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 0
+        ref = tmp_path / "ref"
+        export_dataset(Problem.benchmark(32).dataset(3, "OOD", 4, 0.05, 6),
+                       ref)
+        assert {p.name for p in (tmp_path / "o").iterdir()} == \
+            {p.name for p in ref.iterdir()} | {"summary.json"}
+        for path in ref.iterdir():
+            assert (tmp_path / "o" / path.name).read_bytes() == \
+                path.read_bytes()
+
+    def test_memory_is_constant_in_n(self, tmp_path, traced_peak):
+        # each sample is written as it is drawn; drawing all n first grew
+        # the peak by 16 KB a sample (x and y at 32 x 32)
+        def peak(n):
+            cfg = write_config(tmp_path, f"cfg{n}", n=n, image_size=32)
+            return traced_peak(main, ["gen-data", "--out",
+                                      str(tmp_path / f"o{n}"), "--config",
+                                      cfg])
+
+        peak(1)  # first-call set-up
+        assert peak(50) - peak(5) < 100_000
+        assert len(list((tmp_path / "o50").glob("y_*.npy"))) == 50
 
     def test_failure_keeps_an_existing_directory(self, tmp_path):
         out = tmp_path / "o"
@@ -430,6 +470,16 @@ def test_unknown_key_fails_naming_key_and_file(tmp_path, capsys,
     assert main([command, "--out", str(out), "--config", cfg]) == 1
     assert capsys.readouterr().err == (
         f"nsrecon {command}: error: {cfg}: unknown key 'epoch'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_negative_seed_fails_naming_seed(tmp_path, capsys, command):
+    # numpy's own refusal of a negative seed names no field
+    out = tmp_path / "o"
+    assert main([command, "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"nsrecon {command}: error: --seed must be >= 0, got -1\n")
     assert not out.exists()
 
 

@@ -160,6 +160,24 @@ class TestProblem:
         with pytest.raises(ValueError, match="model_kind"):
             small_problem.model_projector("unet")
 
+    @pytest.mark.parametrize("kind", ["ID", "OOD"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_later_draws_are_the_dataset_elements(self, small_problem, kind,
+                                                  m):
+        # gen-data draws sample i alone and train draws blocks, as
+        # dataset(m, kind, seed + i): elements i .. i + m - 1 of
+        # dataset(n, kind, seed), bit for bit
+        whole = small_problem.dataset(7, kind, 7, 0.05)
+        for i in range(0, len(whole), m):
+            part = small_problem.dataset(min(m, len(whole) - i), kind, 7 + i,
+                                         0.05)
+            assert len(part) == len(whole[i:i + m])
+            for got, want in zip(part, whole[i:i + m]):
+                assert np.array_equal(got.x, want.x)
+                assert np.array_equal(got.y, want.y)
+                assert (got.kind, got.seed, got.position, got.delta) == \
+                    (want.kind, want.seed, want.position, want.delta)
+
     def test_dataset_uses_problem_grid(self, small_problem):
         samples = small_problem.dataset(2, "OOD", 3, 0.05)
         assert [s.seed for s in samples] == [3, 4]
@@ -280,6 +298,22 @@ class TestTrain:
         with pytest.raises(ValueError, match="epochs must be >= 0"):
             TrainConfig(epochs=-1)
 
+    @pytest.mark.parametrize("field", ["data_seed", "init_seed"])
+    def test_negative_seed_named(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+            TrainConfig(**{field: -1})
+
+    def test_memory_is_constant_in_epochs(self, small_problem, traced_peak):
+        # pairs are drawn a block at a time; drawing every epoch's pair up
+        # front grew the peak by 16 KB an epoch (x and y at 32 x 32)
+        def peak(epochs):
+            return traced_peak(train, TrainConfig(epochs=epochs,
+                                                  model_kind="dcnet"),
+                               small_problem)
+
+        peak(1)  # first-call set-up: the projector and the dcnet's band
+        assert peak(200) - peak(20) < 100_000
+
     def test_loss_decreases_with_benchmarks(self):
         for kind in ("resnet", "dcnet"):
             wins = 0
@@ -297,6 +331,10 @@ class TestEvaluate:
     def test_config_validated(self, bad):
         with pytest.raises(ValueError):
             EvalConfig(**bad)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="^eval_seed must be >= 0, got -1$"):
+            EvalConfig(eval_seed=-1)
 
     def test_report_shape(self, small_problem, small_trained):
         cfg = EvalConfig(n_per_kind=3)
@@ -375,6 +413,11 @@ class TestDcAudit:
                      EvalConfig(), small_problem)
         with pytest.raises(ValueError):
             dc_audit(small_trained["dcnet"][0], "dcnet", 0, 0,
+                     EvalConfig(), small_problem)
+
+    def test_negative_seed_named(self, small_problem, small_trained):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            dc_audit(small_trained["dcnet"][0], "dcnet", 2, -1,
                      EvalConfig(), small_problem)
 
     @pytest.mark.parametrize("model_kind", ["resnet", "dcnet"])

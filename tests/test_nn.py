@@ -123,6 +123,40 @@ class TestForward:
         np.testing.assert_allclose(out - x, proj(nn.forward(params, x)[0] - x),
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(6, 9), (3, 6, 9)])
+    def test_row_matrices_are_split_from_one_store(self, shape):
+        params = nn.init_params(nn.Architecture(layers=4, width=3), 6)
+        x = np.random.default_rng(6).standard_normal(shape)
+        cache = nn.forward(params, x)[1]
+        store, offset = cache["store"], 0
+        assert store.ndim == 1
+        assert sum(r.size for r in cache["rows"]) == store.size
+        for r in cache["rows"]:  # in layer order, each contiguous
+            assert r.base is store and r.flags.c_contiguous
+            assert r.__array_interface__["data"][0] == \
+                store.__array_interface__["data"][0] + offset
+            offset += r.nbytes
+
+    def test_reuse_writes_over_a_store_of_the_same_size(self):
+        # a loop of forward calls allocates the store once: one allocated
+        # per call was faulted in again on most calls once the heap had no
+        # free space to spare
+        params = nn.init_params(nn.Architecture(layers=4, width=3), 7)
+        x, y = np.random.default_rng(7).standard_normal((2, 6, 9))
+        _, cache = nn.forward(params, x)
+        store = cache["store"]
+        out, again = nn.forward(params, y, reuse=cache)
+        fresh, want = nn.forward(params, y)
+        assert again["store"] is store
+        assert np.array_equal(out, fresh)
+        for got, ref in zip(again["rows"], want["rows"]):
+            assert np.array_equal(got, ref)
+        # another size gets a store of its own, and the lent one is kept
+        wide = np.random.default_rng(8).standard_normal((6, 12))
+        _, other = nn.forward(params, wide, reuse=again)
+        assert other["store"] is not store
+        assert np.array_equal(again["rows"][1], want["rows"][1])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
         params = nn.init_params(nn.Architecture(layers=3, width=2), 6)

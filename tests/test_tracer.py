@@ -115,14 +115,22 @@ def test_traced_training_and_evaluation_record_their_work(perfbench):
     # the tracer counts conv FLOPs from the image shape of nn.forward's
     # output [0] and of nn.backward's input gradient [1]: a forward that
     # returned a bare array, or a backward without the input gradient,
-    # would break every traced run
+    # would break every traced run.  It counts samples by the length of
+    # make_dataset's list, so a training call's samples are its epochs
     tracer = perfbench("tracer").Tracer()
     problem = Problem.benchmark(32)
+    models, drawn = {}, []
     with tracer.installed():
-        models = {kind: train(TrainConfig(model_kind=kind, epochs=3),
-                              problem)[0] for kind in MODEL_KINDS}
+        dataset = tracer.names.index("data.make_dataset")
+        for kind in MODEL_KINDS:
+            first = len(tracer.name)
+            models[kind] = train(TrainConfig(model_kind=kind, epochs=3),
+                                 problem)[0]
+            drawn.append(sum(work for name, work in zip(
+                tracer.name[first:], tracer.work[first:]) if name == dataset))
         evaluate(models["resnet"], models["dcnet"], EvalConfig(n_per_kind=1),
                  problem)
+    assert drawn == [3.0, 3.0]
     name, _, _, _, work = tracer.columns()
     for span in ("nn.forward", "nn.backward", "data.make_dataset"):
         done = work[name == tracer.names.index(span)]
