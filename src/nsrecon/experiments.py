@@ -229,7 +229,7 @@ def _reconstructions(problem: Problem, sigma: float, counts: tuple[int, int],
             recs = {"tikhonov": tik}
             for k, params in models.items():
                 recs[k], caches[k] = nn.forward(params, tik, projectors[k],
-                                                caches[k])
+                                                caches[k], grad=False)
             yield kind, i, s, recs
 
 

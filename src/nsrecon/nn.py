@@ -143,7 +143,7 @@ def _arc_band(columns: bytes, w: int, layers: int):
 
 def forward(params: NetParams, x: np.ndarray,
             projector: Callable[[np.ndarray], np.ndarray] | None = None,
-            reuse: dict | None = None):
+            reuse: dict | None = None, *, grad: bool = True):
     """Residual forward pass out = x + U(x), or x + P(U(x)) with a projector,
     where U is the conv stack with ReLU between layers.
 
@@ -156,10 +156,13 @@ def forward(params: NetParams, x: np.ndarray,
     Returns (out, cache).  The cache feeds `backward`: "band" holds the
     projector's `_band` and "rows" the `_row_shifts` matrix of each layer's
     input, which for every layer but the first is the ReLU output of the
-    layer before, all split from one flat array, "store".  reuse is the
-    cache of an earlier call that the caller no longer reads: its store is
-    written over when it has the size this call needs, so a loop of calls
-    allocates it once.  Raises ValueError on a non-finite x.
+    layer before, all split from one flat array, "store" (2.66 MB for the
+    64x64 resnet).  With grad=False (inference) the cache holds no "rows":
+    each layer's matrix is written into the front of one store the size of
+    the largest (0.66 MB).  reuse is the cache of an earlier call that the
+    caller no longer reads: its store is written over when it has the size
+    this call needs, so a loop of calls allocates it once.  Raises
+    ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3):
@@ -176,13 +179,16 @@ def forward(params: NetParams, x: np.ndarray,
               for l, k in enumerate(params.kernels)]
     sizes = [math.prod(shape) for shape in shapes]
     # a store allocated per call was faulted in again on most calls once
-    # the heap had no free space to spare (about 14 000 pages an evaluate)
+    # the heap had no free space to spare (about 14 000 pages an evaluate);
+    # one block for all layers stays in a 2 MB L2, where 2.66 MB did not
+    need = sum(sizes) if grad else max(sizes)
     store = (reuse["store"] if reuse is not None
-             and reuse["store"].size == sum(sizes) else np.empty(sum(sizes)))
-    blocks = np.split(store, np.cumsum(sizes[:-1]))
+             and reuse["store"].size == need else np.empty(need))
+    at = np.cumsum([0, *sizes[:-1]]) if grad else [0] * layers
     rows = []
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
-        rows.append(_row_shifts(a[..., :v], blocks[l].reshape(shapes[l])))
+        block = store[at[l]:at[l] + sizes[l]].reshape(shapes[l])
+        rows.append(_row_shifts(a[..., :v], block))
         v -= 2
         a = _conv_rows(rows[-1], k, h, v)
         a += b[:, None, None]
@@ -191,8 +197,8 @@ def forward(params: NetParams, x: np.ndarray,
     corr = np.zeros(x.shape)
     corr[..., arc] = a[..., 0, :, :v]
     out = x + (corr if projector is None else projector(corr))
-    cache = {"rows": rows, "store": store, "projector": projector,
-             "band": band, "x_shape": x.shape}
+    cache = {"rows": rows if grad else None, "store": store,
+             "projector": projector, "band": band, "x_shape": x.shape}
     return out, cache
 
 
@@ -209,6 +215,8 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     every context column into the column it read.
     """
     grad_out = np.asarray(grad_out, dtype=float)
+    if cache["rows"] is None:
+        raise ValueError("this forward kept no row matrices (grad=False)")
     if len(cache["x_shape"]) != 2:
         raise ValueError("backward takes the cache of one image, not of a "
                          "stack")

@@ -123,13 +123,25 @@ class TestForward:
         np.testing.assert_allclose(out - x, proj(nn.forward(params, x)[0] - x),
                                    atol=1e-14)
 
-    @pytest.mark.parametrize("shape", [(6, 9), (3, 6, 9)])
-    def test_row_matrices_are_split_from_one_store(self, shape):
+    @pytest.mark.parametrize(
+        "shape, grad",
+        [((6, 9), True), ((3, 6, 9), True), ((6, 9), False),
+         ((3, 6, 9), False)],
+        ids=["shape0", "shape1", "shape0-nograd", "shape1-nograd"])
+    def test_row_matrices_are_split_from_one_store(self, shape, grad):
         params = nn.init_params(nn.Architecture(layers=4, width=3), 6)
         x = np.random.default_rng(6).standard_normal(shape)
-        cache = nn.forward(params, x)[1]
+        rows = nn.forward(params, x)[1]["rows"]
+        cache = nn.forward(params, x, grad=grad)[1]
         store, offset = cache["store"], 0
         assert store.ndim == 1
+        if not grad:
+            # every layer writes the front of a store the size of the
+            # largest row matrix, so the last layer's is left there
+            assert cache["rows"] is None
+            assert store.size == max(r.size for r in rows)
+            assert np.array_equal(store[:rows[-1].size], rows[-1].ravel())
+            return
         assert sum(r.size for r in cache["rows"]) == store.size
         for r in cache["rows"]:  # in layer order, each contiguous
             assert r.base is store and r.flags.c_contiguous
@@ -156,6 +168,24 @@ class TestForward:
         _, other = nn.forward(params, wide, reuse=again)
         assert other["store"] is not store
         assert np.array_equal(again["rows"][1], want["rows"][1])
+        # inference lent a training cache allocates its own, smaller store
+        # and leaves the lent one as it was; a loop of inference calls
+        # then writes over that one
+        kept = store.copy()
+        out, lean = nn.forward(params, y, reuse=again, grad=False)
+        assert lean["store"] is not store
+        assert lean["store"].size == max(r.size for r in want["rows"])
+        assert np.array_equal(store, kept) and np.array_equal(out, fresh)
+        out, leaner = nn.forward(params, x, reuse=lean, grad=False)
+        assert leaner["store"] is lean["store"]
+        assert np.array_equal(out, nn.forward(params, x)[0])
+
+    def test_backward_rejects_a_cache_without_row_matrices(self):
+        params = nn.init_params(nn.Architecture(layers=3, width=2), 8)
+        x = np.random.default_rng(8).standard_normal((6, 6))
+        _, cache = nn.forward(params, x, grad=False)
+        with pytest.raises(ValueError, match="kept no row matrices"):
+            nn.backward(params, cache, np.ones((6, 6)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
@@ -170,17 +200,26 @@ class TestStackedForward:
     """A stack (k, h, w) goes through every layer as one batched product
     and gives each image bit for bit as a forward pass of its own."""
 
-    @pytest.mark.parametrize("model", ["resnet", "dcnet"])
-    def test_stack_equals_single_forwards(self, model):
+    @pytest.mark.parametrize(
+        "model, grad",
+        [("resnet", True), ("dcnet", True), ("resnet", False),
+         ("dcnet", False)],
+        ids=["resnet", "dcnet", "resnet-nograd", "dcnet-nograd"])
+    def test_stack_equals_single_forwards(self, model, grad):
+        # inference (grad=False) gives the training forward's outputs bit
+        # for bit, for one image and for a stack
         support = small_stripe_support()
         proj = mask_projector(support) if model == "dcnet" else None
         params = nn.init_params(nn.Architecture(layers=4, width=3), 7)
         x = np.random.default_rng(7).standard_normal((5, 8, 8))
-        out, _ = nn.forward(params, x, proj)
+        out, _ = nn.forward(params, x, proj, grad=grad)
         assert out.shape == x.shape
         for i in range(5):
             np.testing.assert_array_equal(out[i],
                                           nn.forward(params, x[i], proj)[0])
+            if not grad:
+                np.testing.assert_array_equal(
+                    out[i], nn.forward(params, x[i], proj, grad=False)[0])
 
     def test_banded_stack_equals_single_forwards(self):
         # columns 15 and 0 of 16: a band of 2 + 2 * 4 columns that wraps
