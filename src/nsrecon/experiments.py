@@ -166,7 +166,7 @@ def train(cfg: TrainConfig, problem: Problem | None = None):
         return params, []
     state = nn.init_adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     projector = problem.model_projector(cfg.model_kind)
-    log, cache = [], None
+    log, cache = [], {}
     for epoch in range(cfg.epochs):
         if epoch % _DRAW_BLOCK == 0:
             block = problem.dataset(min(_DRAW_BLOCK, cfg.epochs - epoch),
@@ -214,7 +214,6 @@ def _reconstructions(problem: Problem, sigma: float, counts: tuple[int, int],
     "tikhonov" to B_alpha y and each kind of models (kind -> params) to
     that network on B_alpha y, run with `Problem.model_projector(kind)`."""
     projectors = {kind: problem.model_projector(kind) for kind in models}
-    caches = dict.fromkeys(models)  # each lends its store to the next call
     if not all(np.all(np.isfinite(p.flat)) for p in models.values()):
         raise ValueError("non-finite network parameters")
     for kind, count, offset in zip(("ID", "OOD"), counts,
@@ -228,8 +227,7 @@ def _reconstructions(problem: Problem, sigma: float, counts: tuple[int, int],
             tik = problem.reconstruct(s.y)
             recs = {"tikhonov": tik}
             for k, params in models.items():
-                recs[k], caches[k] = nn.forward(params, tik, projectors[k],
-                                                caches[k], grad=False)
+                recs[k] = nn.forward(params, tik, projectors[k])[0]
             yield kind, i, s, recs
 
 

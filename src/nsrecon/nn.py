@@ -143,7 +143,7 @@ def _arc_band(columns: bytes, w: int, layers: int):
 
 def forward(params: NetParams, x: np.ndarray,
             projector: Callable[[np.ndarray], np.ndarray] | None = None,
-            reuse: dict | None = None, *, grad: bool = True):
+            cache: dict | None = None):
     """Residual forward pass out = x + U(x), or x + P(U(x)) with a projector,
     where U is the conv stack with ReLU between layers.
 
@@ -153,16 +153,16 @@ def forward(params: NetParams, x: np.ndarray,
     Band rule: the conv stack runs valid convolutions on the projector's
     arc (`_band`, the whole circle without `columns`) and L columns each
     side (L layers), read mod w, so U is circular and 0 off the arc.
-    Returns (out, cache).  The cache feeds `backward`: "band" holds the
-    projector's `_band` and "rows" the `_row_shifts` matrix of each layer's
-    input, which for every layer but the first is the ReLU output of the
-    layer before, all split from one flat array, "store" (2.66 MB for the
-    64x64 resnet).  With grad=False (inference) the cache holds no "rows":
-    each layer's matrix is written into the front of one store the size of
-    the largest (0.66 MB).  reuse is the cache of an earlier call that the
-    caller no longer reads: its store is written over when it has the size
-    this call needs, so a loop of calls allocates it once.  Raises
-    ValueError on a non-finite x.
+    Returns (out, cache).  A call given a cache, the previous step's or {}
+    before the first, is a training step: its cache feeds `backward`.
+    "band" holds the projector's `_band` and "rows" the `_row_shifts`
+    matrix of each layer's input, which for every layer but the first is
+    the ReLU output of the layer before, all split from one flat array,
+    "store" (2.66 MB for the 64x64 resnet): the given cache's when it has
+    that size, so a training loop allocates it once.  Without a cache
+    (inference) no "rows" are kept: each layer's matrix is written into
+    the front of one fresh store the size of the largest (0.66 MB).
+    Raises ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3):
@@ -178,13 +178,14 @@ def forward(params: NetParams, x: np.ndarray,
     shapes = [(*x.shape[:-2], k.shape[1] * 3, h * (v - 2 * l) + 2)
               for l, k in enumerate(params.kernels)]
     sizes = [math.prod(shape) for shape in shapes]
-    # a store allocated per call was faulted in again on most calls once
-    # the heap had no free space to spare (about 14 000 pages an evaluate);
-    # one block for all layers stays in a 2 MB L2, where 2.66 MB did not
-    need = sum(sizes) if grad else max(sizes)
-    store = (reuse["store"] if reuse is not None
-             and reuse["store"].size == need else np.empty(need))
-    at = np.cumsum([0, *sizes[:-1]]) if grad else [0] * layers
+    # training lends its store (a fresh one a step: +3 MB peak RSS, 1.3k-8k
+    # faults a resnet train call against 1.4k); inference's one buffer, in
+    # a 2 MB L2 where 2.66 MB was not, runs as fast fresh as lent
+    train = cache is not None
+    need = sum(sizes) if train else max(sizes)
+    lent = cache.get("store") if train else None
+    store = lent if lent is not None and lent.size == need else np.empty(need)
+    at = np.cumsum([0, *sizes[:-1]]) if train else [0] * layers
     rows = []
     for l, (k, b) in enumerate(zip(params.kernels, params.biases)):
         block = store[at[l]:at[l] + sizes[l]].reshape(shapes[l])
@@ -197,7 +198,7 @@ def forward(params: NetParams, x: np.ndarray,
     corr = np.zeros(x.shape)
     corr[..., arc] = a[..., 0, :, :v]
     out = x + (corr if projector is None else projector(corr))
-    cache = {"rows": rows if grad else None, "store": store,
+    cache = {"rows": rows if train else None, "store": store,
              "projector": projector, "band": band, "x_shape": x.shape}
     return out, cache
 
@@ -208,7 +209,8 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     grad_out is the loss gradient with respect to the output; returns
     (grad_params, grad_in).  The projector, if any, must be linear and
     self-adjoint (orthogonal projections are).  ReLU subgradient at 0 is 0.
-    Kernel gradients are taken against the cached row matrices.  The
+    Kernel gradients are taken against the row matrices that only a
+    `forward` given a cache keeps, so backward refuses any other.  The
     gradient stays in the (ch, h, v + 2) layout of `_conv_rows`; its slack
     columns are masked to 0, so they add nothing to those products.  It
     runs on the forward's band, padding each gradient with zeros, and adds
@@ -216,7 +218,8 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
     """
     grad_out = np.asarray(grad_out, dtype=float)
     if cache["rows"] is None:
-        raise ValueError("this forward kept no row matrices (grad=False)")
+        raise ValueError("this forward kept no row matrices: pass it a "
+                         "cache, {} before the first step")
     if len(cache["x_shape"]) != 2:
         raise ValueError("backward takes the cache of one image, not of a "
                          "stack")

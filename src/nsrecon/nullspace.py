@@ -70,51 +70,49 @@ _PROJECTOR_MAX_ITERS = 20000
 
 def iterative_projector(op: MatvecOp) -> NullProjector:
     """z - A+(A z) by block CG on the normal equations A*A x = A*A z: one
-    solve for a whole stack.  Raises RuntimeError when a column misses the
-    tolerance _PROJECTOR_TOL within _PROJECTOR_MAX_ITERS block steps.
+    solve for a whole stack.  Every answer x, reused or solved, must pass
+    one test, |b_j - A*A x_j| <= tol |b_j| for each column of b = A*A z,
+    with the residual formed explicitly (one more application of A*A to
+    the stack), tol = _PROJECTOR_TOL; a solve of _PROJECTOR_MAX_ITERS
+    block steps that misses it raises RuntimeError.  The solver's verdict
+    is not read: at the rank, its residual estimate can keep mass that
+    deflation dropped (5e-14 against 6e-15 formed, 16x16 rate operator).
 
-    The projector holds the conjugate directions of its last solve (d x n
-    floats, d <= rank A, for its lifetime; A never changes) and first
-    tries the Galerkin solution in their span.  It keeps that solution
-    when every column passes the solver's own test |b_j - A*A x_j| <= tol
-    |b_j|, b = A*A z, with the residual formed explicitly (one more
-    application of A*A to the stack): once the span is range(A*), as
-    after a solve of several generic columns, no further call solves.
-    Otherwise it solves afresh and holds the new directions; a solve that
-    raises keeps the old ones.  Threads sharing a projector at worst
-    repeat a solve.
+    The projector holds the conjugate directions of its last solve that
+    passed (d x n floats, d <= rank A, for its lifetime; A never changes)
+    and first tries the Galerkin solution in their span: once the span is
+    range(A*), as after a solve of several generic columns, no further
+    call solves.  Threads sharing a projector at worst repeat a solve.
     """
     n = int(np.prod(op.in_shape))
-    held = [None]                      # directions of the last solve
+    held = [None]                      # directions of the last good solve
 
     def normal(x):
         return op.adjoint(op.apply(x))
 
-    def reuse(b):
-        """The Galerkin solution in the held span if it passes, else None."""
-        directions = held[0]
-        if directions is None or not np.all(np.isfinite(b)):
-            return None
-        rows = b.reshape(-1, n)
-        x = _galerkin(rows, directions).reshape(b.shape)
-        r = (b - normal(x)).reshape(-1, n)
-        passed = (np.linalg.norm(r, axis=1)
-                  <= _PROJECTOR_TOL * np.linalg.norm(rows, axis=1))
-        return x if passed.all() else None
+    def misses(b, x):
+        """|b_j - A*A x_j| / |b_j| of each column of x above tolerance."""
+        r = np.linalg.norm((b - normal(x)).reshape(-1, n), axis=1)
+        scale = np.linalg.norm(b.reshape(-1, n), axis=1)
+        miss = r > _PROJECTOR_TOL * scale
+        return r[miss] / scale[miss]
 
     def apply(z):
         b = normal(z)
-        x = reuse(b)
-        if x is None:
-            res = cg_regularized_normal(op, b, tol=_PROJECTOR_TOL,
-                                        max_iters=_PROJECTOR_MAX_ITERS)
-            if not res.converged:
-                raise RuntimeError(
-                    f"projector CG did not converge: {res.unconverged} of "
-                    f"{z.size // n} columns after {res.iters} block steps, "
-                    f"worst relative residual {res.rel_residual:.3g}")
-            held[0], x = res.directions, res.x
-        return z - x
+        if held[0] is not None and np.all(np.isfinite(b)):
+            x = _galerkin(b.reshape(-1, n), held[0]).reshape(b.shape)
+            if misses(b, x).size == 0:
+                return z - x
+        res = cg_regularized_normal(op, b, tol=_PROJECTOR_TOL,
+                                    max_iters=_PROJECTOR_MAX_ITERS)
+        worst = misses(b, res.x)
+        if worst.size:
+            raise RuntimeError(
+                f"projector CG did not converge: {worst.size} of "
+                f"{z.size // n} columns after {res.iters} block steps, "
+                f"worst relative residual {worst.max():.3g}")
+        held[0] = res.directions
+        return z - res.x
 
     return NullProjector(op.in_shape, apply,
                          np.broadcast_to(True, op.in_shape[-1:]))

@@ -302,7 +302,7 @@ def grad_check(arch: nn.Architecture, seed: int = 0, eps: float = 1e-5,
         out, _ = nn.forward(p, x, projector)
         return float(np.sum((out - t) ** 2))
 
-    out, cache = nn.forward(params, x, projector)
+    out, cache = nn.forward(params, x, projector, {})
     grads, _ = nn.backward(params, cache, 2.0 * (out - t))
 
     worst = 0.0

@@ -682,6 +682,38 @@ class TestNsnRates:
         for e in report.entries:
             assert e["error"] <= lip * e["classical_error"] * 1.05
 
+    @pytest.mark.parametrize("net_seed, trials", [(3, 3), (4, 4)])
+    def test_iterative_projector_runs_the_study(self, kernel_operator,
+                                                net_seed, trials):
+        # these stacks close the projector's basis at the rank, 224, where
+        # the solver's residual estimate reads 2.6e-14 and 3.0e-14 while
+        # its answer passes the 1e-14 tolerance; the study equals the SVD
+        # projector's
+        op, svd, proj = kernel_operator
+        params = nn.init_params(nn.Architecture(layers=2, width=2),
+                                net_seed).scaled(0.25)
+        args = ("tikhonov", SourceCondition(0.5, 1.0), DELTAS, trials)
+        got = nsn_convergence_study(params, iterative_projector(op), svd,
+                                    *args)[0]
+        want = nsn_convergence_study(params, proj, svd, *args)[0]
+        for a, b in zip(got.entries, want.entries):
+            assert a["error"] == pytest.approx(b["error"], rel=1e-9)
+
+    @pytest.mark.parametrize("net_seed", [3, 4])
+    def test_iterative_projector_still_misses_ten_trials(self,
+                                                         kernel_operator,
+                                                         net_seed):
+        # at trials=10 the one 100-column solve misses the tolerance (its
+        # worst answer's residual reads 1.8e-13 and 1.7e-13), and the
+        # study raises rather than use it
+        op, svd, _ = kernel_operator
+        params = nn.init_params(nn.Architecture(layers=2, width=2),
+                                net_seed).scaled(0.25)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            nsn_convergence_study(params, iterative_projector(op), svd,
+                                  "tikhonov", SourceCondition(0.5, 1.0),
+                                  DELTAS, trials=10)
+
     @pytest.mark.parametrize("bad", [
         {}, {"trials": 0}, {"deltas": [1e-2, 1e-2]}, {"c": 0.0},
         {"filter_kind": "ridge"}], ids=["valid", "trials", "delta", "c",
@@ -716,6 +748,33 @@ class TestNsnRates:
         with pytest.raises(ValueError, match="non-finite network parameters"):
             nsn_convergence_study(params, proj, svd, "tikhonov",
                                   SourceCondition(0.5, 1.0), DELTAS[:3], 2)
+
+
+def test_no_inference_forward_keeps_row_matrices(small_problem,
+                                                 small_trained,
+                                                 kernel_operator,
+                                                 monkeypatch):
+    # a forward keeps row matrices for backward only when it is given a
+    # cache, which only train does: evaluate, dc_audit and the rate study
+    # run every forward without one
+    calls, forward = [], nn.forward
+
+    def recorded(*args, **kwargs):
+        out, cache = forward(*args, **kwargs)
+        calls.append((args[3:], kwargs, cache["rows"]))
+        return out, cache
+
+    monkeypatch.setattr(nn, "forward", recorded)
+    monkeypatch.setattr(experiments, "_network", recorded)
+    resnet, dcnet = small_trained["resnet"][0], small_trained["dcnet"][0]
+    evaluate(resnet, dcnet, EvalConfig(n_per_kind=1), small_problem)
+    dc_audit(dcnet, "dcnet", 2, 0, problem=small_problem)
+    _, svd, proj = kernel_operator
+    params = nn.init_params(nn.Architecture(layers=2, width=2),
+                            3).scaled(0.25)
+    nsn_convergence_study(params, proj, svd, "tikhonov",
+                          SourceCondition(0.5, 1.0), DELTAS[:3], trials=2)
+    assert calls == [((), {}, None)] * 7
 
 
 def _unit_norm(matrix):

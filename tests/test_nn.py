@@ -124,18 +124,18 @@ class TestForward:
                                    atol=1e-14)
 
     @pytest.mark.parametrize(
-        "shape, grad",
+        "shape, train",
         [((6, 9), True), ((3, 6, 9), True), ((6, 9), False),
          ((3, 6, 9), False)],
         ids=["shape0", "shape1", "shape0-nograd", "shape1-nograd"])
-    def test_row_matrices_are_split_from_one_store(self, shape, grad):
+    def test_row_matrices_are_split_from_one_store(self, shape, train):
         params = nn.init_params(nn.Architecture(layers=4, width=3), 6)
         x = np.random.default_rng(6).standard_normal(shape)
-        rows = nn.forward(params, x)[1]["rows"]
-        cache = nn.forward(params, x, grad=grad)[1]
+        rows = nn.forward(params, x, None, {})[1]["rows"]
+        cache = nn.forward(params, x, None, {} if train else None)[1]
         store, offset = cache["store"], 0
         assert store.ndim == 1
-        if not grad:
+        if not train:
             # every layer writes the front of a store the size of the
             # largest row matrix, so the last layer's is left there
             assert cache["rows"] is None
@@ -150,42 +150,40 @@ class TestForward:
             offset += r.nbytes
 
     def test_reuse_writes_over_a_store_of_the_same_size(self):
-        # a loop of forward calls allocates the store once: one allocated
-        # per call was faulted in again on most calls once the heap had no
-        # free space to spare
+        # a training loop allocates the store once: the cache it hands each
+        # step lends the previous step's store
         params = nn.init_params(nn.Architecture(layers=4, width=3), 7)
         x, y = np.random.default_rng(7).standard_normal((2, 6, 9))
-        _, cache = nn.forward(params, x)
+        _, cache = nn.forward(params, x, None, {})
         store = cache["store"]
-        out, again = nn.forward(params, y, reuse=cache)
-        fresh, want = nn.forward(params, y)
-        assert again["store"] is store
+        out, again = nn.forward(params, y, None, cache)
+        fresh, want = nn.forward(params, y, None, {})
+        assert again["store"] is store and want["store"] is not store
         assert np.array_equal(out, fresh)
         for got, ref in zip(again["rows"], want["rows"]):
             assert np.array_equal(got, ref)
         # another size gets a store of its own, and the lent one is kept
         wide = np.random.default_rng(8).standard_normal((6, 12))
-        _, other = nn.forward(params, wide, reuse=again)
+        _, other = nn.forward(params, wide, None, again)
         assert other["store"] is not store
         assert np.array_equal(again["rows"][1], want["rows"][1])
-        # inference lent a training cache allocates its own, smaller store
-        # and leaves the lent one as it was; a loop of inference calls
-        # then writes over that one
-        kept = store.copy()
-        out, lean = nn.forward(params, y, reuse=again, grad=False)
-        assert lean["store"] is not store
+        # inference takes no cache: each call writes a fresh store of the
+        # largest matrix's size, and gives the training forward's output
+        out, lean = nn.forward(params, y)
+        again_out, leaner = nn.forward(params, y)
+        assert lean["store"] is not leaner["store"]
         assert lean["store"].size == max(r.size for r in want["rows"])
-        assert np.array_equal(store, kept) and np.array_equal(out, fresh)
-        out, leaner = nn.forward(params, x, reuse=lean, grad=False)
-        assert leaner["store"] is lean["store"]
-        assert np.array_equal(out, nn.forward(params, x)[0])
+        assert np.array_equal(out, fresh) and np.array_equal(again_out, out)
 
     def test_backward_rejects_a_cache_without_row_matrices(self):
         params = nn.init_params(nn.Architecture(layers=3, width=2), 8)
         x = np.random.default_rng(8).standard_normal((6, 6))
-        _, cache = nn.forward(params, x, grad=False)
-        with pytest.raises(ValueError, match="kept no row matrices"):
+        _, cache = nn.forward(params, x)
+        with pytest.raises(ValueError, match="kept no row matrices: pass it "
+                           "a cache"):
             nn.backward(params, cache, np.ones((6, 6)))
+        _, cache = nn.forward(params, x, None, {})
+        nn.backward(params, cache, np.ones((6, 6)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
@@ -201,25 +199,24 @@ class TestStackedForward:
     and gives each image bit for bit as a forward pass of its own."""
 
     @pytest.mark.parametrize(
-        "model, grad",
+        "model, train",
         [("resnet", True), ("dcnet", True), ("resnet", False),
          ("dcnet", False)],
         ids=["resnet", "dcnet", "resnet-nograd", "dcnet-nograd"])
-    def test_stack_equals_single_forwards(self, model, grad):
-        # inference (grad=False) gives the training forward's outputs bit
+    def test_stack_equals_single_forwards(self, model, train):
+        # inference (no cache) gives the training forward's outputs bit
         # for bit, for one image and for a stack
         support = small_stripe_support()
         proj = mask_projector(support) if model == "dcnet" else None
         params = nn.init_params(nn.Architecture(layers=4, width=3), 7)
         x = np.random.default_rng(7).standard_normal((5, 8, 8))
-        out, _ = nn.forward(params, x, proj, grad=grad)
+        out, _ = nn.forward(params, x, proj, {} if train else None)
         assert out.shape == x.shape
         for i in range(5):
+            np.testing.assert_array_equal(
+                out[i], nn.forward(params, x[i], proj, {})[0])
             np.testing.assert_array_equal(out[i],
                                           nn.forward(params, x[i], proj)[0])
-            if not grad:
-                np.testing.assert_array_equal(
-                    out[i], nn.forward(params, x[i], proj, grad=False)[0])
 
     def test_banded_stack_equals_single_forwards(self):
         # columns 15 and 0 of 16: a band of 2 + 2 * 4 columns that wraps
@@ -275,7 +272,7 @@ class TestStackedForward:
     def test_backward_rejects_stacked_cache(self):
         params = nn.init_params(nn.Architecture(layers=3, width=2), 9)
         x = np.random.default_rng(9).standard_normal((2, 6, 6))
-        _, cache = nn.forward(params, x)
+        _, cache = nn.forward(params, x, None, {})
         with pytest.raises(ValueError, match="stack"):
             nn.backward(params, cache, np.ones((2, 6, 6)))
 
@@ -291,7 +288,7 @@ class TestBackward:
         arch = nn.Architecture(layers=3, width=2)
         params = nn.init_params(arch, 6)
         x = np.random.default_rng(6).standard_normal((6, 6))
-        _, cache = nn.forward(params, x)
+        _, cache = nn.forward(params, x, None, {})
         grads, grad_in = nn.backward(params, cache, np.zeros((6, 6)))
         assert np.max(np.abs(grad_in)) == 0.0
         assert np.max(np.abs(grads.flat)) == 0.0
@@ -300,7 +297,7 @@ class TestBackward:
         arch = nn.Architecture(layers=3, width=2)
         params = nn.init_params(arch, 7).scaled(0.0)
         x = np.random.default_rng(7).standard_normal((6, 6))
-        _, cache = nn.forward(params, x)
+        _, cache = nn.forward(params, x, None, {})
         g = np.random.default_rng(8).standard_normal((6, 6))
         _, grad_in = nn.backward(params, cache, g)
         np.testing.assert_array_equal(grad_in, g)
@@ -311,7 +308,7 @@ class TestBackward:
         params = nn.NetParams([k], [rng.standard_normal(1)])
         x = rng.standard_normal((5, 7))
         g = rng.standard_normal((5, 7))
-        _, cache = nn.forward(params, x)
+        _, cache = nn.forward(params, x, None, {})
         _, grad_in = nn.backward(params, cache, g)
         np.testing.assert_allclose((grad_in - g).ravel(),
                                    dense_conv(k, 5, 7).T @ g.ravel(),
@@ -329,7 +326,7 @@ class TestBackward:
         params = nn.NetParams(kernels, [np.full(len(k), 0.1) for k in kernels])
         x = rng.uniform(0.1, 1.0, (4, 5))
         g = rng.standard_normal((4, 5))
-        _, cache = nn.forward(params, x)
+        _, cache = nn.forward(params, x, None, {})
         assert len(cache["band"][0]) == 11
         # every hidden unit is open: each cached layer input is > 0
         assert all((r[1::3, :-2] > 0).all() for r in cache["rows"][1:])
@@ -342,7 +339,7 @@ class TestBackward:
     def test_shape_validation(self):
         arch = nn.Architecture(layers=2, width=2)
         params = nn.init_params(arch, 9)
-        _, cache = nn.forward(params, np.zeros((6, 6)))
+        _, cache = nn.forward(params, np.zeros((6, 6)), None, {})
         with pytest.raises(ValueError):
             nn.backward(params, cache, np.zeros((4, 4)))
 
@@ -363,7 +360,7 @@ class TestBackward:
         monkeypatch.setattr(nn, "_row_shifts", counted)
         params = nn.init_params(nn.Architecture(layers=layers, width=3), 4)
         x = np.random.default_rng(4).standard_normal((6, 5))
-        out, cache = nn.forward(params, x)
+        out, cache = nn.forward(params, x, None, {})
         nn.backward(params, cache, out - x)
         assert len(calls) == 2 * layers
 
@@ -371,7 +368,7 @@ class TestBackward:
         support = np.ones((6, 16))
         support[2, 7] = 0.0
         x = np.random.default_rng(5).standard_normal((6, 16))
-        out, cache = nn.forward(params, x, mask_projector(support))
+        out, cache = nn.forward(params, x, mask_projector(support), {})
         assert len(cache["band"][0]) == 1 + 2 * layers
         nn.backward(params, cache, out - x)
         assert len(calls) == 2 * layers
@@ -387,7 +384,7 @@ class TestBackward:
         keep = rng.random(shape) < 0.6
         projector = (lambda v: v * keep) if project else None
         x, g = rng.standard_normal(shape), rng.standard_normal(shape)
-        _, cache = nn.forward(params, x, projector)
+        _, cache = nn.forward(params, x, projector, {})
         grads, grad_in = nn.backward(params, cache, g)
         ref_k, ref_b, ref_in = backward_reference(params, x, g, projector)
         for got, want in zip(grads.kernels + grads.biases, ref_k + ref_b):
@@ -484,7 +481,7 @@ class TestAdam:
         state = nn.init_adam(params, lr=1e-2)
         losses = []
         for _ in range(20):
-            out, cache = nn.forward(params, x)
+            out, cache = nn.forward(params, x, None, {})
             r = out - t
             losses.append(float(np.sum(r * r)))
             grads, _ = nn.backward(params, cache, 2.0 * r)

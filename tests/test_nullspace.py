@@ -1,6 +1,8 @@
 """Null-space projectors and the null-space network x + P U(x) of
 `nn.forward`."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,50 @@ class TestKrylovReuse:
         z = np.random.default_rng(34).standard_normal((2, 16, 16))
         assert np.all(relative_gaps(proj(z), exact(z), z) <= 1e-8)
         assert len(results) == 1
+
+    def test_answer_is_judged_not_the_solver_verdict(self, monkeypatch):
+        # the solver's residual estimate can read above the tolerance once
+        # its basis has closed at the rank while its answer passes: that
+        # answer is kept, and its directions serve the next call
+        op, svd = make_rate_operator(s_min=1e-3, kernel_dim=32, seed=3)
+        results = []
+
+        def doubtful(*args, **kwargs):
+            results.append(cg_regularized_normal(*args, **kwargs))
+            return dataclasses.replace(results[-1], converged=False,
+                                       unconverged=10, rel_residual=1.0)
+
+        monkeypatch.setattr(nullspace, "cg_regularized_normal", doubtful)
+        proj, exact = iterative_projector(op), svd_projector(svd)
+        rng = np.random.default_rng(35)
+        for k in (10, 3):
+            z = rng.standard_normal((k, 16, 16))
+            assert np.all(relative_gaps(proj(z), exact(z), z) <= 1e-8)
+        assert len(results) == 1
+
+    def test_missed_answer_raises_and_keeps_the_held_space(self,
+                                                           monkeypatch):
+        # a solve whose answer misses the test raises, even when the solver
+        # declares it converged, and the directions held before stay:
+        # the first image is served by them again without a solve
+        op, support = stripe_problem()
+        proj = iterative_projector(op)
+        results = solve_spy(monkeypatch)
+        first, second = np.random.default_rng(36).standard_normal((2, 16, 16))
+        want = proj(first)
+        spy = nullspace.cg_regularized_normal
+
+        def wrong(*args, **kwargs):
+            res = spy(*args, **kwargs)
+            return dataclasses.replace(res, x=0.5 * res.x)
+
+        monkeypatch.setattr(nullspace, "cg_regularized_normal", wrong)
+        with pytest.raises(RuntimeError, match=r"did not converge: 1 of 1 "
+                           r"columns after \d+ block steps"):
+            proj(second)
+        assert len(results) == 2 and results[1].converged
+        np.testing.assert_array_equal(proj(first), want)
+        assert len(results) == 2
 
 
 def small_net(seed, scale=1.0):

@@ -220,7 +220,7 @@ def test_banded_dcnet_matches_full_width(h, w, layers, width, start, span,
     params = nn.init_params(nn.Architecture(layers=layers, width=width),
                             int(rng.integers(1000)))
     x, g = rng.standard_normal((2, h, w))
-    out, cache = nn.forward(params, x, proj)
+    out, cache = nn.forward(params, x, proj, {})
     want = forward_reference(params, x, proj)
     assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
     grads, grad_in = nn.backward(params, cache, g)

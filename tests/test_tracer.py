@@ -154,7 +154,8 @@ def test_rate_study_round_solves_once_and_reuses_once(perfbench, monkeypatch,
         return solve(op, rhs, **kwargs)
 
     def recorded(params, x, projector):
-        out, cache = network(params, x, projector)
+        # given a cache, the forward keeps the row matrices read here
+        out, cache = network(params, x, projector, {})
         fired.append(bool(np.any(cache["rows"][1] > 0)))
         return out, cache
 
