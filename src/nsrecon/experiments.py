@@ -250,9 +250,10 @@ def _eval_report(problem: Problem, stream) -> EvalReport:
     """The metric rows and means of a `_reconstructions` stream."""
     rows, groups = [], {}
     for kind, i, s, recs in stream:
-        for method, xr in recs.items():
+        scores = ssim(s.x, np.stack(list(recs.values())))
+        for (method, xr), score in zip(recs.items(), scores):
             row = {"kind": kind, "index": i, "method": method,
-                   "psnr": psnr(s.x, xr), "ssim": ssim(s.x, xr),
+                   "psnr": psnr(s.x, xr), "ssim": float(score),
                    "mse": mse(s.x, xr),
                    "residual": _residual(problem, xr, s.y)}
             rows.append(row)

@@ -46,25 +46,30 @@ def _window(n: int) -> np.ndarray:
     return win
 
 
-def ssim(x: np.ndarray, y: np.ndarray) -> float:
+def ssim(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """Mean structural similarity over pixel-centered Gaussian windows.
 
-    Borders use the in-image part of the window with weights renormalized
-    to sum one.
+    y is one image (a float is returned) or a stack (k, *x.shape) scored
+    against the one truth x (k values, each equal to the single-image
+    call).  Borders use the in-image part of the window with weights
+    renormalized to sum one.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     if x.ndim != 2 or min(x.shape) < SSIM_WINDOW_SIZE:
         raise ValueError(f"SSIM needs a window-sized 2-D image, got {x.shape}")
-    h, w = x.shape  # one expression: the stack dies after the first product
-    mu_x, mu_y, xx, yy, xy = (
-        _window(h) @ np.stack([x, y, x * x, y * y, x * y]) @ _window(w).T)
-    var_x, var_y, cov = xx - mu_x**2, yy - mu_y**2, xy - mu_x * mu_y
-
+    if y.shape[-2:] != x.shape or y.ndim not in (2, 3):
+        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
+    wh, ww = _window(x.shape[0]), _window(x.shape[1])
+    mu_x, xx = wh @ np.stack([x, x * x]) @ ww.T  # the truth's, filtered once
+    mu_x2 = mu_x**2
+    var_x, two_mu_x = xx - mu_x2, 2 * mu_x
     c1 = (SSIM_K1 * DATA_RANGE) ** 2
     c2 = (SSIM_K2 * DATA_RANGE) ** 2
-    num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
-    den = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
-    return float(np.mean(num / den))
+    out = []
+    for yi in y.reshape(-1, *x.shape):  # a product over all k ran slower
+        mu_y, yy, xy = wh @ np.stack([yi, yi * yi, x * yi]) @ ww.T
+        num = (two_mu_x * mu_y + c1) * (2 * (xy - mu_x * mu_y) + c2)
+        den = (mu_x2 + mu_y**2 + c1) * (var_x + (yy - mu_y**2) + c2)
+        out.append(float(np.mean(num / den)))
+    return out[0] if y.ndim == 2 else np.array(out)

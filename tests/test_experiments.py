@@ -682,13 +682,16 @@ class TestNsnRates:
         for e in report.entries:
             assert e["error"] <= lip * e["classical_error"] * 1.05
 
-    @pytest.mark.parametrize("net_seed, trials", [(3, 3), (4, 4)])
+    @pytest.mark.parametrize("net_seed, trials",
+                             [(3, 3), (4, 4), (3, 10), (4, 10)])
     def test_iterative_projector_runs_the_study(self, kernel_operator,
                                                 net_seed, trials):
-        # these stacks close the projector's basis at the rank, 224, where
-        # the solver's residual estimate reads 2.6e-14 and 3.0e-14 while
-        # its answer passes the 1e-14 tolerance; the study equals the SVD
-        # projector's
+        # at 3 and 4 trials these stacks close the projector's basis at the
+        # rank, 224, where the solver's residual estimate reads 2.6e-14 and
+        # 3.0e-14 while its answer passes the 1e-14 tolerance; at 10 trials
+        # the one 100-column solve's answers miss it (1.8e-13 and 1.7e-13)
+        # until one Galerkin correction in the solve's own directions.  The
+        # study equals the SVD projector's
         op, svd, proj = kernel_operator
         params = nn.init_params(nn.Architecture(layers=2, width=2),
                                 net_seed).scaled(0.25)
@@ -698,21 +701,6 @@ class TestNsnRates:
         want = nsn_convergence_study(params, proj, svd, *args)[0]
         for a, b in zip(got.entries, want.entries):
             assert a["error"] == pytest.approx(b["error"], rel=1e-9)
-
-    @pytest.mark.parametrize("net_seed", [3, 4])
-    def test_iterative_projector_still_misses_ten_trials(self,
-                                                         kernel_operator,
-                                                         net_seed):
-        # at trials=10 the one 100-column solve misses the tolerance (its
-        # worst answer's residual reads 1.8e-13 and 1.7e-13), and the
-        # study raises rather than use it
-        op, svd, _ = kernel_operator
-        params = nn.init_params(nn.Architecture(layers=2, width=2),
-                                net_seed).scaled(0.25)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            nsn_convergence_study(params, iterative_projector(op), svd,
-                                  "tikhonov", SourceCondition(0.5, 1.0),
-                                  DELTAS, trials=10)
 
     @pytest.mark.parametrize("bad", [
         {}, {"trials": 0}, {"deltas": [1e-2, 1e-2]}, {"c": 0.0},

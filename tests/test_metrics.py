@@ -117,6 +117,29 @@ class TestSsim:
             y = np.clip(x + 0.2 * rng.standard_normal(shape), 0.0, 1.0)
             assert abs(ssim(x, y) - ssim_reference(x, y)) <= 1e-14
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("shape", [(11, 11), (17, 40), (64, 64)])
+    def test_stack_equals_single_calls_bit_for_bit(self, shape, k):
+        # the truth's filtered terms are shared, but each image's products
+        # and expressions keep the single call's order
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            x = rng.random(shape)
+            ys = np.clip(x + 0.1 * rng.standard_normal((k, *shape)), 0, 1)
+            got = ssim(x, ys)
+            assert isinstance(got, np.ndarray) and got.shape == (k,)
+            assert got.tolist() == [ssim(x, y) for y in ys]
+
+    def test_one_image_returns_a_float(self):
+        x = np.random.default_rng(8).random((16, 16))
+        assert type(ssim(x, 0.5 * x)) is float
+
+    @pytest.mark.parametrize("shape", [(3, 16, 17), (3, 17, 16), (16,),
+                                       (2, 3, 16, 16)])
+    def test_stack_of_other_images_raises(self, shape):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ssim(np.zeros((16, 16)), np.zeros(shape))
+
     def test_window_cache_is_read_only_and_per_size(self):
         rng = np.random.default_rng(7)
         pairs = {shape: (rng.random(shape), rng.random(shape))

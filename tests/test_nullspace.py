@@ -362,9 +362,11 @@ class TestKrylovReuse:
 
     def test_missed_answer_raises_and_keeps_the_held_space(self,
                                                            monkeypatch):
-        # a solve whose answer misses the test raises, even when the solver
-        # declares it converged, and the directions held before stay:
-        # the first image is served by them again without a solve
+        # a solve whose answer misses the test, even after one correction
+        # in the directions it returns, raises when the solver declares it
+        # converged, and the directions held before stay: the first image
+        # is served by them again without a solve.  The returned directions
+        # are cut to one, so the halved answer's error lies outside them
         op, support = stripe_problem()
         proj = iterative_projector(op)
         results = solve_spy(monkeypatch)
@@ -374,7 +376,8 @@ class TestKrylovReuse:
 
         def wrong(*args, **kwargs):
             res = spy(*args, **kwargs)
-            return dataclasses.replace(res, x=0.5 * res.x)
+            return dataclasses.replace(res, x=0.5 * res.x,
+                                       directions=res.directions[:1])
 
         monkeypatch.setattr(nullspace, "cg_regularized_normal", wrong)
         with pytest.raises(RuntimeError, match=r"did not converge: 1 of 1 "

@@ -137,6 +137,22 @@ def test_traced_training_and_evaluation_record_their_work(perfbench):
         assert done.size > 0 and np.all(done > 0), span
 
 
+def test_traced_evaluate_scores_each_sample_in_one_ssim_call(perfbench):
+    # _eval_report scores a sample's three reconstructions in one stacked
+    # ssim call, so metrics.ssim counts samples, not rows
+    tracer = perfbench("tracer").Tracer()
+    problem = Problem.benchmark(32)
+    params = {kind: nn.init_params(nn.Architecture(2, 2), 0)
+              for kind in MODEL_KINDS}
+    with tracer.installed():
+        report = evaluate(params["resnet"], params["dcnet"],
+                          EvalConfig(n_per_kind=2), problem)
+    name = tracer.columns()[0]
+    assert len(report.rows) == 12
+    assert np.sum(name == tracer.names.index("metrics.ssim")) == 4
+    assert np.sum(name == tracer.names.index("metrics.psnr")) == 12
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rate_study_round_solves_once_and_reuses_once(perfbench, monkeypatch,
                                                       seed):
