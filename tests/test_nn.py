@@ -343,13 +343,19 @@ class TestBackward:
         with pytest.raises(ValueError):
             nn.backward(params, cache, np.zeros((4, 4)))
 
-    @pytest.mark.parametrize("layers", [2, 3, 5])
-    def test_two_row_shift_builds_per_layer(self, monkeypatch, layers):
+    @pytest.mark.parametrize("layers, input_grad", [
+        pytest.param(layers, input_grad,
+                     id=str(layers) + ("" if input_grad else "-no-input-grad"))
+        for input_grad in (True, False) for layers in (2, 3, 5)])
+    def test_two_row_shift_builds_per_layer(self, monkeypatch, layers,
+                                            input_grad):
         # forward builds each layer input's row matrix, backward reuses it
-        # and builds one per layer for the input gradient; so does a dcnet
-        # whose projector keeps one column of 16 (a band: 1 + 2L <= 16),
-        # on inputs no wider than the band's context and the gradient's
-        # two columns of zero padding
+        # and builds one per layer for the gradient of that layer's input,
+        # all but layer 0's without input_grad; so does a dcnet whose
+        # projector keeps one column of 16 (a band: 1 + 2L <= 16), on
+        # inputs no wider than the band's context and the gradient's two
+        # columns of zero padding
+        builds = 2 * layers - (not input_grad)
         calls = []
         row_shifts = nn._row_shifts
 
@@ -361,8 +367,8 @@ class TestBackward:
         params = nn.init_params(nn.Architecture(layers=layers, width=3), 4)
         x = np.random.default_rng(4).standard_normal((6, 5))
         out, cache = nn.forward(params, x, None, {})
-        nn.backward(params, cache, out - x)
-        assert len(calls) == 2 * layers
+        nn.backward(params, cache, out - x, input_grad=input_grad)
+        assert len(calls) == builds
 
         calls.clear()
         support = np.ones((6, 16))
@@ -370,9 +376,11 @@ class TestBackward:
         x = np.random.default_rng(5).standard_normal((6, 16))
         out, cache = nn.forward(params, x, mask_projector(support), {})
         assert len(cache["band"][0]) == 1 + 2 * layers
-        nn.backward(params, cache, out - x)
-        assert len(calls) == 2 * layers
-        assert max(shape[-1] for shape in calls) == 1 + 2 * layers + 2
+        nn.backward(params, cache, out - x, input_grad=input_grad)
+        assert len(calls) == builds
+        # the widest is layer 0's input, or the gradient padded onto it
+        assert (max(shape[-1] for shape in calls)
+                == 1 + 2 * layers + 2 * input_grad)
 
     @pytest.mark.parametrize("shape", [(1, 3), (5, 2), (4, 7), (9, 9)])
     @pytest.mark.parametrize("layers", [3, 4])
@@ -390,6 +398,16 @@ class TestBackward:
         for got, want in zip(grads.kernels + grads.biases, ref_k + ref_b):
             assert np.array_equal(got, want)
         assert np.array_equal(grad_in, ref_in)
+        # training's backward skips layer 0's adjoint and the scatter: the
+        # same parameter gradients, and a NaN placeholder of grad_out's
+        # shape that takes no writes
+        skipped, grad_in = nn.backward(params, cache, g, input_grad=False)
+        for got, want in zip(skipped.kernels + skipped.biases,
+                             grads.kernels + grads.biases):
+            assert np.array_equal(got, want)
+        assert grad_in.shape == g.shape and np.isnan(grad_in).all()
+        with pytest.raises(ValueError, match="read-only"):
+            grad_in[0, 0] = 0.0
 
 
 class TestGradCheck:
