@@ -133,10 +133,10 @@ class TrainConfig:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not (self.lr > 0 and self.weight_decay >= 0
+        if not (0.0 < self.lr < np.inf and 0.0 <= self.weight_decay < np.inf
                 and 0.0 <= self.sigma < np.inf):
-            raise ValueError("need lr > 0, weight_decay >= 0 and a finite "
-                             "sigma >= 0")
+            raise ValueError("need a finite lr > 0, and a finite "
+                             "weight_decay and sigma >= 0")
         # inline: the call made each valid config 12% slower to build
         if self.data_seed < 0 or self.init_seed < 0:
             _check_seeds(data_seed=self.data_seed, init_seed=self.init_seed)
@@ -179,7 +179,7 @@ def train(cfg: TrainConfig, problem: Problem | None = None):
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"training diverged at epoch {epoch}: loss={loss}")
-        grads, _ = nn.backward(params, cache, 2.0 * r, input_grad=False)
+        grads, _ = nn.backward(params, cache, 2.0 * r)
         params, state = nn.adam_step(params, grads, state)
         log.append(loss)
     return params, log

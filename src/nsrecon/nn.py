@@ -203,24 +203,22 @@ def forward(params: NetParams, x: np.ndarray,
     return out, cache
 
 
-def backward(params: NetParams, cache: dict, grad_out: np.ndarray,
-             input_grad: bool = True):
-    """Exact gradients of the forward pass of one image.
+def backward(params: NetParams, cache: dict, grad_out: np.ndarray):
+    """Exact parameter gradients of the forward pass of one image.
 
     grad_out is the loss gradient with respect to the output; returns
-    (grad_params, grad_in).  With input_grad=False (training: its input
-    is a constant of the loss) the loop stops after layer 0's parameter
-    gradients, equal bit for bit to the default's, and grad_in is a
-    read-only all-NaN view of grad_out's shape that holds no memory, not
-    None: perfbench's tracer counts a backward's work from that shape.
+    (grad_params, placeholder).  The forward's input is a constant of the
+    training loss, so the loop stops after layer 0's parameter gradients;
+    the placeholder is a read-only all-NaN view of grad_out's shape that
+    holds no memory, not None: perfbench's tracer counts a backward's work
+    from that shape.
     The projector, if any, must be linear and self-adjoint (orthogonal
     projections are).  ReLU subgradient at 0 is 0.
     Kernel gradients are taken against the row matrices that only a
     `forward` given a cache keeps, so backward refuses any other.  The
     gradient stays in the (ch, h, v + 2) layout of `_conv_rows`; its slack
     columns are masked to 0, so they add nothing to those products.  It
-    runs on the forward's band, padding each gradient with zeros, and adds
-    every context column into the column it read.
+    runs on the forward's arc, padding each gradient with zeros.
     """
     grad_out = np.asarray(grad_out, dtype=float)
     if cache["rows"] is None:
@@ -234,7 +232,7 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray,
     if len(cache["rows"]) != len(params.kernels):
         raise ValueError("cache does not match parameter count")
     h = grad_out.shape[0]
-    (ctx, arc), layers = cache["band"], len(params.kernels)
+    arc, layers = cache["band"][1], len(params.kernels)
     top = (grad_out if cache["projector"] is None
            else cache["projector"](grad_out))[:, arc]
     v = top.shape[-1]  # width of the layer output, then of its input
@@ -247,9 +245,8 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray,
         grad_k[l] = np.stack([flat @ rows[:, dj:dj + flat.shape[1]].T
                               for dj in range(3)], axis=-1).reshape(k.shape)
         grad_b[l] = g[:, :, :v].sum(axis=(1, 2))
-        if l == 0 and not input_grad:
-            return (NetParams(grad_k, grad_b),
-                    np.broadcast_to(np.nan, grad_out.shape))
+        if l == 0:
+            break
         # the adjoint of a valid correlation is the full one with the
         # flipped, channel-transposed kernel: g padded by two zero columns
         # to the left, and its two slack columns to the right
@@ -258,14 +255,12 @@ def backward(params: NetParams, cache: dict, grad_out: np.ndarray,
         v += 2
         g = _conv_rows(shifts, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
                        h, v)
-        if l > 0:  # layer l - 1's ReLU mask z > 0 is max(z, 0) > 0, read
-            mask = np.zeros(g.shape, dtype=bool)  # off layer l's input
-            mask[..., :v] = rows[1::3, :h * v].reshape(-1, h, v) > 0
-            g *= mask
-    grad_in = grad_out.copy()
-    # unbuffered: a column that ctx repeats gathers every read of it
-    np.add.at(grad_in, (slice(None), ctx), g[0, :, :v])
-    return NetParams(grad_k, grad_b), grad_in
+        # layer l - 1's ReLU mask z > 0 is max(z, 0) > 0, read off layer
+        # l's input
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[..., :v] = rows[1::3, :h * v].reshape(-1, h, v) > 0
+        g *= mask
+    return NetParams(grad_k, grad_b), np.broadcast_to(np.nan, grad_out.shape)
 
 
 ADAM_BETA1 = 0.9

@@ -214,9 +214,8 @@ def backward_reference(params, x, grad_out, projector=None):
     context, x extended circularly by L columns each side for L layers.
     The loop keeps each layer's input and float pre-activation, rebuilds
     the layer input's row-shift matrix, zero-pads the gradient into the
-    row-shift layout at every layer and adds the context's gradient into
-    the input gradient column by column.  Returns (kernel grads, bias
-    grads, input grad)."""
+    row-shift layout at every layer and stops after layer 0's parameter
+    gradients.  Returns (kernel grads, bias grads)."""
     w, layers = x.shape[1], len(params.kernels)
     ctx, last = (np.arange(w + 2 * layers) - layers) % w, layers - 1
     a, inputs, preacts = x[None, :, ctx], [], []
@@ -237,15 +236,13 @@ def backward_reference(params, x, grad_out, projector=None):
         grad_k[l] = np.stack([g_ext @ rows[:, dj:dj + g_ext.shape[1]].T
                               for dj in range(3)], axis=-1).reshape(k.shape)
         grad_b[l] = g.sum(axis=(1, 2))
+        if l == 0:
+            break
         g = valid_conv(np.pad(g, ((0, 0), (0, 0), (2, 2))),
                        k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
                        np.zeros(k.shape[1]))
-        if l > 0:
-            g = g * (preacts[l - 1] > 0)
-    grad_in = grad_out.copy()
-    for j, col in enumerate(ctx):
-        grad_in[:, col] += g[0, :, j]
-    return grad_k, grad_b, grad_in
+        g = g * (preacts[l - 1] > 0)
+    return grad_k, grad_b
 
 
 def adam_step_reference(params, grads, moments, step, lr, weight_decay):

@@ -196,6 +196,19 @@ class TestTrainEval:
         assert summary["max_relative_residual_gap"] <= 1e-10
         assert summary["wall_s"] > 0
 
+    def test_diverged_training_fails_without_outputs(self, tmp_path,
+                                                     capsys):
+        out = tmp_path / "train"
+        cfg = write_config(tmp_path, "cfg", image_size=32, lr=1e100,
+                           epochs=5)
+        with np.errstate(all="ignore"):
+            assert main(["train", "--out", str(out), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nsrecon train: error: training diverged at "
+                              "epoch 1")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_without_dumps(self, tmp_path, ckpts):
         out = tmp_path / "eval"
         cfg = write_config(tmp_path, "cfg", resnet_ckpt=ckpts["resnet"],

@@ -446,6 +446,18 @@ class TestBlockCg:
         assert np.all(column_gaps(p, z - want, z) <= 1e-12)
         assert np.max(np.abs(p @ a.T)) <= 1e-12
 
+    def test_basis_grows_past_its_first_rows(self):
+        # one column starts a basis of min(n, 32 * 8) = 256 rows; this
+        # spectrum takes about 500 steps, so the basis and its directions
+        # are grown
+        s = np.geomspace(1.0, 1e-3, 600)
+        rhs = np.random.default_rng(0).standard_normal(600)
+        res = cg_regularized_normal(dense_op(np.diag(s)), rhs, tol=1e-12,
+                                    max_iters=10000)
+        assert res.converged and res.iters > 256
+        want = rhs / s**2
+        assert np.linalg.norm(res.x - want) <= 1e-10 * np.linalg.norm(want)
+
     def test_stack_shapes_validated(self):
         op = make_cumsum(3, 3)
         for shape in [(3, 3, 2), (2, 3), (1, 1, 3, 3)]:

@@ -289,52 +289,8 @@ class TestBackward:
         params = nn.init_params(arch, 6)
         x = np.random.default_rng(6).standard_normal((6, 6))
         _, cache = nn.forward(params, x, None, {})
-        grads, grad_in = nn.backward(params, cache, np.zeros((6, 6)))
-        assert np.max(np.abs(grad_in)) == 0.0
+        grads, _ = nn.backward(params, cache, np.zeros((6, 6)))
         assert np.max(np.abs(grads.flat)) == 0.0
-
-    def test_zero_weights_pass_through(self):
-        arch = nn.Architecture(layers=3, width=2)
-        params = nn.init_params(arch, 7).scaled(0.0)
-        x = np.random.default_rng(7).standard_normal((6, 6))
-        _, cache = nn.forward(params, x, None, {})
-        g = np.random.default_rng(8).standard_normal((6, 6))
-        _, grad_in = nn.backward(params, cache, g)
-        np.testing.assert_array_equal(grad_in, g)
-
-    def test_input_gradient_is_dense_transpose(self):
-        rng = np.random.default_rng(16)
-        k = rng.standard_normal((1, 1, 3, 3))
-        params = nn.NetParams([k], [rng.standard_normal(1)])
-        x = rng.standard_normal((5, 7))
-        g = rng.standard_normal((5, 7))
-        _, cache = nn.forward(params, x, None, {})
-        _, grad_in = nn.backward(params, cache, g)
-        np.testing.assert_allclose((grad_in - g).ravel(),
-                                   dense_conv(k, 5, 7).T @ g.ravel(),
-                                   atol=1e-13)
-
-    def test_input_gradient_gathers_repeated_context_columns(self):
-        # 3 layers on a grid 5 wide: ctx reads 5 + 2 * 3 columns mod 5, so
-        # the conv stack reads each column two or three times and each read
-        # must reach grad_in.  Positive weights, biases and input keep every
-        # ReLU open, so the net is affine with the product of the layers'
-        # dense convolutions as its Jacobian
-        rng = np.random.default_rng(17)
-        chans = nn.Architecture(layers=3, width=2).channels()
-        kernels = [rng.uniform(0.1, 1.0, c + (3, 3)) for c in chans]
-        params = nn.NetParams(kernels, [np.full(len(k), 0.1) for k in kernels])
-        x = rng.uniform(0.1, 1.0, (4, 5))
-        g = rng.standard_normal((4, 5))
-        _, cache = nn.forward(params, x, None, {})
-        assert len(cache["band"][0]) == 11
-        # every hidden unit is open: each cached layer input is > 0
-        assert all((r[1::3, :-2] > 0).all() for r in cache["rows"][1:])
-        _, grad_in = nn.backward(params, cache, g)
-        jac = np.linalg.multi_dot([dense_conv(k, 4, 5) for k in kernels[::-1]])
-        want = jac.T @ g.ravel()
-        assert (np.max(np.abs((grad_in - g).ravel() - want))
-                <= 1e-13 * np.max(np.abs(want)))
 
     def test_shape_validation(self):
         arch = nn.Architecture(layers=2, width=2)
@@ -342,20 +298,19 @@ class TestBackward:
         _, cache = nn.forward(params, np.zeros((6, 6)), None, {})
         with pytest.raises(ValueError):
             nn.backward(params, cache, np.zeros((4, 4)))
+        deeper = nn.init_params(nn.Architecture(layers=3, width=2), 9)
+        _, cache = nn.forward(deeper, np.zeros((6, 6)), None, {})
+        with pytest.raises(ValueError, match="parameter count"):
+            nn.backward(params, cache, np.zeros((6, 6)))
 
-    @pytest.mark.parametrize("layers, input_grad", [
-        pytest.param(layers, input_grad,
-                     id=str(layers) + ("" if input_grad else "-no-input-grad"))
-        for input_grad in (True, False) for layers in (2, 3, 5)])
-    def test_two_row_shift_builds_per_layer(self, monkeypatch, layers,
-                                            input_grad):
+    @pytest.mark.parametrize("layers", [2, 3, 5])
+    def test_two_row_shift_builds_per_layer(self, monkeypatch, layers):
         # forward builds each layer input's row matrix, backward reuses it
-        # and builds one per layer for the gradient of that layer's input,
-        # all but layer 0's without input_grad; so does a dcnet whose
-        # projector keeps one column of 16 (a band: 1 + 2L <= 16), on
-        # inputs no wider than the band's context and the gradient's two
-        # columns of zero padding
-        builds = 2 * layers - (not input_grad)
+        # and builds one per layer but layer 0 for the gradient of that
+        # layer's input; so does a dcnet whose projector keeps one column
+        # of 16 (a band: 1 + 2L <= 16), on inputs no wider than the band's
+        # context
+        builds = 2 * layers - 1
         calls = []
         row_shifts = nn._row_shifts
 
@@ -367,7 +322,7 @@ class TestBackward:
         params = nn.init_params(nn.Architecture(layers=layers, width=3), 4)
         x = np.random.default_rng(4).standard_normal((6, 5))
         out, cache = nn.forward(params, x, None, {})
-        nn.backward(params, cache, out - x, input_grad=input_grad)
+        nn.backward(params, cache, out - x)
         assert len(calls) == builds
 
         calls.clear()
@@ -376,11 +331,10 @@ class TestBackward:
         x = np.random.default_rng(5).standard_normal((6, 16))
         out, cache = nn.forward(params, x, mask_projector(support), {})
         assert len(cache["band"][0]) == 1 + 2 * layers
-        nn.backward(params, cache, out - x, input_grad=input_grad)
+        nn.backward(params, cache, out - x)
         assert len(calls) == builds
-        # the widest is layer 0's input, or the gradient padded onto it
-        assert (max(shape[-1] for shape in calls)
-                == 1 + 2 * layers + 2 * input_grad)
+        # the widest is layer 0's input
+        assert max(shape[-1] for shape in calls) == 1 + 2 * layers
 
     @pytest.mark.parametrize("shape", [(1, 3), (5, 2), (4, 7), (9, 9)])
     @pytest.mark.parametrize("layers", [3, 4])
@@ -393,21 +347,15 @@ class TestBackward:
         projector = (lambda v: v * keep) if project else None
         x, g = rng.standard_normal(shape), rng.standard_normal(shape)
         _, cache = nn.forward(params, x, projector, {})
-        grads, grad_in = nn.backward(params, cache, g)
-        ref_k, ref_b, ref_in = backward_reference(params, x, g, projector)
+        grads, placeholder = nn.backward(params, cache, g)
+        ref_k, ref_b = backward_reference(params, x, g, projector)
         for got, want in zip(grads.kernels + grads.biases, ref_k + ref_b):
             assert np.array_equal(got, want)
-        assert np.array_equal(grad_in, ref_in)
-        # training's backward skips layer 0's adjoint and the scatter: the
-        # same parameter gradients, and a NaN placeholder of grad_out's
-        # shape that takes no writes
-        skipped, grad_in = nn.backward(params, cache, g, input_grad=False)
-        for got, want in zip(skipped.kernels + skipped.biases,
-                             grads.kernels + grads.biases):
-            assert np.array_equal(got, want)
-        assert grad_in.shape == g.shape and np.isnan(grad_in).all()
+        # no input gradient: a NaN placeholder of grad_out's shape that
+        # takes no writes
+        assert placeholder.shape == g.shape and np.isnan(placeholder).all()
         with pytest.raises(ValueError, match="read-only"):
-            grad_in[0, 0] = 0.0
+            placeholder[0, 0] = 0.0
 
 
 class TestGradCheck:

@@ -113,9 +113,9 @@ def test_projector_solve_is_one_span_of_its_block_steps(perfbench):
 
 def test_traced_training_and_evaluation_record_their_work(perfbench):
     # the tracer counts conv FLOPs from the image shape of nn.forward's
-    # output [0] and of nn.backward's input gradient [1]: a forward that
-    # returned a bare array, or a backward without the input gradient,
-    # would break every traced run.  It counts samples by the length of
+    # output [0] and of nn.backward's input-gradient placeholder [1]: a
+    # forward that returned a bare array, or a backward without the
+    # placeholder, would break every traced run.  It counts samples by the length of
     # make_dataset's list, so a training call's samples are its epochs
     tracer = perfbench("tracer").Tracer()
     problem = Problem.benchmark(32)
