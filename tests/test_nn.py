@@ -303,7 +303,9 @@ class TestBackward:
         with pytest.raises(ValueError, match="parameter count"):
             nn.backward(params, cache, np.zeros((6, 6)))
 
-    @pytest.mark.parametrize("layers", [2, 3, 5])
+    @pytest.mark.parametrize("layers", [
+        pytest.param(layers, id=f"{layers}-no-input-grad")
+        for layers in (2, 3, 5)])
     def test_two_row_shift_builds_per_layer(self, monkeypatch, layers):
         # forward builds each layer input's row matrix, backward reuses it
         # and builds one per layer but layer 0 for the gradient of that
